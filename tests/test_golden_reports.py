@@ -1,0 +1,67 @@
+"""Golden reports: every subcommand's output on small pinned configs.
+
+Each case under tests/golden/ holds the config and the files the command
+wrote into --out.  A run must reproduce report.json exactly (apart from
+wall_clock_s, which is a timing) and every other file byte for byte.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from sparse_hw.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# case directory -> (subcommand, expected exit code)
+CONFIG_CASES = {
+    "hw-verify-refined": ("hw-verify", 0),
+    "hw-verify-two-regime": ("hw-verify", 0),
+    "hw-verify-degenerate": ("hw-verify", 0),
+    "bernstein-verify": ("bernstein-verify", 0),
+    "bernstein-verify-unresolved": ("bernstein-verify", 1),
+    "covest": ("covest", 0),
+    "rip": ("rip", 0),
+    "sketch": ("sketch", 0),
+    "sample": ("sample", 0),
+    "bound-table-dense": ("bound-table", 0),
+    "bound-table-heavy": ("bound-table", 0),
+}
+
+
+def _report_text(path: Path) -> str:
+    report = json.loads(path.read_text())
+    report.pop("wall_clock_s")
+    return json.dumps(report, indent=2)
+
+
+def assert_same_outputs(expected: Path, actual: Path) -> None:
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(actual) == files(expected)
+    for rel in files(expected):
+        if rel.name == "report.json":
+            assert _report_text(actual / rel) == _report_text(expected / rel), rel
+        else:
+            assert (actual / rel).read_bytes() == (expected / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_golden_config_command(case, tmp_path):
+    command, exit_code = CONFIG_CASES[case]
+    config = GOLDEN / case / "config.json"
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(config), "--threads", "1", "--out", str(out)])
+    assert rc == exit_code
+    assert_same_outputs(GOLDEN / case / "expected", out)
+
+
+def test_golden_norms(tmp_path, monkeypatch, capsys):
+    shutil.copy(GOLDEN / "norms" / "matrix.csv", tmp_path / "matrix.csv")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["norms", "matrix.csv", "--p", "0.5,0.3,0.8,0.6", "--alpha", "1.5", "--out", "out"])
+    assert rc == 0
+    assert_same_outputs(GOLDEN / "norms" / "expected", tmp_path / "out")
