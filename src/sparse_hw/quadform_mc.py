@@ -17,6 +17,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -105,6 +106,8 @@ def _run_chunks(worker, n_samples: int, threads: int, chunk_size: int) -> list:
 
     Returns results ordered by chunk index regardless of thread count.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     sizes = chunk_sizes(n_samples, chunk_size)
     if threads <= 1 or len(sizes) <= 1:
         return [worker(c, sz) for c, sz in enumerate(sizes)]
@@ -118,6 +121,59 @@ def _quadform_values(inst: QuadFormInstance, rng, count: int) -> np.ndarray:
     return (x @ inst.a * x).sum(axis=1)
 
 
+def _simulate(
+    statistic, center: float, t_grid, n_samples: int, seed: int, threads: int, chunk_size: int,
+    meta: dict,
+) -> EmpiricalTail:
+    """Empirical survival of |statistic - center| over t_grid with Wilson intervals.
+
+    statistic(rng, count) returns count draws of the statistic.  A
+    non-finite draw would count as an exceedance at every threshold, so
+    any inf or NaN raises ValueError with their number instead.
+    """
+    ts = np.sort(np.asarray(t_grid, dtype=float))
+    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0):
+        raise ValueError("t_grid must be a nonempty nonnegative vector")
+
+    def worker(c: int, sz: int) -> tuple[np.ndarray, int]:
+        with np.errstate(over="ignore", invalid="ignore"):  # counted below
+            dev = np.abs(statistic(stream(seed, c), sz) - center)
+        # searchsorted over the sorted deviations counts all thresholds at
+        # once; inf and NaN sort last, so the last entry tells if any exist
+        dev.sort()
+        nonfinite = 0 if np.isfinite(dev[-1]) else dev.size - int(np.searchsorted(dev, np.inf))
+        return dev.size - np.searchsorted(dev, ts, side="left"), nonfinite
+
+    chunks = _run_chunks(worker, n_samples, threads, chunk_size)
+    nonfinite = sum(bad for _, bad in chunks)
+    if nonfinite:
+        raise ValueError(f"{nonfinite} of {n_samples} simulated statistics are inf or NaN")
+    counts = np.sum([k for k, _ in chunks], axis=0)
+    lows, highs = np.array([wilson_interval(int(k), n_samples) for k in counts]).T
+    return EmpiricalTail(
+        t_grid=ts,
+        survival=counts / n_samples,
+        ci_low=lows,
+        ci_high=highs,
+        n_samples=n_samples,
+        seed=seed,
+        meta=meta,
+    )
+
+
+def _lr_norm(
+    statistic, center: float, r: float, n_samples: int, seed: int, threads: int, chunk_size: int
+) -> float:
+    """Empirical L_r norm of statistic - center; statistic as in _simulate."""
+
+    def worker(c: int, sz: int) -> float:
+        dev = np.abs(statistic(stream(seed, c), sz) - center)
+        return float(np.sum(dev**r))
+
+    partials = _run_chunks(worker, n_samples, threads, chunk_size)
+    return float((np.sum(np.asarray(partials)) / n_samples) ** (1.0 / r))
+
+
 def simulate_tail(
     inst: QuadFormInstance,
     t_grid,
@@ -127,33 +183,9 @@ def simulate_tail(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> EmpiricalTail:
     """Empirical survival of |S - E S| over t_grid with Wilson intervals."""
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0):
-        raise ValueError("t_grid must be a nonempty nonnegative vector")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    center = inst.mean()
-
-    def worker(c: int, sz: int) -> np.ndarray:
-        dev = np.abs(_quadform_values(inst, stream(seed, c), sz) - center)
-        # searchsorted over the sorted deviations counts all thresholds at once
-        dev.sort()
-        return dev.size - np.searchsorted(dev, ts, side="left")
-
-    counts = np.sum(_run_chunks(worker, n_samples, threads, chunk_size), axis=0)
-    lows = np.empty(ts.size)
-    highs = np.empty(ts.size)
-    for i, k in enumerate(counts):
-        lows[i], highs[i] = wilson_interval(int(k), n_samples)
-    return EmpiricalTail(
-        t_grid=ts,
-        survival=counts / n_samples,
-        ci_low=lows,
-        ci_high=highs,
-        n_samples=n_samples,
-        seed=seed,
-        meta={"instance_hash": inst.content_hash(), "statistic": "quadform_abs_dev"},
-    )
+    meta = {"instance_hash": inst.content_hash(), "statistic": "quadform_abs_dev"}
+    statistic = partial(_quadform_values, inst)
+    return _simulate(statistic, inst.mean(), t_grid, n_samples, seed, threads, chunk_size, meta)
 
 
 def empirical_moment(
@@ -174,16 +206,8 @@ def empirical_moment(
         raise ValueError("r must be at least 1")
     if r > MOMENT_ORDER_CAP and not allow_extreme:
         raise ValueError(f"moment order above {MOMENT_ORDER_CAP} needs allow_extreme=True")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    center = inst.mean()
-
-    def worker(c: int, sz: int) -> float:
-        dev = np.abs(_quadform_values(inst, stream(seed, c), sz) - center)
-        return float(np.sum(dev**r))
-
-    partials = _run_chunks(worker, n_samples, threads, chunk_size)
-    return float((np.sum(np.asarray(partials)) / n_samples) ** (1.0 / r))
+    statistic = partial(_quadform_values, inst)
+    return _lr_norm(statistic, inst.mean(), r, n_samples, seed, threads, chunk_size)
 
 
 def simulate_decoupled(
@@ -207,18 +231,13 @@ def simulate_decoupled(
         raise ValueError("decoupled comparison requires a diagonal-free matrix")
     if r < 1:
         raise ValueError("r must be at least 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
 
-    def worker(c: int, sz: int) -> float:
-        rng = stream(seed, c)
-        x = sample_sparse_matrix(model, sz, rng)
-        xt = sample_sparse_matrix(model, sz, rng)
-        vals = np.abs((x @ m * xt).sum(axis=1))
-        return float(np.sum(vals**r))
+    def bilinear(rng, count: int) -> np.ndarray:
+        x = sample_sparse_matrix(model, count, rng)
+        xt = sample_sparse_matrix(model, count, rng)
+        return (x @ m * xt).sum(axis=1)
 
-    partials = _run_chunks(worker, n_samples, threads, chunk_size)
-    return float((np.sum(np.asarray(partials)) / n_samples) ** (1.0 / r))
+    return _lr_norm(bilinear, 0.0, r, n_samples, seed, threads, chunk_size)
 
 
 def _atom_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,10 +429,10 @@ def lower_bound_check(
         p=(1.0,) * m.shape[0], base=DistributionSpec(kind="weibull", alpha=alpha)
     )
     inst = QuadFormInstance(m, model)
-    devs = []
-    for c, sz in enumerate(chunk_sizes(n_samples, chunk_size)):
-        devs.append(np.abs(_quadform_values(inst, stream(seed, c), sz)))
-    dev = np.concatenate(devs)
+    def worker(c: int, sz: int) -> np.ndarray:
+        return np.abs(_quadform_values(inst, stream(seed, c), sz))
+
+    dev = np.concatenate(_run_chunks(worker, n_samples, 1, chunk_size))
     moments = tuple(float(np.mean(dev**r) ** (1.0 / r)) for r in rs)
     probs = tuple(float(np.mean(dev >= mom / 2)) for mom in moments)
     if any(q == 0.0 for q in probs):
@@ -450,30 +469,10 @@ def simulate_linear_tail(
     a = np.asarray(a_vec, dtype=float)
     if a.ndim != 1 or a.size != model.dim:
         raise ValueError("a must be a vector matching the model dimension")
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    if ts.size == 0 or np.any(ts < 0):
-        raise ValueError("t_grid must be a nonempty nonnegative vector")
-
-    def worker(c: int, sz: int) -> np.ndarray:
-        x = sample_sparse_matrix(model, sz, stream(seed, c))
-        dev = np.abs(x @ a)
-        dev.sort()
-        return dev.size - np.searchsorted(dev, ts, side="left")
-
-    counts = np.sum(_run_chunks(worker, n_samples, threads, chunk_size), axis=0)
-    lows = np.empty(ts.size)
-    highs = np.empty(ts.size)
-    for i, k in enumerate(counts):
-        lows[i], highs[i] = wilson_interval(int(k), n_samples)
-    h = hashlib.sha256(a.tobytes())
-    return EmpiricalTail(
-        t_grid=ts,
-        survival=counts / n_samples,
-        ci_low=lows,
-        ci_high=highs,
-        n_samples=n_samples,
-        seed=seed,
-        meta={"instance_hash": h.hexdigest(), "statistic": "linear_abs"},
+    meta = {"instance_hash": hashlib.sha256(a.tobytes()).hexdigest(), "statistic": "linear_abs"}
+    return _simulate(
+        lambda rng, count: sample_sparse_matrix(model, count, rng) @ a,
+        0.0, t_grid, n_samples, seed, threads, chunk_size, meta,
     )
 
 
@@ -499,29 +498,10 @@ def simulate_norm_tail(
         raise ValueError("norm concentration needs a uniform positive p")
     if any(b.variance() != 1.0 for b in model.bases):
         raise ValueError("norm concentration needs unit-variance bases")
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    if ts.size == 0 or np.any(ts < 0):
-        raise ValueError("t_grid must be a nonempty nonnegative vector")
     center = math.sqrt(p[0]) * float(np.linalg.norm(m, "fro"))
-
-    def worker(c: int, sz: int) -> np.ndarray:
-        x = sample_sparse_matrix(model, sz, stream(seed, c))
-        dev = np.abs(np.linalg.norm(x @ m.T, axis=1) - center)
-        dev.sort()
-        return dev.size - np.searchsorted(dev, ts, side="left")
-
-    counts = np.sum(_run_chunks(worker, n_samples, threads, chunk_size), axis=0)
-    lows = np.empty(ts.size)
-    highs = np.empty(ts.size)
-    for i, k in enumerate(counts):
-        lows[i], highs[i] = wilson_interval(int(k), n_samples)
-    h = hashlib.sha256(m.tobytes())
-    return EmpiricalTail(
-        t_grid=ts,
-        survival=counts / n_samples,
-        ci_low=lows,
-        ci_high=highs,
-        n_samples=n_samples,
-        seed=seed,
-        meta={"instance_hash": h.hexdigest(), "statistic": "norm_abs_dev", "center": center},
+    h = hashlib.sha256(m.tobytes()).hexdigest()
+    meta = {"instance_hash": h, "statistic": "norm_abs_dev", "center": center}
+    return _simulate(
+        lambda rng, count: np.linalg.norm(sample_sparse_matrix(model, count, rng) @ m.T, axis=1),
+        center, t_grid, n_samples, seed, threads, chunk_size, meta,
     )

@@ -133,6 +133,18 @@ def test_simulate_tail_thread_count_is_invisible():
     assert np.array_equal(a.ci_low, b.ci_low)
 
 
+def test_simulate_tail_rejects_non_finite_statistics():
+    # products of two draws near 5e153 overflow to inf, and inf - inf is NaN
+    huge = DistributionSpec(kind="weibull", alpha=1.0, scale=5e153)
+    inst = QuadFormInstance(np.ones((2, 2)), SparseModel(p=(1.0, 1.0), base=huge))
+    messages = set()
+    for threads in (1, 3):
+        with pytest.raises(ValueError, match="of 2000 simulated statistics are inf or NaN") as exc:
+            simulate_tail(inst, [1e300], 2000, seed=7, threads=threads, chunk_size=500)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
 def test_tail_csv_round_trip(tmp_path):
     inst = QuadFormInstance(EXCHANGE, rademacher_model(2))
     tail = simulate_tail(inst, [1.0, 3.0], 1000, seed=6)
