@@ -15,6 +15,7 @@ from .bounds import (
     BoundEval,
     DEFAULT_CONSTANTS,
     TailBound,
+    bernstein_regimes,
     bernstein_sparse_bound,
     bound_report,
     comparison_bounds,

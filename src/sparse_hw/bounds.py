@@ -181,18 +181,10 @@ def hw_sparse_bound(
     return TailBound(hw_sparse_regimes(a, p, alpha), constants).prob(t)
 
 
-def bernstein_sparse_bound(
-    t,
-    a_vec,
-    p,
-    alpha: float,
-    L: float = 1.0,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-):
-    """Tail bound for the linear form |sum_i a_i xi_i| at raw threshold t.
+def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, ...]:
+    """Linear-form regimes at raw threshold t, for 0 < alpha <= 1.
 
-    Exponent min{ t^2 / (L^2 sum a_i^2 p_i), (t / (L ||a||_inf))^alpha },
-    for 0 < alpha <= 1.
+    Exponent min{ t^2 / (L^2 sum a_i^2 p_i), (t / (L ||a||_inf))^alpha }.
     """
     al = AlphaParam(alpha)
     if al.value > 1.0:
@@ -207,11 +199,26 @@ def bernstein_sparse_bound(
         q = np.full(a.shape, float(q))
     if q.shape != a.shape or np.any(q < 0) or np.any(q > 1):
         raise ValueError("p must match a and lie in [0, 1]")
-    regimes = (
+    return (
         (L * math.sqrt(float(a * a @ q)), 2.0),
         (L * float(np.max(np.abs(a))) if a.size else 0.0, al.value),
     )
-    return TailBound(regimes, constants).prob(t)
+
+
+def bernstein_sparse_bound(
+    t,
+    a_vec,
+    p,
+    alpha: float,
+    L: float = 1.0,
+    constants: BoundConstants = DEFAULT_CONSTANTS,
+):
+    """Tail bound for the linear form |sum_i a_i xi_i| at raw threshold t.
+
+    Exponent min{ t^2 / (L^2 sum a_i^2 p_i), (t / (L ||a||_inf))^alpha },
+    for 0 < alpha <= 1.
+    """
+    return TailBound(bernstein_regimes(a_vec, p, alpha, L), constants).prob(t)
 
 
 def norm_concentration_center(a, p: float) -> float:

@@ -12,6 +12,8 @@ config error, 3 a compute budget guard tripped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -328,10 +330,14 @@ def _build_base(cfg: dict | None, alpha: float) -> DistributionSpec:
     )
 
 
+def _p_vector(p, dim: int) -> tuple[float, ...]:
+    """Config p, a scalar for all dim coordinates or a list, as a tuple."""
+    return tuple([float(p)] * dim) if np.isscalar(p) else tuple(float(v) for v in p)
+
+
 def _build_model(cfg: dict, dim: int) -> tuple[SparseModel, float]:
     alpha = AlphaParam(cfg["alpha"]).value
-    p = cfg["p"]
-    pvec = tuple([float(p)] * dim) if np.isscalar(p) else tuple(float(v) for v in p)
+    pvec = _p_vector(cfg["p"], dim)
     if len(pvec) != dim:
         raise ConfigError(f"p has {len(pvec)} entries, instance needs {dim}")
     base = _build_base(cfg.get("base"), alpha)
@@ -419,81 +425,48 @@ def _finish(outdir, report, tables, verdicts, started) -> int:
     return 0
 
 
-def _base_report(command: str, cfg: dict, seed: int, threads: int) -> dict:
-    return {
+def _run(command: str, body, args) -> int:
+    """Load the config, resolve seed and threads, run body, write the report.
+
+    body(cfg, seed, threads, outdir) returns (results, tables, verdicts).
+    """
+    started = time.time()
+    cfg = _load_config(args.config, command)
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    threads = _resolve_threads(args, cfg)
+    results, tables, verdicts = body(cfg, seed, threads, args.out)
+    report = {
         "command": command,
         "config": cfg,
         "config_hash": _config_hash(cfg),
         "seed": seed,
         "threads": threads,
         "version": __version__,
-        "results": {},
+        "results": results,
     }
+    return _finish(args.out, report, tables, verdicts, started)
 
 
-# ---------------------------------------------------------------- commands
+def _bounds_table(t_grid, probs: dict) -> tuple[list[str], np.ndarray]:
+    return ["t"] + list(probs), np.column_stack([t_grid] + [np.asarray(v) for v in probs.values()])
 
 
-def _cmd_hw_verify(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "hw-verify")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
-    a = bd.symmetrize(_build_matrix(cfg["matrix"]))
-    model, alpha = _build_model(cfg["model"], a.shape[0])
-    t_grid = _build_t_grid(cfg["t_grid"])
-    constants = _build_constants(cfg.get("constants"))
-    report = _base_report("hw-verify", cfg, seed, threads)
+def _degenerate(what: str):
+    verdict = _verdict("degenerate_instance", True, f"zero {what}; nothing to verify")
+    return {"degenerate": True}, {}, [verdict]
 
-    if not np.any(a):
-        report["results"]["degenerate"] = True
-        return _finish(
-            args.out,
-            report,
-            {},
-            [_verdict("degenerate_instance", True, "zero matrix; nothing to verify")],
-            started,
-        )
 
-    L = _resolve_l(cfg.get("L"), model, alpha)
-    inst = qf.QuadFormInstance(a, model)
-    tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
-    tn = tail.t_grid / L**2
-    two_regime = bd.TailBound(bd.hw_sparse_regimes(a, model.p_array(), alpha), constants)
-    exps = {"sparse_alpha": two_regime.exponent(tn)}
-    probs = {"sparse_alpha": two_regime.prob(tn)}
-    if alpha <= 1.0:
-        refined = bd.TailBound(bd.f_sparse_regimes(a, model.p_array(), alpha), constants)
-        exps["sparse_alpha_refined"] = refined.exponent(tn)
-        probs["sparse_alpha_refined"] = refined.prob(tn)
-    shape_name = "sparse_alpha_refined" if alpha <= 1.0 else "sparse_alpha"
-
-    verdicts = []
-    results = report["results"]
-    results["L"] = L
-    results["center"] = inst.mean()
-    results["survival"] = tail.survival.tolist()
-    results["t_grid"] = tail.t_grid.tolist()
-    results["bounds"] = {k: np.asarray(v).tolist() for k, v in probs.items()}
+def _verify_tail(tail, exponent, probs: dict, cfg: dict, results: dict, shape: dict):
+    """Dominance verdict, slope fit and tables shared by the verify commands."""
+    name = "tail_dominates_calibrated_exponent"
     try:
-        dom = qf.dominance_check(tail, exps[shape_name], rel_slack=cfg.get("rel_slack", 0.1))
-        results["dominance"] = {
-            "shape": shape_name,
-            "c_hat": dom.c_hat,
-            "ok": dom.ok,
-            "n_points": dom.n_points,
-            "min_margin": dom.min_margin,
-            "t_calibration": dom.t_calibration,
-        }
-        verdicts.append(
-            _verdict(
-                "tail_dominates_calibrated_exponent",
-                dom.ok,
-                f"c_hat={dom.c_hat:.4g} over {dom.n_points} grid points",
-            )
-        )
+        dom = qf.dominance_check(tail, exponent, rel_slack=cfg.get("rel_slack", 0.1))
     except ValueError as exc:
-        verdicts.append(_verdict("tail_dominates_calibrated_exponent", False, str(exc)))
+        verdicts = [_verdict(name, False, str(exc))]
+    else:
+        results["dominance"] = {**shape, **dataclasses.asdict(dom)}
+        detail = f"c_hat={dom.c_hat:.4g} over {dom.n_points} grid points"
+        verdicts = [_verdict(name, dom.ok, detail)]
     try:
         fit = qf.tail_slope_fit(tail)
         results["slope_fit"] = {
@@ -504,99 +477,75 @@ def _cmd_hw_verify(args) -> int:
         }
     except ValueError as exc:
         results["slope_fit"] = {"error": str(exc)}
-
     tables = {
         "tail": (
             ["t", "survival", "ci_low", "ci_high"],
             np.column_stack([tail.t_grid, tail.survival, tail.ci_low, tail.ci_high]),
         ),
-        "bounds": (
-            ["t"] + list(probs),
-            np.column_stack([tail.t_grid] + [np.asarray(probs[k]) for k in probs]),
-        ),
+        "bounds": _bounds_table(tail.t_grid, probs),
     }
-    return _finish(args.out, report, tables, verdicts, started)
+    return results, tables, verdicts
 
 
-def _cmd_bernstein_verify(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "bernstein-verify")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+# ---------------------------------------------------------------- commands
+
+
+def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
+    a = bd.symmetrize(_build_matrix(cfg["matrix"]))
+    model, alpha = _build_model(cfg["model"], a.shape[0])
+    t_grid = _build_t_grid(cfg["t_grid"])
+    constants = _build_constants(cfg.get("constants"))
+    if not np.any(a):
+        return _degenerate("matrix")
+
+    L = _resolve_l(cfg.get("L"), model, alpha)
+    inst = qf.QuadFormInstance(a, model)
+    tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
+    tn = tail.t_grid / L**2
+    shapes = {"sparse_alpha": bd.hw_sparse_regimes(a, model.p_array(), alpha)}
+    if alpha <= 1.0:
+        shapes["sparse_alpha_refined"] = bd.f_sparse_regimes(a, model.p_array(), alpha)
+    shape_name = "sparse_alpha_refined" if alpha <= 1.0 else "sparse_alpha"
+    bounds = {k: bd.TailBound(regimes, constants) for k, regimes in shapes.items()}
+    probs = {k: tb.prob(tn) for k, tb in bounds.items()}
+    results = {
+        "L": L,
+        "center": inst.mean(),
+        "survival": tail.survival.tolist(),
+        "t_grid": tail.t_grid.tolist(),
+        "bounds": {k: np.asarray(v).tolist() for k, v in probs.items()},
+    }
+    exponent = bounds[shape_name].exponent(tn)
+    return _verify_tail(tail, exponent, probs, cfg, results, {"shape": shape_name})
+
+
+def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
     a = _build_vector(cfg["vector"])
     model, alpha = _build_model(cfg["model"], a.size)
     if alpha > 1.0:
         raise ConfigError("linear-form verification needs alpha in (0, 1]")
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
-    report = _base_report("bernstein-verify", cfg, seed, threads)
-
     if not np.any(a):
-        report["results"]["degenerate"] = True
-        return _finish(
-            args.out,
-            report,
-            {},
-            [_verdict("degenerate_instance", True, "zero vector; nothing to verify")],
-            started,
-        )
+        return _degenerate("vector")
 
     L = _resolve_l(cfg.get("L"), model, alpha)
     tail = qf.simulate_linear_tail(a, model, t_grid, cfg["n_samples"], seed, threads=threads)
-    q = model.p_array()
-    regimes = (
-        (L * math.sqrt(float(a * a @ q)), 2.0),
-        (L * float(np.max(np.abs(a))), alpha),
-    )
-    tb = bd.TailBound(regimes, constants)
-    exps = tb.exponent(tail.t_grid)
-    probs = tb.prob(tail.t_grid)
-
-    verdicts = []
-    results = report["results"]
-    results["L"] = L
-    results["survival"] = tail.survival.tolist()
-    results["t_grid"] = tail.t_grid.tolist()
-    results["bound"] = np.asarray(probs).tolist()
-    try:
-        dom = qf.dominance_check(tail, exps, rel_slack=cfg.get("rel_slack", 0.1))
-        results["dominance"] = {"c_hat": dom.c_hat, "ok": dom.ok, "n_points": dom.n_points}
-        verdicts.append(
-            _verdict(
-                "tail_dominates_calibrated_exponent",
-                dom.ok,
-                f"c_hat={dom.c_hat:.4g} over {dom.n_points} grid points",
-            )
-        )
-    except ValueError as exc:
-        verdicts.append(_verdict("tail_dominates_calibrated_exponent", False, str(exc)))
-    try:
-        fit = qf.tail_slope_fit(tail)
-        results["slope_fit"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-    except ValueError as exc:
-        results["slope_fit"] = {"error": str(exc)}
-
-    tables = {
-        "tail": (
-            ["t", "survival", "ci_low", "ci_high"],
-            np.column_stack([tail.t_grid, tail.survival, tail.ci_low, tail.ci_high]),
-        ),
-        "bounds": (["t", "bound"], np.column_stack([tail.t_grid, np.asarray(probs)])),
+    tb = bd.TailBound(bd.bernstein_regimes(a, model.p_array(), alpha, L), constants)
+    probs = {"bound": tb.prob(tail.t_grid)}
+    results = {
+        "L": L,
+        "survival": tail.survival.tolist(),
+        "t_grid": tail.t_grid.tolist(),
+        "bound": np.asarray(probs["bound"]).tolist(),
     }
-    return _finish(args.out, report, tables, verdicts, started)
+    return _verify_tail(tail, tb.exponent(tail.t_grid), probs, cfg, results, {})
 
 
-def _cmd_covest(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "covest")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+def _covest(cfg: dict, seed: int, threads: int, outdir):
     b = _build_matrix(cfg["b"])
-    p = cfg["p"]
-    pvec = tuple([float(p)] * b.shape[0]) if np.isscalar(p) else tuple(float(v) for v in p)
-    model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=pvec)
+    model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
     tol_se = cfg.get("tol_se", 4.0)
-    report = _base_report("covest", cfg, seed, threads)
 
     mean, se = cv.ipw_replicate_stats(model, cfg["n"], cfg["replicates"], seed)
     sigma = model.sigma()
@@ -606,13 +555,14 @@ def _cmd_covest(args) -> int:
     max_z = float(z.max())
     ok = max_z <= tol_se
 
-    results = report["results"]
-    results["sigma"] = sigma.tolist()
-    results["estimator_mean"] = mean.tolist()
-    results["estimator_se"] = se.tolist()
-    results["max_abs_deviation"] = float(dev.max())
-    results["max_z_score"] = max_z
-    results["tol_se"] = tol_se
+    results = {
+        "sigma": sigma.tolist(),
+        "estimator_mean": mean.tolist(),
+        "estimator_se": se.tolist(),
+        "max_abs_deviation": float(dev.max()),
+        "max_z_score": max_z,
+        "tol_se": tol_se,
+    }
     verdicts = [
         _verdict(
             "ipw_estimator_unbiased",
@@ -628,29 +578,20 @@ def _cmd_covest(args) -> int:
             [[i, j, sigma[i, j], mean[i, j], se[i, j]] for i, j in idx],
         )
     }
-    if cfg.get("save_first_draw", False) and args.out is not None:
+    if cfg.get("save_first_draw", False) and outdir is not None:
         values, masks = cv.generate_samples(model, cfg["n"], seed, stream_id=0)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        cv.save_samples(out / "draw", model, values, masks, seed)
-    return _finish(args.out, report, tables, verdicts, started)
+        cv.save_samples(Path(outdir) / "draw", model, values, masks, seed)
+    return results, tables, verdicts
 
 
-def _cmd_rip(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "rip")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+def _rip(cfg: dict, seed: int, threads: int, outdir):
     b = _build_matrix(cfg["b"])
-    p = cfg["p"]
-    pvec = tuple([float(p)] * b.shape[0]) if np.isscalar(p) else tuple(float(v) for v in p)
-    model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=pvec)
+    model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
     n = cfg["n"]
     k = cfg["k"]
     t_values = sorted(float(t) for t in cfg["t_values"])
     replicates = cfg["replicates"]
     sigma = model.sigma()
-    report = _base_report("rip", cfg, seed, threads)
 
     rips = np.empty(replicates)
     for i in range(replicates):
@@ -672,11 +613,12 @@ def _cmd_rip(args) -> int:
     c_hat = quantiles[t0] / rhs[t0]
     slack = cfg.get("rel_slack", 0.0)
     ok = all(quantiles[t] <= c_hat * rhs[t] * (1 + slack) + 1e-12 for t in t_values)
-    results = report["results"]
-    results["rip_quantiles"] = {str(t): quantiles[t] for t in t_values}
-    results["bound_rhs"] = {str(t): rhs[t] for t in t_values}
-    results["c_hat"] = c_hat
-    results["rip_mean"] = float(rips.mean())
+    results = {
+        "rip_quantiles": {str(t): quantiles[t] for t in t_values},
+        "bound_rhs": {str(t): rhs[t] for t in t_values},
+        "c_hat": c_hat,
+        "rip_mean": float(rips.mean()),
+    }
     verdicts = [
         _verdict(
             "rip_quantile_dominated_by_calibrated_bound",
@@ -690,14 +632,10 @@ def _cmd_rip(args) -> int:
             [[t, quantiles[t], rhs[t]] for t in t_values],
         )
     }
-    return _finish(args.out, report, tables, verdicts, started)
+    return results, tables, verdicts
 
 
-def _cmd_sketch(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "sketch")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+def _sketch(cfg: dict, seed: int, threads: int, outdir):
     x = _build_matrix(cfg["x"])
     p = cfg["p"]
     r_values = sorted(set(int(r) for r in cfg["r_values"]))
@@ -706,7 +644,6 @@ def _cmd_sketch(args) -> int:
     eta = cfg.get("eta", 0.1)
     c1 = cfg.get("c1", 1.0)
     allow_wide = cfg.get("allow_wide", False)
-    report = _base_report("sketch", cfg, seed, threads)
 
     rows = []
     medians = []
@@ -723,11 +660,12 @@ def _cmd_sketch(args) -> int:
         medians.append(med)
         rows.append([r, med, last_result.bound, float(last_result.admissible)])
 
-    results = report["results"]
-    results["r_values"] = r_values
-    results["median_error"] = medians
-    results["detected_rank"] = last_result.detected_rank
-    results["truncated"] = last_result.truncated
+    results = {
+        "r_values": r_values,
+        "median_error": medians,
+        "detected_rank": last_result.detected_rank,
+        "truncated": last_result.truncated,
+    }
     verdicts = []
     if len(r_values) >= 2:
         slope = float(
@@ -751,8 +689,8 @@ def _cmd_sketch(args) -> int:
     )
 
     tables = {"errors": (["r", "median_error", "bound", "admissible"], rows)}
-    if args.out is not None and last_result is not None:
-        out = Path(args.out)
+    if outdir is not None and last_result is not None:
+        out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         np.savetxt(out / "factor_left.csv", last_result.fu, delimiter=",")
         np.savetxt(out / "factor_right.csv", last_result.fv, delimiter=",")
@@ -774,7 +712,7 @@ def _cmd_sketch(args) -> int:
                 fh,
                 indent=2,
             )
-    return _finish(args.out, report, tables, verdicts, started)
+    return results, tables, verdicts
 
 
 def _cmd_norms(args) -> int:
@@ -830,28 +768,20 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "sample")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+def _sample(cfg: dict, seed: int, threads: int, outdir):
     base = _build_base(cfg["base"], cfg["base"].get("alpha"))
     n = cfg["n"]
-    report = _base_report("sample", cfg, seed, threads)
+    results = {}
     diagnostics: dict = {}
     rng = stream(seed, 0)
     if "p" in cfg:
-        dim = cfg.get("dim")
-        p = cfg["p"]
-        pvec = tuple([float(p)] * (dim or 1)) if np.isscalar(p) else tuple(float(v) for v in p)
-        model = SparseModel(p=pvec, base=base)
+        model = SparseModel(p=_p_vector(cfg["p"], cfg.get("dim") or 1), base=base)
         samples = sample_sparse_matrix(model, n, rng, diagnostics)
-        zero_frac = float(np.mean(samples == 0.0))
-        report["results"]["zero_fraction"] = zero_frac
+        results["zero_fraction"] = float(np.mean(samples == 0.0))
     else:
         samples = sample_base(base, n, rng, diagnostics)
     flat = samples.reshape(n, -1)
-    report["results"].update(
+    results.update(
         {
             "n": n,
             "mean": float(flat.mean()),
@@ -861,28 +791,17 @@ def _cmd_sample(args) -> int:
         }
     )
     tables = {"samples": ([f"x{i}" for i in range(flat.shape[1])], flat)}
-    return _finish(args.out, report, tables, [], started)
+    return results, tables, []
 
 
-def _cmd_bound_table(args) -> int:
-    started = time.time()
-    cfg = _load_config(args.config, "bound-table")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+def _bound_table(cfg: dict, seed: int, threads: int, outdir):
     a = bd.symmetrize(_build_matrix(cfg["matrix"]))
     model, alpha = _build_model(cfg["model"], a.shape[0])
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
     L = _resolve_l(cfg.get("L"), model, alpha)
-    report = _base_report("bound-table", cfg, seed, threads)
     table = bd.bound_report(a, model.p_array(), alpha, t_grid, L=L, constants=constants)
-    report["results"] = table
-    names = list(table["bounds"])
-    rows = np.column_stack(
-        [np.asarray(table["t_grid"])] + [np.asarray(table["bounds"][k]) for k in names]
-    )
-    tables = {"bounds": (["t"] + names, rows)}
-    return _finish(args.out, report, tables, [], started)
+    return table, {"bounds": _bounds_table(np.asarray(table["t_grid"]), table["bounds"])}, []
 
 
 # ---------------------------------------------------------------- driver
@@ -903,14 +822,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    handlers = {
-        "hw-verify": _cmd_hw_verify,
-        "bernstein-verify": _cmd_bernstein_verify,
-        "covest": _cmd_covest,
-        "rip": _cmd_rip,
-        "sketch": _cmd_sketch,
-        "sample": _cmd_sample,
-        "bound-table": _cmd_bound_table,
+    bodies = {
+        "hw-verify": _hw_verify,
+        "bernstein-verify": _bernstein_verify,
+        "covest": _covest,
+        "rip": _rip,
+        "sketch": _sketch,
+        "sample": _sample,
+        "bound-table": _bound_table,
     }
     helps = {
         "hw-verify": "simulate a quadratic-form tail and verify the sparse bounds",
@@ -921,10 +840,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sample": "draw samples from a base law or sparse model",
         "bound-table": "tabulate comparison bounds over a threshold grid",
     }
-    for name, handler in handlers.items():
+    for name, body in bodies.items():
         sub = subs.add_parser(name, help=helps[name])
         _add_common(sub)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=functools.partial(_run, name, body))
 
     norms = subs.add_parser("norms", help="print matrix functionals")
     norms.add_argument("matrix", help="matrix file (CSV, or binary with --format bin)")
