@@ -76,6 +76,15 @@ class DistributionSpec:
             AlphaParam(self.alpha)
         if not (self.scale > 0) or math.isnan(self.scale):
             raise ValueError("scale must be positive")
+        try:
+            second_moment = self.std() ** 2
+        except OverflowError:
+            second_moment = math.inf
+        if math.isinf(second_moment):
+            raise ValueError(
+                f"{self.kind} base with alpha={self.alpha}, scale={self.scale} has a second"
+                " moment beyond the float range"
+            )
 
     def std(self) -> float:
         """Exact standard deviation before any unit-variance rescaling."""

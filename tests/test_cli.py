@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparse_hw
 from sparse_hw import bounds as bd
 from sparse_hw.cli import THREADS_ENV_VAR, main
 
@@ -142,6 +147,33 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["hw-verify", "--config", write_config(tmp_path, empty_matrix, "m.json")]) == 2
     missing = {k: v for k, v in HW_CONFIG.items() if k != "n_samples"}
     assert main(["hw-verify", "--config", write_config(tmp_path, missing, "n.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"alpha": 0.01, "p": 0.5}, "second moment beyond the float range"),
+        (
+            {"alpha": 1.0, "p": 0.5, "base": {"kind": "weibull", "alpha": 1.0, "scale": 5e153}},
+            "of 2000 simulated statistics are inf or NaN",
+        ),
+    ],
+)
+def test_overflowing_models_exit_2_with_one_line(tmp_path, model, message):
+    cfg = dict(HW_CONFIG, model=model, t_grid={"values": [1e300]}, n_samples=2000)
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    argv = ["hw-verify", "--config", write_config(tmp_path, cfg), "--threads", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparse_hw.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and message in lines[0]
 
 
 def test_enumeration_budget_exits_3(tmp_path):

@@ -45,6 +45,10 @@ def test_distribution_spec_validation():
         DistributionSpec(kind="weibull", alpha=3.0)
     with pytest.raises(ValueError):
         DistributionSpec(kind="gaussian", scale=0.0)
+    with pytest.raises(ValueError, match="second moment"):
+        DistributionSpec(kind="weibull", alpha=0.01)  # Gamma(201) overflows
+    with pytest.raises(ValueError, match="second moment"):
+        DistributionSpec(kind="gaussian", scale=1e160)
 
 
 def test_exact_std_values():
