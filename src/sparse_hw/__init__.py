@@ -51,7 +51,6 @@ from .covest import (
 )
 from .errors import BudgetExceededError, ConfigError
 from .matrix_norms import (
-    MatrixStats,
     OpnormResult,
     frobenius,
     gamma1,

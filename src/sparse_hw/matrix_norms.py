@@ -2,9 +2,10 @@
 
 Everything operates on dense 2-D float arrays.  Operator norms
 ||A||_{r1 -> r2} = sup{y^T A x : ||x||_{r1} <= 1, ||y||_{r2*} <= 1}
-use exact closed forms where they exist and a multi-restart alternating
-maximization elsewhere; the alternating result is a certified lower
-bound (every iterate is a feasible pair).
+use exact closed forms where they exist (the spectral norm comes from
+LAPACK's singular values) and a multi-restart alternating maximization
+elsewhere; only the alternating result is a certified lower bound
+(every iterate is a feasible pair).
 
 Sparsity-weighted functionals take a retention-probability vector p:
 
@@ -22,15 +23,12 @@ row-major f64 entries.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .streams import stream
 
-_SPECTRAL_TOL = 1e-14
-_SPECTRAL_MAX_ITER = 10**4
 _ALTMAX_TOL = 1e-12
 _ALTMAX_MAX_ITER = 200
 
@@ -98,45 +96,6 @@ def mixed_norm(a, r: float) -> float:
     return lp_norm(rows, r)
 
 
-def _spectral_power(m: np.ndarray, with_restart: bool = True) -> float:
-    """Largest singular value via power iteration on A^T A.
-
-    Deterministic all-ones start plus one seeded random restart; Rayleigh
-    quotient convergence at _SPECTRAL_TOL relative, iteration capped.
-    """
-    n = m.shape[1]
-    if n == 0 or m.shape[0] == 0:
-        return 0.0
-    gram = m.T @ m
-    scale = np.max(np.abs(gram))
-    if scale == 0.0:
-        return 0.0
-    starts = [np.ones(n)]
-    if with_restart:
-        starts.append(stream(0x5BEC, 0).standard_normal(n))
-    best = 0.0
-    for v in starts:
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v = v / nv
-        rayleigh = float(v @ gram @ v)
-        for _ in range(_SPECTRAL_MAX_ITER):
-            w = gram @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                rayleigh = 0.0
-                break
-            v = w / nw
-            new = float(v @ gram @ v)
-            if abs(new - rayleigh) <= _SPECTRAL_TOL * max(new, scale * 1e-8):
-                rayleigh = new
-                break
-            rayleigh = new
-        best = max(best, rayleigh)
-    return math.sqrt(max(best, 0.0))
-
-
 def _dual_maximizer(z: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     """Unit-||.||_r vector x maximizing <z, x>; the value is ||z||_{r*}.
 
@@ -189,7 +148,7 @@ def opnorm_detail(
     if m.size == 0:
         return OpnormResult(0.0, 0, True)
     if r1 == 2.0 and r2 == 2.0:
-        return OpnormResult(_spectral_power(m), 0, True)
+        return OpnormResult(float(np.linalg.norm(m, 2)), 0, True)
     if r1 == 1.0:
         cols = np.array([lp_norm(m[:, j], r2) for j in range(m.shape[1])])
         return OpnormResult(float(cols.max()), 0, True)
@@ -263,7 +222,7 @@ def weighted_spectral(a, p) -> float:
         raise ValueError("weighted_spectral requires a square matrix")
     q = _as_probs(p, m.shape[0])
     s = np.sqrt(q)
-    return _spectral_power(m * np.outer(s, s))
+    return float(np.linalg.norm(m * np.outer(s, s), 2))
 
 
 def row_weighted_max(a, p) -> float:
@@ -271,58 +230,6 @@ def row_weighted_max(a, p) -> float:
     m = _as_matrix(a)
     q = _as_probs(p, m.shape[1])
     return float(np.sqrt(np.max((m * m) @ q))) if m.size else 0.0
-
-
-class MatrixStats:
-    """Caches the norms of one matrix; each value is computed at most once.
-
-    Thread-safe: concurrent readers share a lock around the cache, so a
-    norm is evaluated a single time even under concurrent access.
-    """
-
-    def __init__(self, a):
-        self._a = _as_matrix(a).copy()
-        self._a.setflags(write=False)
-        self._cache: dict = {}
-        self._lock = threading.Lock()
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._a
-
-    def _get(self, key, fn):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = fn()
-            return self._cache[key]
-
-    def frobenius(self) -> float:
-        return self._get("fro", lambda: frobenius(self._a))
-
-    def max_abs(self) -> float:
-        return self._get("maxabs", lambda: max_abs(self._a))
-
-    def mixed_norm(self, r: float) -> float:
-        return self._get(("mixed", float(r)), lambda: mixed_norm(self._a, r))
-
-    def opnorm(self, r1: float, r2: float) -> float:
-        return self._get(("op", float(r1), float(r2)), lambda: opnorm(self._a, r1, r2))
-
-    def gamma1(self, p) -> float:
-        q = _as_probs(p, self._a.shape[0])
-        return self._get(("g1", q.tobytes()), lambda: gamma1(self._a, q))
-
-    def gamma2(self, p) -> float:
-        q = _as_probs(p, self._a.shape[0])
-        return self._get(("g2", q.tobytes()), lambda: gamma2(self._a, q))
-
-    def weighted_spectral(self, p) -> float:
-        q = _as_probs(p, self._a.shape[0])
-        return self._get(("ws", q.tobytes()), lambda: weighted_spectral(self._a, q))
-
-    def row_weighted_max(self, p) -> float:
-        q = _as_probs(p, self._a.shape[1])
-        return self._get(("rwm", q.tobytes()), lambda: row_weighted_max(self._a, q))
 
 
 def save_matrix_csv(path, a) -> None:

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import jacobi_eigen_spectral, opnorm_grid
 from sparse_hw.matrix_norms import (
-    MatrixStats,
     frobenius,
     gamma1,
     gamma2,
@@ -191,38 +189,6 @@ def test_gram_frobenius_submultiplicative():
     for seed in (70, 71, 72):
         m = stream(seed, 0).standard_normal((4, 4))
         assert frobenius(m.T @ m) <= opnorm(m, 2, 2) * frobenius(m) * (1 + 1e-12)
-
-
-def test_matrix_stats_caches_and_protects():
-    m = random_sym(80, 4)
-    stats = MatrixStats(m)
-    v1 = stats.opnorm(2, 2)
-    v2 = stats.opnorm(2, 2)
-    assert v1 == v2
-    assert math.isclose(stats.frobenius(), frobenius(m))
-    assert math.isclose(stats.gamma1(0.5), gamma1(m, np.full(4, 0.5)))
-    assert math.isclose(stats.gamma2(0.5), gamma2(m, np.full(4, 0.5)))
-    assert math.isclose(stats.weighted_spectral(0.5), weighted_spectral(m, np.full(4, 0.5)))
-    assert math.isclose(stats.row_weighted_max(0.5), row_weighted_max(m, np.full(4, 0.5)))
-    assert math.isclose(stats.mixed_norm(3), mixed_norm(m, 3))
-    assert math.isclose(stats.max_abs(), max_abs(m))
-    with pytest.raises(ValueError):
-        stats.matrix[0, 0] = 99.0
-
-
-def test_matrix_stats_concurrent_reads():
-    stats = MatrixStats(random_sym(81, 12))
-    results = []
-
-    def read():
-        results.append(stats.opnorm(2, 2))
-
-    threads = [threading.Thread(target=read) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
 
 
 def test_csv_round_trip(tmp_path):
