@@ -128,39 +128,30 @@ _CONSTANTS_SCHEMA = {
 
 _L_SCHEMA = {"anyOf": [{"enum": ["auto"]}, {"type": "number", "exclusiveMinimum": 0}]}
 
+
+def _verify_schema(subject: str, subject_schema: dict) -> dict:
+    """Schema of a verify command whose instance is given under `subject`."""
+    return {
+        "type": "object",
+        "properties": {
+            subject: subject_schema,
+            "model": _MODEL_SCHEMA,
+            "t_grid": _TGRID_SCHEMA,
+            "n_samples": {"type": "integer", "minimum": 1},
+            "seed": {"type": "integer"},
+            "threads": {"type": "integer", "minimum": 1},
+            "constants": _CONSTANTS_SCHEMA,
+            "L": _L_SCHEMA,
+            "rel_slack": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        },
+        "required": [subject, "model", "t_grid", "n_samples", "seed"],
+        "additionalProperties": False,
+    }
+
+
 _SCHEMAS = {
-    "hw-verify": {
-        "type": "object",
-        "properties": {
-            "matrix": _MATRIX_SCHEMA,
-            "model": _MODEL_SCHEMA,
-            "t_grid": _TGRID_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "threads": {"type": "integer", "minimum": 1},
-            "constants": _CONSTANTS_SCHEMA,
-            "L": _L_SCHEMA,
-            "rel_slack": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        },
-        "required": ["matrix", "model", "t_grid", "n_samples", "seed"],
-        "additionalProperties": False,
-    },
-    "bernstein-verify": {
-        "type": "object",
-        "properties": {
-            "vector": _VECTOR_SCHEMA,
-            "model": _MODEL_SCHEMA,
-            "t_grid": _TGRID_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "threads": {"type": "integer", "minimum": 1},
-            "constants": _CONSTANTS_SCHEMA,
-            "L": _L_SCHEMA,
-            "rel_slack": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        },
-        "required": ["vector", "model", "t_grid", "n_samples", "seed"],
-        "additionalProperties": False,
-    },
+    "hw-verify": _verify_schema("matrix", _MATRIX_SCHEMA),
+    "bernstein-verify": _verify_schema("vector", _VECTOR_SCHEMA),
     "covest": {
         "type": "object",
         "properties": {
@@ -502,11 +493,11 @@ def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
     inst = qf.QuadFormInstance(a, model)
     tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
     tn = tail.t_grid / L**2
-    shapes = {"sparse_alpha": bd.hw_sparse_regimes(a, model.p_array(), alpha)}
+    q = model.p_array()
+    bounds = {"sparse_alpha": bd.TailBound(bd.hw_sparse_regimes(a, q, alpha), constants)}
     if alpha <= 1.0:
-        shapes["sparse_alpha_refined"] = bd.f_sparse_regimes(a, model.p_array(), alpha)
+        bounds["sparse_alpha_refined"] = bd.TailBound(bd.f_sparse_regimes(a, q, alpha), constants)
     shape_name = "sparse_alpha_refined" if alpha <= 1.0 else "sparse_alpha"
-    bounds = {k: bd.TailBound(regimes, constants) for k, regimes in shapes.items()}
     probs = {k: tb.prob(tn) for k, tb in bounds.items()}
     results = {
         "L": L,
