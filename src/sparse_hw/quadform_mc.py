@@ -122,8 +122,7 @@ def _quadform_values(inst: QuadFormInstance, rng, count: int) -> np.ndarray:
 
 
 def _simulate(
-    statistic, center: float, t_grid, n_samples: int, seed: int, threads: int, chunk_size: int,
-    meta: dict,
+    statistic, center: float, t_grid, n_samples: int, seed: int, threads: int, chunk_size: int, meta
 ) -> EmpiricalTail:
     """Empirical survival of |statistic - center| over t_grid with Wilson intervals.
 
