@@ -46,8 +46,8 @@ for i in range(reps):
     v, _ = cv.generate_samples(model, n, seed=100, stream_id=i)
     rips[i] = cv.rip_k(cv.ipw_estimator(v, model.p_array()) - sigma, k)
 print(f"\nempirical rip_2 over {reps} replicates at n={n}:")
-for t in (1.0, 2.0, 4.0):
-    level = max(0.0, 1.0 - 2.0 * np.exp(-t))
-    q = float(np.quantile(rips, level))
-    rhs = cv.rip_bound_rhs(t, k, model, n, seed=0).value
-    print(f"  t={t}: quantile({level:.3f}) = {q:.4f}, bound rhs = {rhs:.4f}")
+ts = np.array([1.0, 2.0, 4.0])
+levels = np.maximum(0.0, 1.0 - 2.0 * np.exp(-ts))
+rhs = cv.rip_bound_rhs(ts, k, model, n, seed=0).value
+for t, level, q, r in zip(ts, levels, np.quantile(rips, levels), rhs):
+    print(f"  t={t}: quantile({level:.3f}) = {q:.4f}, bound rhs = {r:.4f}")

@@ -15,6 +15,7 @@ units: the certified threshold is L^2 * t where L bounds the psi_alpha
 norms of the base variables.  `bernstein_sparse_bound` and
 `comparison_bounds` take the raw threshold and keep L inside the
 formula, so different inequalities can be compared at one threshold.
+Everywhere t may be a scalar or an array; results take the shape of t.
 """
 
 from __future__ import annotations
@@ -254,16 +255,17 @@ def norm_concentration_bound(
 
 @dataclass(frozen=True)
 class BoundEval:
-    """One comparison entry: bound value, its exponent, and whether the
-    inequality's stated alpha range covers the requested alpha."""
+    """One comparison entry: bound value and exponent, each of the shape of
+    t, and whether the inequality's stated alpha range covers the
+    requested alpha."""
 
-    value: float
-    exponent: float
+    value: float | np.ndarray
+    exponent: float | np.ndarray
     applicable: bool
 
 
 def comparison_bounds(
-    t: float,
+    t,
     a,
     p,
     alpha: float,
@@ -272,20 +274,21 @@ def comparison_bounds(
     restarts: int = 64,
     seed: int = 0,
 ) -> dict[str, BoundEval]:
-    """Evaluate the competing tail bounds at one raw threshold t.
+    """Evaluate the competing tail bounds at a raw threshold t.
 
-    All entries bound P{|S_A(xi) - E S_A(xi)| >= t} using the same
-    constants, so values are directly comparable.  Entries outside an
-    inequality's stated alpha range are still evaluated but flagged
-    applicable=False.
+    t may be a scalar or an array; the matrix functionals are computed
+    once for all of it.  All entries bound P{|S_A(xi) - E S_A(xi)| >= t}
+    using the same constants, so values are directly comparable.
+    Entries outside an inequality's stated alpha range are still
+    evaluated but flagged applicable=False.
     """
     al = AlphaParam(alpha)
     m = _symmetric_square(a)
     if not L > 0:
         raise ValueError("L must be positive")
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not math.isfinite(L * L):
+        raise ValueError(f"L = {L:g} overflows when squared")
+    t = np.asarray(t, dtype=float)
     q = mn._as_probs(p, m.shape[0])
 
     fro = mn.frobenius(m)
@@ -297,8 +300,7 @@ def comparison_bounds(
 
     def entry(regimes, tt, applicable):
         tb = TailBound(regimes, constants)
-        e = float(tb.exponent(tt))
-        return BoundEval(float(tb.prob(tt)), e, applicable)
+        return BoundEval(tb.prob(tt), tb.exponent(tt), applicable)
 
     out: dict[str, BoundEval] = {}
     out["classical_hw"] = entry(
@@ -406,20 +408,10 @@ def bound_report(
     """
     m = _symmetric_square(a)
     q = mn._as_probs(p, m.shape[0])
-    ts = [float(t) for t in np.asarray(t_grid, dtype=float)]
-    if not ts:
-        raise ValueError("t_grid must be nonempty")
-    names: list[str] = []
-    columns: dict[str, list[float]] = {}
-    applicable: dict[str, bool] = {}
-    for t in ts:
-        evals = comparison_bounds(t, m, q, alpha, L=L, constants=constants)
-        if not names:
-            names = list(evals)
-            columns = {k: [] for k in names}
-            applicable = {k: evals[k].applicable for k in names}
-        for k in names:
-            columns[k].append(evals[k].value)
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("t_grid must be a nonempty vector")
+    evals = comparison_bounds(ts, m, q, alpha, L=L, constants=constants)
     norms = {
         "frobenius": mn.frobenius(m),
         "spectral": mn.opnorm(m, 2, 2),
@@ -430,9 +422,9 @@ def bound_report(
         "row_weighted_max": mn.row_weighted_max(m, q),
     }
     return {
-        "t_grid": ts,
-        "bounds": columns,
-        "applicable": applicable,
+        "t_grid": ts.tolist(),
+        "bounds": {k: e.value.tolist() for k, e in evals.items()},
+        "applicable": {k: e.applicable for k, e in evals.items()},
         "norms": norms,
         "alpha": AlphaParam(alpha).value,
         "L": float(L),

@@ -367,18 +367,18 @@ def k1_k2_terms(
 
 @dataclass(frozen=True)
 class RipBound:
-    value: float
-    term_k2: float
-    term_k1_34: float
-    term_k1_alpha: float
+    value: float | np.ndarray
+    term_k2: float | np.ndarray
+    term_k1_34: float | np.ndarray
+    term_k1_alpha: float | np.ndarray
     sup_k1: float
     sup_k2: float
-    log_term: float
+    log_term: float | np.ndarray
     thetas_evaluated: int
 
 
 def rip_bound_rhs(
-    t: float,
+    t,
     k: int,
     model: MultivariateModel,
     n: int,
@@ -392,9 +392,11 @@ def rip_bound_rhs(
     sqrt(u / n) sup K2 + (u^{3/4} / n^{3/4} + u^{2/alpha} / n) sup K1,
     both sups over k-sparse unit directions.  sup K1 is closed form
     (all mass on the smallest p); sup K2 is maximized over the axis
-    directions plus theta_budget random k-sparse directions.
+    directions plus theta_budget random k-sparse directions.  t may be
+    a scalar or an array: both sups are computed once for all of it.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
@@ -418,14 +420,11 @@ def rip_bound_rhs(
         th = np.zeros(d)
         th[support] = v / nv
         thetas.append(th)
-    sup_k2 = 0.0
-    for th in thetas:
-        _, k2 = k1_k2_terms(model, th, k2_method=k2_method, seed=seed)
-        sup_k2 = max(sup_k2, k2)
+    sup_k2 = max(k1_k2_terms(model, th, k2_method=k2_method, seed=seed)[1] for th in thetas)
 
-    term_k2 = math.sqrt(u / n) * sup_k2
-    term_k1_34 = (u / n) ** 0.75 * sup_k1
-    term_k1_alpha = u ** (2.0 / model.alpha) / n * sup_k1
+    term_k2 = np.sqrt(u / n) * sup_k2
+    term_k1_34 = np.power(u / n, 0.75) * sup_k1
+    term_k1_alpha = np.power(u, 2.0 / model.alpha) / n * sup_k1
     return RipBound(
         value=term_k2 + term_k1_34 + term_k1_alpha,
         term_k2=term_k2,

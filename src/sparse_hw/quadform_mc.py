@@ -121,33 +121,44 @@ def _quadform_values(inst: QuadFormInstance, rng, count: int) -> np.ndarray:
     return (x @ inst.a * x).sum(axis=1)
 
 
-def _simulate(
-    statistic, center: float, t_grid, n_samples: int, seed: int, threads: int, chunk_size: int, meta
-) -> EmpiricalTail:
-    """Empirical survival of |statistic - center| over t_grid with Wilson intervals.
+def _deviations(
+    reduce, statistic, center: float, n_samples: int, seed: int, threads: int, chunk_size: int
+) -> list:
+    """reduce(|statistic - center|) for every chunk, in chunk order.
 
-    statistic(rng, count) returns count draws of the statistic.  A
-    non-finite draw would count as an exceedance at every threshold, so
-    any inf or NaN raises ValueError with their number instead.
+    statistic(rng, count) returns count draws of the statistic.  Any
+    inf or NaN deviation raises ValueError with their number, because a
+    reduction would otherwise count or sum it silently.
     """
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0):
-        raise ValueError("t_grid must be a nonempty nonnegative vector")
 
-    def worker(c: int, sz: int) -> tuple[np.ndarray, int]:
-        with np.errstate(over="ignore", invalid="ignore"):  # counted below
+    def worker(c: int, sz: int) -> tuple:
+        with np.errstate(over="ignore", invalid="ignore"):  # counted instead
             dev = np.abs(statistic(stream(seed, c), sz) - center)
-        # searchsorted over the sorted deviations counts all thresholds at
-        # once; inf and NaN sort last, so the last entry tells if any exist
-        dev.sort()
-        nonfinite = 0 if np.isfinite(dev[-1]) else dev.size - int(np.searchsorted(dev, np.inf))
-        return dev.size - np.searchsorted(dev, ts, side="left"), nonfinite
+            return reduce(dev), dev.size - int(np.count_nonzero(np.isfinite(dev)))
 
     chunks = _run_chunks(worker, n_samples, threads, chunk_size)
     nonfinite = sum(bad for _, bad in chunks)
     if nonfinite:
         raise ValueError(f"{nonfinite} of {n_samples} simulated statistics are inf or NaN")
-    counts = np.sum([k for k, _ in chunks], axis=0)
+    return [value for value, _ in chunks]
+
+
+def _simulate(
+    statistic, center: float, t_grid, n_samples: int, seed: int, threads: int, chunk_size: int, meta
+) -> EmpiricalTail:
+    """Empirical survival of |statistic - center| over t_grid with Wilson
+    intervals; statistic as in _deviations."""
+    ts = np.sort(np.asarray(t_grid, dtype=float))
+    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0):
+        raise ValueError("t_grid must be a nonempty nonnegative vector")
+
+    def exceedances(dev: np.ndarray) -> np.ndarray:
+        # searchsorted over the sorted deviations counts all thresholds at once
+        dev.sort()
+        return dev.size - np.searchsorted(dev, ts, side="left")
+
+    chunks = _deviations(exceedances, statistic, center, n_samples, seed, threads, chunk_size)
+    counts = np.sum(chunks, axis=0)
     lows, highs = np.array([wilson_interval(int(k), n_samples) for k in counts]).T
     return EmpiricalTail(
         t_grid=ts,
@@ -163,14 +174,15 @@ def _simulate(
 def _lr_norm(
     statistic, center: float, r: float, n_samples: int, seed: int, threads: int, chunk_size: int
 ) -> float:
-    """Empirical L_r norm of statistic - center; statistic as in _simulate."""
-
-    def worker(c: int, sz: int) -> float:
-        dev = np.abs(statistic(stream(seed, c), sz) - center)
-        return float(np.sum(dev**r))
-
-    partials = _run_chunks(worker, n_samples, threads, chunk_size)
-    return float((np.sum(np.asarray(partials)) / n_samples) ** (1.0 / r))
+    """Empirical L_r norm of statistic - center; statistic as in _deviations."""
+    sums = _deviations(
+        lambda dev: float(np.sum(dev**r)), statistic, center, n_samples, seed, threads, chunk_size
+    )
+    with np.errstate(over="ignore"):  # raised below
+        norm = float((np.sum(sums) / n_samples) ** (1.0 / r))
+    if not math.isfinite(norm):
+        raise ValueError(f"the L_{r:g} norm of {n_samples} simulated statistics overflows")
+    return norm
 
 
 def simulate_tail(

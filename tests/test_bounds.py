@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import opnorm_grid
+from sparse_hw import matrix_norms as mn
 from sparse_hw.bounds import (
     BoundConstants,
     TailBound,
@@ -230,6 +231,40 @@ def test_comparison_bounds_reductions():
     assert math.isclose(
         out_half["sparse_alpha"].value, out_half["two_regime_simplified"].value, rel_tol=1e-9
     )
+    # a grid gives exactly the values of one call per threshold
+    grid = np.array([0.0, 0.3, 2.0, 45.0])
+    q = np.array([0.2, 0.9, 0.5, 1.0])
+    for alpha in (2.0, 1.3, 0.5):
+        whole = comparison_bounds(grid, m, q, alpha, L=1.7)
+        for i, t in enumerate(grid):
+            single = comparison_bounds(t, m, q, alpha, L=1.7)
+            assert list(single) == list(whole)
+            for name, e in single.items():
+                assert whole[name].value.shape == whole[name].exponent.shape == grid.shape
+                assert whole[name].value[i] == e.value
+                assert whole[name].exponent[i] == e.exponent
+                assert whole[name].applicable == e.applicable
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        comparison_bounds(np.array([1.0, -0.5]), m, q, 1.0)
+    with pytest.raises(ValueError, match="overflows when squared"):
+        comparison_bounds(grid, m, q, 1.0, L=1e200)
+
+
+def test_bound_report_work_does_not_grow_with_the_grid(monkeypatch):
+    real = mn.opnorm_detail
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mn, "opnorm_detail", counting)
+    m = random_sym(152, 5)
+    q = np.full(5, 0.4)
+    bound_report(m, q, 1.5, [2.0])
+    one = len(calls)
+    bound_report(m, q, 1.5, np.geomspace(0.1, 100.0, 24))
+    assert one > 0 and len(calls) == 2 * one
 
 
 def test_comparison_bounds_applicability_flags():

@@ -149,20 +149,59 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["hw-verify", "--config", write_config(tmp_path, missing, "n.json")]) == 2
 
 
+HW_SMALL = dict(HW_CONFIG, t_grid={"values": [1e300]}, n_samples=2000)
+HUGE_BASE = {"kind": "weibull", "alpha": 1.0, "scale": 8e153}
+TABLE_CONFIG = {
+    "matrix": {"values": [[0.0, 1.0], [1.0, 0.0]]},
+    "model": {"alpha": 1.0, "p": 0.5},
+    "t_grid": {"values": [1.0, 2.0]},
+    "seed": 0,
+}
+
+
 @pytest.mark.parametrize(
-    "model, message",
+    "command, cfg, message",
     [
-        ({"alpha": 0.01, "p": 0.5}, "second moment beyond the float range"),
-        (
-            {"alpha": 1.0, "p": 0.5, "base": {"kind": "weibull", "alpha": 1.0, "scale": 5e153}},
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, model={"alpha": 0.01, "p": 0.5}),
+            "second moment beyond the float range",
+            id="hw-verify-alpha-0.01",
+        ),
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, model={"alpha": 1.0, "p": 0.5, "base": dict(HUGE_BASE, scale=5e153)}),
             "of 2000 simulated statistics are inf or NaN",
+            id="hw-verify-nonfinite-statistics",
+        ),
+        # the statistics stay finite on this tiny matrix, but L^2 overflows
+        pytest.param(
+            "hw-verify",
+            dict(
+                HW_SMALL,
+                matrix={"values": [[0.0, 1e-10], [1e-10, 0.0]]},
+                model={"alpha": 1.0, "p": 0.5, "base": HUGE_BASE},
+            ),
+            "overflows when squared",
+            id="hw-verify-auto-L-squared",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, model={"alpha": 1.0, "p": 0.5, "base": HUGE_BASE}),
+            "overflows when squared",
+            id="bound-table-auto-L-squared",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, L=1e200),
+            "overflows when squared",
+            id="bound-table-config-L-squared",
         ),
     ],
 )
-def test_overflowing_models_exit_2_with_one_line(tmp_path, model, message):
-    cfg = dict(HW_CONFIG, model=model, t_grid={"values": [1e300]}, n_samples=2000)
+def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
     env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
-    argv = ["hw-verify", "--config", write_config(tmp_path, cfg), "--threads", "1"]
+    argv = [command, "--config", write_config(tmp_path, cfg), "--threads", "1"]
     proc = subprocess.run(
         [sys.executable, "-m", "sparse_hw.cli", *argv],
         capture_output=True,

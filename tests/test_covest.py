@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import jacobi_eigen_spectral, masked_frob_sq_reference
+from sparse_hw import covest as cv
 from sparse_hw.covest import (
     MultivariateModel,
     a_theta_p,
@@ -266,6 +267,34 @@ def test_rip_bound_rhs_structure():
     small_n = rip_bound_rhs(1.0, 2, model, 100, theta_budget=8, seed=3)
     assert big_n.value < small_n.value
     assert big_n.value < 1e-3
+    # a grid gives exactly the values of one call per threshold
+    grid = np.array([0.0, 0.5, 1.0, 6.0])
+    whole = rip_bound_rhs(grid, 2, model, 100, theta_budget=8, seed=3)
+    for i, t in enumerate(grid):
+        single = rip_bound_rhs(t, 2, model, 100, theta_budget=8, seed=3)
+        for name in ("value", "term_k2", "term_k1_34", "term_k1_alpha", "log_term"):
+            assert getattr(whole, name).shape == grid.shape
+            assert getattr(whole, name)[i] == getattr(single, name)
+        assert (whole.sup_k1, whole.sup_k2) == (single.sup_k1, single.sup_k2)
+        assert whole.thetas_evaluated == single.thetas_evaluated
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        rip_bound_rhs([1.0, -0.5], 2, model, 100, theta_budget=8, seed=3)
+
+
+def test_rip_bound_rhs_work_does_not_grow_with_t(monkeypatch):
+    real = cv.expected_frob_sq_exact
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "expected_frob_sq_exact", counting)
+    model = small_model(333)
+    rip_bound_rhs(1.0, 2, model, 100, theta_budget=8, seed=3)
+    one = len(calls)
+    rip_bound_rhs([0.5, 1.0, 2.0, 4.0], 2, model, 100, theta_budget=8, seed=3)
+    assert one > 0 and len(calls) == 2 * one
 
 
 def test_rip_bound_rhs_scales_quadratically_in_b():

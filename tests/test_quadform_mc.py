@@ -136,13 +136,29 @@ def test_simulate_tail_thread_count_is_invisible():
 def test_simulate_tail_rejects_non_finite_statistics():
     # products of two draws near 5e153 overflow to inf, and inf - inf is NaN
     huge = DistributionSpec(kind="weibull", alpha=1.0, scale=5e153)
-    inst = QuadFormInstance(np.ones((2, 2)), SparseModel(p=(1.0, 1.0), base=huge))
-    messages = set()
-    for threads in (1, 3):
-        with pytest.raises(ValueError, match="of 2000 simulated statistics are inf or NaN") as exc:
-            simulate_tail(inst, [1e300], 2000, seed=7, threads=threads, chunk_size=500)
-        messages.add(str(exc.value))
-    assert len(messages) == 1
+    model = SparseModel(p=(1.0, 1.0), base=huge)
+    inst = QuadFormInstance(np.ones((2, 2)), model)
+    drivers = (
+        lambda **kw: simulate_tail(inst, [1e300], 2000, seed=7, **kw),
+        lambda **kw: empirical_moment(inst, 2.0, 2000, seed=7, **kw),
+        lambda **kw: simulate_decoupled(EXCHANGE, model, 2.0, 2000, seed=7, **kw),
+    )
+    for driver in drivers:
+        messages = set()
+        for threads in (1, 3):
+            with pytest.raises(ValueError, match="of 2000 simulated statistics are inf or NaN") as exc:
+                driver(threads=threads, chunk_size=500)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+
+def test_empirical_moment_rejects_overflowing_norm():
+    # every statistic is finite, but its square overflows
+    big = DistributionSpec(kind="weibull", alpha=1.0, scale=1e100)
+    inst = QuadFormInstance(EXCHANGE, SparseModel(p=(1.0, 1.0), base=big))
+    assert math.isfinite(empirical_moment(inst, 1.0, 2000, seed=7))
+    with pytest.raises(ValueError, match="L_2 norm of 2000 simulated statistics overflows"):
+        empirical_moment(inst, 2.0, 2000, seed=7)
 
 
 def test_tail_csv_round_trip(tmp_path):
