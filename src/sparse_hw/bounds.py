@@ -70,7 +70,7 @@ class TailBound:
     def exponent(self, t):
         """E(t) = min over active regimes of (t / coeff)^expo."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):  # NaN fails >= too
             raise ValueError("t must be nonnegative")
         vals = [np.power(t / c, e) for c, e in self._active]
         out = np.minimum.reduce(vals)
@@ -348,7 +348,7 @@ def moments_to_tail(C, beta, r0: float, t: float) -> tuple[float, float]:
         raise ValueError("coefficients and exponents must be positive")
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    if t < 0:
+    if not t >= 0:  # NaN fails >= too
         raise ValueError("t must be nonnegative")
     m = b.size
     threshold = math.e * (m * t + c[-1])

@@ -40,7 +40,7 @@ from .rv_models import (
     sample_base,
     sample_sparse_matrix,
 )
-from .streams import stream
+from .streams import STREAM_LAYOUT, stream
 
 THREADS_ENV_VAR = "SPARSE_HW_THREADS"
 
@@ -337,13 +337,17 @@ def _build_model(cfg: dict, dim: int) -> tuple[SparseModel, float]:
 
 def _build_t_grid(cfg: dict) -> np.ndarray:
     if "values" in cfg:
-        return np.asarray(cfg["values"], dtype=float)
-    for key in ("kind", "start", "stop", "num"):
-        if key not in cfg:
-            raise ConfigError("t_grid needs values or kind/start/stop/num")
-    if cfg["kind"] == "linear":
-        return np.linspace(cfg["start"], cfg["stop"], cfg["num"])
-    return np.geomspace(cfg["start"], cfg["stop"], cfg["num"])
+        grid = np.asarray(cfg["values"], dtype=float)
+    else:
+        for key in ("kind", "start", "stop", "num"):
+            if key not in cfg:
+                raise ConfigError("t_grid needs values or kind/start/stop/num")
+        space = np.linspace if cfg["kind"] == "linear" else np.geomspace
+        grid = space(cfg["start"], cfg["stop"], cfg["num"])
+    # json reads NaN and Infinity literals, and the schema counts them as numbers
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("thresholds must be finite")
+    return grid
 
 
 def _build_constants(cfg: dict | None) -> bd.BoundConstants:
@@ -433,6 +437,7 @@ def _run(command: str, body, args) -> int:
         "seed": seed,
         "threads": threads,
         "version": __version__,
+        "stream_layout": STREAM_LAYOUT,
         "results": results,
     }
     return _finish(args.out, report, tables, verdicts, started)
@@ -582,7 +587,7 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
     n = cfg["n"]
     k = cfg["k"]
-    t_values = sorted(float(t) for t in cfg["t_values"])
+    t_values = sorted(float(t) for t in _build_t_grid({"values": cfg["t_values"]}))
     replicates = cfg["replicates"]
     sigma = model.sigma()
 

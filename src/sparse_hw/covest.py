@@ -396,7 +396,7 @@ def rip_bound_rhs(
     a scalar or an array: both sups are computed once for all of it.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # NaN fails >= too
         raise ValueError("t must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")

@@ -10,6 +10,12 @@ Three base laws are supported:
 * centered Gaussian with standard deviation `scale`.
 * Rademacher (uniform on {-1, +1}).
 
+`sample_sparse_matrix` draws the base law only on retained coordinates:
+columns are grouped by (p_i, base spec), and each group draws the kept
+positions of its block by geometric gaps, then zeta at those positions.
+So the cost of a draw scales with the expected number of nonzeros
+p * n, not with n.
+
 The psi_alpha (Orlicz) norm of a variable is
 inf{t > 0 : E exp(|xi|^alpha / t^alpha) <= 2}; `psi_alpha_norm`
 estimates it by bisection over a shared Monte Carlo sample, and
@@ -30,6 +36,9 @@ from .streams import stream
 CLAMP_LIMIT = 1e300
 
 _KINDS = ("weibull", "gaussian", "rademacher")
+
+# a fair bit b maps to the sign 2 * b - 1
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -190,15 +199,21 @@ def sample_weibull(
     while np.any(bad):
         u[bad] = rng.random(int(bad.sum()))
         bad = u == 0.0
+    # The magnitude is built in place in u; x ** 1.0 and 1.0 * x are x exactly.
+    np.log(u, out=u)
+    np.negative(u, out=u)
     with np.errstate(over="ignore"):  # inf is handled by the clamp below
-        mag = scale * np.power(-np.log(u), 1.0 / a)
-    clamped = mag > CLAMP_LIMIT
+        if a != 1.0:
+            np.power(u, 1.0 / a, out=u)
+        if scale != 1.0:
+            u *= scale
+    clamped = u > CLAMP_LIMIT
     if np.any(clamped):
-        mag = np.minimum(mag, CLAMP_LIMIT)
+        np.minimum(u, CLAMP_LIMIT, out=u)
     if diagnostics is not None:
         diagnostics["clamped"] = diagnostics.get("clamped", 0) + int(clamped.sum())
-    signs = rng.integers(0, 2, size=size) * 2 - 1
-    return signs * mag
+    u *= _SIGNS[rng.integers(0, 2, size=size)]
+    return u
 
 
 def sample_base(
@@ -213,10 +228,30 @@ def sample_base(
     elif spec.kind == "gaussian":
         x = rng.standard_normal(size) * spec.scale
     else:
-        x = (rng.integers(0, 2, size=size) * 2 - 1).astype(float)
+        x = _SIGNS[rng.integers(0, 2, size=size)]
     if spec.unit_variance:
-        x = x / spec.std()
+        x /= spec.std()
     return x
+
+
+def _retained(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in range(size) kept independently with probability p.
+
+    Gaps between kept positions are Geometric(p), so the draws scale
+    with p * size (Devroye, Non-Uniform Random Variate Generation, 1986).
+    Each batch is sized from p and size alone (mean + 6 sd + 16 gaps), so
+    the output depends only on the stream's state.
+    """
+    mean = size * p
+    batch = int(mean + 6.0 * math.sqrt(mean * (1.0 - p)) + 16)
+    parts, last = [], -1
+    while last < size:
+        # a gap past the block end ends it; the cap keeps the cumsum in int64
+        gaps = np.minimum(rng.geometric(p, batch), size + 1)
+        parts.append(last + np.cumsum(gaps))
+        last = int(parts[-1][-1])
+    pos = np.concatenate(parts)
+    return pos[: np.searchsorted(pos, size)]
 
 
 def sample_sparse_matrix(
@@ -227,20 +262,29 @@ def sample_sparse_matrix(
 ) -> np.ndarray:
     """(n_samples, dim) array of xi = delta o zeta draws.
 
-    Draw order is fixed (mask first, then zeta column blocks grouped by
-    distinct base spec in first-occurrence order) so a given stream
-    always yields bit-identical output.
+    Columns are grouped by distinct (p_i, base spec) in first-occurrence
+    order, and each group of g columns draws in turn from rng: nothing
+    at p = 0, an (n_samples, g) base block at p = 1, and otherwise the
+    kept positions of the row-major n_samples x g block by geometric
+    gaps, then the base law on those k coordinates only.  The order is
+    fixed, so a given stream always yields bit-identical output
+    (streams.STREAM_LAYOUT names this layout).
     """
     d = model.dim
-    p = model.p_array()
-    delta = rng.random((n_samples, d)) < p
-    zeta = np.empty((n_samples, d))
-    groups: dict[DistributionSpec, list[int]] = {}
-    for i, b in enumerate(model.bases):
-        groups.setdefault(b, []).append(i)
-    for spec, cols in groups.items():
-        zeta[:, cols] = sample_base(spec, (n_samples, len(cols)), rng, diagnostics)
-    return np.where(delta, zeta, 0.0)
+    x = np.zeros((n_samples, d))
+    groups: dict[tuple[float, DistributionSpec], list[int]] = {}
+    for i, key in enumerate(zip(model.p, model.bases)):
+        groups.setdefault(key, []).append(i)
+    for (p, spec), cols in groups.items():
+        g = len(cols)
+        if p == 1.0:
+            # a slice assigns a contiguous group several times faster than a list
+            sel = slice(cols[0], cols[0] + g) if cols[-1] - cols[0] == g - 1 else cols
+            x[:, sel] = sample_base(spec, (n_samples, g), rng, diagnostics)
+        elif p > 0.0:
+            rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
+            x[rows, np.asarray(cols)[j]] = sample_base(spec, rows.size, rng, diagnostics)
+    return x
 
 
 def sample_sparse_vector(

@@ -7,11 +7,23 @@ the same sample sequence, and distinct stream ids are statistically
 independent.  Chunked Monte Carlo loops assign stream id = chunk index,
 which makes results independent of how many worker threads consume the
 chunks.
+
+STREAM_LAYOUT numbers the way the samplers consume their streams.  It
+changes whenever a seed starts to yield different samples, and every CLI
+report records it:
+
+1. mask uniforms for every coordinate, then the base law for every
+   coordinate, column blocks grouped by base spec.
+2. columns grouped by (p_i, base spec); each group draws its kept
+   positions by geometric gaps, then the base law on those only
+   (`rv_models.sample_sparse_matrix`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+STREAM_LAYOUT = 2
 
 _MASK64 = (1 << 64) - 1
 

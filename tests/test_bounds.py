@@ -246,6 +246,8 @@ def test_comparison_bounds_reductions():
                 assert whole[name].applicable == e.applicable
     with pytest.raises(ValueError, match="t must be nonnegative"):
         comparison_bounds(np.array([1.0, -0.5]), m, q, 1.0)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        comparison_bounds(np.array([1.0, np.nan]), m, q, 1.0)
     with pytest.raises(ValueError, match="overflows when squared"):
         comparison_bounds(grid, m, q, 1.0, L=1e200)
 
@@ -298,6 +300,8 @@ def test_moments_to_tail_validation():
         moments_to_tail((1.0, -1.0), (1.0,), 0.0, 1.0)
     with pytest.raises(ValueError):
         moments_to_tail((1.0, 1.0), (1.0,), 0.0, -1.0)
+    with pytest.raises(ValueError):
+        moments_to_tail((1.0, 1.0), (1.0,), 0.0, math.nan)
 
 
 def test_moment_profiles_exchange_alpha1():

@@ -149,6 +149,7 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["hw-verify", "--config", write_config(tmp_path, missing, "n.json")]) == 2
 
 
+GOLDEN_RIP = Path(__file__).parent / "golden" / "rip"
 HW_SMALL = dict(HW_CONFIG, t_grid={"values": [1e300]}, n_samples=2000)
 HUGE_BASE = {"kind": "weibull", "alpha": 1.0, "scale": 8e153}
 TABLE_CONFIG = {
@@ -196,6 +197,25 @@ TABLE_CONFIG = {
             dict(TABLE_CONFIG, L=1e200),
             "overflows when squared",
             id="bound-table-config-L-squared",
+        ),
+        # json reads the NaN literal and the schema counts it as a number
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, t_grid={"values": [1.0, math.nan]}),
+            "thresholds must be finite",
+            id="hw-verify-nan-threshold",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, t_grid={"values": [1.0, math.nan]}),
+            "thresholds must be finite",
+            id="bound-table-nan-threshold",
+        ),
+        pytest.param(
+            "rip",
+            json.loads((GOLDEN_RIP / "config.json").read_text()) | {"t_values": [1.0, math.nan]},
+            "thresholds must be finite",
+            id="rip-nan-threshold",
         ),
     ],
 )

@@ -279,6 +279,8 @@ def test_rip_bound_rhs_structure():
         assert whole.thetas_evaluated == single.thetas_evaluated
     with pytest.raises(ValueError, match="t must be nonnegative"):
         rip_bound_rhs([1.0, -0.5], 2, model, 100, theta_budget=8, seed=3)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        rip_bound_rhs([1.0, np.nan], 2, model, 100, theta_budget=8, seed=3)
 
 
 def test_rip_bound_rhs_work_does_not_grow_with_t(monkeypatch):

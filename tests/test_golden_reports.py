@@ -49,13 +49,30 @@ def assert_same_outputs(expected: Path, actual: Path) -> None:
             assert (actual / rel).read_bytes() == (expected / rel).read_bytes(), rel
 
 
+def run_config_case(case: str, out: Path, threads: int = 1) -> int:
+    """Run a config case's command with its output in out; the exit code."""
+    config = GOLDEN / case / "config.json"
+    argv = [CONFIG_CASES[case][0], "--config", str(config), "--threads", str(threads)]
+    return main([*argv, "--out", str(out)])
+
+
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
 def test_golden_config_command(case, tmp_path):
-    command, exit_code = CONFIG_CASES[case]
-    config = GOLDEN / case / "config.json"
     out = tmp_path / "out"
-    rc = main([command, "--config", str(config), "--threads", "1", "--out", str(out)])
-    assert rc == exit_code
+    assert run_config_case(case, out) == CONFIG_CASES[case][1]
+    assert_same_outputs(GOLDEN / case / "expected", out)
+
+
+@pytest.mark.parametrize("case", ["hw-verify-refined", "bernstein-verify"])
+def test_golden_reports_do_not_depend_on_threads(case, tmp_path):
+    # chunks draw from streams keyed by their index, so only the field
+    # that records the thread count may differ
+    out = tmp_path / "out"
+    assert run_config_case(case, out, threads=3) == CONFIG_CASES[case][1]
+    report = json.loads((out / "report.json").read_text())
+    assert report["threads"] == 3
+    report["threads"] = 1
+    (out / "report.json").write_text(json.dumps(report, indent=2))
     assert_same_outputs(GOLDEN / case / "expected", out)
 
 

@@ -101,6 +101,8 @@ def test_simulate_tail_validation():
     with pytest.raises(ValueError):
         simulate_tail(inst, [-1.0], 100, seed=0)
     with pytest.raises(ValueError):
+        simulate_tail(inst, [1.0, math.nan], 100, seed=0)
+    with pytest.raises(ValueError):
         simulate_tail(inst, [1.0], 0, seed=0)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparse_hw import rv_models
 from sparse_hw.quadform_mc import wilson_interval
 from sparse_hw.rv_models import (
     AlphaParam,
@@ -161,6 +162,57 @@ def test_sampling_is_deterministic():
     a = sample_sparse_matrix(model, 500, stream(20, 3))
     b = sample_sparse_matrix(model, 500, stream(20, 3))
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_sparse_matrix(model, 500, stream(20, 4)))
+
+
+W08 = DistributionSpec(kind="weibull", alpha=0.8)
+GAUSS = DistributionSpec(kind="gaussian")
+# the p = 1 weibull columns 3 and 6 form one group that is not contiguous
+MIXED = SparseModel(
+    p=(0.0, 0.05, 0.3, 1.0, 0.05, 0.3, 1.0, 0.0),
+    base=(W08, W08, GAUSS, W08, GAUSS, W08, W08, GAUSS),
+)
+
+
+def test_sparse_columns_keep_their_own_p():
+    x = sample_sparse_matrix(MIXED, 40_000, stream(21, 0))
+    zeros = np.count_nonzero(x == 0.0, axis=0)
+    for p, k in zip(MIXED.p, zeros):
+        if p == 0.0:
+            assert k == x.shape[0]
+        elif p == 1.0:
+            assert k == 0
+        else:
+            lo, hi = wilson_interval(int(k), x.shape[0], z=5.0)
+            assert lo <= 1.0 - p <= hi
+
+
+def test_retained_weibull_moments():
+    # |x| of W_s(1) is Exp(1): E|x| = 1 with Var 1, E x^2 = 2 with Var(x^2) = 24 - 4
+    model = SparseModel(p=(0.05,) * 50, base=DistributionSpec(kind="weibull", alpha=1.0))
+    x = sample_sparse_matrix(model, 20_000, stream(22, 0))
+    v = x[x != 0.0]
+    assert abs(float(np.mean(np.abs(v))) - 1.0) <= 5 / math.sqrt(v.size)
+    assert abs(float(np.mean(v * v)) - 2.0) <= 5 * math.sqrt(20.0 / v.size)
+
+
+def test_clamps_are_counted_on_retained_coordinates_only(monkeypatch):
+    # No base law that DistributionSpec accepts reaches CLAMP_LIMIT (its second
+    # moment would overflow first), so the limit is lowered to 3, which |W_s(1)|
+    # exceeds with probability e^-3: clamping every drawn coordinate at p = 0.01
+    # would count about 5 times the nonzeros.
+    monkeypatch.setattr(rv_models, "CLAMP_LIMIT", 3.0)
+    model = SparseModel(p=(0.01,) * 10, base=DistributionSpec(kind="weibull", alpha=1.0))
+    diag = {}
+    x = sample_sparse_matrix(model, 10_000, stream(23, 0), diag)
+    assert 0 < diag["clamped"] <= np.count_nonzero(x)
+    assert diag["clamped"] == np.count_nonzero(np.abs(x) == 3.0)
+
+
+def test_tiny_retention_draws_nothing():
+    # gaps of about 1e300 saturate int64; none may wrap round into the block
+    model = SparseModel(p=(1e-300,) * 3, base=GAUSS)
+    assert not np.any(sample_sparse_matrix(model, 1_000, stream(25, 0)))
 
 
 def test_psi_alpha_exact_values():
