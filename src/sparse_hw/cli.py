@@ -6,7 +6,8 @@ emits a JSON report plus CSV sidecars.  Numeric results are
 bit-identical for any --threads value; only wall_clock_s varies.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or
-config error, 3 a compute budget guard tripped.
+config error, 3 a compute budget guard tripped, 4 internal error (an
+unexpected exception, reported on one stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -591,10 +592,14 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     replicates = cfg["replicates"]
     sigma = model.sigma()
 
-    rips = np.empty(replicates)
-    for i in range(replicates):
-        values, _ = cv.generate_samples(model, n, seed, stream_id=i)
-        rips[i] = cv.rip_k(cv.ipw_estimator(values, model.p_array()) - sigma, k)
+    def replicate(i: int, _size: int) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):  # rip_k rejects inf and NaN
+            values, _ = cv.generate_samples(model, n, seed, stream_id=i)
+            deviation = cv.ipw_estimator(values, model.p_array()) - sigma
+        return cv.rip_k(deviation, k)
+
+    # one replicate per chunk: replicate i always draws from stream (seed, i)
+    rips = np.array(qf._run_chunks(replicate, replicates, threads, 1))
 
     rhs = cv.rip_bound_rhs(
         t_values, k, model, n, theta_budget=cfg.get("theta_budget", 128), seed=seed
@@ -843,6 +848,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(exc: Exception) -> int:
+    """Exit 4 with one stderr line: a fault of the program, not of the config."""
+    message = " ".join(str(exc).split())
+    print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return 4
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -851,9 +863,13 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not an input error
+        return _internal_error(exc)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,11 @@ that it is observed, which restores unbiasedness under masking.
 
 `rip_k` measures the worst k-sparse quadratic deviation
 sup{ |theta^T M theta| : ||theta||_2 <= 1, ||theta||_0 <= k }, equal to
-the largest spectral norm among k x k principal submatrices.
+the largest spectral norm among k x k principal submatrices.  It stacks
+the submatrices of a block of subsets into one (block, k, k) array and
+makes one `eigvalsh` call per block; a block holds at most
+RIP_BLOCK_ENTRIES matrix entries, so memory stays bounded however close
+comb(d, k) comes to RIP_ENUM_BUDGET.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
 Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
@@ -41,6 +45,7 @@ from .rv_models import AlphaParam, DistributionSpec, SparseModel, sample_base
 from .streams import stream
 
 RIP_ENUM_BUDGET = 10**6
+RIP_BLOCK_ENTRIES = 1 << 20  # float64 entries stacked per eigvalsh call (8 MiB)
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
 
 
@@ -59,6 +64,9 @@ class MultivariateModel:
             raise ValueError("B must be a 2-D array")
         if not np.all(np.isfinite(m)):
             raise ValueError("B entries must be finite")
+        with np.errstate(over="ignore"):  # raised below
+            if not np.all(np.isfinite(m @ m.T)):
+                raise ValueError("Sigma = B B^T overflows a float")
         AlphaParam(self.alpha)
         p = tuple(float(v) for v in np.atleast_1d(np.asarray(self.p, dtype=float)))
         if len(p) != m.shape[0]:
@@ -209,7 +217,10 @@ def ipw_replicate_stats(
 def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float:
     """Exact k-sparse operator norm by principal-submatrix enumeration.
 
-    The quadratic form only sees the symmetric part of M.  Raises
+    The quadratic form only sees the symmetric part of M.  Subsets are
+    enumerated in blocks of at most RIP_BLOCK_ENTRIES // k^2, each block
+    gathered into one stacked array for a single `eigvalsh` call; the
+    maximum does not depend on the order or the blocking.  Raises
     BudgetExceededError when comb(d, k) exceeds the budget; use
     rip_k_lower_random for a lower bound in that regime.
     """
@@ -219,6 +230,8 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float:
     d = a.shape[0]
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("M has inf or NaN entries")
     n_subsets = math.comb(d, k)
     if n_subsets > budget:
         raise BudgetExceededError(
@@ -226,11 +239,16 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float:
             "rip_k_lower_random gives a certified lower bound instead"
         )
     sym = 0.5 * (a + a.T)
+    subsets = itertools.combinations(range(d), k)
+    block = max(1, RIP_BLOCK_ENTRIES // (k * k))
     best = 0.0
-    for subset in itertools.combinations(range(d), k):
-        idx = np.asarray(subset)
-        ev = np.linalg.eigvalsh(sym[np.ix_(idx, idx)])
-        best = max(best, abs(float(ev[0])), abs(float(ev[-1])))
+    for start in range(0, n_subsets, block):
+        size = min(block, n_subsets - start)
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
+        idx = np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
+        # eigenvalues come out ascending: the largest |eigenvalue| is at an end
+        ev = np.linalg.eigvalsh(sym[idx[:, :, None], idx[:, None, :]])
+        best = max(best, float(np.abs(ev[:, [0, -1]]).max()))
     return best
 
 
@@ -282,7 +300,11 @@ def expected_frob_sq_exact(b, theta, p) -> float:
     Gram reduction: with G = B B^T the expectation is
     sum_{l,k,pp,qq} W * theta_l theta_k theta_pp theta_qq G[l,pp] G[k,qq]
     with the uniform equality-pattern weight W from the module docstring.
-    Cost is O(d^4) independent of m.
+    The outer pair (l, k) runs over the support of theta only: any other
+    term carries the factor theta_l theta_k = 0 and adds exactly 0.0, so
+    skipping it leaves every bit of the sum unchanged.  Cost is
+    O(s^2 d^2) for a theta with s nonzero entries (O(d^4) when dense),
+    independent of m; the budget guard still counts d^4.
     """
     bm = np.asarray(b, dtype=float)
     t = np.asarray(theta, dtype=float)
@@ -301,9 +323,10 @@ def expected_frob_sq_exact(b, theta, p) -> float:
     pp, qq = np.meshgrid(idx, idx, indexing="ij")
     denom_pq = np.where(pp == qq, q[pp], q[pp] * q[qq])
     outer_theta = np.outer(t, t)
+    support = np.flatnonzero(t).tolist()
     total = 0.0
-    for l in range(d):
-        for k in range(d):
+    for l in support:
+        for k in support:
             e_lk = q[l] * (q[k] if k != l else 1.0)
             extra_p = np.where((pp == l) | (pp == k), 1.0, q[pp])
             extra_q = np.where((qq == l) | (qq == k) | (qq == pp), 1.0, q[qq])
@@ -353,16 +376,27 @@ def k1_k2_terms(
     q = model.p_array()
     if t.shape != (model.dim,):
         raise ValueError("theta must have one entry per row of B")
+    k1 = _k1_scale(model) * float(np.sum((t / q) ** 2))
+    return k1, _k2_term(model, t, k2_method, seed, n_samples)
+
+
+def _k1_scale(model: MultivariateModel) -> float:
+    """||B||_{2->2} (||Diag(sqrt(p)) B||_F + ||B||_{2->2}), the theta-free factor of K1."""
     spec_b = mn.opnorm(model.b, 2, 2)
-    weighted_fro = float(np.linalg.norm(np.sqrt(q)[:, None] * model.b, "fro"))
-    k1 = spec_b * (weighted_fro + spec_b) * float(np.sum((t / q) ** 2))
+    weighted_fro = float(np.linalg.norm(np.sqrt(model.p_array())[:, None] * model.b, "fro"))
+    return spec_b * (weighted_fro + spec_b)
+
+
+def _k2_term(
+    model: MultivariateModel, theta, k2_method: str, seed: int, n_samples: int = 10**5
+) -> float:
+    """K2 for one direction theta (see k1_k2_terms)."""
+    q = model.p_array()
     if k2_method == "exact":
-        k2 = math.sqrt(expected_frob_sq_exact(model.b, t, q))
-    elif k2_method == "mc":
-        k2 = math.sqrt(expected_frob_sq_mc(model.b, t, q, n_samples, seed)[0])
-    else:
-        raise ValueError("k2_method must be 'exact' or 'mc'")
-    return k1, k2
+        return math.sqrt(expected_frob_sq_exact(model.b, theta, q))
+    if k2_method == "mc":
+        return math.sqrt(expected_frob_sq_mc(model.b, theta, q, n_samples, seed)[0])
+    raise ValueError("k2_method must be 'exact' or 'mc'")
 
 
 @dataclass(frozen=True)
@@ -392,8 +426,10 @@ def rip_bound_rhs(
     sqrt(u / n) sup K2 + (u^{3/4} / n^{3/4} + u^{2/alpha} / n) sup K1,
     both sups over k-sparse unit directions.  sup K1 is closed form
     (all mass on the smallest p); sup K2 is maximized over the axis
-    directions plus theta_budget random k-sparse directions.  t may be
-    a scalar or an array: both sups are computed once for all of it.
+    directions plus theta_budget random k-sparse directions, one K2
+    kernel call each (K1 is not needed per direction, so ||B||_{2->2} is
+    computed once).  t may be a scalar or an array: both sups are
+    computed once for all of it.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # NaN fails >= too
@@ -405,9 +441,7 @@ def rip_bound_rhs(
         raise ValueError("need 1 <= k <= d")
     q = model.p_array()
     u = t + k * math.log(48.0 * math.e * d / k)
-    spec_b = mn.opnorm(model.b, 2, 2)
-    weighted_fro = float(np.linalg.norm(np.sqrt(q)[:, None] * model.b, "fro"))
-    sup_k1 = spec_b * (weighted_fro + spec_b) / float(np.min(q)) ** 2
+    sup_k1 = _k1_scale(model) / float(np.min(q)) ** 2
 
     rng = stream(seed, 0)
     thetas = [np.eye(d)[i] for i in range(d)]
@@ -420,7 +454,7 @@ def rip_bound_rhs(
         th = np.zeros(d)
         th[support] = v / nv
         thetas.append(th)
-    sup_k2 = max(k1_k2_terms(model, th, k2_method=k2_method, seed=seed)[1] for th in thetas)
+    sup_k2 = max(_k2_term(model, th, k2_method, seed) for th in thetas)
 
     term_k2 = np.sqrt(u / n) * sup_k2
     term_k1_34 = np.power(u / n, 0.75) * sup_k1

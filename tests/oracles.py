@@ -5,6 +5,10 @@ the library (cyclic Jacobi instead of power iteration, literal
 pattern-by-pattern sums instead of a classifier, itertools enumeration
 instead of vectorized atom tables) so agreement is evidence, not
 tautology.
+
+The exception is the pair of `*_loop` oracles at the end: they are the
+plain loops that the library's batched kernels replace, kept so the
+tests can demand bit-equal (==) results, not just close ones.
 """
 
 from __future__ import annotations
@@ -220,3 +224,38 @@ def numeric_psi_alpha_weibull(alpha: float) -> float:
     for t > 1; setting it to 2 gives t = 2^{1/alpha}.
     """
     return 2.0 ** (1.0 / alpha)
+
+
+def rip_k_loop(m: np.ndarray, k: int) -> float:
+    """rip_k with one eigvalsh call per k-subset, in enumeration order."""
+    a = np.asarray(m, dtype=float)
+    sym = 0.5 * (a + a.T)
+    best = 0.0
+    for subset in itertools.combinations(range(a.shape[0]), k):
+        idx = np.asarray(subset)
+        ev = np.linalg.eigvalsh(sym[np.ix_(idx, idx)])
+        best = max(best, abs(float(ev[0])), abs(float(ev[-1])))
+    return best
+
+
+def expected_frob_sq_loop(b: np.ndarray, theta: np.ndarray, p: np.ndarray) -> float:
+    """expected_frob_sq_exact with the outer (l, k) pair over all d^2 indices."""
+    bm = np.asarray(b, dtype=float)
+    t = np.asarray(theta, dtype=float)
+    q = np.asarray(p, dtype=float)
+    d = bm.shape[0]
+    g = bm @ bm.T
+    idx = np.arange(d)
+    pp, qq = np.meshgrid(idx, idx, indexing="ij")
+    denom_pq = np.where(pp == qq, q[pp], q[pp] * q[qq])
+    outer_theta = np.outer(t, t)
+    total = 0.0
+    for l in range(d):
+        for k in range(d):
+            e_lk = q[l] * (q[k] if k != l else 1.0)
+            extra_p = np.where((pp == l) | (pp == k), 1.0, q[pp])
+            extra_q = np.where((qq == l) | (qq == k) | (qq == pp), 1.0, q[qq])
+            denom_lk = q[l] * q[k] if l != k else q[l]
+            w = e_lk * extra_p * extra_q / (denom_lk * denom_pq)
+            total += t[l] * t[k] * np.sum(w * outer_theta * np.outer(g[l], g[k]))
+    return float(total)

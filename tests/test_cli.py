@@ -12,6 +12,8 @@ import pytest
 
 import sparse_hw
 from sparse_hw import bounds as bd
+from sparse_hw import cli
+from sparse_hw import covest as cv
 from sparse_hw.cli import THREADS_ENV_VAR, main
 
 HW_CONFIG = {
@@ -217,6 +219,21 @@ TABLE_CONFIG = {
             "thresholds must be finite",
             id="rip-nan-threshold",
         ),
+        pytest.param(
+            "rip",
+            json.loads((GOLDEN_RIP / "config.json").read_text())
+            | {"b": {"values": [[1e200, 0.0], [0.0, 1.0]]}},
+            "Sigma = B B^T overflows",
+            id="rip-overflowing-sigma",
+        ),
+        # Sigma is finite, but the IPW estimate of its largest entry is not
+        pytest.param(
+            "rip",
+            json.loads((GOLDEN_RIP / "config.json").read_text())
+            | {"b": {"values": [[1.2e154, 0.0], [0.0, 1.0]]}},
+            "M has inf or NaN entries",
+            id="rip-overflowing-estimate",
+        ),
     ],
 )
 def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
@@ -247,6 +264,41 @@ def test_enumeration_budget_exits_3(tmp_path):
         "seed": 5,
     }
     assert main(["rip", "--config", write_config(tmp_path, cfg)]) == 3
+
+
+def assert_internal_error(capsys, name: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"internal error: {name}: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("unexpected\nstate"), np.linalg.LinAlgError("Eigenvalues did not converge")],
+    ids=["RuntimeError", "LinAlgError"],
+)
+def test_unexpected_exceptions_exit_4_with_one_line(tmp_path, monkeypatch, capsys, error):
+    # exit 1 means a failed verdict and exit 2 a bad config; a fault of the
+    # program gets its own code, LinAlgError too although it is a ValueError
+    def body(cfg, seed, threads, outdir):
+        raise error
+
+    monkeypatch.setattr(cli, "_rip", body)
+    argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert_internal_error(capsys, type(error).__name__)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_linalg_error_in_a_rip_pool_worker_exits_4(tmp_path, monkeypatch, capsys):
+    def rip_k(m, k):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cv, "rip_k", rip_k)
+    argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--threads", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 4
+    assert_internal_error(capsys, "LinAlgError")
 
 
 def test_bernstein_verify_bound_matches_formula(tmp_path):

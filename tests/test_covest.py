@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigen_spectral, masked_frob_sq_reference
+from oracles import (
+    expected_frob_sq_loop,
+    jacobi_eigen_spectral,
+    masked_frob_sq_reference,
+    rip_k_loop,
+)
 from sparse_hw import covest as cv
+from sparse_hw import matrix_norms as mn
 from sparse_hw.covest import (
     MultivariateModel,
     a_theta_p,
@@ -39,6 +45,8 @@ def test_model_validation():
         MultivariateModel(b=np.eye(2), alpha=1.0, p=(0.5, 0.0))  # zero retention
     with pytest.raises(ValueError):
         MultivariateModel(b=np.eye(2), alpha=3.0, p=(1.0, 1.0))
+    with pytest.raises(ValueError, match="overflows"):
+        MultivariateModel(b=np.diag([1e200, 1.0]), alpha=1.0, p=(1.0, 1.0))
     with pytest.raises(ValueError, match="unit variance"):
         MultivariateModel(
             b=np.eye(2), alpha=1.0, p=(1.0, 1.0),
@@ -143,6 +151,29 @@ def test_rip_k_budget_guard():
         rip_k_lower_random(big, 31)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_rip_k_is_bit_equal_to_per_subset_loop(d):
+    m = stream(314, d).standard_normal((d, d))  # not symmetric
+    for k in sorted({1, min(2, d), d - 1 or 1, d}):
+        assert rip_k(m, k) == rip_k_loop(m, k), k
+
+
+@pytest.mark.parametrize("entries", [1, 9 * 4, 9 * 35 - 1])
+def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
+    # comb(7, 3) = 35 subsets of 9 entries: blocks of 1, of 4 with a ragged
+    # last block, and of 34 with a last block of 1
+    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", entries)
+    m = stream(315, 0).standard_normal((7, 7))
+    assert rip_k(m, 3) == rip_k_loop(m, 3)
+
+
+def test_rip_k_rejects_non_finite_entries():
+    m = np.eye(3)
+    m[0, 2] = np.nan
+    with pytest.raises(ValueError, match="inf or NaN"):
+        rip_k(m, 2)
+
+
 def test_a_theta_p_forms():
     theta = np.array([0.8, -0.6])
     assert np.allclose(a_theta_p(theta, np.ones(2)), np.outer(theta, theta), atol=1e-15)
@@ -173,6 +204,19 @@ def test_expected_frob_sq_vs_literal_reference():
     ours = expected_frob_sq_exact(b, theta, p)
     ref = masked_frob_sq_reference(b, theta, p)
     assert math.isclose(ours, ref, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("pattern", ["dense", "sparse", "axis", "zero"])
+def test_expected_frob_sq_is_bit_equal_to_full_loop(pattern):
+    d = 6
+    b = stream(325, 0).standard_normal((d, 4))
+    p = stream(325, 1).uniform(0.2, 1.0, d)
+    theta = stream(325, 2).standard_normal(d)
+    keep = {"dense": range(d), "sparse": [1, 4], "axis": [3], "zero": []}[pattern]
+    theta[[i for i in range(d) if i not in keep]] = 0.0
+    ours = expected_frob_sq_exact(b, theta, p)
+    assert ours == expected_frob_sq_loop(b, theta, p)
+    assert (ours == 0.0) == (pattern == "zero")
 
 
 def test_expected_frob_sq_vs_monte_carlo():
@@ -297,6 +341,24 @@ def test_rip_bound_rhs_work_does_not_grow_with_t(monkeypatch):
     one = len(calls)
     rip_bound_rhs([0.5, 1.0, 2.0, 4.0], 2, model, 100, theta_budget=8, seed=3)
     assert one > 0 and len(calls) == 2 * one
+
+
+def test_rip_bound_rhs_takes_sup_k2_from_the_kernel(monkeypatch):
+    real = mn.opnorm_detail
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mn, "opnorm_detail", counting)
+    model = small_model(334, d=4, m=3)
+    r = rip_bound_rhs(1.0, 2, model, 100, theta_budget=0, seed=3)
+    assert len(calls) == 1  # ||B||_{2->2} once, not once per direction
+    axes = np.eye(model.dim)
+    assert r.sup_k2 == max(k1_k2_terms(model, th)[1] for th in axes)
+    worst = axes[int(np.argmin(model.p_array()))]
+    assert math.isclose(r.sup_k1, k1_k2_terms(model, worst)[0], rel_tol=1e-14)
 
 
 def test_rip_bound_rhs_scales_quadratically_in_b():
