@@ -235,6 +235,17 @@ _SCHEMAS = {
 # ---------------------------------------------------------------- builders
 
 
+@functools.cache
+def _validator(command: str):
+    """The schema validator of a command, built without re-checking the schema.
+
+    jsonschema.validate would check the schema against its metaschema on
+    every call; test_cli checks every entry of _SCHEMAS once instead.
+    """
+    schema = _SCHEMAS[command]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
@@ -243,10 +254,10 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, _SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}")
     return cfg
 
 
@@ -719,7 +730,8 @@ def _cmd_norms(args) -> int:
     p = None
     if args.p is not None:
         parts = [float(v) for v in args.p.split(",")]
-        p = np.full(a.shape[0], parts[0]) if len(parts) == 1 else np.asarray(parts)
+        # p weights the columns (row_weighted_max), so a scalar fills a.shape[1]
+        p = _p_vector(parts[0] if len(parts) == 1 else parts, a.shape[1])
     alpha = args.alpha
 
     entries: dict[str, float] = {
@@ -732,12 +744,15 @@ def _cmd_norms(args) -> int:
         "mixed_l4_l2": mn.mixed_norm(a, 4.0),
         "mixed_linf_l2": mn.mixed_norm(a, math.inf),
     }
+    converged: dict[str, bool] = {}
     if alpha is not None:
         al = AlphaParam(alpha)
         if al.value > 1.0:
             astar = al.conjugate
             detail = mn.opnorm_detail(a, al.value, astar)
-            entries[f"op_alpha_to_conj(alpha={al.value})"] = detail.value
+            key = f"op_alpha_to_conj(alpha={al.value})"
+            entries[key] = detail.value
+            converged[key] = detail.converged
             entries[f"mixed_conj_l2(alpha={al.value})"] = mn.mixed_norm(a, astar)
         else:
             entries[f"op_alpha_to_conj(alpha={al.value})"] = mn.opnorm(a, 1, math.inf)
@@ -756,7 +771,8 @@ def _cmd_norms(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "norms.json", "w") as fh:
-            json.dump({"matrix": str(path), "norms": entries}, fh, indent=2)
+            report = {"matrix": str(path), "norms": entries, "altmax_converged": converged}
+            json.dump(report, fh, indent=2)
     return 0
 
 

@@ -3,13 +3,13 @@
     PYTHONPATH=src python tests/golden/regenerate.py CASE [CASE ...]
 
 Each named case (a directory under tests/golden/ listed in
-test_golden_reports.CONFIG_CASES) is run with the same command line as
-test_golden_config_command (--threads 1), and its expected/ directory is
-replaced by what the command wrote.  Only the named cases are touched.
-A case whose exit code differs from the recorded one is left as it is
-and makes the script exit 1.  wall_clock_s is a timing the test ignores,
-so a rewritten report keeps the old value and its diff shows only what
-the program changed.
+test_golden_reports.CONFIG_CASES, or `norms`) is run with the same
+command line as its test (test_golden_config_command at --threads 1, or
+test_golden_norms), and its expected/ directory is replaced by what the
+command wrote.  Only the named cases are touched.  A case whose exit
+code differs from the recorded one is left as it is and makes the script
+exit 1.  wall_clock_s is a timing the test ignores, so a rewritten report
+keeps the old value and its diff shows only what the program changed.
 """
 
 from __future__ import annotations
@@ -22,16 +22,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden_reports import CONFIG_CASES, GOLDEN, run_config_case  # noqa: E402
+from test_golden_reports import CONFIG_CASES, GOLDEN, run_config_case, run_norms_case  # noqa: E402
+
+# case -> the exit code its test expects
+CASES = {**{case: rc for case, (_, rc) in CONFIG_CASES.items()}, "norms": 0}
 
 
 def regenerate(case: str) -> bool:
     expected = GOLDEN / case / "expected"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        rc = run_config_case(case, out)
-        if rc != CONFIG_CASES[case][1]:
-            print(f"{case}: exit code {rc}, recorded {CONFIG_CASES[case][1]}; not rewritten")
+        rc = run_norms_case(Path(tmp)) if case == "norms" else run_config_case(case, out)
+        if rc != CASES[case]:
+            print(f"{case}: exit code {rc}, recorded {CASES[case]}; not rewritten")
             return False
         old_report = expected / "report.json"
         if old_report.exists():
@@ -45,9 +48,9 @@ def regenerate(case: str) -> bool:
 
 
 def main(argv: list[str]) -> int:
-    unknown = [c for c in argv if c not in CONFIG_CASES]
+    unknown = [c for c in argv if c not in CASES]
     if not argv or unknown:
-        print(f"usage: regenerate.py CASE...; cases: {', '.join(sorted(CONFIG_CASES))}")
+        print(f"usage: regenerate.py CASE...; cases: {', '.join(sorted(CASES))}")
         return 2
     return 0 if all([regenerate(case) for case in argv]) else 1
 

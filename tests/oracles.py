@@ -6,9 +6,12 @@ pattern-by-pattern sums instead of a classifier, itertools enumeration
 instead of vectorized atom tables) so agreement is evidence, not
 tautology.
 
-The exception is the pair of `*_loop` oracles at the end: they are the
-plain loops that the library's batched kernels replace, kept so the
-tests can demand bit-equal (==) results, not just close ones.
+The exception is the `*_loop` oracles at the end: they are the plain
+loops that the library's batched kernels replace.  The tests demand
+bit-equal (==) results from `rip_k_loop` and `expected_frob_sq_loop`;
+`opnorm_loop` runs its restarts through matrix-vector products where
+the library multiplies blocks, so its value is compared within 1e-12
+relative and its convergence flag exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import itertools
 import math
 
 import numpy as np
+
+from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, lp_norm
+from sparse_hw.streams import stream
 
 
 def jacobi_eigen_spectral(a: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -259,3 +265,63 @@ def expected_frob_sq_loop(b: np.ndarray, theta: np.ndarray, p: np.ndarray) -> fl
             w = e_lk * extra_p * extra_q / (denom_lk * denom_pq)
             total += t[l] * t[k] * np.sum(w * outer_theta * np.outer(g[l], g[k]))
     return float(total)
+
+
+def _dual_maximizer(z: np.ndarray, r: float) -> tuple[np.ndarray, float]:
+    """Unit-||.||_r vector x maximizing <z, x>; the value is ||z||_{r*}.
+
+    r = 1 puts all mass on one argmax coordinate, r = inf takes signs.
+    """
+    value_r = r / (r - 1.0) if not math.isinf(r) and r > 1.0 else (math.inf if r == 1.0 else 1.0)
+    val = lp_norm(z, value_r)
+    if val == 0.0:
+        x = np.zeros_like(z)
+        if x.size:
+            x[0] = 1.0
+        return x, 0.0
+    if r == 1.0:
+        x = np.zeros_like(z)
+        i = int(np.argmax(np.abs(z)))
+        x[i] = math.copysign(1.0, z[i])
+        return x, val
+    if math.isinf(r):
+        return np.sign(np.where(z == 0.0, 1.0, z)), val
+    rstar = r / (r - 1.0)
+    x = np.sign(z) * (np.abs(z) / np.max(np.abs(z))) ** (rstar - 1.0)
+    nx = lp_norm(x, r)
+    return x / nx, val
+
+
+def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int = 0) -> OpnormResult:
+    """The alternating branch of opnorm_detail with one restart at a time.
+
+    Only for pairs without a closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
+    """
+    m = np.asarray(a, dtype=float)
+    r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
+    rng = stream(seed, 1)
+    best = 0.0
+    all_converged = True
+    for k in range(restarts):
+        if k == 0:
+            y = np.ones(m.shape[0])
+        else:
+            y = rng.standard_normal(m.shape[0])
+        ny = lp_norm(y, r2star)
+        if ny == 0.0:
+            continue
+        y = y / ny
+        value = 0.0
+        converged = False
+        for _ in range(_ALTMAX_MAX_ITER):
+            x, _ = _dual_maximizer(m.T @ y, r1)
+            w = m @ x
+            y, new = _dual_maximizer(w, r2star)
+            if abs(new - value) <= _ALTMAX_TOL * max(1.0, new):
+                value = new
+                converged = True
+                break
+            value = new
+        best = max(best, value)
+        all_converged = all_converged and converged
+    return OpnormResult(best, restarts, all_converged)

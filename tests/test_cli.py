@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -73,6 +74,18 @@ def test_norms_weighted_entries(tmp_path, capsys):
     assert "op_alpha_to_conj(alpha=1.5)" in entries
     saved = json.loads((out / "norms.json").read_text())
     assert saved["norms"]["gamma1"] == entries["gamma1"]
+    assert saved["altmax_converged"] == {"op_alpha_to_conj(alpha=1.5)": True}
+
+
+def test_norms_scalar_p_on_rectangular_matrix(tmp_path):
+    # p weights the 3 columns, not the 2 rows
+    path = tmp_path / "rect.csv"
+    path.write_text("1.0,2.0,0.5\n-1.0,0.0,3.0\n")
+    saved = {}
+    for name, p in (("scalar", "0.5"), ("list", "0.5,0.5,0.5")):
+        assert main(["norms", str(path), "--p", p, "--out", str(tmp_path / name)]) == 0
+        saved[name] = json.loads((tmp_path / name / "norms.json").read_text())["norms"]
+    assert saved["scalar"]["row_weighted_max"] == saved["list"]["row_weighted_max"]
 
 
 def test_norms_missing_file(tmp_path):
@@ -149,6 +162,29 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["hw-verify", "--config", write_config(tmp_path, empty_matrix, "m.json")]) == 2
     missing = {k: v for k, v in HW_CONFIG.items() if k != "n_samples"}
     assert main(["hw-verify", "--config", write_config(tmp_path, missing, "n.json")]) == 2
+
+
+@pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+def test_config_schemas_are_valid(command):
+    # _load_config validates against these schemas without checking them
+    schema = cli._SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(dict(HW_CONFIG, model={"alpha": 3.0, "p": 0.5}), id="alpha-above-2"),
+        pytest.param({k: v for k, v in HW_CONFIG.items() if k != "seed"}, id="missing-seed"),
+        pytest.param(dict(HW_CONFIG, extra=1), id="unknown-key"),
+        pytest.param(dict(HW_CONFIG, n_samples="many", seed=-1.5), id="two-errors"),
+    ],
+)
+def test_config_rejections_keep_the_jsonschema_message(tmp_path, capsys, cfg):
+    with pytest.raises(jsonschema.ValidationError) as excinfo:
+        jsonschema.validate(cfg, cli._SCHEMAS["hw-verify"])
+    assert main(["hw-verify", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: config rejected: {excinfo.value.message}\n"
 
 
 GOLDEN_RIP = Path(__file__).parent / "golden" / "rip"

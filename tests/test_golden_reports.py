@@ -5,6 +5,7 @@ wrote into --out.  A run must reproduce report.json exactly (apart from
 wall_clock_s, which is a timing) and every other file byte for byte.
 """
 
+import contextlib
 import json
 import shutil
 from pathlib import Path
@@ -76,9 +77,17 @@ def test_golden_reports_do_not_depend_on_threads(case, tmp_path):
     assert_same_outputs(GOLDEN / case / "expected", out)
 
 
-def test_golden_norms(tmp_path, monkeypatch, capsys):
-    shutil.copy(GOLDEN / "norms" / "matrix.csv", tmp_path / "matrix.csv")
-    monkeypatch.chdir(tmp_path)
-    rc = main(["norms", "matrix.csv", "--p", "0.5,0.3,0.8,0.6", "--alpha", "1.5", "--out", "out"])
-    assert rc == 0
+def run_norms_case(workdir: Path) -> int:
+    """Run the norms case inside workdir, which gets its outputs in out/; the exit code.
+
+    The report records the matrix path as given, so the command runs on
+    a relative path from workdir.
+    """
+    shutil.copy(GOLDEN / "norms" / "matrix.csv", workdir / "matrix.csv")
+    with contextlib.chdir(workdir):
+        return main(["norms", "matrix.csv", "--p", "0.5,0.3,0.8,0.6", "--alpha", "1.5", "--out", "out"])
+
+
+def test_golden_norms(tmp_path):
+    assert run_norms_case(tmp_path) == 0
     assert_same_outputs(GOLDEN / "norms" / "expected", tmp_path / "out")

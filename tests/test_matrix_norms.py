@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_eigen_spectral, opnorm_grid
+from oracles import jacobi_eigen_spectral, opnorm_grid, opnorm_loop
 from sparse_hw.matrix_norms import (
     frobenius,
     gamma1,
@@ -121,6 +121,66 @@ def test_opnorm_detail_reports_convergence():
 
 def test_opnorm_zero_matrix():
     assert opnorm(np.zeros((2, 2)), 1.5, 3.0) == 0.0
+
+
+def assert_matches_restart_loop(m, r1, r2, restarts, seed):
+    ours = opnorm_detail(m, r1, r2, restarts=restarts, seed=seed)
+    ref = opnorm_loop(m, r1, r2, restarts=restarts, seed=seed)
+    assert math.isclose(ours.value, ref.value, rel_tol=1e-12), (ours, ref)
+    assert (ours.converged, ours.restarts) == (ref.converged, ref.restarts)
+
+
+def _zero_row_and_column() -> np.ndarray:
+    m = stream(83, 0).standard_normal((4, 5))
+    m[1, :] = 0.0
+    m[:, 3] = 0.0
+    return m
+
+
+BLOCK_CASES = {
+    "square": stream(80, 0).standard_normal((5, 5)),
+    "wide": stream(81, 0).standard_normal((3, 6)),
+    "tall": stream(82, 0).standard_normal((7, 2)),
+    "zero-row-and-column": _zero_row_and_column(),
+    "rank-one": np.outer(stream(84, 0).standard_normal(4), stream(85, 0).standard_normal(6)),
+    # columns sum to exactly 0, so the all-ones start meets a zero A^T y
+    "ones-in-left-null-space": np.array(
+        [[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0], [3.0, 0.0, 2.0], [-3.0, 0.0, -2.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("restarts", (1, 2, 64))
+@pytest.mark.parametrize(
+    "pair",
+    ((2.0, 3.0), (1.5, 3.0), (3.0, 1.5), (math.inf, 3.0), (1.5, 1.0)),
+    ids=lambda pair: "%g-%g" % pair,
+)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_opnorm_block_matches_restart_loop(case, pair, restarts):
+    assert_matches_restart_loop(BLOCK_CASES[case], *pair, restarts, seed=86)
+
+
+def test_opnorm_block_keeps_per_restart_convergence():
+    # the all-ones start converges and a later start runs out of iterations
+    # with a larger value, so every row needs its own stopping mask
+    m = stream(322, 0).standard_normal((4, 4))
+    assert opnorm_loop(m, 3.0, 1.5, restarts=1, seed=322).converged
+    assert not opnorm_loop(m, 3.0, 1.5, restarts=8, seed=322).converged
+    for restarts in (1, 8, 64):
+        assert_matches_restart_loop(m, 3.0, 1.5, restarts, seed=322)
+
+
+def test_opnorm_block_avoids_overflow():
+    # |entries|^3 overflows without the per-row max scaling of the l_3 norm
+    m = stream(87, 0).standard_normal((4, 4))
+    big = opnorm_detail(m * 2.0**900, 1.5, 3.0)
+    assert math.isclose(big.value, opnorm(m, 1.5, 3.0) * 2.0**900, rel_tol=1e-12)
+
+
+def test_opnorm_rejects_no_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        opnorm_detail(SYM22, 1.5, 3.0, restarts=0)
 
 
 def test_gamma1_values():
