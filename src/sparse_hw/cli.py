@@ -557,7 +557,7 @@ def _covest(cfg: dict, seed: int, threads: int, outdir):
     model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
     tol_se = cfg.get("tol_se", 4.0)
 
-    mean, se = cv.ipw_replicate_stats(model, cfg["n"], cfg["replicates"], seed)
+    mean, se = cv.ipw_replicate_stats(model, cfg["n"], cfg["replicates"], seed, threads)
     sigma = model.sigma()
     dev = np.abs(mean - sigma)
     floor = 1e-12 * max(1.0, float(np.abs(sigma).max()))
@@ -780,14 +780,13 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
     base = _build_base(cfg["base"], cfg["base"].get("alpha"))
     n = cfg["n"]
     results = {}
-    diagnostics: dict = {}
     rng = stream(seed, 0)
     if "p" in cfg:
         model = SparseModel(p=_p_vector(cfg["p"], cfg.get("dim") or 1), base=base)
-        samples = sample_sparse_matrix(model, n, rng, diagnostics)
+        samples = sample_sparse_matrix(model, n, rng)
         results["zero_fraction"] = float(np.mean(samples == 0.0))
     else:
-        samples = sample_base(base, n, rng, diagnostics)
+        samples = sample_base(base, n, rng)
     flat = samples.reshape(n, -1)
     results.update(
         {
@@ -795,7 +794,6 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
             "mean": float(flat.mean()),
             "second_moment": float((flat**2).mean()),
             "max_abs": float(np.abs(flat).max()),
-            "clamped": diagnostics.get("clamped", 0),
         }
     )
     tables = {"samples": ([f"x{i}" for i in range(flat.shape[1])], flat)}

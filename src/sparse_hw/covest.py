@@ -41,6 +41,7 @@ import numpy as np
 
 from . import matrix_norms as mn
 from .errors import BudgetExceededError
+from .quadform_mc import _run_chunks
 from .rv_models import AlphaParam, DistributionSpec, SparseModel, sample_base
 from .streams import stream
 
@@ -177,37 +178,36 @@ def ipw_replicate_stats(
     n: int,
     replicates: int,
     seed: int,
+    threads: int = 1,
     chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the IPW estimate over many replicates.
 
-    Replicate batches draw from chunk-indexed streams and accumulate in
-    chunk order, so the result does not depend on batching details
-    beyond the fixed chunk size.
+    Replicate batches of the fixed chunk size draw from chunk-indexed
+    streams on a pool of `threads` workers, and their sums accumulate in
+    chunk order, so the result does not depend on the thread count.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     d = model.dim
     q = model.p_array()
-    s1 = np.zeros((d, d))
-    s2 = np.zeros((d, d))
-    done = 0
-    c = 0
-    while done < replicates:
-        take = min(chunk, replicates - done)
+    ii = np.arange(d)
+
+    def batch(c: int, take: int) -> tuple[np.ndarray, np.ndarray]:
         rng = stream(seed, c)
         masks = rng.random((take, n, d)) < q
         xi = sample_base(model.base, (take, n, model.n_factors), rng)
         values = np.where(masks, xi @ model.b.T, 0.0)
         g = np.einsum("cnd,cne->cde", values, values) / n
         est = g / np.outer(q, q)
-        diag = np.einsum("cdd->cd", g) / q
-        ii = np.arange(d)
-        est[:, ii, ii] = diag
-        s1 += est.sum(axis=0)
-        s2 += (est * est).sum(axis=0)
-        done += take
-        c += 1
+        est[:, ii, ii] = np.einsum("cdd->cd", g) / q
+        return est.sum(axis=0), (est * est).sum(axis=0)
+
+    s1 = np.zeros((d, d))
+    s2 = np.zeros((d, d))
+    for sum1, sum2 in _run_chunks(batch, replicates, threads, chunk):
+        s1 += sum1
+        s2 += sum2
     mean = s1 / replicates
     var = np.maximum(s2 / replicates - mean * mean, 0.0) * replicates / (replicates - 1)
     se = np.sqrt(var / replicates)

@@ -4,7 +4,9 @@ Sampling is chunked: chunk c draws from the counter-based stream
 (seed, c), integer exceedance counts and per-chunk moment sums are
 merged in chunk order, so results are bit-identical for any number of
 worker threads (the thread pool only changes who computes a chunk, not
-what it contains or the order of the reduction).
+what it contains or the order of the reduction).  Within a chunk, rows
+are drawn and evaluated in blocks of MC_BLOCK_ENTRIES // dim rows that
+reuse the chunk's buffers, so memory does not grow with the chunk size.
 
 Centering is analytic: E xi^T A xi = sum_i a_ii p_i E zeta_i^2, never a
 sample mean, so tail estimates are not contaminated by centering noise.
@@ -15,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -26,6 +28,9 @@ from .rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
 from .streams import chunk_sizes, stream
 
 DEFAULT_CHUNK = 1 << 16
+# A chunk is drawn and evaluated in blocks of about this many sample entries
+# (1 MiB of float64), so a block and its statistic stay in cache.
+MC_BLOCK_ENTRIES = 1 << 17
 MOMENT_ORDER_CAP = 16.0
 EXHAUSTIVE_ATOM_BUDGET = 1 << 24
 
@@ -116,26 +121,64 @@ def _run_chunks(worker, n_samples: int, threads: int, chunk_size: int) -> list:
         return [f.result() for f in futures]
 
 
-def _quadform_values(inst: QuadFormInstance, rng, count: int) -> np.ndarray:
-    x = sample_sparse_matrix(inst.model, count, rng)
-    y = x @ inst.a
-    y *= x  # in place: the same bits as (x @ A * x) with one temporary fewer
-    return y.sum(axis=1)
+@dataclass(frozen=True)
+class _Blockwise:
+    """A statistic of `draws` independent samples of model, block by block.
+
+    evaluate(out, y, *xs) writes the statistic of the k rows of the
+    (k, dim) sample blocks xs into out, of shape (k,), and may use y, a
+    (k, width) scratch block.
+    """
+
+    model: SparseModel
+    evaluate: Callable[..., None]
+    width: int = 0
+    draws: int = 1
+
+
+def _quadform(a: np.ndarray, model: SparseModel) -> _Blockwise:
+    def evaluate(out, y, x):
+        np.matmul(x, a, out=y)
+        y *= x
+        y.sum(axis=1, out=out)
+
+    return _Blockwise(model, evaluate, a.shape[1])
 
 
 def _deviations(
-    reduce, statistic, center: float, n_samples: int, seed: int, threads: int, chunk_size: int
+    reduce,
+    stat: _Blockwise,
+    center: float,
+    n_samples: int,
+    seed: int,
+    threads: int,
+    chunk_size: int,
 ) -> list:
     """reduce(|statistic - center|) for every chunk, in chunk order.
 
-    statistic(rng, count) returns count draws of the statistic.  Any
-    inf or NaN deviation raises ValueError with their number, because a
-    reduction would otherwise count or sum it silently.
+    A chunk draws from stream (seed, c) in consecutive blocks of
+    max(1, MC_BLOCK_ENTRIES // dim) rows (the last one ragged), and each
+    block's statistic is evaluated into the chunk's deviations before
+    the next block is drawn into the same buffers.  Any inf or NaN
+    deviation raises ValueError with their number, because a reduction
+    would otherwise count or sum it silently.
     """
+    dim = stat.model.dim
+    block = max(1, MC_BLOCK_ENTRIES // dim)
 
     def worker(c: int, sz: int) -> tuple:
+        rng = stream(seed, c)
+        rows = min(block, sz)
+        xs = [np.empty((rows, dim)) for _ in range(stat.draws)]
+        y = np.empty((rows, stat.width))
+        dev = np.empty(sz)
         with np.errstate(over="ignore", invalid="ignore"):  # counted instead
-            dev = np.abs(statistic(stream(seed, c), sz) - center)
+            for start in range(0, sz, rows):
+                k = min(rows, sz - start)
+                drawn = [sample_sparse_matrix(stat.model, k, rng, out=x[:k]) for x in xs]
+                stat.evaluate(dev[start : start + k], y[:k], *drawn)
+            dev -= center
+            np.abs(dev, out=dev)
             return reduce(dev), dev.size - int(np.count_nonzero(np.isfinite(dev)))
 
     chunks = _run_chunks(worker, n_samples, threads, chunk_size)
@@ -146,10 +189,17 @@ def _deviations(
 
 
 def _simulate(
-    statistic, center: float, t_grid, n_samples: int, seed: int, threads: int, chunk_size: int, meta
+    stat: _Blockwise,
+    center: float,
+    t_grid,
+    n_samples: int,
+    seed: int,
+    threads: int,
+    chunk_size: int,
+    meta: dict,
 ) -> EmpiricalTail:
     """Empirical survival of |statistic - center| over t_grid with Wilson
-    intervals; statistic as in _deviations."""
+    intervals."""
     ts = np.sort(np.asarray(t_grid, dtype=float))
     if ts.ndim != 1 or ts.size == 0 or not np.all(ts >= 0):  # NaN fails >= too
         raise ValueError("t_grid must be a nonempty nonnegative vector")
@@ -159,7 +209,7 @@ def _simulate(
         dev.sort()
         return dev.size - np.searchsorted(dev, ts, side="left")
 
-    chunks = _deviations(exceedances, statistic, center, n_samples, seed, threads, chunk_size)
+    chunks = _deviations(exceedances, stat, center, n_samples, seed, threads, chunk_size)
     counts = np.sum(chunks, axis=0)
     lows, highs = np.array([wilson_interval(int(k), n_samples) for k in counts]).T
     return EmpiricalTail(
@@ -174,11 +224,17 @@ def _simulate(
 
 
 def _lr_norm(
-    statistic, center: float, r: float, n_samples: int, seed: int, threads: int, chunk_size: int
+    stat: _Blockwise,
+    center: float,
+    r: float,
+    n_samples: int,
+    seed: int,
+    threads: int,
+    chunk_size: int,
 ) -> float:
-    """Empirical L_r norm of statistic - center; statistic as in _deviations."""
+    """Empirical L_r norm of statistic - center."""
     sums = _deviations(
-        lambda dev: float(np.sum(dev**r)), statistic, center, n_samples, seed, threads, chunk_size
+        lambda dev: float(np.sum(dev**r)), stat, center, n_samples, seed, threads, chunk_size
     )
     with np.errstate(over="ignore"):  # raised below
         norm = float((np.sum(sums) / n_samples) ** (1.0 / r))
@@ -197,8 +253,8 @@ def simulate_tail(
 ) -> EmpiricalTail:
     """Empirical survival of |S - E S| over t_grid with Wilson intervals."""
     meta = {"instance_hash": inst.content_hash(), "statistic": "quadform_abs_dev"}
-    statistic = partial(_quadform_values, inst)
-    return _simulate(statistic, inst.mean(), t_grid, n_samples, seed, threads, chunk_size, meta)
+    stat = _quadform(inst.a, inst.model)
+    return _simulate(stat, inst.mean(), t_grid, n_samples, seed, threads, chunk_size, meta)
 
 
 def empirical_moment(
@@ -219,8 +275,8 @@ def empirical_moment(
         raise ValueError("r must be at least 1")
     if r > MOMENT_ORDER_CAP and not allow_extreme:
         raise ValueError(f"moment order above {MOMENT_ORDER_CAP} needs allow_extreme=True")
-    statistic = partial(_quadform_values, inst)
-    return _lr_norm(statistic, inst.mean(), r, n_samples, seed, threads, chunk_size)
+    stat = _quadform(inst.a, inst.model)
+    return _lr_norm(stat, inst.mean(), r, n_samples, seed, threads, chunk_size)
 
 
 def simulate_decoupled(
@@ -245,12 +301,13 @@ def simulate_decoupled(
     if r < 1:
         raise ValueError("r must be at least 1")
 
-    def bilinear(rng, count: int) -> np.ndarray:
-        x = sample_sparse_matrix(model, count, rng)
-        xt = sample_sparse_matrix(model, count, rng)
-        return (x @ m * xt).sum(axis=1)
+    def bilinear(out, y, x, xt):
+        np.matmul(x, m, out=y)
+        y *= xt
+        y.sum(axis=1, out=out)
 
-    return _lr_norm(bilinear, 0.0, r, n_samples, seed, threads, chunk_size)
+    stat = _Blockwise(model, bilinear, m.shape[1], draws=2)
+    return _lr_norm(stat, 0.0, r, n_samples, seed, threads, chunk_size)
 
 
 def _atom_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,11 +498,8 @@ def lower_bound_check(
     model = SparseModel(
         p=(1.0,) * m.shape[0], base=DistributionSpec(kind="weibull", alpha=alpha)
     )
-    inst = QuadFormInstance(m, model)
-    def worker(c: int, sz: int) -> np.ndarray:
-        return np.abs(_quadform_values(inst, stream(seed, c), sz))
-
-    dev = np.concatenate(_run_chunks(worker, n_samples, 1, chunk_size))
+    stat = _quadform(m, model)
+    dev = np.concatenate(_deviations(lambda d: d, stat, 0.0, n_samples, seed, 1, chunk_size))
     moments = tuple(float(np.mean(dev**r) ** (1.0 / r)) for r in rs)
     probs = tuple(float(np.mean(dev >= mom / 2)) for mom in moments)
     if any(q == 0.0 for q in probs):
@@ -483,10 +537,12 @@ def simulate_linear_tail(
     if a.ndim != 1 or a.size != model.dim:
         raise ValueError("a must be a vector matching the model dimension")
     meta = {"instance_hash": hashlib.sha256(a.tobytes()).hexdigest(), "statistic": "linear_abs"}
-    return _simulate(
-        lambda rng, count: sample_sparse_matrix(model, count, rng) @ a,
-        0.0, t_grid, n_samples, seed, threads, chunk_size, meta,
-    )
+
+    def linear(out, y, x):
+        np.matmul(x, a, out=out)
+
+    stat = _Blockwise(model, linear)
+    return _simulate(stat, 0.0, t_grid, n_samples, seed, threads, chunk_size, meta)
 
 
 def simulate_norm_tail(
@@ -514,7 +570,13 @@ def simulate_norm_tail(
     center = math.sqrt(p[0]) * float(np.linalg.norm(m, "fro"))
     h = hashlib.sha256(m.tobytes()).hexdigest()
     meta = {"instance_hash": h, "statistic": "norm_abs_dev", "center": center}
-    return _simulate(
-        lambda rng, count: np.linalg.norm(sample_sparse_matrix(model, count, rng) @ m.T, axis=1),
-        center, t_grid, n_samples, seed, threads, chunk_size, meta,
-    )
+
+    def norm(out, y, x):
+        # the arithmetic of np.linalg.norm(x @ m.T, axis=1)
+        np.matmul(x, m.T, out=y)
+        y *= y
+        y.sum(axis=1, out=out)
+        np.sqrt(out, out=out)
+
+    stat = _Blockwise(model, norm, m.shape[0])
+    return _simulate(stat, center, t_grid, n_samples, seed, threads, chunk_size, meta)

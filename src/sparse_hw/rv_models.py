@@ -14,7 +14,9 @@ Three base laws are supported:
 columns are grouped by (p_i, base spec), and each group draws the kept
 positions of its block by geometric gaps, then zeta at those positions.
 So the cost of a draw scales with the expected number of nonzeros
-p * n, not with n.
+p * n, not with n.  A Weibull or Rademacher coordinate takes exactly one
+raw 64-bit word of the stream, which gives both its magnitude and its
+sign.
 
 The psi_alpha (Orlicz) norm of a variable is
 inf{t > 0 : E exp(|xi|^alpha / t^alpha) <= 2}; `psi_alpha_norm`
@@ -32,13 +34,15 @@ import numpy as np
 
 from .streams import stream
 
-# Magnitudes are clamped here so that powers taken downstream stay finite.
-CLAMP_LIMIT = 1e300
-
 _KINDS = ("weibull", "gaussian", "rademacher")
 
-# a fair bit b maps to the sign 2 * b - 1
-_SIGNS = np.array([-1.0, 1.0])
+# The word map of sample_weibull and the Rademacher sign: the top 52 bits
+# of a raw word under the exponent bits of 1.0 give v in [1, 2), and
+# v - (1 - 2^-53) = (2m + 1) 2^-53 is exact and lies in (0, 1).
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_BELOW_ONE = 1.0 - 2.0**-53
+_MANTISSA_SHIFT = np.uint64(12)
+_SIGN_SHIFT = np.uint64(63)
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,7 @@ class SparseModel:
     p: tuple[float, ...]
     base: DistributionSpec | tuple[DistributionSpec, ...]
     _bases: tuple[DistributionSpec, ...] = field(init=False, repr=False, compare=False)
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = tuple(float(v) for v in np.atleast_1d(np.asarray(self.p, dtype=float)))
@@ -160,6 +165,12 @@ class SparseModel:
             if len(bases) != len(p):
                 raise ValueError("need one base spec per coordinate")
         object.__setattr__(self, "_bases", bases)
+        groups: dict[tuple[float, DistributionSpec], list[int]] = {}
+        for i, key in enumerate(zip(p, bases)):
+            groups.setdefault(key, []).append(i)
+        object.__setattr__(
+            self, "_groups", tuple((q, spec, np.array(cols)) for (q, spec), cols in groups.items())
+        )
 
     @property
     def dim(self) -> int:
@@ -168,6 +179,11 @@ class SparseModel:
     @property
     def bases(self) -> tuple[DistributionSpec, ...]:
         return self._bases
+
+    @property
+    def groups(self) -> tuple[tuple[float, DistributionSpec, np.ndarray], ...]:
+        """(p_i, base spec, columns) for each distinct pair, in first-occurrence order."""
+        return self._groups
 
     def p_array(self) -> np.ndarray:
         return np.asarray(self.p, dtype=float)
@@ -178,57 +194,86 @@ class SparseModel:
         return self.p_array() * v
 
 
+def _weibull_magnitude(m: np.ndarray, alpha: float, scale: float) -> None:
+    """m <- scale * m^(1/alpha) in place; x ** 1.0 and 1.0 * x are x exactly."""
+    if alpha != 1.0:
+        np.power(m, 1.0 / alpha, out=m)
+    if scale != 1.0:
+        m *= scale
+
+
+def _signed(out: np.ndarray, words: np.ndarray) -> None:
+    """OR the lowest bit of each word into the sign bit of out (1 is negative)."""
+    np.left_shift(words, _SIGN_SHIFT, out=words)
+    bits = out.view(np.uint64)
+    bits |= words
+
+
 def sample_weibull(
     alpha: float,
     size: int | tuple[int, ...],
     rng: np.random.Generator,
     scale: float = 1.0,
-    diagnostics: dict | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Symmetric Weibull W_s(alpha) samples via inverse CDF.
 
-    Magnitude is scale * (-log U)^(1/alpha) with U uniform on the open
-    interval (exact endpoints are rejected and redrawn).  |x| is clamped
-    at CLAMP_LIMIT; clamp events are counted into diagnostics["clamped"]
-    when a dict is passed.
+    Each coordinate takes exactly one raw 64-bit word w of rng's bit
+    generator.  The top 52 bits of w are the mantissa m of
+    u = (2m + 1) 2^-53, uniform on a grid strictly inside (0, 1); the
+    magnitude is scale * (-log u)^(1/alpha) and the lowest bit of w is
+    the sign (1 is negative).  The largest magnitude is therefore
+    scale * (53 log 2)^(1/alpha): ValueError is raised, before anything
+    is drawn, when that overflows.  out, a float64 array of shape size,
+    receives the samples when given.
     """
     a = AlphaParam(alpha).value
-    u = rng.random(size)
-    # rng.random lives in [0, 1); resample the measure-zero exact zeros.
-    bad = u == 0.0
-    while np.any(bad):
-        u[bad] = rng.random(int(bad.sum()))
-        bad = u == 0.0
-    # The magnitude is built in place in u; x ** 1.0 and 1.0 * x are x exactly.
-    np.log(u, out=u)
-    np.negative(u, out=u)
-    with np.errstate(over="ignore"):  # inf is handled by the clamp below
-        if a != 1.0:
-            np.power(u, 1.0 / a, out=u)
-        if scale != 1.0:
-            u *= scale
-    clamped = u > CLAMP_LIMIT
-    if np.any(clamped):
-        np.minimum(u, CLAMP_LIMIT, out=u)
-    if diagnostics is not None:
-        diagnostics["clamped"] = diagnostics.get("clamped", 0) + int(clamped.sum())
-    u *= _SIGNS[rng.integers(0, 2, size=size)]
-    return u
+    top = -np.log(np.array([2.0**-53]))
+    with np.errstate(over="ignore"):
+        _weibull_magnitude(top, a, scale)
+    if not np.isfinite(top[0]):
+        raise ValueError(
+            f"W_s({a}) with scale {scale} overflows: its largest draw,"
+            " scale * (53 log 2)^(1/alpha), is beyond the float range"
+        )
+    x = np.empty(size) if out is None else out
+    words = rng.bit_generator.random_raw(x.shape)
+    bits = x.view(np.uint64)
+    np.right_shift(words, _MANTISSA_SHIFT, out=bits)
+    bits |= _ONE_BITS
+    x -= _BELOW_ONE
+    np.log(x, out=x)
+    np.negative(x, out=x)
+    _weibull_magnitude(x, a, scale)
+    _signed(x, words)
+    return x
 
 
 def sample_base(
     spec: DistributionSpec,
     size: int | tuple[int, ...],
     rng: np.random.Generator,
-    diagnostics: dict | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw centered samples of zeta according to spec."""
+    """Draw centered samples of zeta according to spec.
+
+    out, a float64 array of shape size, receives the samples when given.
+    A Rademacher sign is the lowest bit of one raw word, as for the
+    Weibull law.
+    """
+    x = np.empty(size) if out is None else out
     if spec.kind == "weibull":
-        x = sample_weibull(spec.alpha, size, rng, scale=spec.scale, diagnostics=diagnostics)
+        sample_weibull(spec.alpha, size, rng, scale=spec.scale, out=x)
     elif spec.kind == "gaussian":
-        x = rng.standard_normal(size) * spec.scale
+        if x.flags.c_contiguous:
+            rng.standard_normal(out=x)
+        else:  # the generator fills contiguous arrays only
+            x[...] = rng.standard_normal(x.shape)
+        x *= spec.scale
     else:
-        x = _SIGNS[rng.integers(0, 2, size=size)]
+        words = rng.bit_generator.random_raw(x.shape)
+        x.fill(1.0)
+        _signed(x, words)
     if spec.unit_variance:
         x /= spec.std()
     return x
@@ -258,42 +303,43 @@ def sample_sparse_matrix(
     model: SparseModel,
     n_samples: int,
     rng: np.random.Generator,
-    diagnostics: dict | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n_samples, dim) array of xi = delta o zeta draws.
 
-    Columns are grouped by distinct (p_i, base spec) in first-occurrence
-    order, and each group of g columns draws in turn from rng: nothing
-    at p = 0, an (n_samples, g) base block at p = 1, and otherwise the
-    kept positions of the row-major n_samples x g block by geometric
-    gaps, then the base law on those k coordinates only.  The order is
-    fixed, so a given stream always yields bit-identical output
-    (streams.STREAM_LAYOUT names this layout).
+    Each group of g columns of model.groups draws in turn from rng:
+    nothing at p = 0, an (n_samples, g) base block at p = 1 (no mask),
+    and otherwise the kept positions of the row-major n_samples x g
+    block by geometric gaps, then the base law on those k coordinates
+    only.  The order is fixed, so a given stream always yields
+    bit-identical output (streams.STREAM_LAYOUT names this layout).
+    out, a float64 array of shape (n_samples, dim), receives the draws
+    when given; a dense group spanning consecutive columns is drawn
+    straight into it.
     """
-    d = model.dim
-    x = np.zeros((n_samples, d))
-    groups: dict[tuple[float, DistributionSpec], list[int]] = {}
-    for i, key in enumerate(zip(model.p, model.bases)):
-        groups.setdefault(key, []).append(i)
-    for (p, spec), cols in groups.items():
+    groups = model.groups
+    if out is None:
+        x = np.zeros((n_samples, model.dim))
+    else:
+        x = out
+        if any(p != 1.0 for p, _, _ in groups):
+            x.fill(0.0)
+    for p, spec, cols in groups:
         g = len(cols)
         if p == 1.0:
-            # a slice assigns a contiguous group several times faster than a list
-            sel = slice(cols[0], cols[0] + g) if cols[-1] - cols[0] == g - 1 else cols
-            x[:, sel] = sample_base(spec, (n_samples, g), rng, diagnostics)
+            if cols[-1] - cols[0] == g - 1:
+                sample_base(spec, (n_samples, g), rng, out=x[:, cols[0] : cols[0] + g])
+            else:
+                x[:, cols] = sample_base(spec, (n_samples, g), rng)
         elif p > 0.0:
             rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
-            x[rows, np.asarray(cols)[j]] = sample_base(spec, rows.size, rng, diagnostics)
+            x[rows, cols[j]] = sample_base(spec, rows.size, rng)
     return x
 
 
-def sample_sparse_vector(
-    model: SparseModel,
-    rng: np.random.Generator,
-    diagnostics: dict | None = None,
-) -> np.ndarray:
+def sample_sparse_vector(model: SparseModel, rng: np.random.Generator) -> np.ndarray:
     """Single xi draw of shape (dim,)."""
-    return sample_sparse_matrix(model, 1, rng, diagnostics)[0]
+    return sample_sparse_matrix(model, 1, rng)[0]
 
 
 def psi_alpha_exact(spec: DistributionSpec, alpha: float) -> float | None:

@@ -17,13 +17,22 @@ report records it:
 2. columns grouped by (p_i, base spec); each group draws its kept
    positions by geometric gaps, then the base law on those only
    (`rv_models.sample_sparse_matrix`).
+3. layout 2, with two changes.  A Weibull or Rademacher coordinate
+   takes exactly one raw 64-bit word w (`rv_models.sample_weibull`):
+   the top 52 bits m give u = (2m + 1) 2^-53 in (0, 1), the magnitude
+   is scale * (-log u)^(1/alpha), and the lowest bit of w is the sign
+   (1 is negative); a Gaussian coordinate still takes one
+   `standard_normal` draw.  And a Monte Carlo chunk is drawn as
+   consecutive blocks of max(1, MC_BLOCK_ENTRIES // dim) rows, one
+   `sample_sparse_matrix` call per block (`quadform_mc._deviations`;
+   the decoupled form draws x, then x~, per block).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 _MASK64 = (1 << 64) - 1
 

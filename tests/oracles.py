@@ -6,12 +6,16 @@ pattern-by-pattern sums instead of a classifier, itertools enumeration
 instead of vectorized atom tables) so agreement is evidence, not
 tautology.
 
-The exception is the `*_loop` oracles at the end: they are the plain
-loops that the library's batched kernels replace.  The tests demand
-bit-equal (==) results from `rip_k_loop` and `expected_frob_sq_loop`;
-`opnorm_loop` runs its restarts through matrix-vector products where
-the library multiplies blocks, so its value is compared within 1e-12
-relative and its convergence flag exactly.
+The exception is the `*_loop` and `*_unblocked` oracles at the end:
+they are the plain loops and whole-sample statistics that the library's
+batched and blocked kernels replace.  The tests demand bit-equal (==)
+results from `rip_k_loop` and `expected_frob_sq_loop`; `opnorm_loop`
+runs its restarts through matrix-vector products where the library
+multiplies blocks, so its value is compared within 1e-12 relative and
+its convergence flag exactly.  The `*_unblocked` statistics run on the
+rows of `blocked_draws` stacked into one sample, and are compared with
+== on integer-valued draws, where BLAS gives the same bits for any
+number of rows per product.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import math
 import numpy as np
 
 from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, lp_norm
-from sparse_hw.streams import stream
+from sparse_hw.rv_models import sample_sparse_matrix
+from sparse_hw.streams import chunk_sizes, stream
 
 
 def jacobi_eigen_spectral(a: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -325,3 +330,38 @@ def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: i
         best = max(best, value)
         all_converged = all_converged and converged
     return OpnormResult(best, restarts, all_converged)
+
+
+def blocked_draws(
+    model, n_samples: int, seed: int, chunk_size: int, block_rows: int, draws: int = 1
+) -> list[np.ndarray]:
+    """The samples of a Monte Carlo run, stacked: `draws` (n_samples, dim) arrays.
+
+    Chunk c draws from stream (seed, c) in consecutive blocks of
+    block_rows rows, each of them `draws` fresh sample_sparse_matrix
+    calls (x, then x~ for the decoupled form).
+    """
+    stacks = [[] for _ in range(draws)]
+    for c, size in enumerate(chunk_sizes(n_samples, chunk_size)):
+        rng = stream(seed, c)
+        for start in range(0, size, block_rows):
+            rows = min(block_rows, size - start)
+            for stack in stacks:
+                stack.append(sample_sparse_matrix(model, rows, rng))
+    return [np.vstack(stack) for stack in stacks]
+
+
+def quadform_unblocked(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return (x @ a * x).sum(axis=1)
+
+
+def linear_unblocked(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return x @ a
+
+
+def norm_unblocked(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(x @ m.T, axis=1)
+
+
+def bilinear_unblocked(x: np.ndarray, xt: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return (x @ m * xt).sum(axis=1)

@@ -441,7 +441,6 @@ def test_sample_sparse_model(tmp_path):
     r = rep["results"]
     assert abs(r["zero_fraction"] - 0.5) < 0.05
     assert abs(r["second_moment"] - 1.0) < 0.15  # p * E zeta^2 = 0.5 * 2
-    assert r["clamped"] == 0
     rows = (out / "samples.csv").read_text().strip().split("\n")
     assert rows[0] == "x0,x1,x2,x3"
     assert len(rows) == 2001

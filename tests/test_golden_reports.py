@@ -64,9 +64,9 @@ def test_golden_config_command(case, tmp_path):
     assert_same_outputs(GOLDEN / case / "expected", out)
 
 
-@pytest.mark.parametrize("case", ["hw-verify-refined", "bernstein-verify", "rip"])
+@pytest.mark.parametrize("case", ["hw-verify-refined", "bernstein-verify", "covest", "rip"])
 def test_golden_reports_do_not_depend_on_threads(case, tmp_path):
-    # chunks (and rip replicates) draw from streams keyed by their index,
+    # chunks (and covest batches, rip replicates) draw from streams keyed by their index,
     # so only the field that records the thread count may differ
     out = tmp_path / "out"
     assert run_config_case(case, out, threads=3) == CONFIG_CASES[case][1]

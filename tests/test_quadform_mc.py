@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import exact_bilinear_moment, exact_quadform_moment, exact_survival
+from sparse_hw import quadform_mc
 from sparse_hw.errors import BudgetExceededError
 from sparse_hw.quadform_mc import (
     EmpiricalTail,
@@ -21,7 +23,7 @@ from sparse_hw.quadform_mc import (
     wilson_interval,
 )
 from sparse_hw.rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
-from sparse_hw.streams import stream
+from sparse_hw.streams import chunk_sizes, stream
 
 EXCHANGE = np.array([[0.0, 1.0], [1.0, 0.0]])
 RADEMACHER = DistributionSpec(kind="rademacher")
@@ -133,6 +135,62 @@ def test_simulate_tail_thread_count_is_invisible():
     b = simulate_tail(inst, grid, 300_000, seed=5, threads=5, chunk_size=1 << 12)
     assert np.array_equal(a.survival, b.survival)
     assert np.array_equal(a.ci_low, b.ci_low)
+
+
+# Rademacher draws with one dense group on consecutive columns (0-2), one dense
+# and one sparse group on scattered columns: unit_variance makes a second spec
+# with the same law.  Integer-valued draws and matrices make every statistic
+# exact, so == holds whatever rows BLAS multiplies at once.
+UNIT_RADEMACHER = DistributionSpec(kind="rademacher", unit_variance=True)
+BLOCK_MODEL = SparseModel(
+    p=(1.0, 1.0, 1.0, 0.4, 1.0, 0.4, 1.0, 0.4),
+    base=(RADEMACHER,) * 4 + (UNIT_RADEMACHER, RADEMACHER) + (UNIT_RADEMACHER,) * 2,
+)
+BLOCK_N, BLOCK_CHUNK, BLOCK_SEED = 1003, 250, 41
+
+
+def _chunked_lr(dev: np.ndarray, r: float) -> float:
+    # the reduction of _lr_norm: one sum per chunk, added in chunk order
+    ends = np.cumsum(chunk_sizes(dev.size, BLOCK_CHUNK))[:-1]
+    sums = [float(np.sum(part**r)) for part in np.split(dev, ends)]
+    return float((np.sum(sums) / dev.size) ** (1.0 / r))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("rows", [1, 7, BLOCK_CHUNK, 10**6])
+def test_blocked_statistics_equal_unblocked(monkeypatch, rows, threads):
+    # one row per block, a ragged row count, one block per chunk and a block
+    # past the chunk size; n is a multiple of neither the chunk nor the block
+    d = BLOCK_MODEL.dim
+    monkeypatch.setattr(quadform_mc, "MC_BLOCK_ENTRIES", rows * d + d - 1)
+    g = stream(40, 0).integers(-3, 4, size=(d, d)).astype(float)
+    a = g + g.T
+    off = a - np.diag(np.diag(a))
+    grid = [0.0, 1.0, 2.5, 6.0, 12.0, 30.0]
+    kw = dict(seed=BLOCK_SEED, threads=threads, chunk_size=BLOCK_CHUNK)
+    n, block = BLOCK_N, rows
+
+    def survival(values, center):
+        dev = np.abs(values - center)
+        return np.array([np.count_nonzero(dev >= t) for t in grid]) / n
+
+    (x,) = oracles.blocked_draws(BLOCK_MODEL, n, BLOCK_SEED, BLOCK_CHUNK, block)
+    inst = QuadFormInstance(a, BLOCK_MODEL)
+    quad = oracles.quadform_unblocked(x, a)
+    assert np.array_equal(simulate_tail(inst, grid, n, **kw).survival, survival(quad, inst.mean()))
+    assert empirical_moment(inst, 3.0, n, **kw) == _chunked_lr(np.abs(quad - inst.mean()), 3.0)
+    linear = oracles.linear_unblocked(x, a[0])
+    assert np.array_equal(
+        simulate_linear_tail(a[0], BLOCK_MODEL, grid, n, **kw).survival, survival(linear, 0.0)
+    )
+    x, xt = oracles.blocked_draws(BLOCK_MODEL, n, BLOCK_SEED, BLOCK_CHUNK, block, draws=2)
+    bilinear = np.abs(oracles.bilinear_unblocked(x, xt, off))
+    assert simulate_decoupled(off, BLOCK_MODEL, 2.0, n, **kw) == _chunked_lr(bilinear, 2.0)
+    uniform = rademacher_model(d, 0.4)
+    (x,) = oracles.blocked_draws(uniform, n, BLOCK_SEED, BLOCK_CHUNK, block)
+    tail = simulate_norm_tail(a[:5], uniform, grid, n, **kw)
+    norms = oracles.norm_unblocked(x, a[:5])
+    assert np.array_equal(tail.survival, survival(norms, tail.meta["center"]))
 
 
 def test_simulate_tail_rejects_non_finite_statistics():

@@ -1,10 +1,10 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sparse_hw import rv_models
 from sparse_hw.quadform_mc import wilson_interval
 from sparse_hw.rv_models import (
     AlphaParam,
@@ -118,13 +118,51 @@ def test_weibull_signs_are_symmetric():
     assert abs(float(np.mean(x))) <= 4 * se
 
 
-def test_clamp_diagnostics_tiny_alpha():
-    # alpha = 0.002 overflows the magnitude for u < exp(-3.98), about 2% of draws
-    diag = {}
-    x = sample_weibull(0.002, 10**4, stream(16, 0), diagnostics=diag)
-    assert diag["clamped"] > 0
-    assert np.all(np.isfinite(x))
-    assert float(np.max(np.abs(x))) <= 1e300
+def test_weibull_overflow_is_refused_before_drawing():
+    # the largest magnitude is scale * (53 log 2)^(1/alpha), at u = 2^-53
+    rng = stream(16, 0)
+    top = np.finfo(float).max / (53 * math.log(2.0))
+    assert np.all(np.isfinite(sample_weibull(1.0, 1000, stream(16, 1), scale=0.999 * top)))
+    with pytest.raises(ValueError, match="overflows"):
+        sample_weibull(1.0, 1000, rng, scale=1.001 * top)
+    with pytest.raises(ValueError, match="overflows"):
+        sample_weibull(0.002, 10, rng)  # 36.7^500
+    # nothing was drawn
+    assert rng.bit_generator.random_raw() == stream(16, 0).bit_generator.random_raw()
+
+
+def _raw_words(words):
+    """A stand-in generator whose bit generator hands out the given raw words."""
+    raw = np.array(words, dtype=np.uint64)
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: raw.reshape(size)))
+
+
+def test_weibull_word_map():
+    # the top 52 bits m give u = (2m + 1) 2^-53; the lowest bit is the sign
+    words = [0, 2**64 - 1, 1, 2**63]
+    x = sample_weibull(1.0, 4, _raw_words(words))
+    assert x[0] == 53 * math.log(2.0)  # m = 0: u = 2^-53
+    assert x[1] == math.log1p(-(2.0**-53))  # m = 2^52 - 1: u = 1 - 2^-53, negative
+    assert x[2] == -53 * math.log(2.0)
+    assert x[3] == -math.log(0.5 + 2.0**-53)  # m = 2^51
+    w2 = sample_weibull(2.0, 4, _raw_words(words), scale=3.0)
+    assert np.array_equal(w2, 3.0 * np.sign(x) * np.sqrt(np.abs(x)))
+    signs = sample_base(DistributionSpec(kind="rademacher"), 4, _raw_words(words))
+    assert signs.tolist() == [1.0, -1.0, -1.0, 1.0]
+
+
+def test_weibull_law_and_sign_balance():
+    # |x|^alpha is Exp(1): the share below its P-quantile -log(1 - P) is P; half
+    # the signs are negative.  z = 4 Wilson intervals over 7 checks per alpha.
+    n = 200_000
+    for alpha, sid in ((0.5, 1), (1.0, 2), (2.0, 3)):
+        x = sample_weibull(alpha, n, stream(26, sid))
+        e = np.abs(x) ** alpha
+        for prob in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+            lo, hi = wilson_interval(int(np.sum(e <= -math.log1p(-prob))), n, z=4.0)
+            assert lo <= prob <= hi
+        lo, hi = wilson_interval(int(np.sum(x < 0)), n, z=4.0)
+        assert lo <= 0.5 <= hi
 
 
 def test_unit_variance_sampling():
@@ -194,19 +232,6 @@ def test_retained_weibull_moments():
     v = x[x != 0.0]
     assert abs(float(np.mean(np.abs(v))) - 1.0) <= 5 / math.sqrt(v.size)
     assert abs(float(np.mean(v * v)) - 2.0) <= 5 * math.sqrt(20.0 / v.size)
-
-
-def test_clamps_are_counted_on_retained_coordinates_only(monkeypatch):
-    # No base law that DistributionSpec accepts reaches CLAMP_LIMIT (its second
-    # moment would overflow first), so the limit is lowered to 3, which |W_s(1)|
-    # exceeds with probability e^-3: clamping every drawn coordinate at p = 0.01
-    # would count about 5 times the nonzeros.
-    monkeypatch.setattr(rv_models, "CLAMP_LIMIT", 3.0)
-    model = SparseModel(p=(0.01,) * 10, base=DistributionSpec(kind="weibull", alpha=1.0))
-    diag = {}
-    x = sample_sparse_matrix(model, 10_000, stream(23, 0), diag)
-    assert 0 < diag["clamped"] <= np.count_nonzero(x)
-    assert diag["clamped"] == np.count_nonzero(np.abs(x) == 3.0)
 
 
 def test_tiny_retention_draws_nothing():
