@@ -1,11 +1,10 @@
 """Record one point of the benchmark trajectory as BENCH_<label>.json.
 
-    python3 scripts/bench_trajectory.py LABEL [--seed N] [--seconds S]
-        [--workload NAME ...] [--checkout NAME=DIR ...]
+    python3 scripts/bench_trajectory.py LABEL [--seed N] [--checkout NAME=DIR ...]
 
 Each checkout (by default this one, named "change") runs its own
 `perfbench/run.py --trace 0` on every workload of BENCHMARK.json, at
-BENCHMARK.json's `run_seconds` unless --seconds is given.  Workloads
+BENCHMARK.json's `run_seconds`.  Workloads
 run one after the other, and for each workload every checkout runs in
 the order given, so a parent and a change named on one command line
 are measured side by side on the same machine.
@@ -44,10 +43,10 @@ def git(checkout: Path, *args: str) -> str:
     ).stdout.strip()
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_workload(checkout: Path, workload: str, seed: int) -> dict:
     """Run one workload in checkout; its metrics, counts and environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout}: exit {proc.returncode}\n{proc.stderr}")
@@ -70,11 +69,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("label")
     ap.add_argument("--seed", type=int, default=701)
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    ap.add_argument("--workload", action="append", choices=[w["name"] for w in SPEC["workloads"]])
     ap.add_argument("--checkout", action="append", type=checkout_arg)
     args = ap.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     checkouts = dict(args.checkout or [("change", ROOT)])
 
     points = {
@@ -85,14 +81,19 @@ def main(argv=None) -> int:
         }
         for name, path in checkouts.items()
     }
-    for workload in workloads:
+    for workload in (w["name"] for w in SPEC["workloads"]):
         for name, path in checkouts.items():
-            result = run_workload(path, workload, args.seed, args.seconds)
+            result = run_workload(path, workload, args.seed)
             points[name]["workloads"][workload] = result
             run_s, failed = result["metrics"]["run_s_norm"]["iqm"], result["failed_frac"]
             print(f"{name} {workload}: run_s_norm {run_s:.4g} s, failed_frac {failed:.3g}")
     out = ROOT / f"BENCH_{args.label}.json"
-    record = {"label": args.label, "seed": args.seed, "seconds": args.seconds, "checkouts": points}
+    record = {
+        "label": args.label,
+        "seed": args.seed,
+        "seconds": SPEC["run_seconds"],
+        "checkouts": points,
+    }
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -265,10 +265,7 @@ def sample_base(
     if spec.kind == "weibull":
         sample_weibull(spec.alpha, size, rng, scale=spec.scale, out=x)
     elif spec.kind == "gaussian":
-        if x.flags.c_contiguous:
-            rng.standard_normal(out=x)
-        else:  # the generator fills contiguous arrays only
-            x[...] = rng.standard_normal(x.shape)
+        x[...] = rng.standard_normal(x.shape)
         x *= spec.scale
     else:
         words = rng.bit_generator.random_raw(x.shape)

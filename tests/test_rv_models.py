@@ -100,15 +100,19 @@ def test_weibull_variance_alpha_1():
 
 
 def test_weibull_survival_calibration():
-    # -log P{|x| > u} = u^alpha exactly; check u in {0.5, 1, 2} at 3 Wilson widths
+    # -log P{|x| > u} = u^alpha exactly; check u in {0.5, 1, 2} and the 0.01 and
+    # 0.999 quantiles of |x|^alpha ~ Exp(1), and that half the signs are
+    # negative, each at 3 Wilson widths
     n = 10**6
     for alpha, sid in ((1.0, 21), (2.0, 22), (0.5, 23)):
-        x = np.abs(sample_weibull(alpha, n, stream(14, sid)))
-        for u in (0.5, 1.0, 2.0):
-            k = int(np.sum(x > u))
+        x = sample_weibull(alpha, n, stream(14, sid))
+        tails = [(u, math.exp(-(u**alpha))) for u in (0.5, 1.0, 2.0)]
+        tails += [((-math.log1p(-q)) ** (1 / alpha), 1 - q) for q in (0.01, 0.999)]
+        checks = [(int(np.sum(np.abs(x) > u)), target) for u, target in tails]
+        checks.append((int(np.sum(x < 0)), 0.5))
+        for k, target in checks:
             lo, hi = wilson_interval(k, n)
             half = (hi - lo) / 2
-            target = math.exp(-(u**alpha))
             assert abs(k / n - target) <= 3 * half
 
 
@@ -149,20 +153,6 @@ def test_weibull_word_map():
     assert np.array_equal(w2, 3.0 * np.sign(x) * np.sqrt(np.abs(x)))
     signs = sample_base(DistributionSpec(kind="rademacher"), 4, _raw_words(words))
     assert signs.tolist() == [1.0, -1.0, -1.0, 1.0]
-
-
-def test_weibull_law_and_sign_balance():
-    # |x|^alpha is Exp(1): the share below its P-quantile -log(1 - P) is P; half
-    # the signs are negative.  z = 4 Wilson intervals over 7 checks per alpha.
-    n = 200_000
-    for alpha, sid in ((0.5, 1), (1.0, 2), (2.0, 3)):
-        x = sample_weibull(alpha, n, stream(26, sid))
-        e = np.abs(x) ** alpha
-        for prob in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
-            lo, hi = wilson_interval(int(np.sum(e <= -math.log1p(-prob))), n, z=4.0)
-            assert lo <= prob <= hi
-        lo, hi = wilson_interval(int(np.sum(x < 0)), n, z=4.0)
-        assert lo <= 0.5 <= hi
 
 
 def test_unit_variance_sampling():
