@@ -602,15 +602,22 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     t_values = sorted(float(t) for t in _build_t_grid({"values": cfg["t_values"]}))
     replicates = cfg["replicates"]
     sigma = model.sigma()
+    d = model.dim
+    if not 1 <= k <= d:  # before comb(d, k), which is 0 for k > d, sizes the tasks
+        raise ValueError("need 1 <= k <= d")
+    # one task per chunk of replicates, as many as one rip_k block holds;
+    # replicate i always draws from stream (seed, i)
+    per_task = max(1, cv.RIP_BLOCK_ENTRIES // (math.comb(d, k) * k * k))
 
-    def replicate(i: int, _size: int) -> float:
+    def task(c: int, size: int) -> np.ndarray:
+        deviations = np.empty((size, d, d))
         with np.errstate(over="ignore", invalid="ignore"):  # rip_k rejects inf and NaN
-            values, _ = cv.generate_samples(model, n, seed, stream_id=i)
-            deviation = cv.ipw_estimator(values, model.p_array()) - sigma
-        return cv.rip_k(deviation, k)
+            for j in range(size):
+                values, _ = cv.generate_samples(model, n, seed, stream_id=c * per_task + j)
+                deviations[j] = cv.ipw_estimator(values, model.p_array()) - sigma
+        return cv.rip_k(deviations, k)
 
-    # one replicate per chunk: replicate i always draws from stream (seed, i)
-    rips = np.array(qf._run_chunks(replicate, replicates, threads, 1))
+    rips = np.concatenate(qf._run_chunks(task, replicates, threads, per_task))
 
     rhs = cv.rip_bound_rhs(
         t_values, k, model, n, theta_budget=cfg.get("theta_budget", 128), seed=seed

@@ -9,11 +9,17 @@ that it is observed, which restores unbiasedness under masking.
 
 `rip_k` measures the worst k-sparse quadratic deviation
 sup{ |theta^T M theta| : ||theta||_2 <= 1, ||theta||_0 <= k }, equal to
-the largest spectral norm among k x k principal submatrices.  It stacks
-the submatrices of a block of subsets into one (block, k, k) array and
-makes one `eigvalsh` call per block; a block holds at most
-RIP_BLOCK_ENTRIES matrix entries, so memory stays bounded however close
-comb(d, k) comes to RIP_ENUM_BUDGET.
+the largest spectral norm among k x k principal submatrices, for one
+matrix or for each matrix of a stack.  It prunes the enumeration with a
+certified bound (branch and bound with spectral bounds, as in Moghaddam,
+Weiss & Avidan, NIPS 2006): ||S||_2 <= ||S||_F, which costs k^2 flops a
+submatrix, raised by a relative margin (1e-12, plus 4 k^2 eps for large
+k) that covers rounding in both the bound and `eigvalsh`.  A submatrix whose bound is below the
+largest spectral norm already found cannot hold the maximum, so it is
+never decomposed; every maximum is still one exact `eigvalsh` value, the
+same as full enumeration gives.  Subsets go in blocks: a block gathers
+at most RIP_BLOCK_ENTRIES entries (replicates x subsets x k^2), so memory
+stays bounded however close comb(d, k) comes to RIP_ENUM_BUDGET.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
 Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
@@ -46,7 +52,7 @@ from .rv_models import AlphaParam, DistributionSpec, SparseModel, sample_base
 from .streams import stream
 
 RIP_ENUM_BUDGET = 10**6
-RIP_BLOCK_ENTRIES = 1 << 20  # float64 entries stacked per eigvalsh call (8 MiB)
+RIP_BLOCK_ENTRIES = 1 << 16  # float64 entries gathered per block of subsets (512 KiB)
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
 
 
@@ -214,42 +220,81 @@ def ipw_replicate_stats(
     return mean, se
 
 
-def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float:
-    """Exact k-sparse operator norm by principal-submatrix enumeration.
+def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET):
+    """Exact k-sparse operator norm by pruned principal-submatrix enumeration.
 
-    The quadratic form only sees the symmetric part of M.  Subsets are
-    enumerated in blocks of at most RIP_BLOCK_ENTRIES // k^2, each block
-    gathered into one stacked array for a single `eigvalsh` call; the
-    maximum does not depend on the order or the blocking.  Raises
-    BudgetExceededError when comb(d, k) exceeds the budget; use
-    rip_k_lower_random for a lower bound in that regime.
+    m is one (d, d) matrix, giving a float, or a stack (R, d, d), giving
+    an array of R values; a 2-D call is a stack of one.  The quadratic
+    form only sees the symmetric part of each matrix.
+
+    Subsets are enumerated in blocks of at most RIP_BLOCK_ENTRIES // (R k^2).
+    In each block every submatrix S gets the upper bound
+    ub = ||S||_F (1 + margin) on ||S||_2; each matrix's largest-ub subset
+    is decomposed first, then every subset whose ub reaches the largest
+    spectral norm found so far for its matrix (`>=`, so ties are
+    decomposed too), and that maximum carries over to the next block.
+    The margin, 1e-12 plus 4 k^2 eps, covers rounding in ub and in
+    `eigvalsh`.  ub is computed on entries scaled by each matrix's
+    largest |entry| c, so no square overflows; it adds k 2^-537 c, which
+    covers the squares that underflow, and the smallest normal float,
+    which covers subnormal rounding.  Each maximum is the `eigvalsh` value
+    of full enumeration, whatever the blocking and the stack.
+
+    Raises ValueError on inf or NaN entries (in any matrix of a stack), or
+    a symmetric part that overflows.  Raises BudgetExceededError when
+    comb(d, k) exceeds the budget; use rip_k_lower_random for a lower
+    bound in that regime.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("M must be square")
-    d = a.shape[0]
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("M must be square, or a stack of square matrices")
+    d = a.shape[-1]
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("M has inf or NaN entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("M has inf or NaN entries, or its symmetric part overflows")
     n_subsets = math.comb(d, k)
     if n_subsets > budget:
         raise BudgetExceededError(
             f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {budget}; "
             "rip_k_lower_random gives a certified lower bound instead"
         )
-    sym = 0.5 * (a + a.T)
+    sym = sym.reshape(-1, d, d)
+    r = sym.shape[0]
+    c = np.abs(sym).max(axis=(1, 2), initial=0.0)
+    c[c == 0.0] = 1.0
+    squares = np.square(sym / c[:, None, None]).reshape(r, d * d)
+    margin = 1e-12 + 4 * k * k * np.finfo(float).eps
+    with np.errstate(over="ignore"):  # an infinite bound only means no pruning
+        scale = c * (1.0 + margin)
+    rows = np.arange(r)
+    best = np.zeros(r)
     subsets = itertools.combinations(range(d), k)
-    block = max(1, RIP_BLOCK_ENTRIES // (k * k))
-    best = 0.0
+    block = max(1, RIP_BLOCK_ENTRIES // (max(r, 1) * k * k))
     for start in range(0, n_subsets, block):
         size = min(block, n_subsets - start)
         flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
         idx = np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
-        # eigenvalues come out ascending: the largest |eigenvalue| is at an end
-        ev = np.linalg.eigvalsh(sym[idx[:, :, None], idx[:, None, :]])
-        best = max(best, float(np.abs(ev[:, [0, -1]]).max()))
-    return best
+        cells = (idx[:, :, None] * d + idx[:, None, :]).reshape(size, k * k)
+        frob = np.sqrt(squares[:, cells].sum(axis=2))
+        with np.errstate(over="ignore"):
+            ub = (frob + k * 2.0**-537) * scale[:, None] + np.finfo(float).tiny
+        top = ub.argmax(axis=1)
+        best = np.maximum(best, _spectral_norms(sym, rows, idx[top]))
+        todo = ub >= best[:, None]
+        todo[rows, top] = False
+        who, which = np.nonzero(todo)
+        np.maximum.at(best, who, _spectral_norms(sym, who, idx[which]))
+    return float(best[0]) if a.ndim == 2 else best
+
+
+def _spectral_norms(sym: np.ndarray, who: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """||sym[who[i]][idx[i]][:, idx[i]]||_2 for each i, by one `eigvalsh` call."""
+    ev = np.linalg.eigvalsh(sym[who[:, None, None], idx[:, :, None], idx[:, None, :]])
+    # eigenvalues come out ascending: the largest |eigenvalue| is at an end
+    return np.abs(ev[:, [0, -1]]).max(axis=1)
 
 
 def rip_k_lower_random(m, k: int, n_draws: int = 10**4, seed: int = 0) -> float:

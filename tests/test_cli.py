@@ -270,6 +270,13 @@ TABLE_CONFIG = {
             "M has inf or NaN entries",
             id="rip-overflowing-estimate",
         ),
+        # comb(d, k) = 0 sizes no task: k is checked first
+        pytest.param(
+            "rip",
+            json.loads((GOLDEN_RIP / "config.json").read_text()) | {"k": 5},
+            "need 1 <= k <= d",
+            id="rip-k-above-dimension",
+        ),
     ],
 )
 def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
@@ -332,6 +339,7 @@ def test_linalg_error_in_a_rip_pool_worker_exits_4(tmp_path, monkeypatch, capsys
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(cv, "rip_k", rip_k)
+    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", 1)  # one replicate a task: 20 tasks
     argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--threads", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == 4
     assert_internal_error(capsys, "LinAlgError")

@@ -167,11 +167,83 @@ def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
     assert rip_k(m, 3) == rip_k_loop(m, 3)
 
 
+def rip_cases() -> dict[str, np.ndarray]:
+    """6 x 6 matrices where a pruning bound that is not certified shows."""
+    d = 6
+    g = stream(318, 0)
+    cases = {
+        "identity": np.eye(d),
+        "zero": np.zeros((d, d)),
+        "ones": np.ones((d, d)),
+        "minus-3I": -3.0 * np.eye(d),
+        "small-integer": g.integers(-2, 3, (d, d)).astype(float),
+        # largest Frobenius norm at k = 2 on {0, 1} (sqrt 2), spectral maximum on {0, 2} (1.2)
+        "frobenius-not-spectral": np.pad([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.2]], (0, 3)),
+        # squares of the diagonal underflow next to the unit entries: at k = 1
+        # only the diagonal counts, and its largest entry comes last
+        "tiny-diagonal": np.diag(np.arange(1.0, d + 1) * 1e-170) + np.eye(d, k=1),
+        "wide-magnitudes": g.standard_normal((d, d)) * 10.0 ** g.uniform(-250, 0, (d, d)),
+        "huge": g.standard_normal((d, d)) * 1e300,
+        "subnormal": g.integers(-40, 41, (d, d)) * 2.0**-1074,
+    }
+    # rank one: ||S||_2 = ||S||_F on every subset, and repeated magnitudes
+    # tie many subsets in exact arithmetic, apart in the last bits
+    for j in range(10):
+        r = stream(316, j)
+        v = r.integers(1, 4, d) * r.choice([-1.0, 1.0], d) * r.uniform(0.3, 3.0)
+        cases[f"rank-one-{j}"] = np.outer(v, v)
+    return cases
+
+
+@pytest.mark.parametrize("entries", [1, 37, None])
+def test_rip_k_equals_per_subset_loop_on_ties_stacks_and_blocks(monkeypatch, entries):
+    # one subset a block (nothing pruned within a block), ragged blocks, the default
+    if entries is not None:
+        monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", entries)
+    cases = rip_cases()
+    stack = np.stack(list(cases.values()))
+    for k in range(1, 7):
+        want = [rip_k_loop(m, k) for m in stack]
+        assert rip_k(stack, k).tolist() == want, k
+        for name, m, w in zip(cases, stack, want):
+            one = rip_k(m, k)
+            assert type(one) is float and one == w, (name, k)
+
+
+def test_rip_k_prunes_what_its_bound_rules_out(monkeypatch):
+    # the IPW deviation of a 14 x 8 model at k = 4: far fewer than comb(14, 4)
+    # = 1001 submatrices a replicate need a decomposition
+    model = MultivariateModel(b=stream(319, 0).standard_normal((14, 8)), alpha=1.0, p=(0.5,) * 14)
+    devs = np.stack(
+        [ipw_estimator(generate_samples(model, 200, 319, i)[0], model.p_array()) for i in range(4)]
+    ) - model.sigma()
+    want = [rip_k_loop(m, 4) for m in devs]
+    decomposed = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(x):
+        decomposed.append(len(x))
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert rip_k(devs, 4).tolist() == want
+    assert 4 <= sum(decomposed) <= 4 * 200
+
+
 def test_rip_k_rejects_non_finite_entries():
     m = np.eye(3)
     m[0, 2] = np.nan
     with pytest.raises(ValueError, match="inf or NaN"):
         rip_k(m, 2)
+    stack = np.stack([np.eye(3)] * 3)
+    stack[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="inf or NaN"):
+        rip_k(stack, 2)
+    # finite entries whose symmetric part overflows
+    with pytest.raises(ValueError, match="overflows"):
+        rip_k(np.array([[1.0, 1.5e308], [1.5e308, 1.0]]), 1)
+    with pytest.raises(ValueError, match="square"):
+        rip_k(np.ones((2, 3, 3, 3)), 2)
 
 
 def test_a_theta_p_forms():

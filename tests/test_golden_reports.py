@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from sparse_hw import covest as cv
 from sparse_hw.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,6 +76,28 @@ def test_golden_reports_do_not_depend_on_threads(case, tmp_path):
     report["threads"] = 1
     (out / "report.json").write_text(json.dumps(report, indent=2))
     assert_same_outputs(GOLDEN / case / "expected", out)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_golden_rip_report_does_not_depend_on_replicate_chunks(monkeypatch, tmp_path, threads):
+    # comb(4, 2) subsets of 2^2 entries: 7 replicates a task, so the 20
+    # replicates go in ragged tasks of 7, 7 and 6
+    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", 7 * 24 + 5)
+    stacks = []
+    rip_k = cv.rip_k
+
+    def recording(m, k):
+        stacks.append(len(m))
+        return rip_k(m, k)
+
+    monkeypatch.setattr(cv, "rip_k", recording)
+    out = tmp_path / "out"
+    assert run_config_case("rip", out, threads=threads) == 0
+    assert sorted(stacks) == [6, 7, 7]
+    report = json.loads((out / "report.json").read_text())
+    report["threads"] = 1
+    (out / "report.json").write_text(json.dumps(report, indent=2))
+    assert_same_outputs(GOLDEN / "rip" / "expected", out)
 
 
 def run_norms_case(workdir: Path) -> int:
