@@ -277,8 +277,11 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET):
         size = min(block, n_subsets - start)
         flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
         idx = np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
-        cells = (idx[:, :, None] * d + idx[:, None, :]).reshape(size, k * k)
-        frob = np.sqrt(squares[:, cells].sum(axis=2))
+        # one (R, size) gather a cell: no (R, size, k^2) temporary
+        frob2 = np.zeros((r, size))
+        for i, j in itertools.product(range(k), repeat=2):
+            frob2 += squares[:, idx[:, i] * d + idx[:, j]]
+        frob = np.sqrt(frob2)
         with np.errstate(over="ignore"):
             ub = (frob + k * 2.0**-537) * scale[:, None] + np.finfo(float).tiny
         top = ub.argmax(axis=1)
