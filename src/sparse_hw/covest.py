@@ -17,9 +17,10 @@ submatrix, raised by a relative margin (1e-12, plus 4 k^2 eps for large
 k) that covers rounding in both the bound and `eigvalsh`.  A submatrix whose bound is below the
 largest spectral norm already found cannot hold the maximum, so it is
 never decomposed; every maximum is still one exact `eigvalsh` value, the
-same as full enumeration gives.  Subsets go in blocks: a block gathers
-at most RIP_BLOCK_ENTRIES entries (replicates x subsets x k^2), so memory
-stays bounded however close comb(d, k) comes to RIP_ENUM_BUDGET.
+same as full enumeration gives.  Subsets go in blocks: a block covers
+at most RIP_BLOCK_ENTRIES submatrix entries (replicates x subsets x k^2),
+so memory stays bounded however close comb(d, k) comes to
+RIP_ENUM_BUDGET.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
 Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
@@ -52,7 +53,7 @@ from .rv_models import AlphaParam, DistributionSpec, SparseModel, sample_base
 from .streams import stream
 
 RIP_ENUM_BUDGET = 10**6
-RIP_BLOCK_ENTRIES = 1 << 16  # float64 entries gathered per block of subsets (512 KiB)
+RIP_BLOCK_ENTRIES = 1 << 16  # replicates x subsets x k^2 in one block of subsets
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
 
 
