@@ -221,7 +221,7 @@ def ipw_replicate_stats(
     return mean, se
 
 
-def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET):
+def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
     """Exact k-sparse operator norm by pruned principal-submatrix enumeration.
 
     m is one (d, d) matrix, giving a float, or a stack (R, d, d), giving
