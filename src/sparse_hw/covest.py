@@ -264,7 +264,7 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
         )
     sym = sym.reshape(-1, d, d)
     r = sym.shape[0]
-    c = np.abs(sym).max(axis=(1, 2), initial=0.0)
+    c = np.abs(sym).max(axis=(1, 2))
     c[c == 0.0] = 1.0
     squares = np.square(sym / c[:, None, None]).reshape(r, d * d)
     margin = 1e-12 + 4 * k * k * np.finfo(float).eps
@@ -273,7 +273,7 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
     rows = np.arange(r)
     best = np.zeros(r)
     subsets = itertools.combinations(range(d), k)
-    block = max(1, RIP_BLOCK_ENTRIES // (max(r, 1) * k * k))
+    block = max(1, RIP_BLOCK_ENTRIES // (r * k * k))
     for start in range(0, n_subsets, block):
         size = min(block, n_subsets - start)
         flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
