@@ -14,13 +14,13 @@ matrix or for each matrix of a stack.  It prunes the enumeration with a
 certified bound (branch and bound with spectral bounds, as in Moghaddam,
 Weiss & Avidan, NIPS 2006): ||S||_2 <= ||S||_F, which costs k^2 flops a
 submatrix, raised by a relative margin (1e-12, plus 4 k^2 eps for large
-k) that covers rounding in both the bound and `eigvalsh`.  A submatrix whose bound is below the
-largest spectral norm already found cannot hold the maximum, so it is
-never decomposed; every maximum is still one exact `eigvalsh` value, the
-same as full enumeration gives.  Subsets go in blocks: a block covers
-at most RIP_BLOCK_ENTRIES submatrix entries (replicates x subsets x k^2),
-so memory stays bounded however close comb(d, k) comes to
-RIP_ENUM_BUDGET.
+k) that covers rounding in both the bound and `eigvalsh`.  A submatrix
+whose bound is below the largest spectral norm already found cannot
+hold the maximum, so it is never decomposed; every maximum is still one
+exact `eigvalsh` value, the same as full enumeration gives.  Subsets go
+in blocks: a block covers at most RIP_BLOCK_ENTRIES submatrix entries
+(replicates x subsets x k^2), so memory stays bounded however close
+comb(d, k) comes to RIP_ENUM_BUDGET.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
 Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
@@ -235,20 +235,22 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
     spectral norm found so far for its matrix (`>=`, so ties are
     decomposed too), and that maximum carries over to the next block.
     The margin, 1e-12 plus 4 k^2 eps, covers rounding in ub and in
-    `eigvalsh`.  ub is computed on entries scaled by each matrix's
-    largest |entry| c, so no square overflows; it adds k 2^-537 c, which
-    covers the squares that underflow, and the smallest normal float,
-    which covers subnormal rounding.  Each maximum is the `eigvalsh` value
-    of full enumeration, whatever the blocking and the stack.
+    `eigvalsh`.  ub also adds k 2^-537, which covers the squares that
+    underflow, and the smallest normal float, which covers subnormal
+    rounding; a square that overflows makes ub inf, which only means the
+    subset is decomposed.  Each maximum is the `eigvalsh` value of full
+    enumeration, whatever the blocking and the stack.
 
-    Raises ValueError on inf or NaN entries (in any matrix of a stack), or
-    a symmetric part that overflows.  Raises BudgetExceededError when
-    comb(d, k) exceeds the budget; use rip_k_lower_random for a lower
-    bound in that regime.
+    Raises ValueError on an empty stack, on inf or NaN entries (in any
+    matrix of a stack), or on a symmetric part that overflows.  Raises
+    BudgetExceededError when comb(d, k) exceeds the budget; use
+    rip_k_lower_random for a lower bound in that regime.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("M must be square, or a stack of square matrices")
+    if a.ndim == 3 and len(a) == 0:
+        raise ValueError("M is an empty stack")
     d = a.shape[-1]
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
@@ -264,12 +266,9 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
         )
     sym = sym.reshape(-1, d, d)
     r = sym.shape[0]
-    c = np.abs(sym).max(axis=(1, 2))
-    c[c == 0.0] = 1.0
-    squares = np.square(sym / c[:, None, None]).reshape(r, d * d)
-    margin = 1e-12 + 4 * k * k * np.finfo(float).eps
     with np.errstate(over="ignore"):  # an infinite bound only means no pruning
-        scale = c * (1.0 + margin)
+        squares = np.square(sym).reshape(r, d * d)
+    margin = 1e-12 + 4 * k * k * np.finfo(float).eps
     rows = np.arange(r)
     best = np.zeros(r)
     subsets = itertools.combinations(range(d), k)
@@ -279,12 +278,12 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
         flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
         idx = np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
         # one (R, size) gather a cell: no (R, size, k^2) temporary
-        frob2 = np.zeros((r, size))
-        for i, j in itertools.product(range(k), repeat=2):
-            frob2 += squares[:, idx[:, i] * d + idx[:, j]]
-        frob = np.sqrt(frob2)
         with np.errstate(over="ignore"):
-            ub = (frob + k * 2.0**-537) * scale[:, None] + np.finfo(float).tiny
+            frob2 = np.zeros((r, size))
+            for i, j in itertools.product(range(k), repeat=2):
+                frob2 += squares[:, idx[:, i] * d + idx[:, j]]
+            frob = np.sqrt(frob2)
+            ub = (frob + k * 2.0**-537) * (1.0 + margin) + np.finfo(float).tiny
         top = ub.argmax(axis=1)
         best = np.maximum(best, _spectral_norms(sym, rows, idx[top]))
         todo = ub >= best[:, None]

@@ -158,15 +158,6 @@ def test_rip_k_is_bit_equal_to_per_subset_loop(d):
         assert rip_k(m, k) == rip_k_loop(m, k), k
 
 
-@pytest.mark.parametrize("entries", [1, 9 * 4, 9 * 35 - 1])
-def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
-    # comb(7, 3) = 35 subsets of 9 entries: blocks of 1, of 4 with a ragged
-    # last block, and of 34 with a last block of 1
-    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", entries)
-    m = stream(315, 0).standard_normal((7, 7))
-    assert rip_k(m, 3) == rip_k_loop(m, 3)
-
-
 def rip_cases() -> dict[str, np.ndarray]:
     """6 x 6 matrices where a pruning bound that is not certified shows."""
     d = 6
@@ -195,11 +186,16 @@ def rip_cases() -> dict[str, np.ndarray]:
     return cases
 
 
-@pytest.mark.parametrize("entries", [1, 37, None])
-def test_rip_k_equals_per_subset_loop_on_ties_stacks_and_blocks(monkeypatch, entries):
-    # one subset a block (nothing pruned within a block), ragged blocks, the default
+@pytest.mark.parametrize("entries", [1, 9 * 4, 9 * 35 - 1, 20 * 4 * 4, None])
+def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
+    # comb(7, 3) = 35 subsets of 9 entries: blocks of 1 (nothing pruned within
+    # a block), of 4 with a ragged last block, and of 34 with a last block of
+    # 1; at 20 * 4 * 4 the stack of 20 cases at k = 2 takes its comb(6, 2) = 15
+    # subsets in blocks of 4, 4, 4 and 3
     if entries is not None:
         monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", entries)
+    m = stream(315, 0).standard_normal((7, 7))
+    assert rip_k(m, 3) == rip_k_loop(m, 3)
     cases = rip_cases()
     stack = np.stack(list(cases.values()))
     for k in range(1, 7):
@@ -244,6 +240,8 @@ def test_rip_k_rejects_non_finite_entries():
         rip_k(np.array([[1.0, 1.5e308], [1.5e308, 1.0]]), 1)
     with pytest.raises(ValueError, match="square"):
         rip_k(np.ones((2, 3, 3, 3)), 2)
+    with pytest.raises(ValueError, match="empty stack"):
+        rip_k(np.ones((0, 3, 3)), 2)
 
 
 def test_a_theta_p_forms():
