@@ -5,6 +5,13 @@ mandatory), runs deterministically given (config, seed, threads), and
 emits a JSON report plus CSV sidecars.  Numeric results are
 bit-identical for any --threads value; only wall_clock_s varies.
 
+A config is checked against its schema in _SCHEMAS by _conforms, which
+decides exactly as jsonschema does; jsonschema itself is imported only
+to word the message of a rejected config, so a valid one never loads it.
+An `integer` field takes only a JSON integer (3.0 is rejected), and a
+number that is NaN or infinite, which Python's json reads and the
+schemas admit, is rejected by the builder that reads it.
+
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or
 config error, 3 a compute budget guard tripped, 4 internal error (an
 unexpected exception, reported on one stderr line without a traceback).
@@ -18,12 +25,12 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -232,18 +239,71 @@ _SCHEMAS = {
     },
 }
 
-# ---------------------------------------------------------------- builders
+# ---------------------------------------------------------------- validation
+
+# the JSON Schema types of values read by json; an `integer` is a JSON
+# integer, so 3.0 is not one (jsonschema's own checker accepts it)
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+# each bound keyword as the test under which it fails, as jsonschema
+# writes it, so NaN fails none of them
+_BOUND_FAILS = {
+    "minimum": operator.lt,
+    "maximum": operator.gt,
+    "exclusiveMinimum": operator.le,
+    "exclusiveMaximum": operator.ge,
+}
+
+
+def _conforms(value, schema: dict) -> bool:
+    """Whether a value read by json is valid under schema, as _validator decides.
+
+    Covers the keywords _SCHEMAS uses.  As in JSON Schema, the number,
+    array and object keywords pass values of other types.
+    """
+    if "type" in schema and not _JSON_TYPES[schema["type"]](value):
+        return False
+    if "enum" in schema and value not in schema["enum"]:
+        return False
+    if "anyOf" in schema and not any(_conforms(value, s) for s in schema["anyOf"]):
+        return False
+    if _JSON_TYPES["number"](value):
+        return not any(fails(value, schema[k]) for k, fails in _BOUND_FAILS.items() if k in schema)
+    if isinstance(value, list):
+        items = schema.get("items", {})
+        return len(value) >= schema.get("minItems", 0) and all(_conforms(v, items) for v in value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        if not all(key in value for key in schema.get("required", ())):
+            return False
+        if schema.get("additionalProperties", True) is False and not value.keys() <= props.keys():
+            return False
+        return all(_conforms(v, props[k]) for k, v in value.items() if k in props)
+    return True
 
 
 @functools.cache
 def _validator(command: str):
-    """The schema validator of a command, built without re-checking the schema.
+    """The jsonschema validator of a command, with `integer` as _conforms reads it.
 
-    jsonschema.validate would check the schema against its metaschema on
-    every call; test_cli checks every entry of _SCHEMAS once instead.
+    It only words the rejections _conforms finds, so jsonschema is
+    imported here and not with this module.  jsonschema.validate would
+    check the schema against its metaschema on every call; test_cli
+    checks every entry of _SCHEMAS once instead.
     """
+    import jsonschema
+
     schema = _SCHEMAS[command]
-    return jsonschema.validators.validator_for(schema)(schema)
+    base = jsonschema.validators.validator_for(schema)
+    types = base.TYPE_CHECKER.redefine("integer", lambda _, v: _JSON_TYPES["integer"](v))
+    return jsonschema.validators.extend(base, type_checker=types)(schema)
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -254,11 +314,26 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
-    if error is not None:
+    if not _conforms(cfg, _SCHEMAS[command]):
+        import jsonschema
+
+        # the error jsonschema.validate would raise
+        error = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
         raise ConfigError(f"config rejected: {error.message}")
     return cfg
+
+
+# ---------------------------------------------------------------- builders
+
+
+def _finite(value, name: str):
+    """value, a number or an array, which must be finite.
+
+    json reads the NaN and Infinity literals, and the schemas admit them.
+    """
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} must be finite")
+    return value
 
 
 def _config_hash(cfg: dict) -> str:
@@ -272,10 +347,11 @@ def _build_matrix(cfg: dict) -> np.ndarray:
     if "bin" in cfg:
         return mn.load_matrix_bin(cfg["bin"])
     if "values" in cfg:
-        return np.asarray(cfg["values"], dtype=float)
+        return _finite(np.asarray(cfg["values"], dtype=float), "matrix values")
     kind = cfg.get("kind")
     if kind is None:
         raise ConfigError("matrix spec needs csv, bin, values, or kind")
+    scale = _finite(cfg.get("scale", 1.0), "matrix scale")
     if kind == "exchange":
         n = cfg["n"]
         if n < 2:
@@ -289,25 +365,25 @@ def _build_matrix(cfg: dict) -> np.ndarray:
         n = cfg["n"]
         rng = stream(cfg.get("seed", 0), 1001)
         g = rng.standard_normal((n, n))
-        a = 0.5 * (g + g.T) * cfg.get("scale", 1.0)
+        a = 0.5 * (g + g.T) * scale
         if cfg.get("diagonal_free", False):
             np.fill_diagonal(a, 0.0)
         return a
     if kind == "random_rect":
         rng = stream(cfg.get("seed", 0), 1002)
-        return rng.standard_normal((cfg["rows"], cfg["cols"])) * cfg.get("scale", 1.0)
+        return rng.standard_normal((cfg["rows"], cfg["cols"])) * scale
     if kind == "random_lowrank":
         rng = stream(cfg.get("seed", 0), 1003)
         rank = cfg["rank"]
         left = rng.standard_normal((cfg["rows"], rank))
         right = rng.standard_normal((cfg["cols"], rank))
-        return left @ right.T * cfg.get("scale", 1.0)
+        return left @ right.T * scale
     raise ConfigError(f"unknown matrix kind {kind!r}")
 
 
 def _build_vector(cfg: dict) -> np.ndarray:
     if "values" in cfg:
-        return np.asarray(cfg["values"], dtype=float)
+        return _finite(np.asarray(cfg["values"], dtype=float), "vector values")
     kind = cfg.get("kind")
     if kind == "ones":
         return np.ones(cfg["n"])
@@ -354,26 +430,25 @@ def _build_t_grid(cfg: dict) -> np.ndarray:
         for key in ("kind", "start", "stop", "num"):
             if key not in cfg:
                 raise ConfigError("t_grid needs values or kind/start/stop/num")
+        ends = [_finite(cfg[key], f"t_grid {key}") for key in ("start", "stop")]
         space = np.linspace if cfg["kind"] == "linear" else np.geomspace
-        grid = space(cfg["start"], cfg["stop"], cfg["num"])
-    # json reads NaN and Infinity literals, and the schema counts them as numbers
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError("thresholds must be finite")
-    return grid
+        grid = space(*ends, cfg["num"])
+    return _finite(grid, "thresholds")
 
 
 def _build_constants(cfg: dict | None) -> bd.BoundConstants:
     if cfg is None:
         return bd.DEFAULT_CONSTANTS
     return bd.BoundConstants(
-        c_alpha=cfg.get("c_alpha", 1.0), prefactor=cfg.get("prefactor", 2.0)
+        c_alpha=_finite(cfg.get("c_alpha", 1.0), "constants c_alpha"),
+        prefactor=_finite(cfg.get("prefactor", 2.0), "constants prefactor"),
     )
 
 
 def _resolve_l(cfg_l, model: SparseModel, alpha: float) -> float:
     if cfg_l is None or cfg_l == "auto":
         return model_psi_alpha(model, alpha)
-    return float(cfg_l)
+    return _finite(float(cfg_l), "L")
 
 
 def _resolve_threads(args, cfg: dict) -> int:
@@ -464,11 +539,11 @@ def _degenerate(what: str):
     return {"degenerate": True}, {}, [verdict]
 
 
-def _verify_tail(tail, exponent, probs: dict, cfg: dict, results: dict, shape: dict):
+def _verify_tail(tail, exponent, probs: dict, rel_slack: float, results: dict, shape: dict):
     """Dominance verdict, slope fit and tables shared by the verify commands."""
     name = "tail_dominates_calibrated_exponent"
     try:
-        dom = qf.dominance_check(tail, exponent, rel_slack=cfg.get("rel_slack", 0.1))
+        dom = qf.dominance_check(tail, exponent, rel_slack=rel_slack)
     except ValueError as exc:
         verdicts = [_verdict(name, False, str(exc))]
     else:
@@ -503,6 +578,7 @@ def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
     model, alpha = _build_model(cfg["model"], a.shape[0])
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
+    rel_slack = _finite(cfg.get("rel_slack", 0.1), "rel_slack")
     if not np.any(a):
         return _degenerate("matrix")
 
@@ -526,7 +602,7 @@ def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
         "bounds": {k: np.asarray(v).tolist() for k, v in probs.items()},
     }
     exponent = bounds[shape_name].exponent(tn)
-    return _verify_tail(tail, exponent, probs, cfg, results, {"shape": shape_name})
+    return _verify_tail(tail, exponent, probs, rel_slack, results, {"shape": shape_name})
 
 
 def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
@@ -536,6 +612,7 @@ def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
         raise ConfigError("linear-form verification needs alpha in (0, 1]")
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
+    rel_slack = _finite(cfg.get("rel_slack", 0.1), "rel_slack")
     if not np.any(a):
         return _degenerate("vector")
 
@@ -549,13 +626,13 @@ def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
         "t_grid": tail.t_grid.tolist(),
         "bound": np.asarray(probs["bound"]).tolist(),
     }
-    return _verify_tail(tail, tb.exponent(tail.t_grid), probs, cfg, results, {})
+    return _verify_tail(tail, tb.exponent(tail.t_grid), probs, rel_slack, results, {})
 
 
 def _covest(cfg: dict, seed: int, threads: int, outdir):
     b = _build_matrix(cfg["b"])
     model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
-    tol_se = cfg.get("tol_se", 4.0)
+    tol_se = _finite(cfg.get("tol_se", 4.0), "tol_se")
 
     mean, se = cv.ipw_replicate_stats(model, cfg["n"], cfg["replicates"], seed, threads)
     sigma = model.sigma()
@@ -601,6 +678,7 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     k = cfg["k"]
     t_values = sorted(float(t) for t in _build_t_grid({"values": cfg["t_values"]}))
     replicates = cfg["replicates"]
+    slack = _finite(cfg.get("rel_slack", 0.0), "rel_slack")
     sigma = model.sigma()
     d = model.dim
     if not 1 <= k <= d:  # before comb(d, k), which is 0 for k > d, sizes the tasks
@@ -626,7 +704,6 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     # tail bounds bind in the deep tail: anchor the constant at the
     # largest t, then the shallower quantile levels must stay dominated
     c_hat = quantiles[-1] / rhs[-1]
-    slack = cfg.get("rel_slack", 0.0)
     ok = all(qt <= c_hat * r * (1 + slack) + 1e-12 for qt, r in zip(quantiles, rhs))
     results = {
         "rip_quantiles": dict(zip(map(str, t_values), quantiles)),
@@ -648,11 +725,11 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
 def _sketch(cfg: dict, seed: int, threads: int, outdir):
     x = _build_matrix(cfg["x"])
     p = cfg["p"]
-    r_values = sorted(set(int(r) for r in cfg["r_values"]))
+    r_values = sorted(set(cfg["r_values"]))
     n_seeds = cfg.get("n_seeds", 1)
     xi = cfg.get("xi", "gaussian")
     eta = cfg.get("eta", 0.1)
-    c1 = cfg.get("c1", 1.0)
+    c1 = _finite(cfg.get("c1", 1.0), "c1")
     allow_wide = cfg.get("allow_wide", False)
 
     rows = []

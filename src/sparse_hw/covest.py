@@ -79,7 +79,7 @@ class MultivariateModel:
         p = tuple(float(v) for v in np.atleast_1d(np.asarray(self.p, dtype=float)))
         if len(p) != m.shape[0]:
             raise ValueError("p must have one entry per row of B")
-        if any(v <= 0.0 or v > 1.0 for v in p):
+        if not all(0.0 < v <= 1.0 for v in p):  # NaN too
             raise ValueError("retention probabilities must lie in (0, 1]")
         base = self.base
         if base is None:

@@ -171,23 +171,8 @@ def test_config_schemas_are_valid(command):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        pytest.param(dict(HW_CONFIG, model={"alpha": 3.0, "p": 0.5}), id="alpha-above-2"),
-        pytest.param({k: v for k, v in HW_CONFIG.items() if k != "seed"}, id="missing-seed"),
-        pytest.param(dict(HW_CONFIG, extra=1), id="unknown-key"),
-        pytest.param(dict(HW_CONFIG, n_samples="many", seed=-1.5), id="two-errors"),
-    ],
-)
-def test_config_rejections_keep_the_jsonschema_message(tmp_path, capsys, cfg):
-    with pytest.raises(jsonschema.ValidationError) as excinfo:
-        jsonschema.validate(cfg, cli._SCHEMAS["hw-verify"])
-    assert main(["hw-verify", "--config", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err == f"config error: config rejected: {excinfo.value.message}\n"
-
-
-GOLDEN_RIP = Path(__file__).parent / "golden" / "rip"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RIP = GOLDEN / "rip"
 HW_SMALL = dict(HW_CONFIG, t_grid={"values": [1e300]}, n_samples=2000)
 HUGE_BASE = {"kind": "weibull", "alpha": 1.0, "scale": 8e153}
 TABLE_CONFIG = {
@@ -196,6 +181,84 @@ TABLE_CONFIG = {
     "t_grid": {"values": [1.0, 2.0]},
     "seed": 0,
 }
+
+
+def golden_config(case: str) -> dict:
+    return json.loads((GOLDEN / case / "config.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        pytest.param(
+            "hw-verify", dict(HW_CONFIG, model={"alpha": 3.0, "p": 0.5}), id="alpha-above-2"
+        ),
+        pytest.param(
+            "hw-verify", {k: v for k, v in HW_CONFIG.items() if k != "seed"}, id="missing-seed"
+        ),
+        pytest.param("hw-verify", dict(HW_CONFIG, extra=1), id="unknown-key"),
+        pytest.param("hw-verify", dict(HW_CONFIG, n_samples="many", seed=-1.5), id="two-errors"),
+        pytest.param(
+            "bernstein-verify",
+            golden_config("bernstein-verify") | {"vector": {"values": [1.0, "x"]}},
+            id="bernstein-verify-string-entry",
+        ),
+        pytest.param(
+            "covest", golden_config("covest") | {"p": [0.5, 1.5]}, id="covest-p-above-1"
+        ),
+        pytest.param(
+            "rip", golden_config("rip") | {"t_values": [0.0, 1.0]}, id="rip-zero-threshold"
+        ),
+        pytest.param("sketch", golden_config("sketch") | {"eta": 1}, id="sketch-eta-at-1"),
+        pytest.param(
+            "sample", golden_config("sample") | {"base": {"kind": "cauchy"}}, id="sample-bad-kind"
+        ),
+        pytest.param("bound-table", {"seed": 0}, id="bound-table-three-missing-keys"),
+        pytest.param(
+            "bound-table", TABLE_CONFIG | {"L": "manual"}, id="bound-table-L-in-no-branch"
+        ),
+    ],
+)
+def test_config_rejections_keep_the_jsonschema_message(tmp_path, capsys, command, cfg):
+    with pytest.raises(jsonschema.ValidationError) as excinfo:
+        jsonschema.validate(cfg, cli._SCHEMAS[command])
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: config rejected: {excinfo.value.message}\n"
+
+
+# jsonschema's own `integer` accepts 3.0; these configs used to crash or mislead
+@pytest.mark.parametrize(
+    "command, cfg, value",
+    [
+        pytest.param(
+            "hw-verify", golden_config("hw-verify-refined") | {"n_samples": 1000.0}, 1000.0,
+            id="hw-verify-n_samples",
+        ),
+        pytest.param(
+            "bernstein-verify",
+            golden_config("bernstein-verify") | {"vector": {"kind": "ones", "n": 3.0}},
+            3.0,
+            id="bernstein-verify-vector-n",
+        ),
+        pytest.param("covest", golden_config("covest") | {"seed": 0.0}, 0.0, id="covest-seed"),
+        pytest.param("rip", golden_config("rip") | {"k": 2.0}, 2.0, id="rip-k"),
+        pytest.param(
+            "sketch", golden_config("sketch") | {"r_values": [2.0]}, 2.0, id="sketch-r_values"
+        ),
+        pytest.param("sample", golden_config("sample") | {"n": 10.0}, 10.0, id="sample-n"),
+        pytest.param(
+            "bound-table",
+            TABLE_CONFIG | {"t_grid": {"kind": "log", "start": 1.0, "stop": 9.0, "num": 3.0}},
+            3.0,
+            id="bound-table-t_grid-num",
+        ),
+    ],
+)
+def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, cfg, value):
+    jsonschema.validate(cfg, cli._SCHEMAS[command])  # the stock checker lets it through
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    expected = f"config error: config rejected: {value} is not of type 'integer'\n"
+    assert capsys.readouterr().err == expected
 
 
 @pytest.mark.parametrize(
@@ -254,6 +317,60 @@ TABLE_CONFIG = {
             json.loads((GOLDEN_RIP / "config.json").read_text()) | {"t_values": [1.0, math.nan]},
             "thresholds must be finite",
             id="rip-nan-threshold",
+        ),
+        # numpy warned on stderr before the grid check saw the NaN
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, t_grid={"kind": "log", "start": math.inf, "stop": 9.0, "num": 3}),
+            "t_grid start must be finite",
+            id="hw-verify-infinite-t_grid-start",
+        ),
+        # the non-finite scalars below used to end in exit 1, exit 0 or a wrong message
+        pytest.param(
+            "hw-verify", dict(HW_SMALL, rel_slack=math.nan), "rel_slack must be finite",
+            id="hw-verify-nan-rel_slack",
+        ),
+        pytest.param(
+            "rip", golden_config("rip") | {"rel_slack": math.nan}, "rel_slack must be finite",
+            id="rip-nan-rel_slack",
+        ),
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, constants={"c_alpha": math.inf}),
+            "constants c_alpha must be finite",
+            id="hw-verify-infinite-c_alpha",
+        ),
+        pytest.param(
+            "covest", golden_config("covest") | {"tol_se": math.inf}, "tol_se must be finite",
+            id="covest-infinite-tol_se",
+        ),
+        pytest.param(
+            "covest",
+            golden_config("covest") | {"p": [0.5, math.nan]},
+            "retention probabilities must lie in (0, 1]",
+            id="covest-nan-p",
+        ),
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, matrix={"kind": "random_dense", "n": 3, "scale": math.nan}),
+            "matrix scale must be finite",
+            id="hw-verify-nan-matrix-scale",
+        ),
+        pytest.param(
+            "hw-verify",
+            dict(HW_SMALL, matrix={"values": [[0.0, math.nan], [math.nan, 0.0]]}),
+            "matrix values must be finite",
+            id="hw-verify-nan-matrix-values",
+        ),
+        pytest.param(
+            "bernstein-verify",
+            golden_config("bernstein-verify") | {"L": math.inf},
+            "L must be finite",
+            id="bernstein-verify-infinite-L",
+        ),
+        pytest.param(
+            "sketch", golden_config("sketch") | {"c1": math.inf}, "c1 must be finite",
+            id="sketch-infinite-c1",
         ),
         pytest.param(
             "rip",
