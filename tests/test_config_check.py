@@ -20,6 +20,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_reports import CONFIG_CASES
 
 import sparse_hw
 from sparse_hw import cli
@@ -164,13 +165,9 @@ def test_fast_check_agrees_with_jsonschema(tmp_path_factory, command, data):
     assert err.getvalue() == f"config error: config rejected: {expected.message}\n"
 
 
-def golden_command(case: str) -> str:
-    return next(c for c in cli._SCHEMAS if case == c or case.startswith(c + "-"))
-
-
 @pytest.mark.parametrize("case", sorted(p.parent.name for p in GOLDEN.glob("*/config.json")))
 def test_golden_configs_pass_the_fast_check(case):
-    command = golden_command(case)
+    command = CONFIG_CASES[case][0]
     cfg = json.loads((GOLDEN / case / "config.json").read_text())
     assert cli._conforms(cfg, cli._SCHEMAS[command])
     assert REFERENCE[command].is_valid(cfg)
