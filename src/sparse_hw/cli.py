@@ -277,8 +277,11 @@ def _conforms(value, schema: dict) -> bool:
     if _JSON_TYPES["number"](value):
         return not any(fails(value, schema[k]) for k, fails in _BOUND_FAILS.items() if k in schema)
     if isinstance(value, list):
-        items = schema.get("items", {})
-        return len(value) >= schema.get("minItems", 0) and all(_conforms(v, items) for v in value)
+        # no descent without `items`: a free array may nest as deep as json reads
+        items = schema.get("items")
+        if items is not None and not all(_conforms(v, items) for v in value):
+            return False
+        return len(value) >= schema.get("minItems", 0)
     if isinstance(value, dict):
         props = schema.get("properties", {})
         if not all(key in value for key in schema.get("required", ())):

@@ -173,6 +173,14 @@ def test_golden_configs_pass_the_fast_check(case):
     assert REFERENCE[command].is_valid(cfg)
 
 
+def test_a_deeply_nested_free_array_is_checked_without_recursion():
+    # `values` of a matrix has no `items`, so neither checker descends into it
+    cfg = json.loads((GOLDEN / "hw-verify-refined" / "config.json").read_text())
+    cfg["matrix"] = json.loads('{"values": ' + "[" * 900 + "]" * 900 + "}")
+    assert cli._conforms(cfg, cli._SCHEMAS["hw-verify"])
+    assert REFERENCE["hw-verify"].is_valid(cfg)
+
+
 IMPORT_GUARD = """
 import sys
 import sparse_hw.cli as cli
