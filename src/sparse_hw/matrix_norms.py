@@ -8,9 +8,11 @@ elsewhere (Boyd 1974, "The power method for l^p norms"; Higham 1992,
 "Estimating the matrix p-norm"); only the alternating result is a
 certified lower bound (every iterate is a feasible pair).  Its restarts
 iterate together as the rows of one block, two matrix-matrix products
-per iteration, and each row stops on its own convergence test, so every
-restart follows the iterates it would follow alone, up to the rounding
-of the products.
+per iteration, so every restart follows the iterates it would follow
+alone, up to the rounding of the products.  Each row stops on its own
+convergence test, or as soon as it cannot reach the block's best value
+within the iteration cap; the reported convergence flag is that of the
+restart giving the value, not of every restart.
 
 Sparsity-weighted functionals take a retention-probability vector p:
 
@@ -124,17 +126,29 @@ def _dual_rows(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit-||.||_r maximizers x_i of <z_i, x_i>, and the values ||z_i||_{r*}.
 
     r lies in (1, inf]; r = inf takes signs.  A zero row gets e_1 and value 0.
+    The arithmetic is that of _row_norms(z, r*) and _row_norms(x, r), bit
+    for bit, but |z| and each row's max are taken once, and x's l_r norm
+    comes from t = (|z| / max)^(r* - 1), whose row max is exactly 1.
     """
-    rstar = 1.0 if math.isinf(r) else r / (r - 1.0)
-    val = _row_norms(z, rstar)
-    zero = val == 0.0
     if math.isinf(r):
+        val = np.abs(z).sum(axis=1)
         x = np.sign(np.where(z == 0.0, 1.0, z))
     else:
+        rstar = r / (r - 1.0)
         az = np.abs(z)
-        zmax = np.where(zero, 1.0, az.max(axis=1))
-        x = np.sign(z) * (az / zmax[:, None]) ** (rstar - 1.0)
-        x /= np.where(zero, 1.0, _row_norms(x, r))[:, None]
+        zmax = az.max(axis=1)
+        scale = np.where(zmax == 0.0, 1.0, zmax)
+        t = az / scale[:, None]
+        if r == 2.0:
+            val = np.sqrt((az * az).sum(axis=1))
+            nx = np.sqrt((t * t).sum(axis=1))
+        else:
+            val = scale * np.sum(t**rstar, axis=1) ** (1.0 / rstar)
+            t **= rstar - 1.0
+            nx = np.sum(t**r, axis=1) ** (1.0 / r)
+        x = np.sign(z) * t
+        x /= np.where(val == 0.0, 1.0, nx)[:, None]
+    zero = val == 0.0
     if zero.any():
         x[zero] = 0.0
         x[zero, 0] = 1.0
@@ -162,11 +176,14 @@ def opnorm_detail(
     Otherwise alternating maximization over feasible (x, y) pairs from
     `restarts` starting points (restarts >= 1): the all-ones vector, then
     `restarts - 1` Gaussian vectors drawn as one block from stream(seed, 1).
-    All restarts iterate together as the rows of one block, and each row
-    stops, converged, once its own value moves by at most _ALTMAX_TOL
-    relative; rows still moving after _ALTMAX_MAX_ITER iterations leave
-    `converged` false.  A start of l_{r2*} norm 0 is skipped.  The value,
-    the max over rows, is a certified lower bound.
+    All restarts iterate together as the rows of one block.  A row stops,
+    converged, once its own value moves by at most _ALTMAX_TOL relative.
+    It also stops, unconverged, once it cannot catch up: its latest step,
+    repeated for every iteration left before _ALTMAX_MAX_ITER, would
+    still leave it more than _ALTMAX_TOL relative below the best value so
+    far.  A start of l_{r2*} norm 0 is skipped.  The value, the max over
+    rows, is a certified lower bound; `converged` says whether the first
+    restart that attains it converged.
     """
     m = _as_matrix(a)
     r1 = _check_exponent(r1)
@@ -192,17 +209,24 @@ def opnorm_detail(
     live = np.flatnonzero(ny)  # restarts still iterating, by index
     y = y[live] / ny[live, None]
     value = np.zeros(restarts)
-    converged = ny == 0.0  # a skipped start does not hold the flag down
-    for _ in range(_ALTMAX_MAX_ITER):
+    converged = np.zeros(restarts, dtype=bool)
+    for it in range(_ALTMAX_MAX_ITER):
         if live.size == 0:
             break
         x, _ = _dual_rows(y @ m, r1)
         y, new = _dual_rows(x @ m.T, r2star)
-        done = np.abs(new - value[live]) <= _ALTMAX_TOL * np.maximum(1.0, new)
+        step = new - value[live]
+        done = np.abs(step) <= _ALTMAX_TOL * np.maximum(1.0, new)
         value[live] = new
         converged[live[done]] = True
-        live, y = live[~done], y[~done]
-    return OpnormResult(float(value.max()), restarts, bool(converged.all()))
+        # a row that cannot reach the best value even if its latest step
+        # repeats until the cap stops too, not converged
+        best = value.max()
+        reach = new + np.maximum(step, 0.0) * (_ALTMAX_MAX_ITER - it - 1)
+        keep = ~done & (reach >= best - _ALTMAX_TOL * max(1.0, best))
+        live, y = live[keep], y[keep]
+    top = int(value.argmax())
+    return OpnormResult(float(value[top]), restarts, bool(converged[top]))
 
 
 def opnorm(a, r1: float, r2: float, restarts: int = 64, seed: int = 0) -> float:

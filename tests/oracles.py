@@ -6,16 +6,18 @@ pattern-by-pattern sums instead of a classifier, itertools enumeration
 instead of vectorized atom tables) so agreement is evidence, not
 tautology.
 
-The exception is the `*_loop` and `*_unblocked` oracles at the end:
-they are the plain loops and whole-sample statistics that the library's
-batched and blocked kernels replace.  The tests demand bit-equal (==)
-results from `rip_k_loop` and `expected_frob_sq_loop`; `opnorm_loop`
-runs its restarts through matrix-vector products where the library
-multiplies blocks, so its value is compared within 1e-12 relative and
-its convergence flag exactly.  The `*_unblocked` statistics run on the
-rows of `blocked_draws` stacked into one sample, and are compared with
-== on integer-valued draws, where BLAS gives the same bits for any
-number of rows per product.
+The exception is the `*_loop`, `*_unblocked` and `*_two_pass` oracles
+at the end: they are the plain loops, whole-sample statistics and
+earlier kernels that the library's batched and blocked kernels replace.
+The tests demand bit-equal (==) results from `rip_k_loop`,
+`expected_frob_sq_loop` and `dual_rows_two_pass`.  `opnorm_loop` runs
+its restarts one at a time through matrix-vector products, each to its
+own convergence or the iteration cap, where the library multiplies
+blocks and drops restarts that cannot catch up; so its value is
+compared within 1e-12 relative and its convergence flag exactly.  The
+`*_unblocked` statistics run on the rows of `blocked_draws` stacked
+into one sample, and are compared with == on integer-valued draws,
+where BLAS gives the same bits for any number of rows per product.
 """
 
 from __future__ import annotations
@@ -300,13 +302,15 @@ def _dual_maximizer(z: np.ndarray, r: float) -> tuple[np.ndarray, float]:
 def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int = 0) -> OpnormResult:
     """The alternating branch of opnorm_detail with one restart at a time.
 
-    Only for pairs without a closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
+    Every restart runs until it converges or reaches the iteration cap;
+    none is dropped for falling behind.  `converged` is the flag of the
+    first restart that attains the max.  Only for pairs without a closed
+    form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
     """
     m = np.asarray(a, dtype=float)
     r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
     rng = stream(seed, 1)
-    best = 0.0
-    all_converged = True
+    best, best_converged = -math.inf, False
     for k in range(restarts):
         if k == 0:
             y = np.ones(m.shape[0])
@@ -327,9 +331,57 @@ def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: i
                 converged = True
                 break
             value = new
-        best = max(best, value)
-        all_converged = all_converged and converged
-    return OpnormResult(best, restarts, all_converged)
+        if value > best:
+            best, best_converged = value, converged
+    return OpnormResult(best, restarts, best_converged)
+
+
+def dual_rows_two_pass(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """matrix_norms._dual_rows as it was before it shared |z| and the row maxima.
+
+    Two full l_r row-norm passes, one for the values ||z_i||_{r*} and one
+    for the maximizers x_i, each with its own abs, max and scaling.
+    """
+
+    def row_norms(x: np.ndarray, r: float) -> np.ndarray:
+        ax = np.abs(x)
+        if math.isinf(r):
+            return ax.max(axis=1)
+        if r == 1.0:
+            return ax.sum(axis=1)
+        if r == 2.0:
+            return np.sqrt((ax * ax).sum(axis=1))
+        m = ax.max(axis=1)
+        scale = np.where(m == 0.0, 1.0, m)
+        return scale * np.sum((ax / scale[:, None]) ** r, axis=1) ** (1.0 / r)
+
+    rstar = 1.0 if math.isinf(r) else r / (r - 1.0)
+    val = row_norms(z, rstar)
+    zero = val == 0.0
+    if math.isinf(r):
+        x = np.sign(np.where(z == 0.0, 1.0, z))
+    else:
+        az = np.abs(z)
+        zmax = np.where(zero, 1.0, az.max(axis=1))
+        x = np.sign(z) * (az / zmax[:, None]) ** (rstar - 1.0)
+        x /= np.where(zero, 1.0, row_norms(x, r))[:, None]
+    if zero.any():
+        x[zero] = 0.0
+        x[zero, 0] = 1.0
+    return x, val
+
+
+def bound_table_workload_matrix(seed: int) -> np.ndarray:
+    """The 60 x 60 matrix perfbench/workloads.py writes for `bound-table` at seed.
+
+    A pinned symmetric Gaussian matrix under a seeded signed permutation.
+    """
+    base_seed, n = 20251017, 60
+    g = np.random.default_rng([base_seed, n]).standard_normal((n, n))
+    a0 = 0.5 * (g + g.T)
+    rng = np.random.default_rng([base_seed, seed])
+    perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], size=n)
+    return signs[:, None] * a0[np.ix_(perm, perm)] * signs[None, :]
 
 
 def blocked_draws(

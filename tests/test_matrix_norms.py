@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_eigen_spectral, opnorm_grid, opnorm_loop
+from oracles import (
+    bound_table_workload_matrix,
+    dual_rows_two_pass,
+    jacobi_eigen_spectral,
+    opnorm_grid,
+    opnorm_loop,
+)
 from sparse_hw.matrix_norms import (
+    _dual_rows,
     frobenius,
     gamma1,
     gamma2,
@@ -162,13 +169,71 @@ def test_opnorm_block_matches_restart_loop(case, pair, restarts):
 
 
 def test_opnorm_block_keeps_per_restart_convergence():
-    # the all-ones start converges and a later start runs out of iterations
-    # with a larger value, so every row needs its own stopping mask
+    # of 8 restarts, restart 4 runs out of iterations below the best value
+    # and restart 6 converges at the last iteration with the best value, so
+    # every row needs its own stopping mask and the flag follows restart 6
     m = stream(322, 0).standard_normal((4, 4))
     assert opnorm_loop(m, 3.0, 1.5, restarts=1, seed=322).converged
-    assert not opnorm_loop(m, 3.0, 1.5, restarts=8, seed=322).converged
+    assert opnorm_loop(m, 3.0, 1.5, restarts=8, seed=322).converged
     for restarts in (1, 8, 64):
         assert_matches_restart_loop(m, 3.0, 1.5, restarts, seed=322)
+
+
+def test_opnorm_flag_is_that_of_the_best_restart():
+    # here the restart giving the value is still moving at the cap
+    m = stream(345, 0).standard_normal((6, 6))
+    assert not opnorm_loop(m, 2.0, 2.1, restarts=4, seed=345).converged
+    assert_matches_restart_loop(m, 2.0, 2.1, 4, seed=345)
+
+
+def _run_to_cap_cases() -> dict:
+    """40 random matrices with random exponent pairs, and the bound-table
+    benchmark matrix at three seeds with both of its alternating norms."""
+    rng = stream(91, 0)
+    cases = {}
+    for i in range(40):
+        rows, cols = (int(v) for v in rng.integers(2, 31, size=2))
+        r1 = float(rng.choice([1.2, 1.5, 2.0, 3.0, 4.0, math.inf]))
+        r2 = float(rng.choice([1.0, 1.2, 1.5, 2.0, 3.0, 4.0]))
+        if (r1, r2) == (2.0, 2.0):
+            r2 = 3.0
+        cases[f"random{i}-{rows}x{cols}-{r1:g}-{r2:g}"] = (rng.standard_normal((rows, cols)), r1, r2, 16)
+    for seed in (7, 101, 1003):
+        for r1 in (2.0, 1.5):
+            cases[f"bound-table-seed{seed}-{r1:g}-3"] = (bound_table_workload_matrix(seed), r1, 3.0, 64)
+    return cases
+
+
+RUN_TO_CAP_CASES = _run_to_cap_cases()
+
+
+@pytest.mark.parametrize("case", sorted(RUN_TO_CAP_CASES))
+def test_opnorm_matches_run_to_cap_loop(case):
+    # dropping restarts that cannot catch up leaves the value of running
+    # every restart to its own convergence or the cap
+    m, r1, r2, restarts = RUN_TO_CAP_CASES[case]
+    assert_matches_restart_loop(m, r1, r2, restarts, seed=92)
+
+
+def test_opnorm_workload_value_converged():
+    # 28 of the 64 restarts of ||A||_{1.5->3} stall about 4% below the best
+    # value for all 200 iterations; the restart giving the value converged
+    res = opnorm_detail(bound_table_workload_matrix(7), 1.5, 3.0)
+    assert res.converged
+    assert math.isclose(res.value, 4.448872813848508, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("r", (1.2, 1.5, 2.0, 3.0, 4.0, math.inf))
+def test_dual_rows_matches_two_pass(r):
+    rng = stream(93, 0)
+    for trial in range(20):
+        z = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 40))))
+        z *= 10.0 ** float(rng.integers(-6, 7))
+        z[rng.random(z.shape[0]) < 0.25] = 0.0  # zero rows
+        z[rng.random(z.shape) < 0.1] = 0.0
+        x, val = _dual_rows(z, r)
+        ref_x, ref_val = dual_rows_two_pass(z, r)
+        assert np.array_equal(x, ref_x) and np.array_equal(val, ref_val), (r, trial)
 
 
 def test_opnorm_block_avoids_overflow():
