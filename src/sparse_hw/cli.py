@@ -9,8 +9,9 @@ A config is checked against its schema in _SCHEMAS by _conforms, which
 decides exactly as jsonschema does; jsonschema itself is imported only
 to word the message of a rejected config, so a valid one never loads it.
 An `integer` field takes only a JSON integer (3.0 is rejected), and a
-number that is NaN or infinite, which Python's json reads and the
-schemas admit, is rejected by the builder that reads it.
+number that is NaN or infinite, or an integer beyond the float range,
+which Python's json reads and the schemas admit, is rejected (exit 2) by
+the builder that reads it.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or
 config error, 3 a compute budget guard tripped, 4 internal error (an
@@ -330,13 +331,18 @@ def _load_config(path: str, command: str) -> dict:
 
 
 def _finite(value, name: str):
-    """value, a number or an array, which must be finite.
+    """value, a number or an array (as a float array), which must be finite.
 
-    json reads the NaN and Infinity literals, and the schemas admit them.
+    json reads the NaN and Infinity literals and integers of any size, and
+    the schemas admit them; an integer beyond the float range is not finite.
     """
-    if not np.all(np.isfinite(value)):
+    try:
+        floats = np.asarray(value, dtype=float)
+    except OverflowError:
+        floats = np.array(math.inf)
+    if not np.all(np.isfinite(floats)):
         raise ConfigError(f"{name} must be finite")
-    return value
+    return floats if floats.ndim else value
 
 
 def _config_hash(cfg: dict) -> str:
@@ -350,7 +356,7 @@ def _build_matrix(cfg: dict) -> np.ndarray:
     if "bin" in cfg:
         return mn.load_matrix_bin(cfg["bin"])
     if "values" in cfg:
-        return _finite(np.asarray(cfg["values"], dtype=float), "matrix values")
+        return _finite(cfg["values"], "matrix values")
     kind = cfg.get("kind")
     if kind is None:
         raise ConfigError("matrix spec needs csv, bin, values, or kind")
@@ -386,7 +392,7 @@ def _build_matrix(cfg: dict) -> np.ndarray:
 
 def _build_vector(cfg: dict) -> np.ndarray:
     if "values" in cfg:
-        return _finite(np.asarray(cfg["values"], dtype=float), "vector values")
+        return _finite(cfg["values"], "vector values")
     kind = cfg.get("kind")
     if kind == "ones":
         return np.ones(cfg["n"])
@@ -407,7 +413,7 @@ def _build_base(cfg: dict | None, alpha: float) -> DistributionSpec:
     return DistributionSpec(
         kind=cfg["kind"],
         alpha=cfg.get("alpha"),
-        scale=cfg.get("scale", 1.0),
+        scale=_finite(cfg.get("scale", 1.0), "base scale"),
         unit_variance=cfg.get("unit_variance", False),
     )
 
@@ -428,7 +434,7 @@ def _build_model(cfg: dict, dim: int) -> tuple[SparseModel, float]:
 
 def _build_t_grid(cfg: dict) -> np.ndarray:
     if "values" in cfg:
-        grid = np.asarray(cfg["values"], dtype=float)
+        grid = cfg["values"]
     else:
         for key in ("kind", "start", "stop", "num"):
             if key not in cfg:
@@ -451,7 +457,7 @@ def _build_constants(cfg: dict | None) -> bd.BoundConstants:
 def _resolve_l(cfg_l, model: SparseModel, alpha: float) -> float:
     if cfg_l is None or cfg_l == "auto":
         return model_psi_alpha(model, alpha)
-    return _finite(float(cfg_l), "L")
+    return float(_finite(cfg_l, "L"))
 
 
 def _resolve_threads(args, cfg: dict) -> int:

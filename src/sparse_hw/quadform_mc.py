@@ -33,6 +33,9 @@ DEFAULT_CHUNK = 1 << 16
 MC_BLOCK_ENTRIES = 1 << 17
 MOMENT_ORDER_CAP = 16.0
 EXHAUSTIVE_ATOM_BUDGET = 1 << 24
+# The most samples one Monte Carlo run may draw (4.3e9); a larger n_samples
+# raises BudgetExceededError before anything is drawn.
+MC_SAMPLE_BUDGET = 1 << 32
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -161,8 +164,13 @@ def _deviations(
     block's statistic is evaluated into the chunk's deviations before
     the next block is drawn into the same buffers.  Any inf or NaN
     deviation raises ValueError with their number, because a reduction
-    would otherwise count or sum it silently.
+    would otherwise count or sum it silently.  More than MC_SAMPLE_BUDGET
+    samples raise BudgetExceededError first.
     """
+    if n_samples > MC_SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"n_samples = {n_samples} exceeds the Monte Carlo budget of {MC_SAMPLE_BUDGET} samples"
+        )
     dim = stat.model.dim
     block = max(1, MC_BLOCK_ENTRIES // dim)
 

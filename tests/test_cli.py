@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -387,6 +388,24 @@ def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, 
             "M has inf or NaN entries",
             id="rip-overflowing-estimate",
         ),
+        # json reads an integer of any size and the schema bounds compare it
+        # exactly, so these passed the schema and ended in exit 4
+        pytest.param(
+            "bound-table", dict(TABLE_CONFIG, L=10**400), "L must be finite",
+            id="bound-table-oversized-integer-L",
+        ),
+        pytest.param(
+            "rip",
+            golden_config("rip") | {"t_values": [1, 10**400]},
+            "thresholds must be finite",
+            id="rip-oversized-integer-t_values",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, matrix={"kind": "random_dense", "n": 3, "scale": 10**400}),
+            "matrix scale must be finite",
+            id="bound-table-oversized-integer-matrix-scale",
+        ),
         # comb(d, k) = 0 sizes no task: k is checked first
         pytest.param(
             "rip",
@@ -424,6 +443,20 @@ def test_enumeration_budget_exits_3(tmp_path):
         "seed": 5,
     }
     assert main(["rip", "--config", write_config(tmp_path, cfg)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, case", [("hw-verify", "hw-verify-refined"), ("bernstein-verify", "bernstein-verify")]
+)
+def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case):
+    cfg = golden_config(case) | {"n_samples": 10**30}
+    started = time.perf_counter()
+    assert main([command, "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 3
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: n_samples = "), lines
 
 
 def assert_internal_error(capsys, name: str) -> None:

@@ -108,6 +108,16 @@ def test_simulate_tail_validation():
         simulate_tail(inst, [1.0], 0, seed=0)
 
 
+def test_sample_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(quadform_mc, "MC_SAMPLE_BUDGET", 100)
+    inst = QuadFormInstance(EXCHANGE, rademacher_model(2))
+    assert simulate_tail(inst, [1.0], 100, seed=0).n_samples == 100
+    with pytest.raises(BudgetExceededError, match="exceeds the Monte Carlo budget of 100 samples"):
+        simulate_tail(inst, [1.0], 101, seed=0)
+    with pytest.raises(BudgetExceededError):
+        simulate_linear_tail(np.ones(2), rademacher_model(2), [1.0], 101, seed=0)
+
+
 def test_simulate_tail_matches_exhaustive_enumeration():
     rng = stream(200, 0)
     a = rng.standard_normal((3, 3))
