@@ -219,8 +219,8 @@ def opnorm_detail(
         done = np.abs(step) <= _ALTMAX_TOL * np.maximum(1.0, new)
         value[live] = new
         converged[live[done]] = True
-        # a row that cannot reach the best value even if its latest step
-        # repeats until the cap stops too, not converged
+        # a row that would stay below the best value even if its latest
+        # step repeated until the cap cannot catch up: it stops, unconverged
         best = value.max()
         reach = new + np.maximum(step, 0.0) * (_ALTMAX_MAX_ITER - it - 1)
         keep = ~done & (reach >= best - _ALTMAX_TOL * max(1.0, best))
