@@ -690,24 +690,27 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     slack = _finite(cfg.get("rel_slack", 0.0), "rel_slack")
     sigma = model.sigma()
     d = model.dim
-    if not 1 <= k <= d:  # before comb(d, k), which is 0 for k > d, sizes the tasks
+    if not 1 <= k <= d:  # before comb(d, k), which is 0 for k > d, sizes the stacks
         raise ValueError("need 1 <= k <= d")
-    # one task per chunk of replicates, as many as one rip_k block holds;
+    theta_budget = cfg.get("theta_budget", 128)
+    qf.check_sample_budget(replicates * n, "replicates x n")
+    cv.check_theta_budget(d, k, theta_budget)
+    # stacks of as many replicates as one rip_k block holds, run in turn in
+    # this thread (a pool only waits on the GIL for these short numpy calls);
     # replicate i always draws from stream (seed, i)
-    per_task = max(1, cv.RIP_BLOCK_ENTRIES // (math.comb(d, k) * k * k))
-
-    def task(c: int, size: int) -> np.ndarray:
-        deviations = np.empty((size, d, d))
+    per_stack = max(1, cv.RIP_BLOCK_ENTRIES // math.comb(d, k))
+    q = model.p_array()
+    rips = np.empty(replicates)
+    for start in range(0, replicates, per_stack):
+        deviations = np.empty((min(per_stack, replicates - start), d, d))
         with np.errstate(over="ignore", invalid="ignore"):  # rip_k rejects inf and NaN
-            for j in range(size):
-                values, _ = cv.generate_samples(model, n, seed, stream_id=c * per_task + j)
-                deviations[j] = cv.ipw_estimator(values, model.p_array()) - sigma
-        return cv.rip_k(deviations, k)
-
-    rips = np.concatenate(qf._run_chunks(task, replicates, threads, per_task))
+            for j in range(len(deviations)):
+                values, _ = cv.generate_samples(model, n, seed, stream_id=start + j)
+                deviations[j] = cv.ipw_estimator(values, q) - sigma
+        rips[start : start + len(deviations)] = cv.rip_k(deviations, k)
 
     rhs = cv.rip_bound_rhs(
-        t_values, k, model, n, theta_budget=cfg.get("theta_budget", 128), seed=seed
+        t_values, k, model, n, theta_budget=theta_budget, seed=seed
     ).value.tolist()
     quantiles = [float(np.quantile(rips, max(0.0, 1.0 - 2.0 * math.exp(-t)))) for t in t_values]
     # tail bounds bind in the deep tail: anchor the constant at the

@@ -17,10 +17,13 @@ submatrix, raised by a relative margin (1e-12, plus 4 k^2 eps for large
 k) that covers rounding in both the bound and `eigvalsh`.  A submatrix
 whose bound is below the largest spectral norm already found cannot
 hold the maximum, so it is never decomposed; every maximum is still one
-exact `eigvalsh` value, the same as full enumeration gives.  Subsets go
-in blocks: a block covers at most RIP_BLOCK_ENTRIES submatrix entries
-(replicates x subsets x k^2), so memory stays bounded however close
-comb(d, k) comes to RIP_ENUM_BUDGET.
+exact `eigvalsh` value, the same as full enumeration gives.  The
+RIP_TOP_FIRST largest-bound subsets of each matrix in a block are
+decomposed before the rest, so the running maximum is high by the time
+the bound is tested.  Subsets go in blocks of at most RIP_BLOCK_ENTRIES
+(matrices x subsets) cells, the size of each array a block allocates,
+so memory stays about 1 MiB an array however close comb(d, k) comes to
+RIP_ENUM_BUDGET.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
 Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
@@ -48,12 +51,13 @@ import numpy as np
 
 from . import matrix_norms as mn
 from .errors import BudgetExceededError
-from .quadform_mc import _run_chunks
+from .quadform_mc import _run_chunks, check_sample_budget
 from .rv_models import AlphaParam, DistributionSpec, SparseModel, sample_base
 from .streams import stream
 
 RIP_ENUM_BUDGET = 10**6
-RIP_BLOCK_ENTRIES = 1 << 16  # replicates x subsets x k^2 in one block of subsets
+RIP_BLOCK_ENTRIES = 1 << 17  # (matrices, subsets) cells in one block of subsets
+RIP_TOP_FIRST = 8  # largest-bound subsets a matrix decomposes first in each block
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
 
 
@@ -193,9 +197,12 @@ def ipw_replicate_stats(
     Replicate batches of the fixed chunk size draw from chunk-indexed
     streams on a pool of `threads` workers, and their sums accumulate in
     chunk order, so the result does not depend on the thread count.
+    More than MC_SAMPLE_BUDGET samples in all (replicates x n) raise
+    BudgetExceededError before anything is drawn.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
+    check_sample_budget(replicates * n, "replicates x n")
     d = model.dim
     q = model.p_array()
     ii = np.arange(d)
@@ -228,12 +235,14 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
     an array of R values; a 2-D call is a stack of one.  The quadratic
     form only sees the symmetric part of each matrix.
 
-    Subsets are enumerated in blocks of at most RIP_BLOCK_ENTRIES // (R k^2).
-    In each block every submatrix S gets the upper bound
-    ub = ||S||_F (1 + margin) on ||S||_2; each matrix's largest-ub subset
-    is decomposed first, then every subset whose ub reaches the largest
-    spectral norm found so far for its matrix (`>=`, so ties are
-    decomposed too), and that maximum carries over to the next block.
+    Subsets are enumerated in blocks of at most RIP_BLOCK_ENTRIES // R,
+    so each (R, subsets) array of a block has at most RIP_BLOCK_ENTRIES
+    cells.  In each block every submatrix S gets the upper bound
+    ub = ||S||_F (1 + margin) on ||S||_2; each matrix's RIP_TOP_FIRST
+    largest-ub subsets are decomposed first, then every other subset
+    whose ub reaches the largest spectral norm found so far for its
+    matrix (`>=`, so ties are decomposed too), and that maximum carries
+    over to the next block.
     The margin, 1e-12 plus 4 k^2 eps, covers rounding in ub and in
     `eigvalsh`.  ub also adds k 2^-537, which covers the squares that
     underflow, and the smallest normal float, which covers subnormal
@@ -272,7 +281,7 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
     rows = np.arange(r)
     best = np.zeros(r)
     subsets = itertools.combinations(range(d), k)
-    block = max(1, RIP_BLOCK_ENTRIES // (r * k * k))
+    block = max(1, RIP_BLOCK_ENTRIES // r)
     for start in range(0, n_subsets, block):
         size = min(block, n_subsets - start)
         flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
@@ -284,10 +293,12 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
                 frob2 += squares[:, idx[:, i] * d + idx[:, j]]
             frob = np.sqrt(frob2)
             ub = (frob + k * 2.0**-537) * (1.0 + margin) + np.finfo(float).tiny
-        top = ub.argmax(axis=1)
-        best = np.maximum(best, _spectral_norms(sym, rows, idx[top]))
+        first = min(RIP_TOP_FIRST, size)
+        top = np.argpartition(ub, size - first, axis=1)[:, size - first :]
+        top_norms = _spectral_norms(sym, rows.repeat(first), idx[top.ravel()])
+        best = np.maximum(best, top_norms.reshape(r, first).max(axis=1))
         todo = ub >= best[:, None]
-        todo[rows, top] = False
+        todo[rows[:, None], top] = False
         who, which = np.nonzero(todo)
         np.maximum.at(best, who, _spectral_norms(sym, who, idx[which]))
     return float(best[0]) if a.ndim == 2 else best
@@ -459,6 +470,20 @@ class RipBound:
     thetas_evaluated: int
 
 
+def check_theta_budget(d: int, k: int, theta_budget: int) -> None:
+    """Raise BudgetExceededError if the d + theta_budget directions of
+    rip_bound_rhs may sum more than EXACT_FROB_BUDGET terms of K2.
+
+    The exact K2 of a direction with s nonzero entries sums s^2 d^2
+    weighted terms, and s <= k.
+    """
+    if (d + theta_budget) * k * k * d * d > EXACT_FROB_BUDGET:
+        raise BudgetExceededError(
+            f"theta_budget = {theta_budget}: {d} + theta_budget directions of up to "
+            f"k^2 d^2 = {k * k * d * d} terms exceed the K2 budget of {EXACT_FROB_BUDGET} terms"
+        )
+
+
 def rip_bound_rhs(
     t,
     k: int,
@@ -477,7 +502,8 @@ def rip_bound_rhs(
     directions plus theta_budget random k-sparse directions, one K2
     kernel call each (K1 is not needed per direction, so ||B||_{2->2} is
     computed once).  t may be a scalar or an array: both sups are
-    computed once for all of it.
+    computed once for all of it.  check_theta_budget runs before any
+    direction is drawn.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # NaN fails >= too
@@ -487,6 +513,7 @@ def rip_bound_rhs(
     d = model.dim
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
+    check_theta_budget(d, k, theta_budget)
     q = model.p_array()
     u = t + k * math.log(48.0 * math.e * d / k)
     sup_k1 = _k1_scale(model) / float(np.min(q)) ** 2

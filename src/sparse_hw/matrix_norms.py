@@ -122,6 +122,15 @@ def _row_norms(x: np.ndarray, r: float) -> np.ndarray:
     return scale * np.sum((ax / scale[:, None]) ** r, axis=1) ** (1.0 / r)
 
 
+def _conjugate(r: float) -> float:
+    """The exponent r* in [1, inf] with 1/r + 1/r* = 1, for r in [1, inf]."""
+    if r == 1.0:
+        return math.inf
+    if math.isinf(r):
+        return 1.0
+    return r / (r - 1.0)
+
+
 def _dual_rows(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit-||.||_r maximizers x_i of <z_i, x_i>, and the values ||z_i||_{r*}.
 
@@ -196,13 +205,12 @@ def opnorm_detail(
         cols = np.array([lp_norm(m[:, j], r2) for j in range(m.shape[1])])
         return OpnormResult(float(cols.max()), 0, True)
     if math.isinf(r2):
-        r1star = math.inf if r1 == 1.0 else r1 / (r1 - 1.0)
-        rows = np.array([lp_norm(m[i, :], r1star) for i in range(m.shape[0])])
+        rows = np.array([lp_norm(m[i, :], _conjugate(r1)) for i in range(m.shape[0])])
         return OpnormResult(float(rows.max()), 0, True)
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
-    r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
+    r2star = _conjugate(r2)
     starts = stream(seed, 1).standard_normal((restarts - 1, m.shape[0]))
     y = np.vstack([np.ones(m.shape[0]), starts])
     ny = _row_norms(y, r2star)

@@ -109,6 +109,14 @@ class EmpiricalTail:
         return {"n_samples": self.n_samples, "seed": self.seed, **self.meta}
 
 
+def check_sample_budget(samples: int, what: str = "n_samples") -> None:
+    """Raise BudgetExceededError if a run would draw more than MC_SAMPLE_BUDGET samples."""
+    if samples > MC_SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"{what} = {samples} exceeds the Monte Carlo budget of {MC_SAMPLE_BUDGET} samples"
+        )
+
+
 def _run_chunks(worker, n_samples: int, threads: int, chunk_size: int) -> list:
     """Evaluate worker(chunk_index, chunk_len) for every chunk.
 
@@ -167,10 +175,7 @@ def _deviations(
     would otherwise count or sum it silently.  More than MC_SAMPLE_BUDGET
     samples raise BudgetExceededError first.
     """
-    if n_samples > MC_SAMPLE_BUDGET:
-        raise BudgetExceededError(
-            f"n_samples = {n_samples} exceeds the Monte Carlo budget of {MC_SAMPLE_BUDGET} samples"
-        )
+    check_sample_budget(n_samples)
     dim = stat.model.dim
     block = max(1, MC_BLOCK_ENTRIES // dim)
 

@@ -16,6 +16,7 @@ import sparse_hw
 from sparse_hw import bounds as bd
 from sparse_hw import cli
 from sparse_hw import covest as cv
+from sparse_hw import quadform_mc as qf
 from sparse_hw.cli import THREADS_ENV_VAR, main
 
 HW_CONFIG = {
@@ -446,17 +447,36 @@ def test_enumeration_budget_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, case", [("hw-verify", "hw-verify-refined"), ("bernstein-verify", "bernstein-verify")]
+    "command, case, field, value, message",
+    [
+        pytest.param(
+            "hw-verify", "hw-verify-refined", "n_samples", 10**30, "n_samples = ",
+            id="hw-verify-hw-verify-refined",
+        ),
+        pytest.param(
+            "bernstein-verify", "bernstein-verify", "n_samples", 10**30, "n_samples = ",
+            id="bernstein-verify-bernstein-verify",
+        ),
+        pytest.param("rip", "rip", "replicates", 10**400, "replicates x n = ", id="rip-replicates"),
+        pytest.param(
+            "rip", "rip", "theta_budget", 10**400, "theta_budget = ", id="rip-theta_budget"
+        ),
+        pytest.param(
+            "covest", "covest", "replicates", 10**400, "replicates x n = ", id="covest-replicates"
+        ),
+    ],
 )
-def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case):
-    cfg = golden_config(case) | {"n_samples": 10**30}
+def test_sample_budget_exits_3_before_drawing(
+    tmp_path, capsys, command, case, field, value, message
+):
+    cfg = golden_config(case) | {field: value}
     started = time.perf_counter()
     assert main([command, "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 3
     assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == ""
-    assert len(lines) == 1 and lines[0].startswith("budget exceeded: n_samples = "), lines
+    assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: {message}"), lines
 
 
 def assert_internal_error(capsys, name: str) -> None:
@@ -484,15 +504,28 @@ def test_unexpected_exceptions_exit_4_with_one_line(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "report.json").exists()
 
 
-def test_linalg_error_in_a_rip_pool_worker_exits_4(tmp_path, monkeypatch, capsys):
+def test_linalg_error_in_rip_k_exits_4(tmp_path, monkeypatch, capsys):
     def rip_k(m, k):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(cv, "rip_k", rip_k)
-    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", 1)  # one replicate a task: 20 tasks
     argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--threads", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == 4
     assert_internal_error(capsys, "LinAlgError")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_rip_runs_its_replicates_without_the_pool(tmp_path, monkeypatch):
+    # each replicate is a run of short numpy calls under the GIL: a pool of
+    # threads only waits on it, so rip runs one serial loop at any --threads
+    def no_pool(*args):
+        raise AssertionError("rip handed work to _run_chunks")
+
+    monkeypatch.setattr(qf, "_run_chunks", no_pool)
+    monkeypatch.setattr(cv, "_run_chunks", no_pool)
+    argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--threads", "3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path)["threads"] == 3
 
 
 def test_bernstein_verify_bound_matches_formula(tmp_path):

@@ -188,10 +188,11 @@ def rip_cases() -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("entries", [1, 9 * 4, 9 * 35 - 1, 20 * 4 * 4, None])
 def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
-    # comb(7, 3) = 35 subsets of 9 entries: blocks of 1 (nothing pruned within
-    # a block), of 4 with a ragged last block, and of 34 with a last block of
-    # 1; at 20 * 4 * 4 the stack of 20 cases at k = 2 takes its comb(6, 2) = 15
-    # subsets in blocks of 4, 4, 4 and 3
+    # a block holds entries // R subsets of a stack of R: blocks of 1 for
+    # every call at 1 (nothing pruned within a block, only the carried
+    # maximum), and for the stack of 20 cases at 36; comb(7, 3) = 35 subsets
+    # of m in one block at 36 and above; the stack's comb(6, 3) = 20 subsets
+    # at k = 3 in blocks of 15 and 5 at 314, of 16 and 4 at 320
     if entries is not None:
         monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", entries)
     m = stream(315, 0).standard_normal((7, 7))
@@ -208,7 +209,8 @@ def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
 
 def test_rip_k_prunes_what_its_bound_rules_out(monkeypatch):
     # the IPW deviation of a 14 x 8 model at k = 4: far fewer than comb(14, 4)
-    # = 1001 submatrices a replicate need a decomposition
+    # = 1001 submatrices a replicate need a decomposition, once the 8
+    # largest-bound subsets of each matrix raise its running maximum
     model = MultivariateModel(b=stream(319, 0).standard_normal((14, 8)), alpha=1.0, p=(0.5,) * 14)
     devs = np.stack(
         [ipw_estimator(generate_samples(model, 200, 319, i)[0], model.p_array()) for i in range(4)]
@@ -223,7 +225,7 @@ def test_rip_k_prunes_what_its_bound_rules_out(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert rip_k(devs, 4).tolist() == want
-    assert 4 <= sum(decomposed) <= 4 * 200
+    assert 4 * cv.RIP_TOP_FIRST <= sum(decomposed) <= 4 * 50
 
 
 def test_rip_k_rejects_non_finite_entries():

@@ -80,9 +80,9 @@ def test_golden_reports_do_not_depend_on_threads(case, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_golden_rip_report_does_not_depend_on_replicate_chunks(monkeypatch, tmp_path, threads):
-    # comb(4, 2) subsets of 2^2 entries: 7 replicates a task, so the 20
-    # replicates go in ragged tasks of 7, 7 and 6
-    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", 7 * 24 + 5)
+    # comb(4, 2) = 6 subsets: one rip_k block holds 7 replicates, so the 20
+    # replicates go in ragged stacks of 7, 7 and 6, run in turn at any --threads
+    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", 7 * 6 + 5)
     stacks = []
     rip_k = cv.rip_k
 
@@ -93,7 +93,7 @@ def test_golden_rip_report_does_not_depend_on_replicate_chunks(monkeypatch, tmp_
     monkeypatch.setattr(cv, "rip_k", recording)
     out = tmp_path / "out"
     assert run_config_case("rip", out, threads=threads) == 0
-    assert sorted(stacks) == [6, 7, 7]
+    assert stacks == [7, 7, 6]
     report = json.loads((out / "report.json").read_text())
     report["threads"] = 1
     (out / "report.json").write_text(json.dumps(report, indent=2))

@@ -96,6 +96,11 @@ def test_opnorm_closed_forms():
         opnorm(SYM22, 0.9, 2)
 
 
+def test_opnorm_inf_to_inf_is_the_largest_row_l1_norm():
+    # r2 = inf takes the row l_{r1*} norm, and r1 = inf has r1* = 1
+    assert opnorm(np.array([[1.0, -2.0], [3.0, 4.0]]), math.inf, math.inf) == 7.0
+
+
 def test_opnorm_spectral_vs_jacobi_oracle():
     for seed, n in ((30, 4), (31, 9), (32, 16)):
         m = random_sym(seed, n)
