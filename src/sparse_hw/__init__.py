@@ -16,19 +16,12 @@ from .bounds import (
     DEFAULT_CONSTANTS,
     TailBound,
     bernstein_regimes,
-    bernstein_sparse_bound,
     bound_report,
     comparison_bounds,
-    f1,
     f1_regimes,
-    f2,
     f2_regimes,
-    f_sparse,
     f_sparse_regimes,
-    hw_sparse_bound,
     hw_sparse_regimes,
-    moment_oracle_bilinear,
-    moments_to_tail,
     norm_concentration_bound,
     norm_concentration_center,
     symmetrize,
@@ -43,7 +36,6 @@ from .covest import (
     ipw_estimator,
     ipw_replicate_stats,
     k1_k2_terms,
-    load_samples,
     rip_bound_rhs,
     rip_k,
     rip_k_lower_random,
@@ -71,9 +63,7 @@ from .quadform_mc import (
     QuadFormInstance,
     decoupling_check_exhaustive,
     dominance_check,
-    empirical_moment,
     lower_bound_check,
-    simulate_decoupled,
     simulate_linear_tail,
     simulate_norm_tail,
     simulate_tail,
@@ -90,7 +80,6 @@ from .rv_models import (
     psi_alpha_norm,
     sample_base,
     sample_sparse_matrix,
-    sample_sparse_vector,
     sample_weibull,
 )
 from .sketchlr import (

@@ -9,13 +9,14 @@ Regimes whose coefficient is zero are vacuous (the matrix carries no
 mass in that functional) and are dropped from the minimum; a bound whose
 regimes are all vacuous is degenerate and raises.
 
-Normalization convention.  The quadratic-form bounds `hw_sparse_bound`,
-`f1`, `f2`, `f_sparse` and `norm_concentration_bound` take t in L^2
-units: the certified threshold is L^2 * t where L bounds the psi_alpha
-norms of the base variables.  `bernstein_sparse_bound` and
-`comparison_bounds` take the raw threshold and keep L inside the
-formula, so different inequalities can be compared at one threshold.
-Everywhere t may be a scalar or an array; results take the shape of t.
+Normalization convention.  The quadratic-form regimes (`f1_regimes`,
+`f2_regimes`, `f_sparse_regimes`, `hw_sparse_regimes`) and
+`norm_concentration_bound` take t in L^2 units: the certified threshold
+is L^2 * t where L bounds the psi_alpha norms of the base variables.
+`bernstein_regimes` and `comparison_bounds` take the raw threshold and
+keep L inside the formula, so different inequalities can be compared at
+one threshold.  Everywhere t may be a scalar or an array; results take
+the shape of t.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def f1_regimes(a, alpha: float, restarts: int = 64, seed: int = 0) -> tuple[Regime, ...]:
+def f1_regimes(a, alpha: float) -> tuple[Regime, ...]:
     """Five-regime exponent for dense quadratic forms, 1 <= alpha <= 2."""
     al = AlphaParam(alpha)
     if al.value < 1.0:
@@ -110,8 +111,8 @@ def f1_regimes(a, alpha: float, restarts: int = 64, seed: int = 0) -> tuple[Regi
         (mn.frobenius(m), 2.0),
         (mn.opnorm(m, 2, 2), 1.0),
         (mn.mixed_norm(m, astar), al.value),
-        (mn.opnorm(m, 2, astar, restarts=restarts, seed=seed), 2 * al.value / (2 + al.value)),
-        (mn.opnorm(m, al.value, astar, restarts=restarts, seed=seed), al.value / 2),
+        (mn.opnorm(m, 2, astar), 2 * al.value / (2 + al.value)),
+        (mn.opnorm(m, al.value, astar), al.value / 2),
     )
 
 
@@ -143,18 +144,6 @@ def f_sparse_regimes(a, p, alpha: float) -> tuple[Regime, ...]:
     )
 
 
-def f1(t, a, alpha: float, restarts: int = 64, seed: int = 0):
-    return TailBound(f1_regimes(a, alpha, restarts=restarts, seed=seed)).exponent(t)
-
-
-def f2(t, a, alpha: float):
-    return TailBound(f2_regimes(a, alpha)).exponent(t)
-
-
-def f_sparse(t, a, p, alpha: float):
-    return TailBound(f_sparse_regimes(a, p, alpha)).exponent(t)
-
-
 def hw_sparse_regimes(a, p, alpha: float) -> tuple[Regime, ...]:
     """Two-regime sparse exponent, 0 < alpha <= 2."""
     al = AlphaParam(alpha)
@@ -163,23 +152,6 @@ def hw_sparse_regimes(a, p, alpha: float) -> tuple[Regime, ...]:
         (math.sqrt(mn.gamma1(m, p)), 2.0),
         (mn.opnorm(m, 2, 2), al.value / 2),
     )
-
-
-def hw_sparse_bound(
-    t,
-    a,
-    p,
-    alpha: float,
-    L: float = 1.0,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-):
-    """Tail bound for |xi^T A xi - E xi^T A xi| at threshold L^2 * t.
-
-    The exponent is min{ t^2 / gamma1(A, p), (t / ||A||_{2->2})^(alpha/2) }.
-    """
-    if not L > 0:
-        raise ValueError("L must be positive")
-    return TailBound(hw_sparse_regimes(a, p, alpha), constants).prob(t)
 
 
 def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, ...]:
@@ -204,22 +176,6 @@ def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, .
         (L * math.sqrt(float(a * a @ q)), 2.0),
         (L * float(np.max(np.abs(a))) if a.size else 0.0, al.value),
     )
-
-
-def bernstein_sparse_bound(
-    t,
-    a_vec,
-    p,
-    alpha: float,
-    L: float = 1.0,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-):
-    """Tail bound for the linear form |sum_i a_i xi_i| at raw threshold t.
-
-    Exponent min{ t^2 / (L^2 sum a_i^2 p_i), (t / (L ||a||_inf))^alpha },
-    for 0 < alpha <= 1.
-    """
-    return TailBound(bernstein_regimes(a_vec, p, alpha, L), constants).prob(t)
 
 
 def norm_concentration_center(a, p: float) -> float:
@@ -271,8 +227,6 @@ def comparison_bounds(
     alpha: float,
     L: float = 1.0,
     constants: BoundConstants = DEFAULT_CONSTANTS,
-    restarts: int = 64,
-    seed: int = 0,
 ) -> dict[str, BoundEval]:
     """Evaluate the competing tail bounds at a raw threshold t.
 
@@ -307,9 +261,7 @@ def comparison_bounds(
         ((L**2 * fro, 2.0), (L**2 * spec, 1.0)), t, al.value == 2.0
     )
     if al.value >= 1.0:
-        out["dense_five_regime"] = entry(
-            f1_regimes(m, al.value, restarts=restarts, seed=seed), tn, True
-        )
+        out["dense_five_regime"] = entry(f1_regimes(m, al.value), tn, True)
     if al.value <= 1.0:
         out["dense_four_regime"] = entry(f2_regimes(m, al.value), tn, True)
     out["two_regime_simplified"] = entry(
@@ -330,67 +282,6 @@ def comparison_bounds(
     out["sparse_alpha"] = entry(hw_sparse_regimes(m, q, al.value), tn, True)
     if al.value <= 1.0:
         out["sparse_alpha_refined"] = entry(f_sparse_regimes(m, q, al.value), tn, True)
-    return out
-
-
-def moments_to_tail(C, beta, r0: float, t: float) -> tuple[float, float]:
-    """Tail bound from a polynomial moment growth profile.
-
-    Given ||xi||_{L_r} <= sum_{k<=m} C_k r^{beta_k} + C_{m+1} for r >= r0,
-    returns (threshold, bound) with threshold = e * (m t + C_{m+1}) and
-    bound = e^{r0} * exp(-min_k (t / C_k)^{1 / beta_k}).
-    """
-    c = np.asarray(C, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    if c.ndim != 1 or b.ndim != 1 or c.size != b.size + 1:
-        raise ValueError("need m + 1 coefficients for m exponents")
-    if np.any(c <= 0) or np.any(b <= 0):
-        raise ValueError("coefficients and exponents must be positive")
-    if r0 < 0:
-        raise ValueError("r0 must be nonnegative")
-    if not t >= 0:  # NaN fails >= too
-        raise ValueError("t must be nonnegative")
-    m = b.size
-    threshold = math.e * (m * t + c[-1])
-    exponent = float(np.min((t / c[:-1]) ** (1.0 / b)))
-    return threshold, math.exp(r0) * math.exp(-exponent)
-
-
-def moment_oracle_bilinear(a, alpha: float, r: float, restarts: int = 64, seed: int = 0) -> dict:
-    """Moment growth profiles for a diagonal-free symmetric quadratic form.
-
-    Returns the three L_r coefficient combinations (up to alpha-dependent
-    constants): the five-term profile for 1 <= alpha <= 2, the four-term
-    profile for 0 < alpha <= 1, and the simplified two-term profile valid
-    on the whole range.  Inapplicable profiles come back as None.
-    """
-    al = AlphaParam(alpha)
-    m = _symmetric_square(a)
-    if np.any(np.diag(m) != 0.0):
-        raise ValueError("moment profiles require a diagonal-free matrix")
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    fro = mn.frobenius(m)
-    spec = mn.opnorm(m, 2, 2)
-    out: dict[str, float | None] = {"five_term": None, "four_term": None}
-    if al.value >= 1.0:
-        astar = al.conjugate
-        out["five_term"] = (
-            math.sqrt(r) * fro
-            + r * spec
-            + r ** (1.0 / al.value) * mn.mixed_norm(m, astar)
-            + r ** ((al.value + 2) / (2 * al.value))
-            * mn.opnorm(m, 2, astar, restarts=restarts, seed=seed)
-            + r ** (2.0 / al.value) * mn.opnorm(m, al.value, astar, restarts=restarts, seed=seed)
-        )
-    if al.value <= 1.0:
-        out["four_term"] = (
-            math.sqrt(r) * fro
-            + r * spec
-            + r ** ((al.value + 2) / (2 * al.value)) * mn.opnorm(m, 2, math.inf)
-            + r ** (2.0 / al.value) * mn.max_abs(m)
-        )
-    out["two_term"] = math.sqrt(r) * fro + r ** (2.0 / al.value) * spec
     return out
 
 

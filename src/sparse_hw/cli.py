@@ -709,9 +709,11 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
                 deviations[j] = cv.ipw_estimator(values, q) - sigma
         rips[start : start + len(deviations)] = cv.rip_k(deviations, k)
 
-    rhs = cv.rip_bound_rhs(
-        t_values, k, model, n, theta_budget=theta_budget, seed=seed
-    ).value.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        rhs = cv.rip_bound_rhs(t_values, k, model, n, theta_budget=theta_budget, seed=seed).value
+    if not np.all(np.isfinite(rhs)):
+        raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
+    rhs = rhs.tolist()
     quantiles = [float(np.quantile(rips, max(0.0, 1.0 - 2.0 * math.exp(-t)))) for t in t_values]
     # tail bounds bind in the deep tail: anchor the constant at the
     # largest t, then the shallower quantile levels must stay dominated
@@ -878,7 +880,9 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
     results = {}
     rng = stream(seed, 0)
     if "p" in cfg:
-        model = SparseModel(p=_p_vector(cfg["p"], cfg.get("dim") or 1), base=base)
+        dim = cfg.get("dim") or 1
+        qf.check_sample_budget(dim * n, "dim x n")
+        model = SparseModel(p=_p_vector(cfg["p"], dim), base=base)
         samples = sample_sparse_matrix(model, n, rng)
         results["zero_fraction"] = float(np.mean(samples == 0.0))
     else:

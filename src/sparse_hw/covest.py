@@ -52,7 +52,7 @@ import numpy as np
 from . import matrix_norms as mn
 from .errors import BudgetExceededError
 from .quadform_mc import _run_chunks, check_sample_budget
-from .rv_models import AlphaParam, DistributionSpec, SparseModel, sample_base
+from .rv_models import AlphaParam, DistributionSpec, sample_base
 from .streams import stream
 
 RIP_ENUM_BUDGET = 10**6
@@ -167,21 +167,6 @@ def save_samples(directory, model: MultivariateModel, values, masks, seed: int, 
     }
     with open(d / f"{prefix}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
-
-
-def load_samples(manifest_path) -> tuple[MultivariateModel, np.ndarray, np.ndarray, int]:
-    path = Path(manifest_path)
-    with open(path) as fh:
-        manifest = json.load(fh)
-    model = MultivariateModel(
-        b=np.asarray(manifest["b"], dtype=float),
-        alpha=manifest["alpha"],
-        p=tuple(manifest["p"]),
-        base=DistributionSpec.from_json(json.dumps(manifest["base"])),
-    )
-    values = np.loadtxt(path.parent / manifest["files"]["values"], delimiter=",", ndmin=2)
-    masks = np.loadtxt(path.parent / manifest["files"]["masks"], delimiter=",", ndmin=2)
-    return model, values, masks.astype(np.uint8), int(manifest["seed"])
 
 
 def ipw_replicate_stats(
@@ -419,13 +404,7 @@ def expected_frob_sq_mc(
     return mean, se
 
 
-def k1_k2_terms(
-    model: MultivariateModel,
-    theta,
-    k2_method: str = "exact",
-    n_samples: int = 10**5,
-    seed: int = 0,
-) -> tuple[float, float]:
+def k1_k2_terms(model: MultivariateModel, theta) -> tuple[float, float]:
     """Per-direction constants of the k-sparse deviation bound.
 
     K1 = ||B||_{2->2} (||Diag(sqrt(p)) B||_F + ||B||_{2->2}) ||theta o 1/p||_2^2
@@ -436,7 +415,7 @@ def k1_k2_terms(
     if t.shape != (model.dim,):
         raise ValueError("theta must have one entry per row of B")
     k1 = _k1_scale(model) * float(np.sum((t / q) ** 2))
-    return k1, _k2_term(model, t, k2_method, seed, n_samples)
+    return k1, math.sqrt(expected_frob_sq_exact(model.b, t, q))
 
 
 def _k1_scale(model: MultivariateModel) -> float:
@@ -444,18 +423,6 @@ def _k1_scale(model: MultivariateModel) -> float:
     spec_b = mn.opnorm(model.b, 2, 2)
     weighted_fro = float(np.linalg.norm(np.sqrt(model.p_array())[:, None] * model.b, "fro"))
     return spec_b * (weighted_fro + spec_b)
-
-
-def _k2_term(
-    model: MultivariateModel, theta, k2_method: str, seed: int, n_samples: int = 10**5
-) -> float:
-    """K2 for one direction theta (see k1_k2_terms)."""
-    q = model.p_array()
-    if k2_method == "exact":
-        return math.sqrt(expected_frob_sq_exact(model.b, theta, q))
-    if k2_method == "mc":
-        return math.sqrt(expected_frob_sq_mc(model.b, theta, q, n_samples, seed)[0])
-    raise ValueError("k2_method must be 'exact' or 'mc'")
 
 
 @dataclass(frozen=True)
@@ -491,7 +458,6 @@ def rip_bound_rhs(
     n: int,
     theta_budget: int = 128,
     seed: int = 0,
-    k2_method: str = "exact",
 ) -> RipBound:
     """High-probability bound on rip_k(Sigma_hat - Sigma) from n samples.
 
@@ -529,7 +495,7 @@ def rip_bound_rhs(
         th = np.zeros(d)
         th[support] = v / nv
         thetas.append(th)
-    sup_k2 = max(_k2_term(model, th, k2_method, seed) for th in thetas)
+    sup_k2 = max(math.sqrt(expected_frob_sq_exact(model.b, th, q)) for th in thetas)
 
     term_k2 = np.sqrt(u / n) * sup_k2
     term_k1_34 = np.power(u / n, 0.75) * sup_k1

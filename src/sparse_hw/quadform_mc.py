@@ -14,12 +14,11 @@ sample mean, so tail estimates are not contaminated by centering noise.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ DEFAULT_CHUNK = 1 << 16
 # A chunk is drawn and evaluated in blocks of about this many sample entries
 # (1 MiB of float64), so a block and its statistic stay in cache.
 MC_BLOCK_ENTRIES = 1 << 17
-MOMENT_ORDER_CAP = 16.0
 EXHAUSTIVE_ATOM_BUDGET = 1 << 24
 # The most samples one Monte Carlo run may draw (4.3e9); a larger n_samples
 # raises BudgetExceededError before anything is drawn.
@@ -74,14 +72,6 @@ class QuadFormInstance:
         """E S = sum_i a_ii p_i E zeta_i^2, computed analytically."""
         return float(np.diag(self.a) @ self.model.coordinate_variances())
 
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.a.tobytes())
-        h.update(np.asarray(self.model.p, dtype=float).tobytes())
-        for b in self.model.bases:
-            h.update(b.to_json().encode())
-        return h.hexdigest()
-
 
 @dataclass
 class EmpiricalTail:
@@ -92,21 +82,6 @@ class EmpiricalTail:
     ci_low: np.ndarray
     ci_high: np.ndarray
     n_samples: int
-    seed: int
-    meta: dict = field(default_factory=dict)
-
-    def save_csv(self, path) -> None:
-        rows = np.column_stack([self.t_grid, self.survival, self.ci_low, self.ci_high])
-        np.savetxt(
-            path,
-            rows,
-            delimiter=",",
-            header="t,survival,ci_low,ci_high",
-            comments="",
-        )
-
-    def metadata(self) -> dict:
-        return {"n_samples": self.n_samples, "seed": self.seed, **self.meta}
 
 
 def check_sample_budget(samples: int, what: str = "n_samples") -> None:
@@ -134,17 +109,16 @@ def _run_chunks(worker, n_samples: int, threads: int, chunk_size: int) -> list:
 
 @dataclass(frozen=True)
 class _Blockwise:
-    """A statistic of `draws` independent samples of model, block by block.
+    """A statistic of samples of model, block by block.
 
-    evaluate(out, y, *xs) writes the statistic of the k rows of the
-    (k, dim) sample blocks xs into out, of shape (k,), and may use y, a
-    (k, width) scratch block.
+    evaluate(out, y, x) writes the statistic of the k rows of the (k, dim)
+    sample block x into out, of shape (k,), and may use y, a (k, width)
+    scratch block.
     """
 
     model: SparseModel
-    evaluate: Callable[..., None]
+    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     width: int = 0
-    draws: int = 1
 
 
 def _quadform(a: np.ndarray, model: SparseModel) -> _Blockwise:
@@ -182,14 +156,14 @@ def _deviations(
     def worker(c: int, sz: int) -> tuple:
         rng = stream(seed, c)
         rows = min(block, sz)
-        xs = [np.empty((rows, dim)) for _ in range(stat.draws)]
+        x = np.empty((rows, dim))
         y = np.empty((rows, stat.width))
         dev = np.empty(sz)
         with np.errstate(over="ignore", invalid="ignore"):  # counted instead
             for start in range(0, sz, rows):
                 k = min(rows, sz - start)
-                drawn = [sample_sparse_matrix(stat.model, k, rng, out=x[:k]) for x in xs]
-                stat.evaluate(dev[start : start + k], y[:k], *drawn)
+                sample_sparse_matrix(stat.model, k, rng, out=x[:k])
+                stat.evaluate(dev[start : start + k], y[:k], x[:k])
             dev -= center
             np.abs(dev, out=dev)
             return reduce(dev), dev.size - int(np.count_nonzero(np.isfinite(dev)))
@@ -209,7 +183,6 @@ def _simulate(
     seed: int,
     threads: int,
     chunk_size: int,
-    meta: dict,
 ) -> EmpiricalTail:
     """Empirical survival of |statistic - center| over t_grid with Wilson
     intervals."""
@@ -231,29 +204,7 @@ def _simulate(
         ci_low=lows,
         ci_high=highs,
         n_samples=n_samples,
-        seed=seed,
-        meta=meta,
     )
-
-
-def _lr_norm(
-    stat: _Blockwise,
-    center: float,
-    r: float,
-    n_samples: int,
-    seed: int,
-    threads: int,
-    chunk_size: int,
-) -> float:
-    """Empirical L_r norm of statistic - center."""
-    sums = _deviations(
-        lambda dev: float(np.sum(dev**r)), stat, center, n_samples, seed, threads, chunk_size
-    )
-    with np.errstate(over="ignore"):  # raised below
-        norm = float((np.sum(sums) / n_samples) ** (1.0 / r))
-    if not math.isfinite(norm):
-        raise ValueError(f"the L_{r:g} norm of {n_samples} simulated statistics overflows")
-    return norm
 
 
 def simulate_tail(
@@ -265,62 +216,8 @@ def simulate_tail(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> EmpiricalTail:
     """Empirical survival of |S - E S| over t_grid with Wilson intervals."""
-    meta = {"instance_hash": inst.content_hash(), "statistic": "quadform_abs_dev"}
     stat = _quadform(inst.a, inst.model)
-    return _simulate(stat, inst.mean(), t_grid, n_samples, seed, threads, chunk_size, meta)
-
-
-def empirical_moment(
-    inst: QuadFormInstance,
-    r: float,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-    allow_extreme: bool = False,
-) -> float:
-    """Empirical L_r norm of S - E S.
-
-    Orders above MOMENT_ORDER_CAP are refused unless allow_extreme is
-    set: for heavy-tailed bases those estimates are sign-off noise.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if r > MOMENT_ORDER_CAP and not allow_extreme:
-        raise ValueError(f"moment order above {MOMENT_ORDER_CAP} needs allow_extreme=True")
-    stat = _quadform(inst.a, inst.model)
-    return _lr_norm(stat, inst.mean(), r, n_samples, seed, threads, chunk_size)
-
-
-def simulate_decoupled(
-    a,
-    model: SparseModel,
-    r: float,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> float:
-    """Empirical L_r norm of the decoupled bilinear form xi^T A xi~.
-
-    xi and xi~ are independent copies of the model; A must be
-    diagonal-free (the decoupled comparison concerns off-diagonal mass).
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != model.dim:
-        raise ValueError("A must be square and match the model dimension")
-    if np.any(np.diag(m) != 0.0):
-        raise ValueError("decoupled comparison requires a diagonal-free matrix")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-
-    def bilinear(out, y, x, xt):
-        np.matmul(x, m, out=y)
-        y *= xt
-        y.sum(axis=1, out=out)
-
-    stat = _Blockwise(model, bilinear, m.shape[1], draws=2)
-    return _lr_norm(stat, 0.0, r, n_samples, seed, threads, chunk_size)
+    return _simulate(stat, inst.mean(), t_grid, n_samples, seed, threads, chunk_size)
 
 
 def _atom_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -549,13 +446,12 @@ def simulate_linear_tail(
     a = np.asarray(a_vec, dtype=float)
     if a.ndim != 1 or a.size != model.dim:
         raise ValueError("a must be a vector matching the model dimension")
-    meta = {"instance_hash": hashlib.sha256(a.tobytes()).hexdigest(), "statistic": "linear_abs"}
 
     def linear(out, y, x):
         np.matmul(x, a, out=out)
 
     stat = _Blockwise(model, linear)
-    return _simulate(stat, 0.0, t_grid, n_samples, seed, threads, chunk_size, meta)
+    return _simulate(stat, 0.0, t_grid, n_samples, seed, threads, chunk_size)
 
 
 def simulate_norm_tail(
@@ -581,8 +477,6 @@ def simulate_norm_tail(
     if any(b.variance() != 1.0 for b in model.bases):
         raise ValueError("norm concentration needs unit-variance bases")
     center = math.sqrt(p[0]) * float(np.linalg.norm(m, "fro"))
-    h = hashlib.sha256(m.tobytes()).hexdigest()
-    meta = {"instance_hash": h, "statistic": "norm_abs_dev", "center": center}
 
     def norm(out, y, x):
         # the arithmetic of np.linalg.norm(x @ m.T, axis=1)
@@ -592,4 +486,4 @@ def simulate_norm_tail(
         np.sqrt(out, out=out)
 
     stat = _Blockwise(model, norm, m.shape[0])
-    return _simulate(stat, center, t_grid, n_samples, seed, threads, chunk_size, meta)
+    return _simulate(stat, center, t_grid, n_samples, seed, threads, chunk_size)

@@ -123,19 +123,6 @@ class DistributionSpec:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionSpec":
-        data = json.loads(text)
-        extra = set(data) - {"kind", "alpha", "scale", "unit_variance"}
-        if extra:
-            raise ValueError(f"unexpected fields {sorted(extra)}")
-        return cls(
-            kind=data["kind"],
-            alpha=data.get("alpha"),
-            scale=data.get("scale", 1.0),
-            unit_variance=data.get("unit_variance", False),
-        )
-
 
 @dataclass(frozen=True)
 class SparseModel:
@@ -332,11 +319,6 @@ def sample_sparse_matrix(
             rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
             x[rows, cols[j]] = sample_base(spec, rows.size, rng)
     return x
-
-
-def sample_sparse_vector(model: SparseModel, rng: np.random.Generator) -> np.ndarray:
-    """Single xi draw of shape (dim,)."""
-    return sample_sparse_matrix(model, 1, rng)[0]
 
 
 def psi_alpha_exact(spec: DistributionSpec, alpha: float) -> float | None:

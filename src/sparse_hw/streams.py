@@ -24,8 +24,7 @@ report records it:
    (1 is negative); a Gaussian coordinate still takes one
    `standard_normal` draw.  And a Monte Carlo chunk is drawn as
    consecutive blocks of max(1, MC_BLOCK_ENTRIES // dim) rows, one
-   `sample_sparse_matrix` call per block (`quadform_mc._deviations`;
-   the decoupled form draws x, then x~, per block).
+   `sample_sparse_matrix` call per block (`quadform_mc._deviations`).
 """
 
 from __future__ import annotations

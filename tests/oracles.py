@@ -385,22 +385,19 @@ def bound_table_workload_matrix(seed: int) -> np.ndarray:
 
 
 def blocked_draws(
-    model, n_samples: int, seed: int, chunk_size: int, block_rows: int, draws: int = 1
-) -> list[np.ndarray]:
-    """The samples of a Monte Carlo run, stacked: `draws` (n_samples, dim) arrays.
+    model, n_samples: int, seed: int, chunk_size: int, block_rows: int
+) -> np.ndarray:
+    """The samples of a Monte Carlo run, stacked into one (n_samples, dim) array.
 
     Chunk c draws from stream (seed, c) in consecutive blocks of
-    block_rows rows, each of them `draws` fresh sample_sparse_matrix
-    calls (x, then x~ for the decoupled form).
+    block_rows rows, one fresh sample_sparse_matrix call each.
     """
-    stacks = [[] for _ in range(draws)]
+    blocks = []
     for c, size in enumerate(chunk_sizes(n_samples, chunk_size)):
         rng = stream(seed, c)
         for start in range(0, size, block_rows):
-            rows = min(block_rows, size - start)
-            for stack in stacks:
-                stack.append(sample_sparse_matrix(model, rows, rng))
-    return [np.vstack(stack) for stack in stacks]
+            blocks.append(sample_sparse_matrix(model, min(block_rows, size - start), rng))
+    return np.vstack(blocks)
 
 
 def quadform_unblocked(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -413,7 +410,3 @@ def linear_unblocked(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def norm_unblocked(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x @ m.T, axis=1)
-
-
-def bilinear_unblocked(x: np.ndarray, xt: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return (x @ m * xt).sum(axis=1)

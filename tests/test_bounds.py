@@ -11,17 +11,13 @@ from sparse_hw import matrix_norms as mn
 from sparse_hw.bounds import (
     BoundConstants,
     TailBound,
-    bernstein_sparse_bound,
+    bernstein_regimes,
     bound_report,
     comparison_bounds,
-    f1,
-    f2,
-    f_sparse,
+    f1_regimes,
+    f2_regimes,
     f_sparse_regimes,
-    hw_sparse_bound,
     hw_sparse_regimes,
-    moment_oracle_bilinear,
-    moments_to_tail,
     norm_concentration_bound,
     norm_concentration_center,
     symmetrize,
@@ -71,50 +67,54 @@ def test_tail_bound_prob_shape():
 def test_f1_exchange_alpha2():
     # all five norms are closed-form for the exchange matrix: F = sqrt(2),
     # spectral 1, mixed(2) = sqrt(2), op(2,2) = 1, so min at t=1 is 1/2
-    assert math.isclose(f1(1.0, EXCHANGE, 2.0), 0.5, rel_tol=1e-12)
-    assert f1(0.0, EXCHANGE, 2.0) == 0.0
+    tb = TailBound(f1_regimes(EXCHANGE, 2.0))
+    assert math.isclose(tb.exponent(1.0), 0.5, rel_tol=1e-12)
+    assert tb.exponent(0.0) == 0.0
 
 
 def test_f1_alpha_range():
     with pytest.raises(ValueError):
-        f1(1.0, EXCHANGE, 0.9)
+        f1_regimes(EXCHANGE, 0.9)
     with pytest.raises(ValueError):
-        f2(1.0, EXCHANGE, 1.1)
+        f2_regimes(EXCHANGE, 1.1)
 
 
 def test_f2_exchange_values():
-    assert math.isclose(f2(1.0, EXCHANGE, 1.0), 0.5, rel_tol=1e-12)
+    tb = TailBound(f2_regimes(EXCHANGE, 1.0))
+    assert math.isclose(tb.exponent(1.0), 0.5, rel_tol=1e-12)
     # t = 9: min{40.5, 9, 9^(2/3), 3} = 3
-    assert math.isclose(f2(9.0, EXCHANGE, 1.0), 3.0, rel_tol=1e-12)
-    assert f2(0.0, EXCHANGE, 1.0) == 0.0
+    assert math.isclose(tb.exponent(9.0), 3.0, rel_tol=1e-12)
+    assert tb.exponent(0.0) == 0.0
 
 
 def test_f_sparse_hand_values():
     for q in (0.5, 0.9):
         expected = min(1.0 / (2 * q * q), 1.0 / q, q ** (-1.0 / 3.0), 1.0)
-        assert math.isclose(f_sparse(1.0, EXCHANGE, (q, q), 1.0), expected, rel_tol=1e-12)
+        tb = TailBound(f_sparse_regimes(EXCHANGE, (q, q), 1.0))
+        assert math.isclose(tb.exponent(1.0), expected, rel_tol=1e-12)
 
 
 def test_f_sparse_reduces_to_f2_at_full_retention():
     for seed, alpha in ((100, 1.0), (101, 0.6), (102, 0.25)):
         m = random_sym(seed, 5)
+        sparse = TailBound(f_sparse_regimes(m, np.ones(5), alpha))
+        dense = TailBound(f2_regimes(m, alpha))
         for t in (0.5, 2.0, 11.0):
-            assert math.isclose(
-                f_sparse(t, m, np.ones(5), alpha), f2(t, m, alpha), rel_tol=1e-12
-            )
+            assert math.isclose(sparse.exponent(t), dense.exponent(t), rel_tol=1e-12)
 
 
 def test_f_sparse_zero_support():
     # p = 0 only kills the sparse functionals; the max_abs regime survives
-    assert math.isclose(f_sparse(1.0, EXCHANGE, (0.0, 0.0), 1.0), 1.0)
+    tb = TailBound(f_sparse_regimes(EXCHANGE, (0.0, 0.0), 1.0))
+    assert math.isclose(tb.exponent(1.0), 1.0)
     with pytest.raises(ValueError):
-        f_sparse(1.0, np.zeros((2, 2)), (0.5, 0.5), 1.0)
+        TailBound(f_sparse_regimes(np.zeros((2, 2)), (0.5, 0.5), 1.0))
 
 
 def test_requires_symmetric_input():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError, match="symmetrize"):
-        f2(1.0, skew, 1.0)
+        f2_regimes(skew, 1.0)
     assert np.array_equal(symmetrize(skew), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         symmetrize(np.ones((2, 3)))
@@ -129,9 +129,11 @@ def test_homogeneity(seed, s):
     p = rng.random(4)
     alpha = float(rng.uniform(0.1, 1.0))
     t = float(rng.uniform(0.1, 10.0))
-    base = f_sparse(t, m, p, alpha)
-    assert math.isclose(f_sparse(s * t, s * m, p, alpha), base, rel_tol=1e-12)
-    assert math.isclose(f2(s * t, s * m, alpha), f2(t, m, alpha), rel_tol=1e-12)
+    base = TailBound(f_sparse_regimes(m, p, alpha)).exponent(t)
+    scaled = TailBound(f_sparse_regimes(s * m, p, alpha)).exponent(s * t)
+    assert math.isclose(scaled, base, rel_tol=1e-12)
+    dense = TailBound(f2_regimes(m, alpha)).exponent(t)
+    assert math.isclose(TailBound(f2_regimes(s * m, alpha)).exponent(s * t), dense, rel_tol=1e-12)
 
 
 def test_min_structure():
@@ -146,22 +148,25 @@ def test_min_structure():
 
 def test_hw_sparse_identity_value():
     # gamma1(I2, 1) = 2, spectral 1, alpha 2, t 2: min{2, 2} = 2
-    assert math.isclose(hw_sparse_bound(2.0, np.eye(2), (1.0, 1.0), 2.0), 2 * math.exp(-2.0))
-    assert hw_sparse_bound(0.0, np.eye(2), (1.0, 1.0), 2.0) == 2.0
+    tb = TailBound(hw_sparse_regimes(np.eye(2), (1.0, 1.0), 2.0))
+    assert math.isclose(tb.prob(2.0), 2 * math.exp(-2.0))
+    assert tb.prob(0.0) == 2.0
 
 
 def test_hw_sparse_monotone_in_t():
     m = random_sym(111, 5)
     p = np.full(5, 0.4)
     grid = np.linspace(0.0, 30.0, 100)
-    vals = hw_sparse_bound(grid, m, p, 0.7)
+    vals = TailBound(hw_sparse_regimes(m, p, 0.7)).prob(grid)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.all((vals > 0) & (vals <= 2.0))
 
 
 def test_hw_sparse_requires_positive_l():
-    with pytest.raises(ValueError):
-        hw_sparse_bound(1.0, np.eye(2), (1.0, 1.0), 2.0, L=0.0)
+    with pytest.raises(ValueError, match="L must be positive"):
+        comparison_bounds(1.0, np.eye(2), (1.0, 1.0), 2.0, L=0.0)
+    with pytest.raises(ValueError, match="L must be positive"):
+        bernstein_regimes(np.ones(2), (1.0, 1.0), 1.0, L=0.0)
 
 
 def test_two_regime_exponent_within_one_of_refined():
@@ -185,7 +190,8 @@ def test_bernstein_e1_formula():
     expected = 2 * math.exp(
         -min(t * t / (L * L * 0.3), (t / L) ** alpha)
     )
-    assert math.isclose(bernstein_sparse_bound(t, a, p, alpha, L=L), expected, rel_tol=1e-12)
+    tb = TailBound(bernstein_regimes(a, p, alpha, L=L))
+    assert math.isclose(tb.prob(t), expected, rel_tol=1e-12)
 
 
 def test_bernstein_full_retention_reduction():
@@ -194,15 +200,16 @@ def test_bernstein_full_retention_reduction():
     expected = 2 * math.exp(
         -min(t * t / float(a @ a), (t / float(np.max(np.abs(a)))) ** alpha)
     )
-    assert math.isclose(bernstein_sparse_bound(t, a, np.ones(6), alpha), expected, rel_tol=1e-12)
-    assert bernstein_sparse_bound(0.0, a, np.ones(6), alpha) == 2.0
+    tb = TailBound(bernstein_regimes(a, np.ones(6), alpha))
+    assert math.isclose(tb.prob(t), expected, rel_tol=1e-12)
+    assert tb.prob(0.0) == 2.0
 
 
 def test_bernstein_validation():
     with pytest.raises(ValueError):
-        bernstein_sparse_bound(1.0, [1.0], [1.0], 1.5)  # alpha > 1
+        bernstein_regimes([1.0], [1.0], 1.5)  # alpha > 1
     with pytest.raises(ValueError):
-        bernstein_sparse_bound(1.0, np.zeros(3), np.ones(3), 0.5)  # vacuous
+        TailBound(bernstein_regimes(np.zeros(3), np.ones(3), 0.5))  # vacuous
 
 
 def test_norm_concentration_values():
@@ -282,62 +289,34 @@ def test_comparison_bounds_applicability_flags():
     assert all(0.0 < e.value <= 2.0 for e in out2.values())
 
 
-def test_moments_to_tail_values():
-    threshold, bound = moments_to_tail((1.0, 1.0), (1.0,), 1.0, 4.0)
-    assert math.isclose(threshold, 5 * math.e)
-    assert math.isclose(bound, math.exp(-3.0))
-    threshold2, bound2 = moments_to_tail((1.0, 2.0, 0.5), (0.5, 2.0), 0.0, 1.0)
-    assert math.isclose(threshold2, 2.5 * math.e)
-    assert math.isclose(bound2, math.exp(-(2.0 ** -0.5)))
-    _, bound0 = moments_to_tail((1.0, 1.0), (1.0,), 1.5, 0.0)
-    assert math.isclose(bound0, math.exp(1.5))
-
-
-def test_moments_to_tail_validation():
-    with pytest.raises(ValueError):
-        moments_to_tail((1.0,), (), 0.0, 1.0)  # no exponents
-    with pytest.raises(ValueError):
-        moments_to_tail((1.0, -1.0), (1.0,), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        moments_to_tail((1.0, 1.0), (1.0,), 0.0, -1.0)
-    with pytest.raises(ValueError):
-        moments_to_tail((1.0, 1.0), (1.0,), 0.0, math.nan)
-
-
 def test_moment_profiles_exchange_alpha1():
-    out = moment_oracle_bilinear(EXCHANGE, 1.0, 4.0)
-    assert math.isclose(out["two_term"], 2 * math.sqrt(2.0) + 16.0, rel_tol=1e-12)
-    # alpha = 1 admits both profiles; all row norms and operator norms are 1
-    assert math.isclose(out["four_term"], 2 * math.sqrt(2.0) + 28.0, rel_tol=1e-9)
-    assert math.isclose(out["five_term"], 2 * math.sqrt(2.0) + 32.0, rel_tol=1e-9)
+    # the coefficients of the five-term (alpha >= 1) and four-term
+    # (alpha <= 1) moment profiles are the regime coefficients; alpha = 1
+    # admits both, and every norm of the exchange matrix but F is 1
+    r2 = math.sqrt(2.0)
+    five = ((r2, 2.0), (1.0, 1.0), (1.0, 1.0), (1.0, 2.0 / 3.0), (1.0, 0.5))
+    four = ((r2, 2.0), (1.0, 1.0), (1.0, 2.0 / 3.0), (1.0, 0.5))
+    for got, want in ((f1_regimes(EXCHANGE, 1.0), five), (f2_regimes(EXCHANGE, 1.0), four)):
+        assert len(got) == len(want)
+        for (c, e), (wc, we) in zip(got, want):
+            assert math.isclose(c, wc, rel_tol=1e-9) and e == we
 
 
 def test_moment_profile_five_term_vs_grid_oracle():
     # J3 - I3: frobenius sqrt(6), spectral 2, mixed(3) = 3^(1/3) sqrt(2);
     # the two nonconvex norms come from the brute-force grid
     m = np.ones((3, 3)) - np.eye(3)
-    alpha, r = 1.5, 2.0
-    astar = 3.0
-    out = moment_oracle_bilinear(m, alpha, r)
+    alpha, astar = 1.5, 3.0
+    coeffs = [c for c, _ in f1_regimes(m, alpha)]
     expected = (
-        math.sqrt(r) * math.sqrt(6.0)
-        + r * 2.0
-        + r ** (1 / alpha) * 3 ** (1 / 3) * math.sqrt(2.0)
-        + r ** ((alpha + 2) / (2 * alpha)) * opnorm_grid(m, 2.0, astar, n_random=100_000)
-        + r ** (2 / alpha) * opnorm_grid(m, alpha, astar, n_random=100_000)
+        math.sqrt(6.0),
+        2.0,
+        3 ** (1 / 3) * math.sqrt(2.0),
+        opnorm_grid(m, 2.0, astar, n_random=100_000),
+        opnorm_grid(m, alpha, astar, n_random=100_000),
     )
-    assert abs(out["five_term"] - expected) <= 0.01 * expected
-
-
-def test_moment_profiles_applicability():
-    out_low = moment_oracle_bilinear(EXCHANGE, 0.5, 2.0)
-    assert out_low["five_term"] is None and out_low["four_term"] is not None
-    out_high = moment_oracle_bilinear(EXCHANGE, 1.8, 2.0)
-    assert out_high["four_term"] is None and out_high["five_term"] is not None
-    with pytest.raises(ValueError):
-        moment_oracle_bilinear(np.eye(2), 1.0, 2.0)  # nonzero diagonal
-    with pytest.raises(ValueError):
-        moment_oracle_bilinear(EXCHANGE, 1.0, 1.5)  # r < 2
+    for c, want in zip(coeffs, expected):
+        assert abs(c - want) <= 0.01 * want
 
 
 def test_bound_report_serializes():

@@ -414,6 +414,14 @@ def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, 
             "need 1 <= k <= d",
             id="rip-k-above-dimension",
         ),
+        # Sigma and the estimates are finite, but K2 squares entries of B B^T
+        pytest.param(
+            "rip",
+            json.loads((GOLDEN_RIP / "config.json").read_text())
+            | {"b": {"values": [[1e100, 0.0], [0.0, 1.0]]}, "k": 1},
+            "bound_rhs overflows",
+            id="rip-overflowing-bound-rhs",
+        ),
     ],
 )
 def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
@@ -459,6 +467,7 @@ def test_enumeration_budget_exits_3(tmp_path):
         pytest.param("rip", "rip", "replicates", 10**400, id="rip-replicates"),
         pytest.param("rip", "rip", "theta_budget", 10**400, id="rip-theta_budget"),
         pytest.param("covest", "covest", "replicates", 10**400, id="covest-replicates"),
+        pytest.param("sample", "sample", "dim", 10**400, id="sample-dim"),
     ],
 )
 def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, field, value):
@@ -469,7 +478,8 @@ def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, f
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == ""
-    # the message names the field: "n_samples = ", "replicates x n = ", "theta_budget = "
+    # the message names the field: "n_samples = ", "replicates x n = ", "theta_budget = ",
+    # "dim x n = "
     assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: {field} "), lines
 
 
