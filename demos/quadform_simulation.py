@@ -32,7 +32,7 @@ for t, s, lo, hi in zip(tail.t_grid, tail.survival, tail.ci_low, tail.ci_high):
 # Calibrate the refined bound shape with a single constant at the first
 # usable grid point; the Wilson lower limits must stay dominated after it.
 L = 2.0
-shape = bd.TailBound(bd.f_sparse_regimes(a, model.p_array(), 1.0))
+shape = bd.TailBound(bd.f_sparse_regimes(bd.functionals(a, model.p_array(), 1.0)))
 dom = qf.dominance_check(tail, shape.exponent(tail.t_grid / L**2), rel_slack=0.05)
 print(f"\ndominance: ok={dom.ok} c_hat={dom.c_hat:.3f} over {dom.n_points} points")
 

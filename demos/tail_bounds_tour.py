@@ -3,7 +3,8 @@
 
 Builds a small sparse instance, evaluates every applicable bound family
 over a threshold grid, and shows how the sparsity-weighted functionals
-gamma1/gamma2 shrink as coordinates get dropped.
+gamma1/gamma2 shrink as coordinates get dropped.  Every functional is read
+from a `Functionals` record, which computes each one once.
 """
 
 import numpy as np
@@ -24,22 +25,22 @@ L = 2.0  # psi_1 constant of the standard symmetric Weibull base
 print("matrix functionals at three retention levels")
 print(f"{'p':>5} {'gamma1':>10} {'gamma2':>10} {'w_spec':>10} {'rw_max':>10}")
 for p_scalar in (1.0, 0.5, 0.1):
-    p = np.full(6, p_scalar)
+    f = mn.Functionals(a, p_scalar)
     print(
-        f"{p_scalar:>5} {mn.gamma1(a, p):>10.4f} {mn.gamma2(a, p):>10.4f}"
-        f" {mn.weighted_spectral(a, p):>10.4f} {mn.row_weighted_max(a, p):>10.4f}"
+        f"{p_scalar:>5} {f.gamma1:>10.4f} {f.gamma2:>10.4f}"
+        f" {f.weighted_spectral:>10.4f} {f.row_weighted_max:>10.4f}"
     )
 
 # gamma1 <= ||A||_F^2 and gamma2 <= ||A||_{2->2} always, with equality at p = 1
-print(f"\n||A||_F^2 = {mn.frobenius(a)**2:.4f}, ||A||_2->2 = {mn.opnorm(a, 2, 2):.4f}")
+print(f"\n||A||_F^2 = {f.frobenius**2:.4f}, ||A||_2->2 = {f.spectral:.4f}")
 
 # Tabulate the bound families over t in one call.  The comparison returns
 # one entry per family, valued on the whole grid; non-applicable families
-# carry applicable=False.
-p = np.full(6, 0.3)
+# carry applicable=False.  bd.functionals checks that A is symmetric.
+f = bd.functionals(a, np.full(6, 0.3), alpha)
 t_grid = np.geomspace(1.0, 200.0, 8)
 print(f"\nbound values at alpha={alpha}, p=0.3, L={L}")
-comp = bd.comparison_bounds(t_grid, a, p, alpha, L=L)
+comp = bd.comparison_bounds(t_grid, f, L=L)
 names = [k for k, v in comp.items() if v.applicable]
 print(f"{'t':>8} " + " ".join(f"{n[:14]:>14}" for n in names))
 for i, t in enumerate(t_grid):
@@ -47,8 +48,8 @@ for i, t in enumerate(t_grid):
 
 # The refined four-regime bound is never worse than the two-regime one
 # by more than a factor of e (exponent gap at most 1).
-two = bd.TailBound(bd.hw_sparse_regimes(a, p, alpha))
-four = bd.TailBound(bd.f_sparse_regimes(a, p, alpha))
+two = bd.TailBound(bd.hw_sparse_regimes(f))
+four = bd.TailBound(bd.f_sparse_regimes(f))
 tn = t_grid / L**2
 gap = two.exponent(tn) - four.exponent(tn)
 print(f"\nexponent gap (two-regime minus refined): min={gap.min():.3f} max={gap.max():.3f}")

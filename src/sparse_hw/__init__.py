@@ -21,6 +21,7 @@ from .bounds import (
     f1_regimes,
     f2_regimes,
     f_sparse_regimes,
+    functionals,
     hw_sparse_regimes,
     norm_concentration_bound,
     norm_concentration_center,
@@ -43,6 +44,7 @@ from .covest import (
 )
 from .errors import BudgetExceededError, ConfigError
 from .matrix_norms import (
+    Functionals,
     OpnormResult,
     frobenius,
     gamma1,

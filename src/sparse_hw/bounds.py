@@ -10,13 +10,15 @@ mass in that functional) and are dropped from the minimum; a bound whose
 regimes are all vacuous is degenerate and raises.
 
 Normalization convention.  The quadratic-form regimes (`f1_regimes`,
-`f2_regimes`, `f_sparse_regimes`, `hw_sparse_regimes`) and
-`norm_concentration_bound` take t in L^2 units: the certified threshold
-is L^2 * t where L bounds the psi_alpha norms of the base variables.
-`bernstein_regimes` and `comparison_bounds` take the raw threshold and
-keep L inside the formula, so different inequalities can be compared at
-one threshold.  Everywhere t may be a scalar or an array; results take
-the shape of t.
+`f2_regimes`, `f_sparse_regimes`, `hw_sparse_regimes`), `comparison_bounds`
+and `bound_report` take one `matrix_norms.Functionals` record, built by
+`functionals(A, p, alpha)`, so each matrix functional is computed once.
+The regimes and `norm_concentration_bound` take t in L^2 units: the
+certified threshold is L^2 * t where L bounds the psi_alpha norms of the
+base variables.  `bernstein_regimes` and `comparison_bounds` take the raw
+threshold and keep L inside the formula, so different inequalities can
+be compared at one threshold.  Everywhere t may be a scalar or an array;
+results take the shape of t.
 """
 
 from __future__ import annotations
@@ -83,15 +85,6 @@ class TailBound:
         return self.constants.prefactor * np.exp(-self.constants.c_alpha * np.asarray(e))
 
 
-def _symmetric_square(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix must be symmetric; pass symmetrize(A) explicitly")
-    return m
-
-
 def symmetrize(a) -> np.ndarray:
     """(A + A^T) / 2; quadratic forms are invariant under this map."""
     m = np.asarray(a, dtype=float)
@@ -100,57 +93,60 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def f1_regimes(a, alpha: float) -> tuple[Regime, ...]:
+def functionals(a, p, alpha: float) -> mn.Functionals:
+    """The record the quadratic-form bounds read: A symmetric and square,
+    p in [0, 1] (a scalar or one entry per row), alpha in (0, 2]."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or not np.array_equal(m, m.T):  # array_equal is False for non-square
+        raise ValueError("matrix must be symmetric and square; pass symmetrize(A) explicitly")
+    return mn.Functionals(m, p, AlphaParam(alpha).value)
+
+
+def f1_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
     """Five-regime exponent for dense quadratic forms, 1 <= alpha <= 2."""
-    al = AlphaParam(alpha)
-    if al.value < 1.0:
+    al = f.alpha
+    if al < 1.0:
         raise ValueError("five-regime exponent needs alpha in [1, 2]")
-    m = _symmetric_square(a)
-    astar = al.conjugate
     return (
-        (mn.frobenius(m), 2.0),
-        (mn.opnorm(m, 2, 2), 1.0),
-        (mn.mixed_norm(m, astar), al.value),
-        (mn.opnorm(m, 2, astar), 2 * al.value / (2 + al.value)),
-        (mn.opnorm(m, al.value, astar), al.value / 2),
+        (f.frobenius, 2.0),
+        (f.spectral, 1.0),
+        (f.mixed_conj_l2, al),
+        (f.op_2_to_conj, 2 * al / (2 + al)),
+        (f.op_alpha_to_conj, al / 2),
     )
 
 
-def f2_regimes(a, alpha: float) -> tuple[Regime, ...]:
+def f2_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
     """Four-regime exponent for dense quadratic forms, 0 < alpha <= 1."""
-    al = AlphaParam(alpha)
-    if al.value > 1.0:
+    al = f.alpha
+    if al > 1.0:
         raise ValueError("four-regime exponent needs alpha in (0, 1]")
-    m = _symmetric_square(a)
     return (
-        (mn.frobenius(m), 2.0),
-        (mn.opnorm(m, 2, 2), 1.0),
-        (mn.opnorm(m, 2, math.inf), 2 * al.value / (2 + al.value)),
-        (mn.max_abs(m), al.value / 2),
+        (f.frobenius, 2.0),
+        (f.spectral, 1.0),
+        (f.op_2_to_inf, 2 * al / (2 + al)),
+        (f.max_abs, al / 2),
     )
 
 
-def f_sparse_regimes(a, p, alpha: float) -> tuple[Regime, ...]:
+def f_sparse_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
     """Refined sparse exponent, 0 < alpha <= 1; reduces to f2 at p = 1."""
-    al = AlphaParam(alpha)
-    if al.value > 1.0:
+    al = f.alpha
+    if al > 1.0:
         raise ValueError("refined sparse exponent needs alpha in (0, 1]")
-    m = _symmetric_square(a)
     return (
-        (math.sqrt(mn.gamma1(m, p)), 2.0),
-        (mn.weighted_spectral(m, p), 1.0),
-        (mn.row_weighted_max(m, p), 2 * al.value / (2 + al.value)),
-        (mn.max_abs(m), al.value / 2),
+        (math.sqrt(f.gamma1), 2.0),
+        (f.weighted_spectral, 1.0),
+        (f.row_weighted_max, 2 * al / (2 + al)),
+        (f.max_abs, al / 2),
     )
 
 
-def hw_sparse_regimes(a, p, alpha: float) -> tuple[Regime, ...]:
+def hw_sparse_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
     """Two-regime sparse exponent, 0 < alpha <= 2."""
-    al = AlphaParam(alpha)
-    m = _symmetric_square(a)
     return (
-        (math.sqrt(mn.gamma1(m, p)), 2.0),
-        (mn.opnorm(m, 2, 2), al.value / 2),
+        (math.sqrt(f.gamma1), 2.0),
+        (f.spectral, f.alpha / 2),
     )
 
 
@@ -222,34 +218,24 @@ class BoundEval:
 
 def comparison_bounds(
     t,
-    a,
-    p,
-    alpha: float,
+    f: mn.Functionals,
     L: float = 1.0,
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> dict[str, BoundEval]:
     """Evaluate the competing tail bounds at a raw threshold t.
 
-    t may be a scalar or an array; the matrix functionals are computed
-    once for all of it.  All entries bound P{|S_A(xi) - E S_A(xi)| >= t}
+    t may be a scalar or an array; each matrix functional is read once
+    from f for all of it.  All entries bound P{|S_A(xi) - E S_A(xi)| >= t}
     using the same constants, so values are directly comparable.
     Entries outside an inequality's stated alpha range are still
     evaluated but flagged applicable=False.
     """
-    al = AlphaParam(alpha)
-    m = _symmetric_square(a)
     if not L > 0:
         raise ValueError("L must be positive")
     if not math.isfinite(L * L):
         raise ValueError(f"L = {L:g} overflows when squared")
     t = np.asarray(t, dtype=float)
-    q = mn._as_probs(p, m.shape[0])
-
-    fro = mn.frobenius(m)
-    spec = mn.opnorm(m, 2, 2)
-    g1 = mn.gamma1(m, q)
-    g2 = mn.gamma2(m, q)
-    mabs = mn.max_abs(m)
+    al = f.alpha
     tn = t / L**2  # threshold in L^2 units
 
     def entry(regimes, tt, applicable):
@@ -258,37 +244,35 @@ def comparison_bounds(
 
     out: dict[str, BoundEval] = {}
     out["classical_hw"] = entry(
-        ((L**2 * fro, 2.0), (L**2 * spec, 1.0)), t, al.value == 2.0
+        ((L**2 * f.frobenius, 2.0), (L**2 * f.spectral, 1.0)), t, al == 2.0
     )
-    if al.value >= 1.0:
-        out["dense_five_regime"] = entry(f1_regimes(m, al.value), tn, True)
-    if al.value <= 1.0:
-        out["dense_four_regime"] = entry(f2_regimes(m, al.value), tn, True)
+    if al >= 1.0:
+        out["dense_five_regime"] = entry(f1_regimes(f), tn, True)
+    if al <= 1.0:
+        out["dense_four_regime"] = entry(f2_regimes(f), tn, True)
     out["two_regime_simplified"] = entry(
-        ((L**2 * fro, 2.0), (L**2 * spec, al.value / 2)), t, True
+        ((L**2 * f.frobenius, 2.0), (L**2 * f.spectral, al / 2)), t, True
     )
     out["sparse_subgaussian"] = entry(
-        ((L**2 * math.sqrt(g1), 2.0), (L**2 * spec, 1.0)), t, al.value == 2.0
+        ((L**2 * math.sqrt(f.gamma1), 2.0), (L**2 * f.spectral, 1.0)), t, al == 2.0
     )
     out["sparse_gamma2"] = entry(
         (
-            (L**2 * math.sqrt(g1), 2.0),
-            (L**2 * g2, 1.0),
-            (L**2 * mabs, min(al.value / 2, 0.5)),
+            (L**2 * math.sqrt(f.gamma1), 2.0),
+            (L**2 * f.gamma2, 1.0),
+            (L**2 * f.max_abs, min(al / 2, 0.5)),
         ),
         t,
         True,
     )
-    out["sparse_alpha"] = entry(hw_sparse_regimes(m, q, al.value), tn, True)
-    if al.value <= 1.0:
-        out["sparse_alpha_refined"] = entry(f_sparse_regimes(m, q, al.value), tn, True)
+    out["sparse_alpha"] = entry(hw_sparse_regimes(f), tn, True)
+    if al <= 1.0:
+        out["sparse_alpha_refined"] = entry(f_sparse_regimes(f), tn, True)
     return out
 
 
 def bound_report(
-    a,
-    p,
-    alpha: float,
+    f: mn.Functionals,
     t_grid,
     L: float = 1.0,
     constants: BoundConstants = DEFAULT_CONSTANTS,
@@ -297,27 +281,24 @@ def bound_report(
 
     Shape: {"t_grid": [...], "bounds": {name: [...]}, "norms": {...}}.
     """
-    m = _symmetric_square(a)
-    q = mn._as_probs(p, m.shape[0])
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a nonempty vector")
-    evals = comparison_bounds(ts, m, q, alpha, L=L, constants=constants)
-    norms = {
-        "frobenius": mn.frobenius(m),
-        "spectral": mn.opnorm(m, 2, 2),
-        "max_abs": mn.max_abs(m),
-        "gamma1": mn.gamma1(m, q),
-        "gamma2": mn.gamma2(m, q),
-        "weighted_spectral": mn.weighted_spectral(m, q),
-        "row_weighted_max": mn.row_weighted_max(m, q),
-    }
+    evals = comparison_bounds(ts, f, L=L, constants=constants)
     return {
         "t_grid": ts.tolist(),
         "bounds": {k: e.value.tolist() for k, e in evals.items()},
         "applicable": {k: e.applicable for k, e in evals.items()},
-        "norms": norms,
-        "alpha": AlphaParam(alpha).value,
+        "norms": {
+            "frobenius": f.frobenius,
+            "spectral": f.spectral,
+            "max_abs": f.max_abs,
+            "gamma1": f.gamma1,
+            "gamma2": f.gamma2,
+            "weighted_spectral": f.weighted_spectral,
+            "row_weighted_max": f.row_weighted_max,
+        },
+        "alpha": f.alpha,
         "L": float(L),
         "constants": {"c_alpha": constants.c_alpha, "prefactor": constants.prefactor},
     }

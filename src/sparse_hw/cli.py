@@ -419,17 +419,18 @@ def _build_base(cfg: dict | None, alpha: float) -> DistributionSpec:
 
 
 def _p_vector(p, dim: int) -> tuple[float, ...]:
-    """Config p, a scalar for all dim coordinates or a list, as a tuple."""
-    return tuple([float(p)] * dim) if np.isscalar(p) else tuple(float(v) for v in p)
+    """Config p, a scalar for all dim coordinates or a list of dim entries, as a tuple."""
+    if np.isscalar(p):
+        return tuple([float(p)] * dim)
+    if len(p) != dim:
+        raise ConfigError(f"p has {len(p)} entries, instance needs {dim}")
+    return tuple(float(v) for v in p)
 
 
 def _build_model(cfg: dict, dim: int) -> tuple[SparseModel, float]:
     alpha = AlphaParam(cfg["alpha"]).value
-    pvec = _p_vector(cfg["p"], dim)
-    if len(pvec) != dim:
-        raise ConfigError(f"p has {len(pvec)} entries, instance needs {dim}")
     base = _build_base(cfg.get("base"), alpha)
-    return SparseModel(p=pvec, base=base), alpha
+    return SparseModel(p=_p_vector(cfg["p"], dim), base=base), alpha
 
 
 def _build_t_grid(cfg: dict) -> np.ndarray:
@@ -439,6 +440,8 @@ def _build_t_grid(cfg: dict) -> np.ndarray:
         for key in ("kind", "start", "stop", "num"):
             if key not in cfg:
                 raise ConfigError("t_grid needs values or kind/start/stop/num")
+        if cfg["num"] > qf.T_GRID_BUDGET:
+            raise BudgetExceededError(f"t_grid num = {cfg['num']} exceeds {qf.T_GRID_BUDGET}")
         ends = [_finite(cfg[key], f"t_grid {key}") for key in ("start", "stop")]
         space = np.linspace if cfg["kind"] == "linear" else np.geomspace
         grid = space(*ends, cfg["num"])
@@ -597,10 +600,10 @@ def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
     inst = qf.QuadFormInstance(a, model)
     tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
     tn = tail.t_grid / L**2
-    q = model.p_array()
-    bounds = {"sparse_alpha": bd.TailBound(bd.hw_sparse_regimes(a, q, alpha), constants)}
+    f = bd.functionals(a, model.p_array(), alpha)
+    bounds = {"sparse_alpha": bd.TailBound(bd.hw_sparse_regimes(f), constants)}
     if alpha <= 1.0:
-        bounds["sparse_alpha_refined"] = bd.TailBound(bd.f_sparse_regimes(a, q, alpha), constants)
+        bounds["sparse_alpha_refined"] = bd.TailBound(bd.f_sparse_regimes(f), constants)
     shape_name = "sparse_alpha_refined" if alpha <= 1.0 else "sparse_alpha"
     probs = {k: tb.prob(tn) for k, tb in bounds.items()}
     results = {
@@ -737,10 +740,12 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
 
 
 def _sketch(cfg: dict, seed: int, threads: int, outdir):
+    n_seeds = cfg.get("n_seeds", 1)
+    if n_seeds > qf.SKETCH_SEED_BUDGET:
+        raise BudgetExceededError(f"n_seeds = {n_seeds} exceeds {qf.SKETCH_SEED_BUDGET}")
     x = _build_matrix(cfg["x"])
     p = cfg["p"]
     r_values = sorted(set(cfg["r_values"]))
-    n_seeds = cfg.get("n_seeds", 1)
     xi = cfg.get("xi", "gaussian")
     eta = cfg.get("eta", 0.1)
     c1 = _finite(cfg.get("c1", 1.0), "c1")
@@ -824,43 +829,27 @@ def _cmd_norms(args) -> int:
         a = mn.load_matrix_bin(path)
     else:
         a = mn.load_matrix_csv(path)
-    square = a.shape[0] == a.shape[1]
     p = None
     if args.p is not None:
         parts = [float(v) for v in args.p.split(",")]
-        # p weights the columns (row_weighted_max), so a scalar fills a.shape[1]
-        p = _p_vector(parts[0] if len(parts) == 1 else parts, a.shape[1])
-    alpha = args.alpha
+        p = parts[0] if len(parts) == 1 else parts  # a scalar weights every column
+    al = None if args.alpha is None else AlphaParam(args.alpha)
+    f = mn.Functionals(a, p, None if al is None else al.value)
 
-    entries: dict[str, float] = {
-        "frobenius": mn.frobenius(a),
-        "max_abs": mn.max_abs(a),
-        "spectral": mn.opnorm(a, 2, 2),
-        "op_2_to_inf": mn.opnorm(a, 2, math.inf),
-        "op_1_to_2": mn.opnorm(a, 1, 2),
-        "op_1_to_inf": mn.opnorm(a, 1, math.inf),
-        "mixed_l4_l2": mn.mixed_norm(a, 4.0),
-        "mixed_linf_l2": mn.mixed_norm(a, math.inf),
-    }
+    names = ["frobenius", "max_abs", "spectral", "op_2_to_inf", "op_1_to_2", "op_1_to_inf"]
+    names += ["mixed_l4_l2", "mixed_linf_l2"]
+    entries: dict[str, float] = {name: getattr(f, name) for name in names}
     converged: dict[str, bool] = {}
-    if alpha is not None:
-        al = AlphaParam(alpha)
+    if al is not None:
+        key = f"op_alpha_to_conj(alpha={al.value})"
+        # below alpha = 1 the entry is the closed form ||A||_{1->inf}
+        entries[key] = f.op_alpha_to_conj if al.value > 1.0 else f.op_1_to_inf
         if al.value > 1.0:
-            astar = al.conjugate
-            detail = mn.opnorm_detail(a, al.value, astar)
-            key = f"op_alpha_to_conj(alpha={al.value})"
-            entries[key] = detail.value
-            converged[key] = detail.converged
-            entries[f"mixed_conj_l2(alpha={al.value})"] = mn.mixed_norm(a, astar)
-        else:
-            entries[f"op_alpha_to_conj(alpha={al.value})"] = mn.opnorm(a, 1, math.inf)
-    if p is not None and square:
-        entries["gamma1"] = mn.gamma1(a, p)
-        entries["gamma2"] = mn.gamma2(a, p)
-        entries["weighted_spectral"] = mn.weighted_spectral(a, p)
-        entries["row_weighted_max"] = mn.row_weighted_max(a, p)
-    elif p is not None:
-        entries["row_weighted_max"] = mn.row_weighted_max(a, p)
+            converged[key] = f.op(al.value, al.conjugate).converged
+            entries[f"mixed_conj_l2(alpha={al.value})"] = f.mixed_conj_l2
+    if p is not None:
+        weighted = ["gamma1", "gamma2", "weighted_spectral"] if a.shape[0] == a.shape[1] else []
+        entries.update((name, getattr(f, name)) for name in weighted + ["row_weighted_max"])
 
     width = max(len(k) for k in entries)
     for name, value in entries.items():
@@ -880,9 +869,10 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
     results = {}
     rng = stream(seed, 0)
     if "p" in cfg:
-        dim = cfg.get("dim") or 1
-        qf.check_sample_budget(dim * n, "dim x n")
-        model = SparseModel(p=_p_vector(cfg["p"], dim), base=base)
+        p = cfg["p"]
+        dim = cfg.get("dim", 1 if np.isscalar(p) else len(p))
+        qf.check_sample_budget((dim if np.isscalar(p) else len(p)) * n, "dim x n")
+        model = SparseModel(p=_p_vector(p, dim), base=base)
         samples = sample_sparse_matrix(model, n, rng)
         results["zero_fraction"] = float(np.mean(samples == 0.0))
     else:
@@ -906,7 +896,8 @@ def _bound_table(cfg: dict, seed: int, threads: int, outdir):
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
     L = _resolve_l(cfg.get("L"), model, alpha)
-    table = bd.bound_report(a, model.p_array(), alpha, t_grid, L=L, constants=constants)
+    f = bd.functionals(a, model.p_array(), alpha)
+    table = bd.bound_report(f, t_grid, L=L, constants=constants)
     return table, {"bounds": _bounds_table(np.asarray(table["t_grid"]), table["bounds"])}, []
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -281,6 +282,40 @@ def row_weighted_max(a, p) -> float:
     m = _as_matrix(a)
     q = _as_probs(p, m.shape[1])
     return float(np.sqrt(np.max((m * m) @ q))) if m.size else 0.0
+
+
+class Functionals:
+    """The functionals of one matrix A, each computed the first time it is read.
+
+    p (a scalar or one entry per column) is read only by the weighted
+    fields, alpha only by the `conj` ones (alpha* = alpha / (alpha - 1), so
+    alpha >= 1).  op(r1, r2) is opnorm_detail at its default restarts and
+    seed, cached by the pair: at alpha = 1, op_2_to_conj is op_2_to_inf.
+    Fields call the module-level functions through the module globals, so
+    a wrapper installed on one of them sees every call.
+    """
+
+    def __init__(self, a, p=None, alpha: float | None = None):
+        self.a = _as_matrix(a)
+        self.p = None if p is None else _as_probs(p, self.a.shape[1])
+        self.alpha = alpha
+        self.op = cache(lambda r1, r2: opnorm_detail(self.a, r1, r2))
+
+    frobenius = cached_property(lambda self: frobenius(self.a))
+    max_abs = cached_property(lambda self: max_abs(self.a))
+    spectral = property(lambda self: self.op(2, 2).value)
+    op_2_to_inf = property(lambda self: self.op(2, math.inf).value)
+    op_1_to_2 = property(lambda self: self.op(1, 2).value)
+    op_1_to_inf = property(lambda self: self.op(1, math.inf).value)
+    op_2_to_conj = property(lambda self: self.op(2, _conjugate(self.alpha)).value)
+    op_alpha_to_conj = property(lambda self: self.op(self.alpha, _conjugate(self.alpha)).value)
+    mixed_l4_l2 = cached_property(lambda self: mixed_norm(self.a, 4.0))
+    mixed_linf_l2 = cached_property(lambda self: mixed_norm(self.a, math.inf))
+    mixed_conj_l2 = cached_property(lambda self: mixed_norm(self.a, _conjugate(self.alpha)))
+    gamma1 = cached_property(lambda self: gamma1(self.a, self.p))
+    gamma2 = cached_property(lambda self: gamma2(self.a, self.p))
+    weighted_spectral = cached_property(lambda self: weighted_spectral(self.a, self.p))
+    row_weighted_max = cached_property(lambda self: row_weighted_max(self.a, self.p))
 
 
 def save_matrix_csv(path, a) -> None:

@@ -34,6 +34,9 @@ EXHAUSTIVE_ATOM_BUDGET = 1 << 24
 # The most samples one Monte Carlo run may draw (4.3e9); a larger n_samples
 # raises BudgetExceededError before anything is drawn.
 MC_SAMPLE_BUDGET = 1 << 32
+# Limits on t_grid "num" and sketch "n_seeds", checked before anything is allocated.
+T_GRID_BUDGET = 1 << 20
+SKETCH_SEED_BUDGET = 1 << 16
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:

@@ -120,7 +120,7 @@ def test_acceptance_05_quadform_tail_shape(capsys):
     grid = np.geomspace(20.0, 400.0, 24)
     tail30 = qf.simulate_tail(qf.QuadFormInstance(a, model30), grid, 2 * 10**6, 43)
     L = 2.0
-    shape = bd.TailBound(bd.f_sparse_regimes(a, np.full(30, 0.5), 1.0))
+    shape = bd.TailBound(bd.f_sparse_regimes(bd.functionals(a, np.full(30, 0.5), 1.0)))
     dom = qf.dominance_check(tail30, shape.exponent(grid / L**2), rel_slack=0.05)
     elapsed = time.perf_counter() - started
     ok = slope_ok and dom.ok and elapsed < 300.0

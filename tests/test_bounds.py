@@ -17,6 +17,7 @@ from sparse_hw.bounds import (
     f1_regimes,
     f2_regimes,
     f_sparse_regimes,
+    functionals,
     hw_sparse_regimes,
     norm_concentration_bound,
     norm_concentration_center,
@@ -67,20 +68,20 @@ def test_tail_bound_prob_shape():
 def test_f1_exchange_alpha2():
     # all five norms are closed-form for the exchange matrix: F = sqrt(2),
     # spectral 1, mixed(2) = sqrt(2), op(2,2) = 1, so min at t=1 is 1/2
-    tb = TailBound(f1_regimes(EXCHANGE, 2.0))
+    tb = TailBound(f1_regimes(functionals(EXCHANGE, 1.0, 2.0)))
     assert math.isclose(tb.exponent(1.0), 0.5, rel_tol=1e-12)
     assert tb.exponent(0.0) == 0.0
 
 
 def test_f1_alpha_range():
     with pytest.raises(ValueError):
-        f1_regimes(EXCHANGE, 0.9)
+        f1_regimes(functionals(EXCHANGE, 1.0, 0.9))
     with pytest.raises(ValueError):
-        f2_regimes(EXCHANGE, 1.1)
+        f2_regimes(functionals(EXCHANGE, 1.0, 1.1))
 
 
 def test_f2_exchange_values():
-    tb = TailBound(f2_regimes(EXCHANGE, 1.0))
+    tb = TailBound(f2_regimes(functionals(EXCHANGE, 1.0, 1.0)))
     assert math.isclose(tb.exponent(1.0), 0.5, rel_tol=1e-12)
     # t = 9: min{40.5, 9, 9^(2/3), 3} = 3
     assert math.isclose(tb.exponent(9.0), 3.0, rel_tol=1e-12)
@@ -90,31 +91,40 @@ def test_f2_exchange_values():
 def test_f_sparse_hand_values():
     for q in (0.5, 0.9):
         expected = min(1.0 / (2 * q * q), 1.0 / q, q ** (-1.0 / 3.0), 1.0)
-        tb = TailBound(f_sparse_regimes(EXCHANGE, (q, q), 1.0))
+        tb = TailBound(f_sparse_regimes(functionals(EXCHANGE, (q, q), 1.0)))
         assert math.isclose(tb.exponent(1.0), expected, rel_tol=1e-12)
 
 
 def test_f_sparse_reduces_to_f2_at_full_retention():
     for seed, alpha in ((100, 1.0), (101, 0.6), (102, 0.25)):
         m = random_sym(seed, 5)
-        sparse = TailBound(f_sparse_regimes(m, np.ones(5), alpha))
-        dense = TailBound(f2_regimes(m, alpha))
+        sparse = TailBound(f_sparse_regimes(functionals(m, np.ones(5), alpha)))
+        dense = TailBound(f2_regimes(functionals(m, 1.0, alpha)))
         for t in (0.5, 2.0, 11.0):
             assert math.isclose(sparse.exponent(t), dense.exponent(t), rel_tol=1e-12)
 
 
 def test_f_sparse_zero_support():
     # p = 0 only kills the sparse functionals; the max_abs regime survives
-    tb = TailBound(f_sparse_regimes(EXCHANGE, (0.0, 0.0), 1.0))
+    tb = TailBound(f_sparse_regimes(functionals(EXCHANGE, (0.0, 0.0), 1.0)))
     assert math.isclose(tb.exponent(1.0), 1.0)
     with pytest.raises(ValueError):
-        TailBound(f_sparse_regimes(np.zeros((2, 2)), (0.5, 0.5), 1.0))
+        TailBound(f_sparse_regimes(functionals(np.zeros((2, 2)), (0.5, 0.5), 1.0)))
 
 
 def test_requires_symmetric_input():
+    # every quadratic-form bound reads its input through functionals(), which
+    # checks A, p and alpha once for all of them
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError, match="symmetrize"):
-        f2_regimes(skew, 1.0)
+    for bad in (skew, np.ones((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match="symmetrize"):
+            functionals(bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="retention probabilities"):
+        functionals(EXCHANGE, 1.5, 1.0)
+    with pytest.raises(ValueError, match="p must have shape"):
+        functionals(EXCHANGE, (0.5, 0.5, 0.5), 1.0)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        functionals(EXCHANGE, 0.5, 0.0)
     assert np.array_equal(symmetrize(skew), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         symmetrize(np.ones((2, 3)))
@@ -129,17 +139,18 @@ def test_homogeneity(seed, s):
     p = rng.random(4)
     alpha = float(rng.uniform(0.1, 1.0))
     t = float(rng.uniform(0.1, 10.0))
-    base = TailBound(f_sparse_regimes(m, p, alpha)).exponent(t)
-    scaled = TailBound(f_sparse_regimes(s * m, p, alpha)).exponent(s * t)
+    base = TailBound(f_sparse_regimes(functionals(m, p, alpha))).exponent(t)
+    scaled = TailBound(f_sparse_regimes(functionals(s * m, p, alpha))).exponent(s * t)
     assert math.isclose(scaled, base, rel_tol=1e-12)
-    dense = TailBound(f2_regimes(m, alpha)).exponent(t)
-    assert math.isclose(TailBound(f2_regimes(s * m, alpha)).exponent(s * t), dense, rel_tol=1e-12)
+    dense = TailBound(f2_regimes(functionals(m, 1.0, alpha))).exponent(t)
+    dense_scaled = TailBound(f2_regimes(functionals(s * m, 1.0, alpha))).exponent(s * t)
+    assert math.isclose(dense_scaled, dense, rel_tol=1e-12)
 
 
 def test_min_structure():
     m = random_sym(110, 4)
     p = np.full(4, 0.7)
-    regs = f_sparse_regimes(m, p, 0.8)
+    regs = f_sparse_regimes(functionals(m, p, 0.8))
     t = 3.0
     val = TailBound(regs).exponent(t)
     for c, e in regs:
@@ -148,7 +159,7 @@ def test_min_structure():
 
 def test_hw_sparse_identity_value():
     # gamma1(I2, 1) = 2, spectral 1, alpha 2, t 2: min{2, 2} = 2
-    tb = TailBound(hw_sparse_regimes(np.eye(2), (1.0, 1.0), 2.0))
+    tb = TailBound(hw_sparse_regimes(functionals(np.eye(2), (1.0, 1.0), 2.0)))
     assert math.isclose(tb.prob(2.0), 2 * math.exp(-2.0))
     assert tb.prob(0.0) == 2.0
 
@@ -157,14 +168,14 @@ def test_hw_sparse_monotone_in_t():
     m = random_sym(111, 5)
     p = np.full(5, 0.4)
     grid = np.linspace(0.0, 30.0, 100)
-    vals = TailBound(hw_sparse_regimes(m, p, 0.7)).prob(grid)
+    vals = TailBound(hw_sparse_regimes(functionals(m, p, 0.7))).prob(grid)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.all((vals > 0) & (vals <= 2.0))
 
 
 def test_hw_sparse_requires_positive_l():
     with pytest.raises(ValueError, match="L must be positive"):
-        comparison_bounds(1.0, np.eye(2), (1.0, 1.0), 2.0, L=0.0)
+        comparison_bounds(1.0, functionals(np.eye(2), (1.0, 1.0), 2.0), L=0.0)
     with pytest.raises(ValueError, match="L must be positive"):
         bernstein_regimes(np.ones(2), (1.0, 1.0), 1.0, L=0.0)
 
@@ -178,8 +189,8 @@ def test_two_regime_exponent_within_one_of_refined():
         p = rng.random(6)
         alpha = float(rng.uniform(0.15, 1.0))
         grid = np.geomspace(0.05, 50.0, 40)
-        two = TailBound(hw_sparse_regimes(m, p, alpha)).exponent(grid)
-        refined = TailBound(f_sparse_regimes(m, p, alpha)).exponent(grid)
+        two = TailBound(hw_sparse_regimes(functionals(m, p, alpha))).exponent(grid)
+        refined = TailBound(f_sparse_regimes(functionals(m, p, alpha))).exponent(grid)
         assert np.all(two <= refined + 1.0 + 1e-12)
 
 
@@ -229,12 +240,12 @@ def test_norm_concentration_values():
 def test_comparison_bounds_reductions():
     m = random_sym(150, 4)
     p1 = np.ones(4)
-    out = comparison_bounds(2.0, m, p1, 2.0)
+    out = comparison_bounds(2.0, functionals(m, p1, 2.0))
     # at alpha = 2, p = 1 the sparse two-regime form coincides with both
     # the sub-gaussian sparse bound and the simplified dense bound
     assert math.isclose(out["sparse_alpha"].value, out["sparse_subgaussian"].value, rel_tol=1e-9)
     assert math.isclose(out["sparse_alpha"].value, out["two_regime_simplified"].value, rel_tol=1e-9)
-    out_half = comparison_bounds(2.0, m, p1, 0.5)
+    out_half = comparison_bounds(2.0, functionals(m, p1, 0.5))
     assert math.isclose(
         out_half["sparse_alpha"].value, out_half["two_regime_simplified"].value, rel_tol=1e-9
     )
@@ -242,9 +253,9 @@ def test_comparison_bounds_reductions():
     grid = np.array([0.0, 0.3, 2.0, 45.0])
     q = np.array([0.2, 0.9, 0.5, 1.0])
     for alpha in (2.0, 1.3, 0.5):
-        whole = comparison_bounds(grid, m, q, alpha, L=1.7)
+        whole = comparison_bounds(grid, functionals(m, q, alpha), L=1.7)
         for i, t in enumerate(grid):
-            single = comparison_bounds(t, m, q, alpha, L=1.7)
+            single = comparison_bounds(t, functionals(m, q, alpha), L=1.7)
             assert list(single) == list(whole)
             for name, e in single.items():
                 assert whole[name].value.shape == whole[name].exponent.shape == grid.shape
@@ -252,38 +263,48 @@ def test_comparison_bounds_reductions():
                 assert whole[name].exponent[i] == e.exponent
                 assert whole[name].applicable == e.applicable
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        comparison_bounds(np.array([1.0, -0.5]), m, q, 1.0)
+        comparison_bounds(np.array([1.0, -0.5]), functionals(m, q, 1.0))
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        comparison_bounds(np.array([1.0, np.nan]), m, q, 1.0)
+        comparison_bounds(np.array([1.0, np.nan]), functionals(m, q, 1.0))
     with pytest.raises(ValueError, match="overflows when squared"):
-        comparison_bounds(grid, m, q, 1.0, L=1e200)
+        comparison_bounds(grid, functionals(m, q, 1.0), L=1e200)
 
 
 def test_bound_report_work_does_not_grow_with_the_grid(monkeypatch):
-    real = mn.opnorm_detail
-    calls = []
+    # one record per report: every bound and the norms block read each
+    # functional once, whatever the grid; the names are the matrix
+    # functionals perfbench/tracer.py counts
+    names = ("frobenius", "max_abs", "mixed_norm", "gamma1", "gamma2")
+    names += ("weighted_spectral", "row_weighted_max")
+    calls = {"opnorm_detail": 0, "functionals": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(real, kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(mn, "opnorm_detail", counting)
+        return wrapper
+
+    monkeypatch.setattr(mn, "opnorm_detail", counting(mn.opnorm_detail, "opnorm_detail"))
+    for name in names:
+        monkeypatch.setattr(mn, name, counting(getattr(mn, name), "functionals"))
     m = random_sym(152, 5)
     q = np.full(5, 0.4)
-    bound_report(m, q, 1.5, [2.0])
-    one = len(calls)
-    bound_report(m, q, 1.5, np.geomspace(0.1, 100.0, 24))
-    assert one > 0 and len(calls) == 2 * one
+    for alpha in (1.5, 1.0):
+        for grid in ([2.0], np.geomspace(0.1, 100.0, 24)):
+            calls.update(opnorm_detail=0, functionals=0)
+            bound_report(functionals(m, q, alpha), grid)
+            assert calls == {"opnorm_detail": 3, "functionals": 7}, (alpha, len(grid))
 
 
 def test_comparison_bounds_applicability_flags():
     m = random_sym(151, 3)
     p = np.full(3, 0.5)
-    out = comparison_bounds(1.0, m, p, 0.7)
+    out = comparison_bounds(1.0, functionals(m, p, 0.7))
     assert not out["classical_hw"].applicable
     assert out["dense_four_regime"].applicable
     assert "dense_five_regime" not in out
-    out2 = comparison_bounds(1.0, m, p, 2.0)
+    out2 = comparison_bounds(1.0, functionals(m, p, 2.0))
     assert out2["classical_hw"].applicable
     assert "dense_four_regime" not in out2
     assert all(0.0 < e.value <= 2.0 for e in out2.values())
@@ -296,7 +317,8 @@ def test_moment_profiles_exchange_alpha1():
     r2 = math.sqrt(2.0)
     five = ((r2, 2.0), (1.0, 1.0), (1.0, 1.0), (1.0, 2.0 / 3.0), (1.0, 0.5))
     four = ((r2, 2.0), (1.0, 1.0), (1.0, 2.0 / 3.0), (1.0, 0.5))
-    for got, want in ((f1_regimes(EXCHANGE, 1.0), five), (f2_regimes(EXCHANGE, 1.0), four)):
+    f = functionals(EXCHANGE, 1.0, 1.0)
+    for got, want in ((f1_regimes(f), five), (f2_regimes(f), four)):
         assert len(got) == len(want)
         for (c, e), (wc, we) in zip(got, want):
             assert math.isclose(c, wc, rel_tol=1e-9) and e == we
@@ -307,7 +329,7 @@ def test_moment_profile_five_term_vs_grid_oracle():
     # the two nonconvex norms come from the brute-force grid
     m = np.ones((3, 3)) - np.eye(3)
     alpha, astar = 1.5, 3.0
-    coeffs = [c for c, _ in f1_regimes(m, alpha)]
+    coeffs = [c for c, _ in f1_regimes(functionals(m, 1.0, alpha))]
     expected = (
         math.sqrt(6.0),
         2.0,
@@ -321,7 +343,7 @@ def test_moment_profile_five_term_vs_grid_oracle():
 
 def test_bound_report_serializes():
     m = random_sym(160, 3)
-    rep = bound_report(m, np.full(3, 0.5), 0.75, [0.5, 1.0, 2.0])
+    rep = bound_report(functionals(m, np.full(3, 0.5), 0.75), [0.5, 1.0, 2.0])
     text = json.dumps(rep)
     back = json.loads(text)
     assert back["t_grid"] == [0.5, 1.0, 2.0]
@@ -329,4 +351,4 @@ def test_bound_report_serializes():
     assert all(len(v) == 3 for v in back["bounds"].values())
     assert back["norms"]["gamma1"] > 0
     with pytest.raises(ValueError):
-        bound_report(m, np.full(3, 0.5), 0.75, [])
+        bound_report(functionals(m, np.full(3, 0.5), 0.75), [])

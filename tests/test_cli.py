@@ -94,6 +94,40 @@ def test_norms_missing_file(tmp_path):
     assert main(["norms", str(tmp_path / "nope.csv")]) == 2
 
 
+def test_norms_alpha_zero_exits_2(tmp_path, capsys):
+    path = tmp_path / "eye.csv"
+    path.write_text("1.0,0.0\n0.0,1.0\n")
+    assert main(["norms", str(path), "--alpha", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: alpha must lie in (0, 2], got 0.0"]
+
+
+def test_norms_and_bound_table_share_functionals(tmp_path):
+    # both read one Functionals record of the same symmetric matrix and p
+    g = np.random.default_rng(17).standard_normal((6, 6))
+    a = 0.5 * (g + g.T)
+    p = [0.9, 0.5, 0.25, 1.0, 0.1, 0.6]
+    path = tmp_path / "a.csv"
+    np.savetxt(path, a, delimiter=",")
+    argv = ["norms", str(path), "--p", ",".join(map(str, p)), "--alpha", "1.5"]
+    assert main([*argv, "--out", str(tmp_path / "norms")]) == 0
+    norms = json.loads((tmp_path / "norms" / "norms.json").read_text())["norms"]
+    cfg = {
+        "matrix": {"csv": str(path)},
+        "model": {"alpha": 1.5, "p": p},
+        "t_grid": {"values": [1.0, 10.0]},
+        "seed": 0,
+    }
+    out = tmp_path / "table"
+    assert main(["bound-table", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    table = read_report(out)["results"]["norms"]
+    shared = ["frobenius", "spectral", "max_abs", "gamma1", "gamma2"]
+    shared += ["weighted_spectral", "row_weighted_max"]
+    assert sorted(table) == sorted(shared)
+    assert {name: norms[name] for name in shared} == table
+
+
 def test_hw_verify_passes(tmp_path):
     cfg = write_config(tmp_path, HW_CONFIG)
     out = tmp_path / "out"
@@ -422,6 +456,13 @@ def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, 
             "bound_rhs overflows",
             id="rip-overflowing-bound-rhs",
         ),
+        # a p list fixes the sample width, so a dim that disagrees is an error
+        pytest.param(
+            "sample",
+            golden_config("sample") | {"p": [0.5, 0.5, 0.5], "dim": 5},
+            "p has 3 entries, instance needs 5",
+            id="sample-p-list-disagrees-with-dim",
+        ),
     ],
 )
 def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
@@ -468,6 +509,17 @@ def test_enumeration_budget_exits_3(tmp_path):
         pytest.param("rip", "rip", "theta_budget", 10**400, id="rip-theta_budget"),
         pytest.param("covest", "covest", "replicates", 10**400, id="covest-replicates"),
         pytest.param("sample", "sample", "dim", 10**400, id="sample-dim"),
+        pytest.param(
+            "bound-table", "bound-table-dense", "t_grid",
+            {"kind": "log", "start": 1.0, "stop": 50.0, "num": 10**9},
+            id="bound-table-t_grid-num",
+        ),
+        pytest.param(
+            "bound-table", "bound-table-dense", "t_grid",
+            {"kind": "linear", "start": 1.0, "stop": 50.0, "num": 10**400},
+            id="bound-table-t_grid-oversized-num",
+        ),
+        pytest.param("sketch", "sketch", "n_seeds", 10**400, id="sketch-n_seeds"),
     ],
 )
 def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, field, value):
@@ -479,7 +531,7 @@ def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, f
     lines = captured.err.splitlines()
     assert captured.out == ""
     # the message names the field: "n_samples = ", "replicates x n = ", "theta_budget = ",
-    # "dim x n = "
+    # "dim x n = ", "t_grid num = ", "n_seeds = "
     assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: {field} "), lines
 
 
@@ -653,7 +705,8 @@ def test_bound_table_matches_library(tmp_path):
     assert main(["bound-table", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     rep = read_report(out)
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    ref = bd.bound_report(a, np.array([0.5, 0.25]), 1.0, np.array([0.5, 1.0, 2.0, 4.0]), L=2.0)
+    f = bd.functionals(a, np.array([0.5, 0.25]), 1.0)
+    ref = bd.bound_report(f, np.array([0.5, 1.0, 2.0, 4.0]), L=2.0)
     for name, values in ref["bounds"].items():
         assert np.allclose(rep["results"]["bounds"][name], values, rtol=0, atol=0)
     lines = (out / "bounds.csv").read_text().strip().split("\n")
