@@ -25,7 +25,7 @@ for r in (8, 16, 32, 64, 128):
     row = []
     for p in (1.0, 0.5, 0.25):
         errs = [
-            sk.low_rank_approx(x, r, p, seed=40 + s, allow_wide=True).error_max
+            sk.low_rank_approx(x, r, p, seed=40 + s, allow_wide=True, fact=fact).error_max
             for s in range(30)
         ]
         row.append(float(np.median(errs)))

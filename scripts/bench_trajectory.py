@@ -7,7 +7,11 @@ Each checkout (by default this one, named "change") runs its own
 BENCHMARK.json's `run_seconds`.  Workloads
 run one after the other, and for each workload every checkout runs in
 the order given, so a parent and a change named on one command line
-are measured side by side on the same machine.
+are measured side by side on the same machine.  Before the first run
+the `__pycache__` directories under each checkout's `src/` are deleted,
+and every run has PYTHONDONTWRITEBYTECODE=1, so each side compiles its
+own current source at every start and no stale or missing bytecode
+tilts `setup_s` between checkouts.
 
 BENCH_<label>.json, written at the root of this checkout, holds for each
 checkout its `git rev-parse HEAD` (and whether the working tree differs
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,11 +49,17 @@ def git(checkout: Path, *args: str) -> str:
     ).stdout.strip()
 
 
+def clear_bytecode(checkout: Path) -> None:
+    for cache in list((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
 def run_workload(checkout: Path, workload: str, seed: int) -> dict:
     """Run one workload in checkout; its metrics, counts and environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout}: exit {proc.returncode}\n{proc.stderr}")
     results = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
@@ -81,6 +93,8 @@ def main(argv=None) -> int:
         }
         for name, path in checkouts.items()
     }
+    for path in checkouts.values():
+        clear_bytecode(path)
     for workload in (w["name"] for w in SPEC["workloads"]):
         for name, path in checkouts.items():
             result = run_workload(path, workload, args.seed)

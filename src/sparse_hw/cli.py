@@ -683,6 +683,34 @@ def _covest(cfg: dict, seed: int, threads: int, outdir):
     return results, tables, verdicts
 
 
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """numpy's "linear" quantile (Hyndman & Fan type 7) of the sorted 1-D array s.
+
+    Equal (==) to np.quantile(s, q) for 0 <= q <= 1, bit for bit unless
+    the result is a zero, whose sign numpy takes from wherever its
+    partition leaves -0.0 and 0.0.  np.quantile itself is not called
+    because it imports numpy.ma, which costs more than the sort.
+    """
+    if math.isnan(s[-1]):  # sorted last; numpy's quantile is then NaN
+        return math.nan
+    n = len(s)
+    at = (n - 1) * q
+    if at >= n - 1:
+        return float(s[-1])
+    i = math.floor(at)
+    a, b, g = float(s[i]), float(s[i + 1]), at - i
+    # numpy's _lerp: interpolate from the nearer end
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def _sorted_median(s: np.ndarray) -> float:
+    """np.median of the sorted 1-D array s, under the terms of _sorted_quantile."""
+    if math.isnan(s[-1]):
+        return math.nan
+    h = len(s) // 2
+    return float(s[h]) if len(s) % 2 else (float(s[h - 1]) + float(s[h])) / 2
+
+
 def _rip(cfg: dict, seed: int, threads: int, outdir):
     b = _build_matrix(cfg["b"])
     model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
@@ -717,7 +745,8 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     if not np.all(np.isfinite(rhs)):
         raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
     rhs = rhs.tolist()
-    quantiles = [float(np.quantile(rips, max(0.0, 1.0 - 2.0 * math.exp(-t)))) for t in t_values]
+    ordered = np.sort(rips)
+    quantiles = [_sorted_quantile(ordered, max(0.0, 1.0 - 2.0 * math.exp(-t))) for t in t_values]
     # tail bounds bind in the deep tail: anchor the constant at the
     # largest t, then the shallower quantile levels must stay dominated
     c_hat = quantiles[-1] / rhs[-1]
@@ -751,18 +780,20 @@ def _sketch(cfg: dict, seed: int, threads: int, outdir):
     c1 = _finite(cfg.get("c1", 1.0), "c1")
     allow_wide = cfg.get("allow_wide", False)
 
+    fact = sk.thin_svd(x)  # shared by every sketch of x
     rows = []
     medians = []
     last_result = None
     for r in r_values:
-        errs = []
+        errs = np.empty(n_seeds)
         for s in range(n_seeds):
             res = sk.low_rank_approx(
-                x, r, p, seed + s, xi=xi, eta=eta, c1=c1, allow_wide=allow_wide
+                x, r, p, seed + s, xi=xi, eta=eta, c1=c1, allow_wide=allow_wide, fact=fact
             )
-            errs.append(res.error_max)
+            errs[s] = res.error_max
             last_result = res
-        med = float(np.median(errs))
+        errs.sort()
+        med = _sorted_median(errs)
         medians.append(med)
         rows.append([r, med, last_result.bound, float(last_result.admissible)])
 

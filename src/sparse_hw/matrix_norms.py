@@ -188,12 +188,15 @@ def opnorm_detail(
     `restarts - 1` Gaussian vectors drawn as one block from stream(seed, 1).
     All restarts iterate together as the rows of one block.  A row stops,
     converged, once its own value moves by at most _ALTMAX_TOL relative.
-    It also stops, unconverged, once it cannot catch up: its latest step,
-    repeated for every iteration left before _ALTMAX_MAX_ITER, would
-    still leave it more than _ALTMAX_TOL relative below the best value so
-    far.  A start of l_{r2*} norm 0 is skipped.  The value, the max over
-    rows, is a certified lower bound; `converged` says whether the first
-    restart that attains it converged.
+    It also stops, unconverged, once it looks unable to catch up: its
+    latest step, repeated for every iteration left before
+    _ALTMAX_MAX_ITER, would still leave it more than _ALTMAX_TOL relative
+    below the best value so far.  That drop rule is a heuristic: a
+    restart that speeds up later is lost, so the value may stop below
+    the one every restart would reach if run to convergence or the cap.
+    A start of l_{r2*} norm 0 is skipped.  The value, the max over rows,
+    is a certified lower bound either way; `converged` says whether the
+    first restart that attains it converged.
     """
     m = _as_matrix(a)
     r1 = _check_exponent(r1)

@@ -225,15 +225,19 @@ def low_rank_approx(
     eta: float = 0.1,
     c1: float = 1.0,
     allow_wide: bool = False,
+    fact: FactoredMatrix | None = None,
 ) -> SketchResult:
     """Sparsified sketch approximation of X at target rank r.
 
     r is required to stay within the detected rank k; pass
     allow_wide=True to sketch with r > k anyway (the output rank stays
     at most k, the extra columns only average down the variance).
+    fact, when given, must be thin_svd(x, rank_tol), so that many
+    sketches of one X share a single SVD.
     """
     m = np.asarray(x, dtype=float)
-    fact = thin_svd(m, rank_tol=rank_tol)
+    if fact is None:
+        fact = thin_svd(m, rank_tol=rank_tol)
     k = fact.rank
     if k == 0:
         raise ValueError("X is zero; nothing to sketch")

@@ -11,13 +11,16 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from test_golden_reports import CONFIG_CASES
 
 import sparse_hw
 from sparse_hw import bounds as bd
 from sparse_hw import cli
 from sparse_hw import covest as cv
 from sparse_hw import quadform_mc as qf
+from sparse_hw import sketchlr as sk
 from sparse_hw.cli import THREADS_ENV_VAR, main
+from sparse_hw.streams import stream
 
 HW_CONFIG = {
     "matrix": {"kind": "exchange", "n": 2},
@@ -678,6 +681,81 @@ def test_sketch_cli(tmp_path):
     fu = np.loadtxt(out / "factor_left.csv", delimiter=",")
     fv = np.loadtxt(out / "factor_right.csv", delimiter=",")
     assert fu.shape == (12, 6) and fv.shape == (10, 6)
+
+
+def test_sketch_factors_x_once(tmp_path, monkeypatch):
+    # every (seed, r) sketch of the golden config reuses one thin SVD of x
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return thin_svd(*args, **kwargs)
+
+    thin_svd = sk.thin_svd
+    monkeypatch.setattr(sk, "thin_svd", counting)
+    argv = ["sketch", "--config", str(GOLDEN / "sketch" / "config.json")]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def _quantile_samples():
+    """Sorted-input oracle cases: n from 1 to 12 and 100 (odd and even),
+    Gaussian, tied, signed-zero and 1e-300..1e300 values."""
+    rng = stream(95, 0)
+    for n in [*range(1, 13), 100]:
+        yield rng.standard_normal(n)
+        yield rng.integers(-2, 3, size=n).astype(float)
+        yield rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+        yield rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, size=n)
+        yield np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-300, 301, size=n)
+
+
+def test_sorted_quantile_and_median_match_numpy():
+    rng = stream(96, 0)
+    rip_levels = [max(0.0, 1.0 - 2.0 * math.exp(-t)) for t in (0.5, 1.0, 2.0, 3.0, 5.0, 20.0)]
+    for v in _quantile_samples():
+        s = np.sort(v)
+        for q in [0.0, 1.0, 0.5, *rng.random(8), *rip_levels]:
+            expected = np.quantile(v, q)
+            got = cli._sorted_quantile(s, q)
+            assert got == expected, (v, q)
+            assert got == 0.0 or got.hex() == expected.hex(), (v, q)
+        expected = np.median(v)
+        got = cli._sorted_median(s)
+        assert got == expected and (got == 0.0 or got.hex() == expected.hex()), v
+    nan = np.array([1.0, np.nan, 2.0])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.quantile(nan, 0.3)) and np.isnan(np.median(nan))
+    assert math.isnan(cli._sorted_quantile(np.sort(nan), 0.3))
+    assert math.isnan(cli._sorted_median(np.sort(nan)))
+
+
+MA_GUARD = """
+import json, sys
+import sparse_hw.cli as cli
+for command, config, code, out in json.loads(sys.argv[1]):
+    assert cli.main([command, "--config", config, "--out", out]) == code, command
+    assert "numpy.ma" not in sys.modules, "imported by a valid " + command + " run"
+"""
+
+
+def test_config_commands_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs more to import than a rip run's quantiles take to
+    # compute; np.quantile, np.median and np.unique load it
+    runs = {}
+    for case, (command, code) in sorted(CONFIG_CASES.items()):
+        config = str(GOLDEN / case / "config.json")
+        runs.setdefault(command, [command, config, code, str(tmp_path / case)])
+    assert len(runs) == 7
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MA_GUARD, json.dumps(list(runs.values()))],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sample_sparse_model(tmp_path):
