@@ -297,8 +297,8 @@ def sample_sparse_matrix(
     block by geometric gaps, then the base law on those k coordinates
     only.  The order is fixed, so a given stream always yields
     bit-identical output (streams.STREAM_LAYOUT names this layout).
-    out, a float64 array of shape (n_samples, dim), receives the draws
-    when given; a dense group spanning consecutive columns is drawn
+    out, a C-contiguous float64 array of shape (n_samples, dim), receives
+    the draws when given; a dense group on consecutive columns is drawn
     straight into it.
     """
     groups = model.groups
@@ -306,6 +306,8 @@ def sample_sparse_matrix(
         x = np.zeros((n_samples, model.dim))
     else:
         x = out
+        if not x.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         if any(p != 1.0 for p, _, _ in groups):
             x.fill(0.0)
     for p, spec, cols in groups:
@@ -316,8 +318,10 @@ def sample_sparse_matrix(
             else:
                 x[:, cols] = sample_base(spec, (n_samples, g), rng)
         elif p > 0.0:
-            rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
-            x[rows, cols[j]] = sample_base(spec, rows.size, rng)
+            at = _retained(p, n_samples * g, rng)
+            if g != model.dim:  # else the block's flat positions are x's own
+                at = at // g * model.dim + cols[at % g]
+            x.reshape(-1)[at] = sample_base(spec, at.size, rng)
     return x
 
 

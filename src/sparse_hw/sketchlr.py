@@ -47,8 +47,8 @@ class FactoredMatrix:
         k = s.size
         if u.ndim != 2 or v.ndim != 2 or u.shape[1] != k or v.shape[1] != k:
             raise ValueError("factor shapes do not agree")
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be nonnegative and descending")
+        if not np.all(np.isfinite(s)) or np.any(s < 0) or np.any(np.diff(s) > 0):
+            raise ValueError("singular values must be finite, nonnegative and descending")
         for w, name in ((u, "U"), (v, "V")):
             if k and not np.allclose(w.T @ w, np.eye(k), atol=ORTHONORMALITY_TOL):
                 raise ValueError(f"{name} columns are not orthonormal")
@@ -247,14 +247,17 @@ def low_rank_approx(
         )
     spec = SketchSpec(k=k, r=r, p=p, seed=seed, xi=xi)
     q = sparsified_sketch(spec)
-    fu = fact.u_tilde() @ q
-    fv = fact.v_tilde() @ q
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on error_max below
+        fu = fact.u_tilde() @ q
+        fv = fact.v_tilde() @ q
+        error_max = float(np.max(np.abs(m - (fu @ fv.T) / p)))
+    if not math.isfinite(error_max):
+        raise ValueError(f"the sketch error of X at r={r} is {error_max}")
     eps = smallest_admissible_eps(r, p, m.shape[0], m.shape[1], eta=eta, c1=c1)
     mu_col = coherence(fact.u)
     mu_row = coherence(fact.v)
     spec_norm = float(fact.s[0])
     bound = theorem_bound_22(k, eps, p, m.shape[0], m.shape[1], mu_col, mu_row, spec_norm)
-    y = (fu @ fv.T) / p
     return SketchResult(
         fu=fu,
         fv=fv,
@@ -270,5 +273,5 @@ def low_rank_approx(
         bound=bound,
         admissible=sketch_admissible(r, eps, p, m.shape[0], m.shape[1], eta=eta, c1=c1),
         truncated=fact.truncated,
-        error_max=float(np.max(np.abs(m - y))),
+        error_max=error_max,
     )

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, lp_norm
-from sparse_hw.rv_models import sample_sparse_matrix
+from sparse_hw.rv_models import _retained, sample_base, sample_sparse_matrix
 from sparse_hw.streams import chunk_sizes, stream
 
 
@@ -410,3 +410,17 @@ def linear_unblocked(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def norm_unblocked(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x @ m.T, axis=1)
+
+
+def sparse_matrix_divmod(model, n_samples: int, rng) -> np.ndarray:
+    """sample_sparse_matrix's draws, each kept position split by divmod
+    into (row, column of its group) and scattered by a 2-D assignment."""
+    x = np.zeros((n_samples, model.dim))
+    for p, spec, cols in model.groups:
+        g = len(cols)
+        if p == 1.0:
+            x[:, cols] = sample_base(spec, (n_samples, g), rng)
+        elif p > 0.0:
+            rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
+            x[rows, cols[j]] = sample_base(spec, rows.size, rng)
+    return x

@@ -411,6 +411,27 @@ def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, 
             "sketch", golden_config("sketch") | {"c1": math.inf}, "c1 must be finite",
             id="sketch-infinite-c1",
         ),
+        # the singular values of X overflow, which once gave NaN errors and exit 1
+        pytest.param(
+            "sketch",
+            {
+                "x": {"values": [[1.7e308, -1.7e308, 1e308], [1.7e308, 1.7e308, -1e308]]},
+                "p": 0.001,
+                "r_values": [1, 3],
+                "n_seeds": 3,
+                "seed": 1,
+                "allow_wide": True,
+            },
+            "singular values must be finite, nonnegative and descending",
+            id="sketch-overflowing-singular-values",
+        ),
+        # X is finite, but the first sketch Y = 1.7e308 xi^2 / 0.5 overflows
+        pytest.param(
+            "sketch",
+            {"x": {"values": [[1.7e308]]}, "p": 0.5, "r_values": [1], "n_seeds": 3, "seed": 1},
+            "the sketch error of X at r=1 is inf",
+            id="sketch-overflowing-error",
+        ),
         pytest.param(
             "rip",
             json.loads((GOLDEN_RIP / "config.json").read_text())

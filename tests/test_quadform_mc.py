@@ -188,6 +188,46 @@ def test_blocked_statistics_equal_unblocked(monkeypatch, rows, threads):
     assert np.array_equal(tail.survival, survival(norms, center))
 
 
+# one panel below n = 96 and about n / 64 past it, edges on either side of
+# multiples of 64 and of 8
+PANEL_DIMS = [1, 7, 63, 64, 65, 95, 96, 97, 136, 200, 257]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("n", PANEL_DIMS)
+def test_panelled_quadform_equals_unblocked_on_integers(n, threads):
+    model = rademacher_model(n, 0.5)
+    g = stream(n, 0).integers(-3, 4, size=(n, n)).astype(float)
+    a = g + g.T
+    inst = QuadFormInstance(a, model)
+    x = oracles.blocked_draws(model, 600, 13, 250, max(1, quadform_mc.MC_BLOCK_ENTRIES // n))
+    dev = np.abs(oracles.quadform_unblocked(x, a) - inst.mean())
+    grid = np.sort(dev)[[0, 300, 540, 594, 599]]  # thresholds equal to deviations test >= ties
+    tail = simulate_tail(inst, grid, 600, seed=13, threads=threads, chunk_size=250)
+    assert np.array_equal(tail.survival, [np.count_nonzero(dev >= t) / 600 for t in grid])
+
+
+@pytest.mark.parametrize("n", PANEL_DIMS)
+def test_panelled_quadform_is_within_rounding_of_unblocked(n):
+    g = stream(n, 1).standard_normal((n, n))
+    a = g + g.T
+    model = SparseModel(p=(0.3,) * n, base=DistributionSpec(kind="weibull", alpha=1.0))
+    x = sample_sparse_matrix(model, 300, stream(n, 2))
+    out, y = np.empty(300), np.empty((300, n))
+    quadform_mc._quadform(a, model).evaluate(out, y, x)
+    scale = (np.abs(x) @ np.abs(a) * np.abs(x)).sum(axis=1)
+    assert np.all(np.abs(out - oracles.quadform_unblocked(x, a)) <= 1e-12 * scale)
+
+
+def test_quadform_overflows_only_where_the_dense_product_does():
+    # x^T A x = 2e308 x_0 x_1 overflows at |x_0 x_1| > 0.9; a form that
+    # multiplied by 2 A would overflow on every row
+    model = SparseModel(p=(1.0, 1.0), base=DistributionSpec(kind="weibull", alpha=1.0, scale=0.1))
+    inst = QuadFormInstance(np.array([[0.0, 1e308], [1e308, 0.0]]), model)
+    tail = simulate_tail(inst, [1e300, 1e306], 2000, seed=7)
+    assert tail.survival.tolist() == [1.0, 0.4565]
+
+
 def test_simulate_tail_rejects_non_finite_statistics():
     # products of two draws near 5e153 overflow to inf, and inf - inf is NaN
     huge = DistributionSpec(kind="weibull", alpha=1.0, scale=5e153)

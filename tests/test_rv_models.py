@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from sparse_hw.quadform_mc import wilson_interval
 from sparse_hw.rv_models import (
     AlphaParam,
@@ -226,6 +227,30 @@ def test_tiny_retention_draws_nothing():
     # gaps of about 1e300 saturate int64; none may wrap round into the block
     model = SparseModel(p=(1e-300,) * 3, base=GAUSS)
     assert not np.any(sample_sparse_matrix(model, 1_000, stream(25, 0)))
+
+
+SPARSE_W1 = SparseModel(p=(0.05,) * 40, base=DistributionSpec(kind="weibull", alpha=1.0))
+
+
+@pytest.mark.parametrize("model", [MIXED, SPARSE_W1], ids=["mixed", "single-group-p0.05"])
+@pytest.mark.parametrize("rows", [1, 7, 100, 3277])
+def test_flat_scatter_equals_divmod_scatter(model, rows):
+    # out starts dirty, as a reused block buffer does
+    out = np.full((rows, model.dim), np.nan)
+    for seed in range(4):
+        want = oracles.sparse_matrix_divmod(model, rows, stream(seed, 2)).view(np.uint64)
+        got = sample_sparse_matrix(model, rows, stream(seed, 2))
+        assert np.array_equal(got.view(np.uint64), want)
+        sample_sparse_matrix(model, rows, stream(seed, 2), out=out)
+        assert np.array_equal(out.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("model", [MIXED, SPARSE_W1], ids=["mixed", "single-group-p0.05"])
+def test_non_contiguous_out_is_refused(model):
+    # reshape(-1) of such an out is a copy, so the scatter would be lost
+    for out in (np.zeros((model.dim, 50)).T, np.zeros((50, 2 * model.dim))[:, ::2]):
+        with pytest.raises(ValueError, match="out must be C-contiguous"):
+            sample_sparse_matrix(model, 50, stream(3, 0), out=out)
 
 
 def test_psi_alpha_exact_values():
