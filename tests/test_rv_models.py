@@ -245,12 +245,11 @@ def test_flat_scatter_equals_divmod_scatter(model, rows):
         assert np.array_equal(out.view(np.uint64), want)
 
 
-@pytest.mark.parametrize("model", [MIXED, SPARSE_W1], ids=["mixed", "single-group-p0.05"])
-def test_non_contiguous_out_is_refused(model):
+def test_non_contiguous_out_is_refused():
     # reshape(-1) of such an out is a copy, so the scatter would be lost
-    for out in (np.zeros((model.dim, 50)).T, np.zeros((50, 2 * model.dim))[:, ::2]):
+    for out in (np.zeros((40, 50)).T, np.zeros((50, 80))[:, ::2]):
         with pytest.raises(ValueError, match="out must be C-contiguous"):
-            sample_sparse_matrix(model, 50, stream(3, 0), out=out)
+            sample_sparse_matrix(SPARSE_W1, 50, stream(3, 0), out=out)
 
 
 def test_psi_alpha_exact_values():
