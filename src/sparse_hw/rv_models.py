@@ -373,9 +373,16 @@ def psi_alpha_norm(
 
     g(t) = mean exp(|x|^alpha / t^alpha) is strictly decreasing in t, so
     the returned t is the bisection upper endpoint: g(t) <= 2 while
-    g(t / (1 + rel_tol)) > 2 on the same samples.
+    g(t / (1 + rel_tol)) > 2 on the same samples.  A Weibull base W_s(beta)
+    with beta < alpha raises ValueError: E exp(|x|^alpha / t^alpha) is
+    infinite for every t, while a finite sample would still give a t.
     """
     a = AlphaParam(alpha).value
+    if dist.kind == "weibull" and dist.alpha < a:
+        raise ValueError(
+            f"weibull base with alpha={dist.alpha:g} has an infinite psi_alpha norm at"
+            f" alpha={a:g} (finite only for alpha <= {dist.alpha:g})"
+        )
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     x = sample_base(dist, n_samples, stream(seed, 0))

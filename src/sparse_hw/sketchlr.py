@@ -29,6 +29,9 @@ from .streams import stream
 
 DEFAULT_RANK_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-8
+# A coherence is at least 1 in exact arithmetic, but coherence() of a square
+# orthonormal factor comes out up to 5 eps below 1 in random trials.
+COHERENCE_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -156,15 +159,19 @@ def sparsified_sketch(spec: SketchSpec) -> np.ndarray:
 def theorem_bound_22(
     k: int, eps: float, p: float, m: int, n: int, mu_col: float, mu_row: float, spec_norm: float
 ) -> float:
-    """Entrywise error bound (k eps / (p sqrt(mn))) sqrt(mu_col mu_row) ||X||."""
+    """Entrywise error bound (k eps / (p sqrt(mn))) sqrt(mu_col mu_row) ||X||.
+
+    A coherence up to COHERENCE_ROUNDING below 1 is rounding and counts as 1.
+    """
     if k < 1 or m < 1 or n < 1:
         raise ValueError("k, m, n must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
-    if mu_col < 1.0 or mu_row < 1.0:
+    if not min(mu_col, mu_row) >= 1.0 - COHERENCE_ROUNDING:
         raise ValueError("coherences are at least 1")
+    mu_col, mu_row = max(mu_col, 1.0), max(mu_row, 1.0)
     if spec_norm < 0:
         raise ValueError("spec_norm must be nonnegative")
     return k * eps / (p * math.sqrt(m * n)) * math.sqrt(mu_col * mu_row) * spec_norm

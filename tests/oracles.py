@@ -29,7 +29,7 @@ import numpy as np
 
 from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, lp_norm
 from sparse_hw.rv_models import _retained, sample_base, sample_sparse_matrix
-from sparse_hw.streams import chunk_sizes, stream
+from sparse_hw.streams import chunk_sizes, chunk_stream, stream
 
 
 def jacobi_eigen_spectral(a: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -389,12 +389,12 @@ def blocked_draws(
 ) -> np.ndarray:
     """The samples of a Monte Carlo run, stacked into one (n_samples, dim) array.
 
-    Chunk c draws from stream (seed, c) in consecutive blocks of
+    Chunk c draws from chunk_stream(seed, c) in consecutive blocks of
     block_rows rows, one fresh sample_sparse_matrix call each.
     """
     blocks = []
     for c, size in enumerate(chunk_sizes(n_samples, chunk_size)):
-        rng = stream(seed, c)
+        rng = chunk_stream(seed, c)
         for start in range(0, size, block_rows):
             blocks.append(sample_sparse_matrix(model, min(block_rows, size - start), rng))
     return np.vstack(blocks)

@@ -487,6 +487,17 @@ def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, 
             "p has 3 entries, instance needs 5",
             id="sample-p-list-disagrees-with-dim",
         ),
+        # psi_1 of W(0.5) is infinite; a sampled L of about 18 once exited 0
+        pytest.param(
+            "bound-table",
+            dict(
+                TABLE_CONFIG,
+                model={"alpha": 1.0, "p": 0.5, "base": {"kind": "weibull", "alpha": 0.5}},
+                t_grid={"values": [1, 10, 100]},
+            ),
+            "weibull base with alpha=0.5 has an infinite psi_alpha norm at alpha=1",
+            id="bound-table-weibull-base-lighter-than-alpha",
+        ),
     ],
 )
 def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
@@ -702,6 +713,22 @@ def test_sketch_cli(tmp_path):
     fu = np.loadtxt(out / "factor_left.csv", delimiter=",")
     fv = np.loadtxt(out / "factor_right.csv", delimiter=",")
     assert fu.shape == (12, 6) and fv.shape == (10, 6)
+
+
+def test_sketch_accepts_a_square_factor_whose_coherence_rounds_below_1(tmp_path, capsys):
+    # U of this 2 x 3 X is a square orthonormal 2 x 2; coherence() gives
+    # 0.9999999999999999 for it, which once exited 2 with "coherences are at least 1"
+    cfg = {
+        "x": {"values": [[1, -1, 0.5], [1, 1, -0.5]]},
+        "p": 0.001,
+        "r_values": [1, 3],
+        "n_seeds": 3,
+        "seed": 1,
+        "allow_wide": True,
+    }
+    argv = ["sketch", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sketch_factors_x_once(tmp_path, monkeypatch):

@@ -221,11 +221,16 @@ def test_panelled_quadform_is_within_rounding_of_unblocked(n):
 
 def test_quadform_overflows_only_where_the_dense_product_does():
     # x^T A x = 2e308 x_0 x_1 overflows at |x_0 x_1| > 0.9; a form that
-    # multiplied by 2 A would overflow on every row
+    # multiplied by 2 A would overflow on every row.  The expected survival
+    # comes from the dense product on the same draws.
     model = SparseModel(p=(1.0, 1.0), base=DistributionSpec(kind="weibull", alpha=1.0, scale=0.1))
     inst = QuadFormInstance(np.array([[0.0, 1e308], [1e308, 0.0]]), model)
-    tail = simulate_tail(inst, [1e300, 1e306], 2000, seed=7)
-    assert tail.survival.tolist() == [1.0, 0.4565]
+    grid = [1e300, 1e306]
+    tail = simulate_tail(inst, grid, 2000, seed=7)
+    block = quadform_mc.MC_BLOCK_ENTRIES // 2
+    x = oracles.blocked_draws(model, 2000, 7, quadform_mc.DEFAULT_CHUNK, block)
+    dev = np.abs(oracles.quadform_unblocked(x, inst.a) - inst.mean())
+    assert tail.survival.tolist() == [np.count_nonzero(dev >= t) / 2000 for t in grid]
 
 
 def test_simulate_tail_rejects_non_finite_statistics():

@@ -302,6 +302,24 @@ def test_psi_alpha_norm_rejects_degenerate():
         psi_alpha_norm(DistributionSpec(kind="gaussian"), 2.0, n_samples=0, seed=0)
 
 
+@pytest.mark.parametrize("beta, alpha", [(0.5, 1.0), (1.0, 2.0), (1.9, 2.0)])
+def test_psi_alpha_norm_rejects_a_weibull_base_lighter_than_alpha(beta, alpha):
+    # E exp(|x|^alpha / t^alpha) diverges for every t when beta < alpha
+    spec = DistributionSpec(kind="weibull", alpha=beta)
+    message = f"weibull base with alpha={beta:g} has an infinite psi_alpha norm at alpha={alpha:g}"
+    with pytest.raises(ValueError, match=message):
+        psi_alpha_norm(spec, alpha, n_samples=10, seed=0)
+    with pytest.raises(ValueError, match=message):
+        model_psi_alpha(SparseModel(p=(1.0,), base=spec), alpha)
+
+
+def test_psi_alpha_norm_is_finite_for_gaussian_and_weibull_below_its_alpha():
+    gaussian = DistributionSpec(kind="gaussian")
+    weibull = DistributionSpec(kind="weibull", alpha=1.5)
+    assert math.isfinite(psi_alpha_norm(gaussian, 0.5, n_samples=1000))
+    assert math.isfinite(psi_alpha_norm(weibull, 1.0, n_samples=1000))
+
+
 def test_model_psi_alpha_takes_max_over_bases():
     model = SparseModel(
         p=(1.0, 1.0),

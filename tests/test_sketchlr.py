@@ -200,6 +200,17 @@ def test_theorem_bound_linear_in_eps():
     )
 
 
+def test_theorem_bound_counts_a_coherence_rounded_below_1_as_1():
+    kw = dict(k=1, eps=0.1, p=0.5, m=2, n=2, spec_norm=1.0)
+    exact = theorem_bound_22(mu_col=1.0, mu_row=1.0, **kw)
+    below = 1.0 - 2.0**-53  # coherence() of a square orthonormal factor
+    assert theorem_bound_22(mu_col=below, mu_row=1.0 - 4e-16, **kw) == exact
+    with pytest.raises(ValueError, match="coherences"):
+        theorem_bound_22(mu_col=1.0 - 1e-9, mu_row=1.0, **kw)
+    with pytest.raises(ValueError, match="coherences"):
+        theorem_bound_22(mu_col=math.nan, mu_row=1.0, **kw)
+
+
 def test_theorem_bound_validation():
     with pytest.raises(ValueError):
         theorem_bound_22(k=0, eps=0.1, p=0.5, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=1.0)
