@@ -350,11 +350,23 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _read_matrix(path, binary: bool, bin_hint: str) -> np.ndarray:
+    """A matrix file; one that cannot be read, or a CSV that is not UTF-8
+    text, is a config error naming the path (bin_hint says how to read a
+    binary matrix instead)."""
+    try:
+        return mn.load_matrix_bin(path) if binary else mn.load_matrix_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"matrix file {str(path)!r} is not UTF-8 text; {bin_hint}") from exc
+
+
 def _build_matrix(cfg: dict) -> np.ndarray:
     if "csv" in cfg:
-        return mn.load_matrix_csv(cfg["csv"])
+        return _read_matrix(cfg["csv"], False, 'a binary matrix goes under "bin"')
     if "bin" in cfg:
-        return mn.load_matrix_bin(cfg["bin"])
+        return _read_matrix(cfg["bin"], True, "")
     if "values" in cfg:
         return _finite(cfg["values"], "matrix values")
     kind = cfg.get("kind")
@@ -856,10 +868,8 @@ def _cmd_norms(args) -> int:
     path = Path(args.matrix)
     if not path.exists():
         raise ConfigError(f"no such matrix file: {path}")
-    if args.format == "bin" or (args.format == "auto" and path.suffix == ".bin"):
-        a = mn.load_matrix_bin(path)
-    else:
-        a = mn.load_matrix_csv(path)
+    binary = args.format == "bin" or (args.format == "auto" and path.suffix == ".bin")
+    a = _read_matrix(path, binary, "read a binary matrix with --format bin")
     p = None
     if args.p is not None:
         parts = [float(v) for v in args.p.split(",")]
@@ -942,13 +952,35 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> N
     sub.add_argument("--out", default=None, help="output directory for report and tables")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand's help, in the order `sparse-hw --help` lists them
+_SUBCOMMANDS = {
+    "hw-verify": "simulate a quadratic-form tail and verify the sparse bounds",
+    "bernstein-verify": "simulate a linear-form tail and verify its bound",
+    "covest": "IPW covariance estimator unbiasedness experiment",
+    "rip": "k-sparse deviation concentration experiment",
+    "sketch": "sparsified-sketch low-rank approximation",
+    "sample": "draw samples from a base law or sparse model",
+    "bound-table": "tabulate comparison bounds over a threshold grid",
+    "norms": "print matrix functionals",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `sparse-hw` parser, with every subcommand or only `command`.
+
+    argparse looks up each of a parser's messages through gettext when it
+    builds the parser, so main builds only the subcommand argv names.
+    That parser's usage line still lists every subcommand, as errors it
+    raises itself (unrecognized arguments) print it.
+    """
     parser = argparse.ArgumentParser(
         prog="sparse-hw",
         description="Sparse quadratic-form tail bounds: evaluation and Monte Carlo verification",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    # a metavar would also rename the subcommand in the full parser's errors
+    metavar = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     bodies = {
         "hw-verify": _hw_verify,
@@ -959,27 +991,20 @@ def build_parser() -> argparse.ArgumentParser:
         "sample": _sample,
         "bound-table": _bound_table,
     }
-    helps = {
-        "hw-verify": "simulate a quadratic-form tail and verify the sparse bounds",
-        "bernstein-verify": "simulate a linear-form tail and verify its bound",
-        "covest": "IPW covariance estimator unbiasedness experiment",
-        "rip": "k-sparse deviation concentration experiment",
-        "sketch": "sparsified-sketch low-rank approximation",
-        "sample": "draw samples from a base law or sparse model",
-        "bound-table": "tabulate comparison bounds over a threshold grid",
-    }
     for name, body in bodies.items():
-        sub = subs.add_parser(name, help=helps[name])
-        _add_common(sub)
-        sub.set_defaults(handler=functools.partial(_run, name, body))
+        if command in (None, name):
+            sub = subs.add_parser(name, help=_SUBCOMMANDS[name])
+            _add_common(sub)
+            sub.set_defaults(handler=functools.partial(_run, name, body))
 
-    norms = subs.add_parser("norms", help="print matrix functionals")
-    norms.add_argument("matrix", help="matrix file (CSV, or binary with --format bin)")
-    norms.add_argument("--format", choices=["auto", "csv", "bin"], default="auto")
-    norms.add_argument("--p", default=None, help="retention probabilities (scalar or comma list)")
-    norms.add_argument("--alpha", type=float, default=None)
-    norms.add_argument("--out", default=None)
-    norms.set_defaults(handler=_cmd_norms)
+    if command in (None, "norms"):
+        norms = subs.add_parser("norms", help=_SUBCOMMANDS["norms"])
+        norms.add_argument("matrix", help="matrix file (CSV, or binary with --format bin)")
+        norms.add_argument("--format", choices=["auto", "csv", "bin"], default="auto")
+        norms.add_argument("--p", default=None, help="retention probabilities (scalar or comma list)")
+        norms.add_argument("--alpha", type=float, default=None)
+        norms.add_argument("--out", default=None)
+        norms.set_defaults(handler=_cmd_norms)
 
     return parser
 
@@ -992,8 +1017,9 @@ def _internal_error(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.handler(args)
     except BudgetExceededError as exc:

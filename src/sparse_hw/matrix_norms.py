@@ -132,34 +132,51 @@ def _conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-def _dual_rows(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _dual_rows(
+    z: np.ndarray, r: float, values: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Row-wise unit-||.||_r maximizers x_i of <z_i, x_i>, and the values ||z_i||_{r*}.
 
     r lies in (1, inf]; r = inf takes signs.  A zero row gets e_1 and value 0.
     The arithmetic is that of _row_norms(z, r*) and _row_norms(x, r), bit
     for bit, but |z| and each row's max are taken once, and x's l_r norm
     comes from t = (|z| / max)^(r* - 1), whose row max is exactly 1.
+    For r < inf a row's value is 0 exactly when its max is 0 (at r = 2,
+    when its max squared is), so zero rows are found from the maxima, and
+    the guards against dividing by 0 run only when there are some.  |z| is
+    scaled into t, and t turned into x, in place.  values=False returns
+    None for the values and, for r < inf, skips their pass: t^(r*), its
+    row sums and their 1/r* powers (the sums of squares at r = 2).
     """
+    val = None
     if math.isinf(r):
-        val = np.abs(z).sum(axis=1)
+        sums = np.abs(z).sum(axis=1)
+        if values:
+            val = sums
+        zero = sums == 0.0
+        some_zero = zero.any()
         x = np.sign(np.where(z == 0.0, 1.0, z))
     else:
         rstar = r / (r - 1.0)
         az = np.abs(z)
         zmax = az.max(axis=1)
-        scale = np.where(zmax == 0.0, 1.0, zmax)
-        t = az / scale[:, None]
+        zero = (zmax * zmax if r == 2.0 else zmax) == 0.0
+        some_zero = zero.any()
+        scale = np.where(zero, 1.0, zmax) if some_zero else zmax
         if r == 2.0:
-            val = np.sqrt((az * az).sum(axis=1))
+            if values:
+                val = np.sqrt((az * az).sum(axis=1))
+            t = np.divide(az, scale[:, None], out=az)
             nx = np.sqrt((t * t).sum(axis=1))
         else:
-            val = scale * np.sum(t**rstar, axis=1) ** (1.0 / rstar)
+            t = np.divide(az, scale[:, None], out=az)
+            if values:
+                val = scale * np.sum(t**rstar, axis=1) ** (1.0 / rstar)
             t **= rstar - 1.0
             nx = np.sum(t**r, axis=1) ** (1.0 / r)
-        x = np.sign(z) * t
-        x /= np.where(val == 0.0, 1.0, nx)[:, None]
-    zero = val == 0.0
-    if zero.any():
+        x = np.copysign(t, z, out=t)
+        x /= (np.where(zero, 1.0, nx) if some_zero else nx)[:, None]
+    if some_zero:
         x[zero] = 0.0
         x[zero, 0] = 1.0
     return x, val
@@ -186,14 +203,20 @@ def opnorm_detail(
     Otherwise alternating maximization over feasible (x, y) pairs from
     `restarts` starting points (restarts >= 1): the all-ones vector, then
     `restarts - 1` Gaussian vectors drawn as one block from stream(seed, 1).
-    All restarts iterate together as the rows of one block.  A row stops,
-    converged, once its own value moves by at most _ALTMAX_TOL relative.
+    All restarts iterate together as the rows of one block.  An iteration
+    multiplies the block by A twice: the x-step takes only the maximizers
+    x of y A (their values are not needed), the y-step the maximizers y
+    of x A^T and their values, which are the rows' new values.  A row
+    stops, converged, once its own value moves by at most _ALTMAX_TOL
+    relative.
     It also stops, unconverged, once it looks unable to catch up: its
     latest step, repeated for every iteration left before
     _ALTMAX_MAX_ITER, would still leave it more than _ALTMAX_TOL relative
     below the best value so far.  That drop rule is a heuristic: a
     restart that speeds up later is lost, so the value may stop below
     the one every restart would reach if run to convergence or the cap.
+    The converged flags and the live rows are re-indexed only in an
+    iteration where some row converged or stopped.
     A start of l_{r2*} norm 0 is skipped.  The value, the max over rows,
     is a certified lower bound either way; `converged` says whether the
     first restart that attains it converged.
@@ -225,18 +248,20 @@ def opnorm_detail(
     for it in range(_ALTMAX_MAX_ITER):
         if live.size == 0:
             break
-        x, _ = _dual_rows(y @ m, r1)
+        x, _ = _dual_rows(y @ m, r1, values=False)
         y, new = _dual_rows(x @ m.T, r2star)
         step = new - value[live]
         done = np.abs(step) <= _ALTMAX_TOL * np.maximum(1.0, new)
         value[live] = new
-        converged[live[done]] = True
+        if done.any():
+            converged[live[done]] = True
         # a row that would stay below the best value even if its latest
         # step repeated until the cap cannot catch up: it stops, unconverged
         best = value.max()
         reach = new + np.maximum(step, 0.0) * (_ALTMAX_MAX_ITER - it - 1)
         keep = ~done & (reach >= best - _ALTMAX_TOL * max(1.0, best))
-        live, y = live[keep], y[keep]
+        if not keep.all():
+            live, y = live[keep], y[keep]
     top = int(value.argmax())
     return OpnormResult(float(value[top]), restarts, bool(converged[top]))
 

@@ -6,11 +6,14 @@ pattern-by-pattern sums instead of a classifier, itertools enumeration
 instead of vectorized atom tables) so agreement is evidence, not
 tautology.
 
-The exception is the `*_loop`, `*_unblocked` and `*_two_pass` oracles
-at the end: they are the plain loops, whole-sample statistics and
-earlier kernels that the library's batched and blocked kernels replace.
-The tests demand bit-equal (==) results from `rip_k_loop`,
-`expected_frob_sq_loop` and `dual_rows_two_pass`.  `opnorm_loop` runs
+The exception is the `*_loop`, `*_unblocked`, `*_two_pass` and
+`*_reference` oracles at the end: they are the plain loops,
+whole-sample statistics and earlier kernels that the library's batched
+and blocked kernels replace.  The tests demand bit-equal (==) results
+from `rip_k_loop`, `expected_frob_sq_loop` and `dual_rows_two_pass`,
+and from `opnorm_block_reference`: the block of restarts as it ran
+before each step did only the work its result needs, so its value,
+restart count and flag must equal opnorm_detail's.  `opnorm_loop` runs
 its restarts one at a time through matrix-vector products, each to its
 own convergence or the iteration cap, where the library multiplies
 blocks and drops restarts that cannot catch up; so its value is
@@ -336,27 +339,28 @@ def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: i
     return OpnormResult(best, restarts, best_converged)
 
 
+def _row_norms_two_pass(x: np.ndarray, r: float) -> np.ndarray:
+    """l_r norm of each row, each row scaled by its own max first."""
+    ax = np.abs(x)
+    if math.isinf(r):
+        return ax.max(axis=1)
+    if r == 1.0:
+        return ax.sum(axis=1)
+    if r == 2.0:
+        return np.sqrt((ax * ax).sum(axis=1))
+    m = ax.max(axis=1)
+    scale = np.where(m == 0.0, 1.0, m)
+    return scale * np.sum((ax / scale[:, None]) ** r, axis=1) ** (1.0 / r)
+
+
 def dual_rows_two_pass(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """matrix_norms._dual_rows as it was before it shared |z| and the row maxima.
 
     Two full l_r row-norm passes, one for the values ||z_i||_{r*} and one
     for the maximizers x_i, each with its own abs, max and scaling.
     """
-
-    def row_norms(x: np.ndarray, r: float) -> np.ndarray:
-        ax = np.abs(x)
-        if math.isinf(r):
-            return ax.max(axis=1)
-        if r == 1.0:
-            return ax.sum(axis=1)
-        if r == 2.0:
-            return np.sqrt((ax * ax).sum(axis=1))
-        m = ax.max(axis=1)
-        scale = np.where(m == 0.0, 1.0, m)
-        return scale * np.sum((ax / scale[:, None]) ** r, axis=1) ** (1.0 / r)
-
     rstar = 1.0 if math.isinf(r) else r / (r - 1.0)
-    val = row_norms(z, rstar)
+    val = _row_norms_two_pass(z, rstar)
     zero = val == 0.0
     if math.isinf(r):
         x = np.sign(np.where(z == 0.0, 1.0, z))
@@ -364,11 +368,49 @@ def dual_rows_two_pass(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
         az = np.abs(z)
         zmax = np.where(zero, 1.0, az.max(axis=1))
         x = np.sign(z) * (az / zmax[:, None]) ** (rstar - 1.0)
-        x /= np.where(zero, 1.0, row_norms(x, r))[:, None]
+        x /= np.where(zero, 1.0, _row_norms_two_pass(x, r))[:, None]
     if zero.any():
         x[zero] = 0.0
         x[zero, 0] = 1.0
     return x, val
+
+
+def opnorm_block_reference(
+    a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int = 0
+) -> OpnormResult:
+    """The alternating branch of opnorm_detail as it was before each step
+    did only the work its result needs.
+
+    The same block of restarts, starts, drop rule and flag, but both
+    steps of every iteration compute the row values and every guard,
+    through dual_rows_two_pass, and the bookkeeping indexes every array
+    whether or not a row converged or dropped.  Only for pairs without a
+    closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
+    """
+    m = np.asarray(a, dtype=float)
+    r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
+    starts = stream(seed, 1).standard_normal((restarts - 1, m.shape[0]))
+    y = np.vstack([np.ones(m.shape[0]), starts])
+    ny = _row_norms_two_pass(y, r2star)
+    live = np.flatnonzero(ny)
+    y = y[live] / ny[live, None]
+    value = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    for it in range(_ALTMAX_MAX_ITER):
+        if live.size == 0:
+            break
+        x, _ = dual_rows_two_pass(y @ m, r1)
+        y, new = dual_rows_two_pass(x @ m.T, r2star)
+        step = new - value[live]
+        done = np.abs(step) <= _ALTMAX_TOL * np.maximum(1.0, new)
+        value[live] = new
+        converged[live[done]] = True
+        best = value.max()
+        reach = new + np.maximum(step, 0.0) * (_ALTMAX_MAX_ITER - it - 1)
+        keep = ~done & (reach >= best - _ALTMAX_TOL * max(1.0, best))
+        live, y = live[keep], y[keep]
+    top = int(value.argmax())
+    return OpnormResult(float(value[top]), restarts, bool(converged[top]))
 
 
 def bound_table_workload_matrix(seed: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -47,6 +48,63 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+    assert capsys.readouterr() == (f"{sparse_hw.__version__}\n", "")
+
+
+SUBCOMMANDS = ["hw-verify", "bernstein-verify", "covest", "rip", "sketch", "sample", "bound-table", "norms"]
+
+
+def parse_outcome(capsys, parse) -> tuple:
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse()
+    return (excinfo.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["--version"],
+        ["nonsense"],
+        [],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        ["bound-table"],
+        ["bound-table", "--config", "c.json", "extra"],
+        ["norms", "--format", "xyz", "m.csv"],
+    ],
+    ids=" ".join,
+)
+def test_parser_output_is_that_of_the_full_parser(capsys, argv):
+    # main builds only the subcommand argv names; what it prints and its
+    # exit code are those of the parser holding all eight
+    ours = parse_outcome(capsys, lambda: main(argv))
+    assert ours == parse_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, err = parse_outcome(capsys, lambda: main(["--help"]))
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: sparse-hw [-h] [--version]")
+    # one line per subcommand, indented by 4; its help wraps onto deeper lines
+    assert re.findall(r"^    (\S+)", out, re.MULTILINE) == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_exits_0(capsys, name):
+    code, out, err = parse_outcome(capsys, lambda: main([name, "--help"]))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: sparse-hw {name} [-h]")
+    # the parser main builds holds only the named subcommand
+    subs = next(a for a in cli.build_parser(name)._actions if a.dest == "command")
+    assert list(subs.choices) == [name]
+
+
+def test_unknown_command_exits_2(capsys):
+    code, out, err = parse_outcome(capsys, lambda: main(["nonsense"]))
+    assert (code, out) == (2, "")
+    expected = "sparse-hw: error: argument command: invalid choice: 'nonsense' (choose from "
+    assert err.splitlines()[-1].startswith(expected)
 
 
 def parse_norms_stdout(capsys):
@@ -568,6 +626,44 @@ def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, f
     # the message names the field: "n_samples = ", "replicates x n = ", "theta_budget = ",
     # "dim x n = ", "t_grid num = ", "n_seeds = "
     assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: {field} "), lines
+
+
+def unreadable_matrix_spec(tmp_path, case: str) -> dict:
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(b"\xbc1,2\n")
+    return {
+        "missing-csv": {"csv": str(tmp_path / "absent.csv")},
+        "missing-bin": {"bin": str(tmp_path / "absent.bin")},
+        "directory": {"csv": str(tmp_path / "folder")},
+        "not-utf-8": {"csv": str(tmp_path / "latin1.csv")},
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["missing-csv", "missing-bin", "directory", "not-utf-8"])
+@pytest.mark.parametrize(
+    "command, golden, field",
+    [("bound-table", "bound-table-dense", "matrix"), ("rip", "rip", "b"), ("covest", "covest", "b"), ("sketch", "sketch", "x")],
+)
+def test_unreadable_matrix_file_exits_2_with_one_line(tmp_path, capsys, command, golden, field, case):
+    # a schema-valid config naming a file that cannot be read is a config
+    # error, not a fault of the program (exit 4)
+    spec = unreadable_matrix_spec(tmp_path, case)
+    cfg = dict(golden_config(golden), **{field: spec})
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ") and next(iter(spec.values())) in line, line
+    if case == "not-utf-8":
+        assert line.endswith('is not UTF-8 text; a binary matrix goes under "bin"'), line
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+def test_norms_unreadable_file_exits_2_with_one_line(tmp_path, capsys, case):
+    path = unreadable_matrix_spec(tmp_path, case)["csv"]
+    assert main(["norms", path]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and path in line, line
 
 
 def assert_internal_error(capsys, name: str) -> None:

@@ -9,6 +9,7 @@ from oracles import (
     bound_table_workload_matrix,
     dual_rows_two_pass,
     jacobi_eigen_spectral,
+    opnorm_block_reference,
     opnorm_grid,
     opnorm_loop,
 )
@@ -162,12 +163,11 @@ BLOCK_CASES = {
 }
 
 
+BLOCK_PAIRS = ((2.0, 3.0), (1.5, 3.0), (3.0, 1.5), (math.inf, 3.0), (1.5, 1.0))
+
+
 @pytest.mark.parametrize("restarts", (1, 2, 64))
-@pytest.mark.parametrize(
-    "pair",
-    ((2.0, 3.0), (1.5, 3.0), (3.0, 1.5), (math.inf, 3.0), (1.5, 1.0)),
-    ids=lambda pair: "%g-%g" % pair,
-)
+@pytest.mark.parametrize("pair", BLOCK_PAIRS, ids=lambda pair: "%g-%g" % pair)
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_opnorm_block_matches_restart_loop(case, pair, restarts):
     assert_matches_restart_loop(BLOCK_CASES[case], *pair, restarts, seed=86)
@@ -261,9 +261,60 @@ def test_dual_rows_matches_two_pass(r):
         z *= 10.0 ** float(rng.integers(-6, 7))
         z[rng.random(z.shape[0]) < 0.25] = 0.0  # zero rows
         z[rng.random(z.shape) < 0.1] = 0.0
-        x, val = _dual_rows(z, r)
         ref_x, ref_val = dual_rows_two_pass(z, r)
+        x, val = _dual_rows(z, r)
         assert np.array_equal(x, ref_x) and np.array_equal(val, ref_val), (r, trial)
+        x, val = _dual_rows(z, r, values=False)
+        assert np.array_equal(x, ref_x) and val is None, (r, trial)
+
+
+@pytest.mark.parametrize("r", (1.5, 2.0, 3.0, math.inf))
+def test_dual_rows_zero_rows_found_without_values(r):
+    # at 1e-170 every square underflows, so at r = 2 the sum of squares, and
+    # with it the value, is 0 for rows whose max is not: they too get e_1
+    z = stream(95, 0).standard_normal((6, 5))
+    z[1] = 0.0
+    z[2] = -0.0
+    z[4] *= 1e-170
+    ref_x, ref_val = dual_rows_two_pass(z, r)
+    assert ref_val[1] == ref_val[2] == 0.0 and (ref_val[4] == 0.0) == (r == 2.0)
+    for values in (True, False):
+        x, val = _dual_rows(z, r, values=values)
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(val, ref_val) if values else val is None
+
+
+# (3, 2) adds the y-step at r2* = 2
+BLOCK_REFERENCE_PAIRS = BLOCK_PAIRS + ((3.0, 2.0),)
+
+
+def _block_reference_cases() -> dict:
+    """The run-to-cap cases (the bound-table matrix at three seeds among
+    them), the drop-rule and block cases with their exponent pairs, and
+    all-zero inputs."""
+    cases = {f"run-to-cap-{k}": v for k, v in RUN_TO_CAP_CASES.items()}
+    cases.update((f"drop-rule-{k}", (*v, 64)) for k, v in DROP_RULE_CASES.items())
+    for name, m in BLOCK_CASES.items():
+        for r1, r2 in BLOCK_REFERENCE_PAIRS:
+            cases[f"block-{name}-{r1:g}-{r2:g}"] = (m, r1, r2, 64)
+    for shape in ((3, 4), (1, 1)):
+        for r1, r2 in BLOCK_REFERENCE_PAIRS:
+            cases[f"zeros-{shape[0]}x{shape[1]}-{r1:g}-{r2:g}"] = (np.zeros(shape), r1, r2, 64)
+    return cases
+
+
+BLOCK_REFERENCE_CASES = _block_reference_cases()
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_REFERENCE_CASES))
+def test_opnorm_matches_block_reference_exactly(case):
+    # each step doing only the work its result needs leaves every bit of
+    # the value and the flag of the loop that computed everything
+    m, r1, r2, restarts = BLOCK_REFERENCE_CASES[case]
+    for n in sorted({1, 2, 64, restarts}):
+        for seed in (0, 92):
+            ours = opnorm_detail(m, r1, r2, restarts=n, seed=seed)
+            assert ours == opnorm_block_reference(m, r1, r2, restarts=n, seed=seed), (n, seed)
 
 
 def test_opnorm_block_avoids_overflow():
