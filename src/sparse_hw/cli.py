@@ -866,8 +866,6 @@ def _sketch(cfg: dict, seed: int, threads: int, outdir):
 
 def _cmd_norms(args) -> int:
     path = Path(args.matrix)
-    if not path.exists():
-        raise ConfigError(f"no such matrix file: {path}")
     binary = args.format == "bin" or (args.format == "auto" and path.suffix == ".bin")
     a = _read_matrix(path, binary, "read a binary matrix with --format bin")
     p = None

@@ -44,13 +44,6 @@ def read_report(outdir):
         return json.load(fh)
 
 
-def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--version"])
-    assert excinfo.value.code == 0
-    assert capsys.readouterr() == (f"{sparse_hw.__version__}\n", "")
-
-
 SUBCOMMANDS = ["hw-verify", "bernstein-verify", "covest", "rip", "sketch", "sample", "bound-table", "norms"]
 
 
@@ -59,6 +52,10 @@ def parse_outcome(capsys, parse) -> tuple:
     with pytest.raises(SystemExit) as excinfo:
         parse()
     return (excinfo.value.code, *capsys.readouterr())
+
+
+def test_version_flag(capsys):
+    assert parse_outcome(capsys, lambda: main(["--version"])) == (0, f"{sparse_hw.__version__}\n", "")
 
 
 @pytest.mark.parametrize(
@@ -73,7 +70,7 @@ def parse_outcome(capsys, parse) -> tuple:
         ["bound-table", "--config", "c.json", "extra"],
         ["norms", "--format", "xyz", "m.csv"],
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(argv) or "no-arguments",
 )
 def test_parser_output_is_that_of_the_full_parser(capsys, argv):
     # main builds only the subcommand argv names; what it prints and its
@@ -658,7 +655,7 @@ def test_unreadable_matrix_file_exits_2_with_one_line(tmp_path, capsys, command,
         assert line.endswith('is not UTF-8 text; a binary matrix goes under "bin"'), line
 
 
-@pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("case", ["missing-csv", "directory", "not-utf-8"])
 def test_norms_unreadable_file_exits_2_with_one_line(tmp_path, capsys, case):
     path = unreadable_matrix_spec(tmp_path, case)["csv"]
     assert main(["norms", path]) == 2
