@@ -690,8 +690,10 @@ def _covest(cfg: dict, seed: int, threads: int, outdir):
         )
     }
     if cfg.get("save_first_draw", False) and outdir is not None:
-        values, masks = cv.generate_samples(model, cfg["n"], seed, stream_id=0)
-        cv.save_samples(Path(outdir) / "draw", model, values, masks, seed)
+        # replicate 0: the first n rows of batch 0's draw
+        take = min(cv.IPW_BATCH, cfg["replicates"])
+        values, masks = cv.generate_samples(model, take * cfg["n"], seed, stream_id=0)
+        cv.save_samples(Path(outdir) / "draw", model, values[: cfg["n"]], masks[: cfg["n"]], seed)
     return results, tables, verdicts
 
 
@@ -907,16 +909,17 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
     n = cfg["n"]
     results = {}
     rng = stream(seed, 0)
-    if "p" in cfg:
-        p = cfg["p"]
-        dim = cfg.get("dim", 1 if np.isscalar(p) else len(p))
-        qf.check_sample_budget((dim if np.isscalar(p) else len(p)) * n, "dim x n")
-        model = SparseModel(p=_p_vector(p, dim), base=base)
-        samples = sample_sparse_matrix(model, n, rng)
-        results["zero_fraction"] = float(np.mean(samples == 0.0))
+    p = cfg.get("p")
+    # a list p fixes the width; a config dim that disagrees is refused below
+    width = len(p) if isinstance(p, list) else cfg.get("dim", 1)
+    qf.check_sample_budget(width * n, "dim x n")
+    dim = cfg.get("dim", width)
+    if p is None:
+        flat = sample_base(base, (n, dim), rng)
     else:
-        samples = sample_base(base, n, rng)
-    flat = samples.reshape(n, -1)
+        model = SparseModel(p=_p_vector(p, dim), base=base)
+        flat = sample_sparse_matrix(model, n, rng)
+        results["zero_fraction"] = float(np.mean(flat == 0.0))
     results.update(
         {
             "n": n,

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +59,17 @@ RIP_ENUM_BUDGET = 10**6
 RIP_BLOCK_ENTRIES = 1 << 17  # (matrices, subsets) cells in one block of subsets
 RIP_TOP_FIRST = 8  # largest-bound subsets a matrix decomposes first in each block
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
+IPW_BATCH = 512  # replicates that ipw_replicate_stats draws and estimates at once
+_SAMPLES = "samples"  # file name stem of save_samples
 
 
 @dataclass(frozen=True)
 class MultivariateModel:
-    """Masked linear factor model X = delta o (B xi)."""
+    """Masked linear factor model X = delta o (B xi), xi_i iid unit-variance W_s(alpha)."""
 
     b: np.ndarray
     alpha: float
     p: tuple[float, ...]
-    base: DistributionSpec | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.b, dtype=float)
@@ -85,16 +86,15 @@ class MultivariateModel:
             raise ValueError("p must have one entry per row of B")
         if not all(0.0 < v <= 1.0 for v in p):  # NaN too
             raise ValueError("retention probabilities must lie in (0, 1]")
-        base = self.base
-        if base is None:
-            base = DistributionSpec(kind="weibull", alpha=self.alpha, unit_variance=True)
-        if base.variance() != 1.0:
-            raise ValueError("factor entries must have unit variance")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "b", m)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "base", base)
+
+    @property
+    def base(self) -> DistributionSpec:
+        """The law of each factor entry xi_i."""
+        return DistributionSpec(kind="weibull", alpha=self.alpha, unit_variance=True)
 
     @property
     def dim(self) -> int:
@@ -131,41 +131,44 @@ def generate_samples(
 def ipw_estimator(values, p) -> np.ndarray:
     """Inverse-probability-weighted covariance estimate from masked values.
 
-    Masked entries must be zero-filled (as generate_samples emits them):
-    the estimator only uses products of observed values because every
-    product with a masked coordinate vanishes.
+    values is one (n, d) draw, giving a (d, d) estimate, or a stack
+    (..., n, d) of draws, giving one estimate per draw; a 2-D call is
+    x^T x / n weighted entrywise.  Masked entries must be zero-filled (as
+    generate_samples emits them): the estimator only uses products of
+    observed values because every product with a masked coordinate
+    vanishes.
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("values must be a nonempty (n, d) array")
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ValueError("values must be a nonempty (n, d) array or a stack of them")
     q = np.asarray(p, dtype=float)
-    if q.shape != (x.shape[1],):
+    if q.shape != (x.shape[-1],):
         raise ValueError("p must have one entry per column")
     if np.any(q <= 0.0) or np.any(q > 1.0):
         raise ValueError("IPW requires retention probabilities in (0, 1]")
-    n = x.shape[0]
-    g = x.T @ x / n
+    g = np.swapaxes(x, -1, -2) @ x / x.shape[-2]
     est = g / np.outer(q, q)
-    np.fill_diagonal(est, np.diag(g) / q)
+    ii = np.arange(q.size)
+    est[..., ii, ii] = g[..., ii, ii] / q
     return est
 
 
-def save_samples(directory, model: MultivariateModel, values, masks, seed: int, prefix="samples"):
+def save_samples(directory, model: MultivariateModel, values, masks, seed: int):
     """Persist a draw as CSV pair plus a JSON manifest."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    np.savetxt(d / f"{prefix}_values.csv", np.asarray(values, dtype=float), delimiter=",")
-    np.savetxt(d / f"{prefix}_masks.csv", np.asarray(masks, dtype=int), delimiter=",", fmt="%d")
+    np.savetxt(d / f"{_SAMPLES}_values.csv", np.asarray(values, dtype=float), delimiter=",")
+    np.savetxt(d / f"{_SAMPLES}_masks.csv", np.asarray(masks, dtype=int), delimiter=",", fmt="%d")
     manifest = {
         "b": model.b.tolist(),
         "p": list(model.p),
         "alpha": model.alpha,
-        "base": json.loads(model.base.to_json()),
+        "base": asdict(model.base),
         "seed": seed,
         "n": int(np.asarray(values).shape[0]),
-        "files": {"values": f"{prefix}_values.csv", "masks": f"{prefix}_masks.csv"},
+        "files": {"values": f"{_SAMPLES}_values.csv", "masks": f"{_SAMPLES}_masks.csv"},
     }
-    with open(d / f"{prefix}_manifest.json", "w") as fh:
+    with open(d / f"{_SAMPLES}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
 
@@ -175,14 +178,16 @@ def ipw_replicate_stats(
     replicates: int,
     seed: int,
     threads: int = 1,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the IPW estimate over many replicates.
 
-    Replicate batches of the fixed chunk size draw from chunk-indexed
-    streams on a pool of `threads` workers, and their sums accumulate in
-    chunk order, so the result does not depend on the thread count.
-    More than MC_SAMPLE_BUDGET samples in all (replicates x n) raise
+    Replicates go in batches of IPW_BATCH on a pool of `threads` workers.
+    Batch c of `take` replicates is one generate_samples(model, take * n,
+    seed, c) draw read as a (take, n, d) stack, so its first n rows are
+    the batch's first replicate, and one stacked ipw_estimator call
+    estimates them all.  The batch sums accumulate in batch order, so
+    the result does not depend on the thread count.  More than
+    MC_SAMPLE_BUDGET samples in all (replicates x n) raise
     BudgetExceededError before anything is drawn.
     """
     if replicates < 2:
@@ -190,21 +195,15 @@ def ipw_replicate_stats(
     check_sample_budget(replicates * n, "replicates x n")
     d = model.dim
     q = model.p_array()
-    ii = np.arange(d)
 
     def batch(c: int, take: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = stream(seed, c)
-        masks = rng.random((take, n, d)) < q
-        xi = sample_base(model.base, (take, n, model.n_factors), rng)
-        values = np.where(masks, xi @ model.b.T, 0.0)
-        g = np.einsum("cnd,cne->cde", values, values) / n
-        est = g / np.outer(q, q)
-        est[:, ii, ii] = np.einsum("cdd->cd", g) / q
+        values, _ = generate_samples(model, take * n, seed, c)
+        est = ipw_estimator(values.reshape(take, n, d), q)
         return est.sum(axis=0), (est * est).sum(axis=0)
 
     s1 = np.zeros((d, d))
     s2 = np.zeros((d, d))
-    for sum1, sum2 in _run_chunks(batch, replicates, threads, chunk):
+    for sum1, sum2 in _run_chunks(batch, replicates, threads, IPW_BATCH):
         s1 += sum1
         s2 += sum2
     mean = s1 / replicates

@@ -460,7 +460,7 @@ def simulate_linear_tail(
 ) -> EmpiricalTail:
     """Empirical survival of |sum_i a_i xi_i| over t_grid.
 
-    The bases are centered, so the linear form needs no centering term.
+    The base law is centered, so the linear form needs no centering term.
     """
     a = np.asarray(a_vec, dtype=float)
     if a.ndim != 1 or a.size != model.dim:
@@ -484,7 +484,7 @@ def simulate_norm_tail(
 ) -> EmpiricalTail:
     """Empirical survival of | ||A xi||_2 - sqrt(p) ||A||_F | over t_grid.
 
-    Requires uniform retention probability and unit-variance bases, the
+    Requires uniform retention probability and a unit-variance base, the
     regime where sqrt(p) ||A||_F is the right centering.
     """
     m = np.asarray(a, dtype=float)
@@ -493,8 +493,8 @@ def simulate_norm_tail(
     p = model.p_array()
     if np.any(p != p[0]) or p[0] <= 0.0:
         raise ValueError("norm concentration needs a uniform positive p")
-    if any(b.variance() != 1.0 for b in model.bases):
-        raise ValueError("norm concentration needs unit-variance bases")
+    if model.base.variance() != 1.0:
+        raise ValueError("norm concentration needs a unit-variance base")
     center = math.sqrt(p[0]) * float(np.linalg.norm(m, "fro"))
 
     def norm(out, y, x):

@@ -10,9 +10,10 @@ Three base laws are supported:
 * centered Gaussian with standard deviation `scale`.
 * Rademacher (uniform on {-1, +1}).
 
-`sample_sparse_matrix` draws the base law only on retained coordinates:
-columns are grouped by (p_i, base spec), and each group draws the kept
-positions of its block by geometric gaps, then zeta at those positions.
+A `SparseModel` has one base law for all its coordinates.
+`sample_sparse_matrix` draws it only on retained coordinates: columns
+are grouped by p_i, and each group draws the kept positions of its
+block by geometric gaps, then zeta at those positions.
 So the cost of a draw scales with the expected number of nonzeros
 p * n, not with n.  A Weibull or Rademacher coordinate takes exactly one
 raw 64-bit word of the stream, which gives both its magnitude and its
@@ -26,7 +27,6 @@ estimates it by bisection over a shared Monte Carlo sample, and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -113,29 +113,17 @@ class DistributionSpec:
             return 1.0
         return self.std() ** 2
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "alpha": self.alpha,
-                "scale": self.scale,
-                "unit_variance": self.unit_variance,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class SparseModel:
     """Sparse vector model xi = delta o zeta.
 
-    p is the vector of retention probabilities in [0, 1]^n.  `base` is a
-    single DistributionSpec shared by all coordinates or a tuple of n
-    per-coordinate specs.
+    p is the vector of retention probabilities in [0, 1]^n, and every
+    coordinate's factor zeta_i follows the one base law `base`.
     """
 
     p: tuple[float, ...]
-    base: DistributionSpec | tuple[DistributionSpec, ...]
-    _bases: tuple[DistributionSpec, ...] = field(init=False, repr=False, compare=False)
+    base: DistributionSpec
     _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -145,18 +133,11 @@ class SparseModel:
         if any(math.isnan(v) or v < 0.0 or v > 1.0 for v in p):
             raise ValueError("retention probabilities must lie in [0, 1]")
         object.__setattr__(self, "p", p)
-        if isinstance(self.base, DistributionSpec):
-            bases = (self.base,) * len(p)
-        else:
-            bases = tuple(self.base)
-            if len(bases) != len(p):
-                raise ValueError("need one base spec per coordinate")
-        object.__setattr__(self, "_bases", bases)
-        groups: dict[tuple[float, DistributionSpec], list[int]] = {}
-        for i, key in enumerate(zip(p, bases)):
-            groups.setdefault(key, []).append(i)
+        groups: dict[float, list[int]] = {}
+        for i, q in enumerate(p):
+            groups.setdefault(q, []).append(i)
         object.__setattr__(
-            self, "_groups", tuple((q, spec, np.array(cols)) for (q, spec), cols in groups.items())
+            self, "_groups", tuple((q, np.array(cols)) for q, cols in groups.items())
         )
 
     @property
@@ -164,21 +145,16 @@ class SparseModel:
         return len(self.p)
 
     @property
-    def bases(self) -> tuple[DistributionSpec, ...]:
-        return self._bases
-
-    @property
-    def groups(self) -> tuple[tuple[float, DistributionSpec, np.ndarray], ...]:
-        """(p_i, base spec, columns) for each distinct pair, in first-occurrence order."""
+    def groups(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(p_i, columns) for each distinct p_i, in first-occurrence order."""
         return self._groups
 
     def p_array(self) -> np.ndarray:
         return np.asarray(self.p, dtype=float)
 
     def coordinate_variances(self) -> np.ndarray:
-        """E xi_i^2 = p_i * E zeta_i^2 per coordinate."""
-        v = np.array([b.variance() for b in self._bases])
-        return self.p_array() * v
+        """E xi_i^2 = p_i * E zeta^2 per coordinate."""
+        return self.p_array() * self.base.variance()
 
 
 def _weibull_magnitude(m: np.ndarray, alpha: float, scale: float) -> None:
@@ -291,26 +267,27 @@ def sample_sparse_matrix(
 ) -> np.ndarray:
     """(n_samples, dim) array of xi = delta o zeta draws.
 
-    Each group of g columns of model.groups draws in turn from rng:
-    nothing at p = 0, an (n_samples, g) base block at p = 1 (no mask),
-    and otherwise the kept positions of the row-major n_samples x g
-    block by geometric gaps, then the base law on those k coordinates
-    only.  The order is fixed, so a given stream always yields
-    bit-identical output (streams.STREAM_LAYOUT names this layout).
+    The columns are grouped by their p_i (model.groups), and each group
+    of g columns draws in turn from rng: nothing at p = 0, an
+    (n_samples, g) base block at p = 1 (no mask), and otherwise the kept
+    positions of the row-major n_samples x g block by geometric gaps,
+    then the base law on those k coordinates only.  The order is fixed,
+    so a given stream always yields bit-identical output
+    (streams.STREAM_LAYOUT names this layout).
     out, a C-contiguous float64 array of shape (n_samples, dim), receives
     the draws when given; a dense group on consecutive columns is drawn
     straight into it.
     """
-    groups = model.groups
+    groups, spec = model.groups, model.base
     if out is None:
         x = np.zeros((n_samples, model.dim))
     else:
         x = out
         if not x.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        if any(p != 1.0 for p, _, _ in groups):
+        if any(p != 1.0 for p, _ in groups):
             x.fill(0.0)
-    for p, spec, cols in groups:
+    for p, cols in groups:
         g = len(cols)
         if p == 1.0:
             if cols[-1] - cols[0] == g - 1:
@@ -348,18 +325,14 @@ def psi_alpha_exact(spec: DistributionSpec, alpha: float) -> float | None:
 def model_psi_alpha(
     model: SparseModel, alpha: float, n_samples: int = 10**5, seed: int = 0
 ) -> float:
-    """max_i psi_alpha(zeta_i) over the model's bases.
+    """psi_alpha norm of the model's base law zeta.
 
-    Closed forms where available, Monte Carlo bisection otherwise.
-    xi_i = delta_i * zeta_i is stochastically dominated by zeta_i, so
+    Closed form where available, Monte Carlo bisection otherwise.
+    xi_i = delta_i * zeta_i is stochastically dominated by zeta, so
     this also bounds the psi_alpha norms of the sparse coordinates.
     """
-    out = 0.0
-    for spec in set(model.bases):
-        exact = psi_alpha_exact(spec, alpha)
-        val = exact if exact is not None else psi_alpha_norm(spec, alpha, n_samples, seed)
-        out = max(out, val)
-    return out
+    exact = psi_alpha_exact(model.base, alpha)
+    return exact if exact is not None else psi_alpha_norm(model.base, alpha, n_samples, seed)
 
 
 def psi_alpha_norm(

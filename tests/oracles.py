@@ -458,11 +458,11 @@ def sparse_matrix_divmod(model, n_samples: int, rng) -> np.ndarray:
     """sample_sparse_matrix's draws, each kept position split by divmod
     into (row, column of its group) and scattered by a 2-D assignment."""
     x = np.zeros((n_samples, model.dim))
-    for p, spec, cols in model.groups:
+    for p, cols in model.groups:
         g = len(cols)
         if p == 1.0:
-            x[:, cols] = sample_base(spec, (n_samples, g), rng)
+            x[:, cols] = sample_base(model.base, (n_samples, g), rng)
         elif p > 0.0:
             rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
-            x[rows, cols[j]] = sample_base(spec, rows.size, rng)
+            x[rows, cols[j]] = sample_base(model.base, rows.size, rng)
     return x

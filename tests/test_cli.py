@@ -765,6 +765,26 @@ def test_covest_cli(tmp_path):
         assert (out / "draw" / name).exists()
 
 
+def test_covest_saved_draw_is_replicate_0(tmp_path):
+    # with two replicates |estimate_0 - mean| is the standard error exactly
+    cfg = {
+        "b": {"values": [[2.0, 0.0], [1.0, 1.0]]},
+        "alpha": 1.5,
+        "p": [0.6, 1.0],
+        "n": 25,
+        "replicates": 2,
+        "seed": 3,
+        "save_first_draw": True,
+    }
+    out = tmp_path / "out"
+    assert main(["covest", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    r = read_report(out)["results"]
+    values = np.loadtxt(out / "draw" / "samples_values.csv", delimiter=",")
+    assert values.shape == (25, 2)
+    gap = np.abs(cv.ipw_estimator(values, cfg["p"]) - r["estimator_mean"])
+    assert np.allclose(gap, r["estimator_se"], rtol=0, atol=1e-12)
+
+
 def test_rip_cli(tmp_path):
     cfg = {
         "b": {"values": [[1.0, 0.0], [0.0, 1.0]]},
@@ -910,6 +930,25 @@ def test_sample_sparse_model(tmp_path):
     rows = (out / "samples.csv").read_text().strip().split("\n")
     assert rows[0] == "x0,x1,x2,x3"
     assert len(rows) == 2001
+
+
+def test_sample_without_p_draws_dim_columns(tmp_path):
+    cfg = {"base": {"kind": "gaussian"}, "dim": 5, "n": 4, "seed": 0}
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = (out / "samples.csv").read_text().strip().split("\n")
+    assert rows[0] == "x0,x1,x2,x3,x4"
+    assert len(rows) == 5
+    assert "zero_fraction" not in read_report(out)["results"]
+
+
+def test_sample_without_p_checks_the_budget(tmp_path, capsys):
+    cfg = {"base": {"kind": "gaussian"}, "n": 10**15, "seed": 0}
+    assert main(["sample", "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: dim x n = "), lines
 
 
 def test_bound_table_matches_library(tmp_path):

@@ -45,14 +45,9 @@ def test_model_validation():
         MultivariateModel(b=np.eye(2), alpha=3.0, p=(1.0, 1.0))
     with pytest.raises(ValueError, match="overflows"):
         MultivariateModel(b=np.diag([1e200, 1.0]), alpha=1.0, p=(1.0, 1.0))
-    with pytest.raises(ValueError, match="unit variance"):
-        MultivariateModel(
-            b=np.eye(2), alpha=1.0, p=(1.0, 1.0),
-            base=DistributionSpec(kind="weibull", alpha=1.0),
-        )
     model = MultivariateModel(b=np.eye(2) * 2.0, alpha=1.0, p=(1.0, 0.5))
     assert np.array_equal(model.sigma(), 4.0 * np.eye(2))
-    assert model.base.unit_variance
+    assert model.base == DistributionSpec(kind="weibull", alpha=1.0, unit_variance=True)
 
 
 def test_generate_samples_trivial_cases():
@@ -94,6 +89,17 @@ def test_ipw_full_retention_reduction():
     assert np.allclose(est, x.T @ x / 40, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (6, 1), (25, 2), (8, 14)])
+def test_ipw_stack_equals_per_replicate_calls(n, d):
+    q = np.round(stream(316, d).uniform(0.2, 1.0, d), 3)
+    x = stream(317, n).standard_normal((5, n, d))
+    x[stream(318, n).random(x.shape) > q] = 0.0
+    est = ipw_estimator(x, q)
+    assert est.shape == (5, d, d)
+    assert np.array_equal(est, [ipw_estimator(v, q) for v in x])
+    assert np.array_equal(ipw_estimator(x.reshape(1, 5, n, d), q)[0], est)
+
+
 def test_ipw_validation():
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         ipw_estimator(np.ones((5, 2)), np.array([0.5, 0.0]))
@@ -101,6 +107,8 @@ def test_ipw_validation():
         ipw_estimator(np.ones((5, 2)), np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
         ipw_estimator(np.ones(5), np.array([0.5]))
+    with pytest.raises(ValueError, match="nonempty"):
+        ipw_estimator(np.ones((3, 0, 2)), np.array([0.5, 0.5]))
 
 
 def test_ipw_unbiased_over_replicates():

@@ -143,15 +143,11 @@ def test_simulate_tail_thread_count_is_invisible():
     assert np.array_equal(a.ci_low, b.ci_low)
 
 
-# Rademacher draws with one dense group on consecutive columns (0-2), one dense
-# and one sparse group on scattered columns: unit_variance makes a second spec
-# with the same law.  Integer-valued draws and matrices make every statistic
-# exact, so == holds whatever rows BLAS multiplies at once.
-UNIT_RADEMACHER = DistributionSpec(kind="rademacher", unit_variance=True)
-BLOCK_MODEL = SparseModel(
-    p=(1.0, 1.0, 1.0, 0.4, 1.0, 0.4, 1.0, 0.4),
-    base=(RADEMACHER,) * 4 + (UNIT_RADEMACHER, RADEMACHER) + (UNIT_RADEMACHER,) * 2,
-)
+# Rademacher draws with a dense group on consecutive columns (0-2), two sparse
+# groups on scattered columns and a p = 0 column, into a reused block buffer.
+# Integer-valued draws and matrices make every statistic exact, so == holds
+# whatever rows BLAS multiplies at once.
+BLOCK_MODEL = SparseModel(p=(1.0, 1.0, 1.0, 0.4, 0.0, 0.4, 0.7, 0.4), base=RADEMACHER)
 BLOCK_N, BLOCK_CHUNK, BLOCK_SEED = 1003, 250, 41
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 from types import SimpleNamespace
 
@@ -62,20 +61,12 @@ def test_exact_std_values():
     assert unit.variance() == 1.0
 
 
-def test_spec_json_round_trip():
-    spec = DistributionSpec(kind="weibull", alpha=0.75, scale=2.0, unit_variance=True)
-    # a sample manifest records the base law as to_json's fields
-    assert DistributionSpec(**json.loads(spec.to_json())) == spec
-
-
 def test_sparse_model_validation():
     base = DistributionSpec(kind="rademacher")
     with pytest.raises(ValueError):
         SparseModel(p=(), base=base)
     with pytest.raises(ValueError):
         SparseModel(p=(0.5, 1.2), base=base)
-    with pytest.raises(ValueError):
-        SparseModel(p=(0.5, 0.5), base=(base,))  # one spec for two coordinates
     model = SparseModel(p=(0.5, 1.0), base=base)
     assert model.dim == 2
     assert np.allclose(model.coordinate_variances(), [0.5, 1.0])
@@ -177,28 +168,28 @@ def test_sparse_zero_fraction():
     assert lo <= 0.5 <= hi
 
 
-def test_sampling_is_deterministic():
-    model = SparseModel(
-        p=(0.3, 0.9, 1.0),
-        base=(
-            DistributionSpec(kind="weibull", alpha=0.8),
-            DistributionSpec(kind="gaussian"),
-            DistributionSpec(kind="rademacher"),
-        ),
-    )
-    a = sample_sparse_matrix(model, 500, stream(20, 3))
-    b = sample_sparse_matrix(model, 500, stream(20, 3))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_sparse_matrix(model, 500, stream(20, 4)))
-
-
 W08 = DistributionSpec(kind="weibull", alpha=0.8)
 GAUSS = DistributionSpec(kind="gaussian")
-# the p = 1 weibull columns 3 and 6 form one group that is not contiguous
-MIXED = SparseModel(
-    p=(0.0, 0.05, 0.3, 1.0, 0.05, 0.3, 1.0, 0.0),
-    base=(W08, W08, GAUSS, W08, GAUSS, W08, W08, GAUSS),
-)
+# p = 0 columns 0 and 7, sparse groups at 0.05 and 0.3, and the p = 1 columns
+# 3 and 6, one group that is not contiguous
+MIXED = SparseModel(p=(0.0, 0.05, 0.3, 1.0, 0.05, 0.3, 1.0, 0.0), base=W08)
+# the p = 1 columns 1-3 are contiguous, so they are drawn straight into out
+DENSE_RUN = SparseModel(p=(0.3, 1.0, 1.0, 1.0, 0.0, 0.3), base=GAUSS)
+
+
+def test_sampling_is_deterministic():
+    for model in (MIXED, DENSE_RUN):
+        a = sample_sparse_matrix(model, 500, stream(20, 3))
+        b = sample_sparse_matrix(model, 500, stream(20, 3))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, sample_sparse_matrix(model, 500, stream(20, 4)))
+
+
+def test_groups_follow_p():
+    assert [(p, cols.tolist()) for p, cols in MIXED.groups] == [
+        (0.0, [0, 7]), (0.05, [1, 4]), (0.3, [2, 5]), (1.0, [3, 6])
+    ]
+    assert np.allclose(MIXED.coordinate_variances(), np.array(MIXED.p) * W08.variance())
 
 
 def test_sparse_columns_keep_their_own_p():
@@ -232,7 +223,9 @@ def test_tiny_retention_draws_nothing():
 SPARSE_W1 = SparseModel(p=(0.05,) * 40, base=DistributionSpec(kind="weibull", alpha=1.0))
 
 
-@pytest.mark.parametrize("model", [MIXED, SPARSE_W1], ids=["mixed", "single-group-p0.05"])
+@pytest.mark.parametrize(
+    "model", [MIXED, SPARSE_W1, DENSE_RUN], ids=["mixed", "single-group-p0.05", "dense-run"]
+)
 @pytest.mark.parametrize("rows", [1, 7, 100, 3277])
 def test_flat_scatter_equals_divmod_scatter(model, rows):
     # out starts dirty, as a reused block buffer does
@@ -318,15 +311,3 @@ def test_psi_alpha_norm_is_finite_for_gaussian_and_weibull_below_its_alpha():
     weibull = DistributionSpec(kind="weibull", alpha=1.5)
     assert math.isfinite(psi_alpha_norm(gaussian, 0.5, n_samples=1000))
     assert math.isfinite(psi_alpha_norm(weibull, 1.0, n_samples=1000))
-
-
-def test_model_psi_alpha_takes_max_over_bases():
-    model = SparseModel(
-        p=(1.0, 1.0),
-        base=(
-            DistributionSpec(kind="rademacher"),
-            DistributionSpec(kind="weibull", alpha=2.0),
-        ),
-    )
-    # max{ (ln 2)^{-1/2} ~ 1.2011, sqrt(2) ~ 1.4142 }
-    assert math.isclose(model_psi_alpha(model, 2.0), math.sqrt(2.0))
