@@ -23,8 +23,6 @@ from .bounds import (
     f_sparse_regimes,
     functionals,
     hw_sparse_regimes,
-    norm_concentration_bound,
-    norm_concentration_center,
     symmetrize,
 )
 from .covest import (

@@ -13,9 +13,9 @@ Normalization convention.  The quadratic-form regimes (`f1_regimes`,
 `f2_regimes`, `f_sparse_regimes`, `hw_sparse_regimes`), `comparison_bounds`
 and `bound_report` take one `matrix_norms.Functionals` record, built by
 `functionals(A, p, alpha)`, so each matrix functional is computed once.
-The regimes and `norm_concentration_bound` take t in L^2 units: the
-certified threshold is L^2 * t where L bounds the psi_alpha norms of the
-base variables.  `bernstein_regimes` and `comparison_bounds` take the raw
+The regimes take t in L^2 units: the certified threshold is L^2 * t
+where L bounds the psi_alpha norms of the base variables.
+`bernstein_regimes` and `comparison_bounds` take the raw
 threshold and keep L inside the formula, so different inequalities can
 be compared at one threshold.  Everywhere t may be a scalar or an array;
 results take the shape of t.
@@ -172,37 +172,6 @@ def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, .
         (L * math.sqrt(float(a * a @ q)), 2.0),
         (L * float(np.max(np.abs(a))) if a.size else 0.0, al.value),
     )
-
-
-def norm_concentration_center(a, p: float) -> float:
-    """Centering value sqrt(p) * ||A||_F for the norm deviation bound."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    return math.sqrt(p) * mn.frobenius(a)
-
-
-def norm_concentration_bound(
-    t,
-    a,
-    p: float,
-    alpha: float,
-    L: float = 1.0,
-    constants: BoundConstants = DEFAULT_CONSTANTS,
-):
-    """Tail bound for | ||A xi||_2 - sqrt(p) ||A||_F | at threshold L^2 * t.
-
-    Exponent min{ (t / ||A||_{2->2})^2, (t / ||A||_{2->2})^alpha }; the
-    uniform retention probability p enters the centering, not the decay.
-    """
-    al = AlphaParam(alpha)
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    if not L > 0:
-        raise ValueError("L must be positive")
-    s = mn.opnorm(a, 2, 2)
-    if s == 0.0:
-        raise ValueError("zero matrix has no norm concentration bound")
-    return TailBound(((s, 2.0), (s, al.value)), constants).prob(t)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Every experiment subcommand reads a JSON config (schema-validated, seed
 mandatory), runs deterministically given (config, seed, threads), and
 emits a JSON report plus CSV sidecars.  Numeric results are
-bit-identical for any --threads value; only wall_clock_s varies.
+bit-identical for any --threads value (1 to quadform_mc.THREAD_BUDGET,
+the CPU count by default, the only thread-count setting); only
+wall_clock_s varies.
 
 A config is checked against its schema in _SCHEMAS by _conforms, which
 decides exactly as jsonschema does; jsonschema itself is imported only
@@ -50,8 +52,6 @@ from .rv_models import (
     sample_sparse_matrix,
 )
 from .streams import STREAM_LAYOUT, stream
-
-THREADS_ENV_VAR = "SPARSE_HW_THREADS"
 
 # ---------------------------------------------------------------- schemas
 
@@ -148,7 +148,6 @@ def _verify_schema(subject: str, subject_schema: dict) -> dict:
             "t_grid": _TGRID_SCHEMA,
             "n_samples": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer"},
-            "threads": {"type": "integer", "minimum": 1},
             "constants": _CONSTANTS_SCHEMA,
             "L": _L_SCHEMA,
             "rel_slack": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
@@ -362,6 +361,13 @@ def _read_matrix(path, binary: bool, bin_hint: str) -> np.ndarray:
         raise ConfigError(f"matrix file {str(path)!r} is not UTF-8 text; {bin_hint}") from exc
 
 
+def _size(cfg: dict, key: str, what: str) -> int:
+    """Size field key of a generated matrix or vector; a missing one is a config error."""
+    if key not in cfg:
+        raise ConfigError(f"{what} kind {cfg['kind']!r} needs {key!r}")
+    return cfg[key]
+
+
 def _build_matrix(cfg: dict) -> np.ndarray:
     if "csv" in cfg:
         return _read_matrix(cfg["csv"], False, 'a binary matrix goes under "bin"')
@@ -372,32 +378,37 @@ def _build_matrix(cfg: dict) -> np.ndarray:
     kind = cfg.get("kind")
     if kind is None:
         raise ConfigError("matrix spec needs csv, bin, values, or kind")
+    if kind in ("exchange", "identity", "random_dense"):
+        rows = cols = _size(cfg, "n", "matrix")
+    else:
+        rows, cols = _size(cfg, "rows", "matrix"), _size(cfg, "cols", "matrix")
+    # sizes are checked before anything is allocated
+    qf.check_sample_budget(rows * cols, "matrix rows x cols")
     scale = _finite(cfg.get("scale", 1.0), "matrix scale")
     if kind == "exchange":
-        n = cfg["n"]
-        if n < 2:
+        if rows < 2:
             raise ConfigError("exchange matrix needs n >= 2")
-        a = np.zeros((n, n))
+        a = np.zeros((rows, rows))
         a[0, 1] = a[1, 0] = 1.0
         return a
     if kind == "identity":
-        return np.eye(cfg["n"])
+        return np.eye(rows)
     if kind == "random_dense":
-        n = cfg["n"]
         rng = stream(cfg.get("seed", 0), 1001)
-        g = rng.standard_normal((n, n))
+        g = rng.standard_normal((rows, rows))
         a = 0.5 * (g + g.T) * scale
         if cfg.get("diagonal_free", False):
             np.fill_diagonal(a, 0.0)
         return a
     if kind == "random_rect":
         rng = stream(cfg.get("seed", 0), 1002)
-        return rng.standard_normal((cfg["rows"], cfg["cols"])) * scale
+        return rng.standard_normal((rows, cols)) * scale
     if kind == "random_lowrank":
+        rank = _size(cfg, "rank", "matrix")
+        qf.check_sample_budget(rank * (rows + cols), "matrix rank x (rows + cols)")
         rng = stream(cfg.get("seed", 0), 1003)
-        rank = cfg["rank"]
-        left = rng.standard_normal((cfg["rows"], rank))
-        right = rng.standard_normal((cfg["cols"], rank))
+        left = rng.standard_normal((rows, rank))
+        right = rng.standard_normal((cols, rank))
         return left @ right.T * scale
     raise ConfigError(f"unknown matrix kind {kind!r}")
 
@@ -406,17 +417,18 @@ def _build_vector(cfg: dict) -> np.ndarray:
     if "values" in cfg:
         return _finite(cfg["values"], "vector values")
     kind = cfg.get("kind")
+    if kind not in ("ones", "e1", "random_unit"):
+        raise ConfigError("vector spec needs values or kind")
+    n = _size(cfg, "n", "vector")
     if kind == "ones":
-        return np.ones(cfg["n"])
+        return np.ones(n)
     if kind == "e1":
-        v = np.zeros(cfg["n"])
+        v = np.zeros(n)
         v[0] = 1.0
         return v
-    if kind == "random_unit":
-        rng = stream(cfg.get("seed", 0), 1004)
-        v = rng.standard_normal(cfg["n"])
-        return v / np.linalg.norm(v)
-    raise ConfigError("vector spec needs values or kind")
+    rng = stream(cfg.get("seed", 0), 1004)
+    v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 def _build_base(cfg: dict | None, alpha: float) -> DistributionSpec:
@@ -475,23 +487,15 @@ def _resolve_l(cfg_l, model: SparseModel, alpha: float) -> float:
     return float(_finite(cfg_l, "L"))
 
 
-def _resolve_threads(args, cfg: dict) -> int:
-    if args.threads is not None:
-        n = args.threads
-    elif "threads" in cfg:
-        n = cfg["threads"]
-    else:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"{THREADS_ENV_VAR} must be an integer") from exc
-        else:
-            n = os.cpu_count() or 1
-    if n < 1:
+def _resolve_threads(args) -> int:
+    """--threads, by default the CPU count up to qf.THREAD_BUDGET."""
+    if args.threads is None:
+        return min(os.cpu_count() or 1, qf.THREAD_BUDGET)
+    if args.threads < 1:
         raise ConfigError("threads must be at least 1")
-    return n
+    if args.threads > qf.THREAD_BUDGET:
+        raise BudgetExceededError(f"threads = {args.threads} exceeds {qf.THREAD_BUDGET}")
+    return args.threads
 
 
 # ---------------------------------------------------------------- reports
@@ -539,7 +543,7 @@ def _run(command: str, body, args) -> int:
     started = time.time()
     cfg = _load_config(args.config, command)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = _resolve_threads(args, cfg)
+    threads = _resolve_threads(args)
     results, tables, verdicts = body(cfg, seed, threads, args.out)
     report = {
         "command": command,
@@ -946,8 +950,8 @@ def _bound_table(cfg: dict, seed: int, threads: int, outdir):
 # ---------------------------------------------------------------- driver
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
-    sub.add_argument("--config", required=config_required, help="JSON config path")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", required=True, help="JSON config path")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--threads", type=int, default=None, help="worker thread count")
     sub.add_argument("--out", default=None, help="output directory for report and tables")

@@ -212,7 +212,7 @@ def ipw_replicate_stats(
     return mean, se
 
 
-def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
+def rip_k(m, k: int) -> float | np.ndarray:
     """Exact k-sparse operator norm by pruned principal-submatrix enumeration.
 
     m is one (d, d) matrix, giving a float, or a stack (R, d, d), giving
@@ -236,7 +236,7 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
 
     Raises ValueError on an empty stack, on inf or NaN entries (in any
     matrix of a stack), or on a symmetric part that overflows.  Raises
-    BudgetExceededError when comb(d, k) exceeds the budget; use
+    BudgetExceededError when comb(d, k) exceeds RIP_ENUM_BUDGET; use
     rip_k_lower_random for a lower bound in that regime.
     """
     a = np.asarray(m, dtype=float)
@@ -252,9 +252,9 @@ def rip_k(m, k: int, budget: int = RIP_ENUM_BUDGET) -> float | np.ndarray:
     if not np.all(np.isfinite(sym)):
         raise ValueError("M has inf or NaN entries, or its symmetric part overflows")
     n_subsets = math.comb(d, k)
-    if n_subsets > budget:
+    if n_subsets > RIP_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {budget}; "
+            f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {RIP_ENUM_BUDGET}; "
             "rip_k_lower_random gives a certified lower bound instead"
         )
     sym = sym.reshape(-1, d, d)

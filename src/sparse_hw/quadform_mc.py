@@ -5,7 +5,8 @@ streams.chunk_stream(seed, c), a pure function of (seed, c), and integer
 exceedance counts and per-chunk moment sums are merged in chunk order,
 so results are bit-identical for any number of worker threads (the
 thread pool only changes who computes a chunk, not what it contains or
-the order of the reduction).  Within a chunk, rows are drawn and
+the order of the reduction).  A run splits into chunks of MC_CHUNK
+samples (the last one ragged).  Within a chunk, rows are drawn and
 evaluated in blocks of MC_BLOCK_ENTRIES // dim rows that reuse the
 chunk's buffers, so memory does not grow with the chunk size.  The
 quadratic statistic is evaluated from the upper triangle of A in column
@@ -31,7 +32,8 @@ from .streams import chunk_sizes
 # bound as `stream`, the name under which the benchmark tracer counts chunk generators
 from .streams import chunk_stream as stream
 
-DEFAULT_CHUNK = 1 << 16
+# Samples in one Monte Carlo chunk, the unit of a stream and of a pool task.
+MC_CHUNK = 1 << 16
 # A chunk is drawn and evaluated in blocks of about this many sample entries
 # (1 MiB of float64), so a block and its statistic stay in cache.
 MC_BLOCK_ENTRIES = 1 << 17
@@ -42,6 +44,9 @@ MC_SAMPLE_BUDGET = 1 << 32
 # Limits on t_grid "num" and sketch "n_seeds", checked before anything is allocated.
 T_GRID_BUDGET = 1 << 20
 SKETCH_SEED_BUDGET = 1 << 16
+# The most worker threads --threads may ask for: the pool starts one OS
+# thread per submitted chunk, up to this many.
+THREAD_BUDGET = 256
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -150,15 +155,9 @@ def _quadform(a: np.ndarray, model: SparseModel) -> _Blockwise:
 
 
 def _deviations(
-    reduce,
-    stat: _Blockwise,
-    center: float,
-    n_samples: int,
-    seed: int,
-    threads: int,
-    chunk_size: int,
+    reduce, stat: _Blockwise, center: float, n_samples: int, seed: int, threads: int
 ) -> list:
-    """reduce(|statistic - center|) for every chunk, in chunk order.
+    """reduce(|statistic - center|) for every chunk of MC_CHUNK samples, in chunk order.
 
     A chunk draws from stream (seed, c) in consecutive blocks of
     max(1, MC_BLOCK_ENTRIES // dim) rows (the last one ragged), and each
@@ -187,7 +186,7 @@ def _deviations(
             np.abs(dev, out=dev)
             return reduce(dev), dev.size - int(np.count_nonzero(np.isfinite(dev)))
 
-    chunks = _run_chunks(worker, n_samples, threads, chunk_size)
+    chunks = _run_chunks(worker, n_samples, threads, MC_CHUNK)
     nonfinite = sum(bad for _, bad in chunks)
     if nonfinite:
         raise ValueError(f"{nonfinite} of {n_samples} simulated statistics are inf or NaN")
@@ -195,13 +194,7 @@ def _deviations(
 
 
 def _simulate(
-    stat: _Blockwise,
-    center: float,
-    t_grid,
-    n_samples: int,
-    seed: int,
-    threads: int,
-    chunk_size: int,
+    stat: _Blockwise, center: float, t_grid, n_samples: int, seed: int, threads: int
 ) -> EmpiricalTail:
     """Empirical survival of |statistic - center| over t_grid with Wilson
     intervals."""
@@ -214,7 +207,7 @@ def _simulate(
         dev.sort()
         return dev.size - np.searchsorted(dev, ts, side="left")
 
-    chunks = _deviations(exceedances, stat, center, n_samples, seed, threads, chunk_size)
+    chunks = _deviations(exceedances, stat, center, n_samples, seed, threads)
     counts = np.sum(chunks, axis=0)
     lows, highs = np.array([wilson_interval(int(k), n_samples) for k in counts]).T
     return EmpiricalTail(
@@ -227,16 +220,11 @@ def _simulate(
 
 
 def simulate_tail(
-    inst: QuadFormInstance,
-    t_grid,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
+    inst: QuadFormInstance, t_grid, n_samples: int, seed: int, threads: int = 1
 ) -> EmpiricalTail:
     """Empirical survival of |S - E S| over t_grid with Wilson intervals."""
     stat = _quadform(inst.a, inst.model)
-    return _simulate(stat, inst.mean(), t_grid, n_samples, seed, threads, chunk_size)
+    return _simulate(stat, inst.mean(), t_grid, n_samples, seed, threads)
 
 
 def _atom_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,23 +286,22 @@ class SlopeFit:
     t_window: tuple[float, float]
 
 
-def usable_window(tail: EmpiricalTail, floor_counts: int = 10, ceiling: float = 0.05) -> np.ndarray:
-    """Mask of grid points where survival is resolved and in the far tail.
+def usable_window(tail: EmpiricalTail) -> np.ndarray:
+    """Mask of grid points t > 0 where survival is resolved and in the far tail.
 
-    Points need at least floor_counts exceedances (rules out pure noise)
-    and survival at most ceiling (rules out the bulk).
+    Points need at least 10 exceedances (rules out pure noise) and
+    survival at most 0.05 (rules out the bulk), so 0 < survival < 1.
     """
-    floor = floor_counts / tail.n_samples
-    return (tail.survival >= floor) & (tail.survival <= ceiling) & (tail.t_grid > 0)
+    floor = 10 / tail.n_samples
+    return (tail.survival >= floor) & (tail.survival <= 0.05) & (tail.t_grid > 0)
 
 
-def tail_slope_fit(tail: EmpiricalTail, window: np.ndarray | None = None) -> SlopeFit:
-    """Least-squares slope of log(-log survival) against log t.
+def tail_slope_fit(tail: EmpiricalTail) -> SlopeFit:
+    """Least-squares slope of log(-log survival) against log t over usable_window.
 
     For survival ~ exp(-c t^beta) the slope estimates beta.
     """
-    mask = usable_window(tail) if window is None else np.asarray(window, dtype=bool)
-    mask = mask & (tail.survival > 0.0) & (tail.survival < 1.0) & (tail.t_grid > 0.0)
+    mask = usable_window(tail)
     if int(mask.sum()) < 4:
         raise ValueError("fewer than 4 usable grid points for the slope fit")
     x = np.log(tail.t_grid[mask])
@@ -349,13 +336,11 @@ class DominanceResult:
 
 
 def dominance_check(
-    tail: EmpiricalTail,
-    exponent_values,
-    window: np.ndarray | None = None,
-    rel_slack: float = 0.0,
+    tail: EmpiricalTail, exponent_values, rel_slack: float = 0.0
 ) -> DominanceResult:
     """Calibrate c at the first usable point; test dominance on the rest.
 
+    The usable points are those of usable_window with a positive exponent.
     Verification margins use the Wilson lower limit, so a point only
     fails when the data refutes the bound rather than merely fluctuating
     above it.  rel_slack discounts the required exponent by that
@@ -367,9 +352,7 @@ def dominance_check(
     ev = np.asarray(exponent_values, dtype=float)
     if ev.shape != tail.t_grid.shape:
         raise ValueError("exponent grid and t grid differ in shape")
-    mask = usable_window(tail) if window is None else np.asarray(window, dtype=bool)
-    mask = mask & (tail.survival > 0.0) & (ev > 0.0)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(usable_window(tail) & (ev > 0.0))
     if idx.size < 2:
         raise ValueError("need at least 2 usable grid points for calibration")
     c_hat = -math.log(tail.survival[idx[0]]) / ev[idx[0]]
@@ -382,6 +365,10 @@ def dominance_check(
         min_margin=float(rest.min()),
         t_calibration=float(tail.t_grid[idx[0]]),
     )
+
+
+# The moment orders r of lower_bound_check's fit.
+LOWER_BOUND_ORDERS = (2.0, 4.0, 6.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -397,20 +384,13 @@ class LowerBoundReport:
     pz_ok: bool
 
 
-def lower_bound_check(
-    a,
-    alpha: float,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    r_grid: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0),
-    chunk_size: int = DEFAULT_CHUNK,
-) -> LowerBoundReport:
+def lower_bound_check(a, alpha: float, n_samples: int = 200_000, seed: int = 0) -> LowerBoundReport:
     """Check that |S| exceeds half its L_r norm with probability e^{-O(r)}.
 
     Base is the symmetric Weibull with the given alpha, fully retained
-    (p = 1).  Fits log P{|S| >= L_r / 2} = log kappa - c1 * r on the
-    grid and also checks the second-moment anti-concentration inequality
-    P{|S| >= L_2 / 2} >= (L_2^2 / L_4^2)^2 / 4.
+    (p = 1).  Fits log P{|S| >= L_r / 2} = log kappa - c1 * r over r in
+    LOWER_BOUND_ORDERS and also checks the second-moment
+    anti-concentration inequality P{|S| >= L_2 / 2} >= (L_2^2 / L_4^2)^2 / 4.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -420,27 +400,24 @@ def lower_bound_check(
     if np.any(np.diag(m) != 0.0):
         raise ValueError("lower-bound check requires a diagonal-free matrix")
     if np.all(m == 0.0):
-        return LowerBoundReport(True, tuple(r_grid), (), (), math.nan, math.nan, False)
-    rs = tuple(float(r) for r in r_grid)
-    if len(rs) < 2 or any(r < 1 for r in rs):
-        raise ValueError("need at least two moment orders, all >= 1")
+        return LowerBoundReport(True, LOWER_BOUND_ORDERS, (), (), math.nan, math.nan, False)
     model = SparseModel(
         p=(1.0,) * m.shape[0], base=DistributionSpec(kind="weibull", alpha=alpha)
     )
     stat = _quadform(m, model)
-    dev = np.concatenate(_deviations(lambda d: d, stat, 0.0, n_samples, seed, 1, chunk_size))
-    moments = tuple(float(np.mean(dev**r) ** (1.0 / r)) for r in rs)
+    dev = np.concatenate(_deviations(lambda d: d, stat, 0.0, n_samples, seed, 1))
+    moments = tuple(float(np.mean(dev**r) ** (1.0 / r)) for r in LOWER_BOUND_ORDERS)
     probs = tuple(float(np.mean(dev >= mom / 2)) for mom in moments)
     if any(q == 0.0 for q in probs):
         raise ValueError("no exceedances at some order; increase n_samples")
-    coeff = np.polyfit(np.asarray(rs), np.log(np.asarray(probs)), 1)
+    coeff = np.polyfit(np.asarray(LOWER_BOUND_ORDERS), np.log(np.asarray(probs)), 1)
     l2 = float(np.mean(dev**2)) ** 0.5
     l4 = float(np.mean(dev**4)) ** 0.25
     pz_floor = (l2**2 / l4**2) ** 2 / 4.0
     pz_ok = float(np.mean(dev >= l2 / 2)) >= pz_floor
     return LowerBoundReport(
         degenerate=False,
-        r_grid=rs,
+        r_grid=LOWER_BOUND_ORDERS,
         moments=moments,
         exceed_probs=probs,
         kappa=float(np.exp(coeff[1])),
@@ -450,13 +427,7 @@ def lower_bound_check(
 
 
 def simulate_linear_tail(
-    a_vec,
-    model: SparseModel,
-    t_grid,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
+    a_vec, model: SparseModel, t_grid, n_samples: int, seed: int, threads: int = 1
 ) -> EmpiricalTail:
     """Empirical survival of |sum_i a_i xi_i| over t_grid.
 
@@ -470,17 +441,11 @@ def simulate_linear_tail(
         np.matmul(x, a, out=out)
 
     stat = _Blockwise(model, linear)
-    return _simulate(stat, 0.0, t_grid, n_samples, seed, threads, chunk_size)
+    return _simulate(stat, 0.0, t_grid, n_samples, seed, threads)
 
 
 def simulate_norm_tail(
-    a,
-    model: SparseModel,
-    t_grid,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
+    a, model: SparseModel, t_grid, n_samples: int, seed: int, threads: int = 1
 ) -> EmpiricalTail:
     """Empirical survival of | ||A xi||_2 - sqrt(p) ||A||_F | over t_grid.
 
@@ -505,4 +470,4 @@ def simulate_norm_tail(
         np.sqrt(out, out=out)
 
     stat = _Blockwise(model, norm, m.shape[0])
-    return _simulate(stat, center, t_grid, n_samples, seed, threads, chunk_size)
+    return _simulate(stat, center, t_grid, n_samples, seed, threads)

@@ -21,8 +21,10 @@ sign.
 
 The psi_alpha (Orlicz) norm of a variable is
 inf{t > 0 : E exp(|xi|^alpha / t^alpha) <= 2}; `psi_alpha_norm`
-estimates it by bisection over a shared Monte Carlo sample, and
-`psi_alpha_exact` returns the closed form where one exists.
+estimates it by bisection over a shared Monte Carlo sample, to the fixed
+relative width PSI_REL_TOL, and `psi_alpha_exact` returns the closed form
+where one exists.  `model_psi_alpha` uses the closed form or else 10^5
+samples of stream seed 0, whatever the caller's seed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)
 _BELOW_ONE = 1.0 - 2.0**-53
 _MANTISSA_SHIFT = np.uint64(12)
 _SIGN_SHIFT = np.uint64(63)
+
+# psi_alpha_norm stops its bisection at this relative width.
+PSI_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -322,31 +327,26 @@ def psi_alpha_exact(spec: DistributionSpec, alpha: float) -> float | None:
     return None
 
 
-def model_psi_alpha(
-    model: SparseModel, alpha: float, n_samples: int = 10**5, seed: int = 0
-) -> float:
+def model_psi_alpha(model: SparseModel, alpha: float) -> float:
     """psi_alpha norm of the model's base law zeta.
 
-    Closed form where available, Monte Carlo bisection otherwise.
+    Closed form where available, otherwise psi_alpha_norm on 10^5
+    samples of stream seed 0.
     xi_i = delta_i * zeta_i is stochastically dominated by zeta, so
     this also bounds the psi_alpha norms of the sparse coordinates.
     """
     exact = psi_alpha_exact(model.base, alpha)
-    return exact if exact is not None else psi_alpha_norm(model.base, alpha, n_samples, seed)
+    return exact if exact is not None else psi_alpha_norm(model.base, alpha, 10**5, 0)
 
 
 def psi_alpha_norm(
-    dist: DistributionSpec,
-    alpha: float,
-    n_samples: int = 10**6,
-    seed: int = 0,
-    rel_tol: float = 1e-3,
+    dist: DistributionSpec, alpha: float, n_samples: int = 10**6, seed: int = 0
 ) -> float:
     """Monte Carlo psi_alpha norm: bisection on a shared sample set.
 
     g(t) = mean exp(|x|^alpha / t^alpha) is strictly decreasing in t, so
     the returned t is the bisection upper endpoint: g(t) <= 2 while
-    g(t / (1 + rel_tol)) > 2 on the same samples.  A Weibull base W_s(beta)
+    g(t / (1 + PSI_REL_TOL)) > 2 on the same samples.  A Weibull base W_s(beta)
     with beta < alpha raises ValueError: E exp(|x|^alpha / t^alpha) is
     infinite for every t, while a finite sample would still give a t.
     """
@@ -381,7 +381,7 @@ def psi_alpha_norm(
     else:
         # even tiny t keeps the moment <= 2: degenerate (x identically 0)
         raise ValueError("exp moment never exceeds 2; degenerate sample")
-    while hi - lo > rel_tol * lo:
+    while hi - lo > PSI_REL_TOL * lo:
         mid = 0.5 * (lo + hi)
         if exp_moment(mid) <= 2.0:
             hi = mid

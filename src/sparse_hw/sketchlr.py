@@ -27,7 +27,8 @@ import numpy as np
 
 from .streams import stream
 
-DEFAULT_RANK_TOL = 1e-12
+# thin_svd keeps the singular values s_i >= RANK_TOL * s_1.
+RANK_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-8
 # A coherence is at least 1 in exact arithmetic, but coherence() of a square
 # orthonormal factor comes out up to 5 eps below 1 in random trials.
@@ -73,10 +74,10 @@ class FactoredMatrix:
         return (self.u * self.s) @ self.v.T
 
 
-def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredMatrix:
-    """Thin SVD truncated at the relative tolerance rank_tol.
+def thin_svd(x) -> FactoredMatrix:
+    """Thin SVD truncated at the relative tolerance RANK_TOL.
 
-    Keeps singular values with s_i >= rank_tol * s_1 (a tie at the
+    Keeps singular values with s_i >= RANK_TOL * s_1 (a tie at the
     boundary keeps the larger rank).  A discarded positive tail marks
     the factorization `truncated`: the input was only approximately
     low-rank and the sketch guarantees then apply to the truncation.
@@ -86,14 +87,12 @@ def thin_svd(x, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredMatrix:
         raise ValueError("X must be 2-D")
     if not np.all(np.isfinite(m)):
         raise ValueError("X entries must be finite")
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
     if m.size == 0 or not np.any(m):
         return FactoredMatrix(
             u=np.zeros((m.shape[0], 0)), s=np.zeros(0), v=np.zeros((m.shape[1], 0))
         )
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s >= rank_tol * s[0]
+    keep = s >= RANK_TOL * s[0]
     k = int(np.sum(keep))
     truncated = bool(np.any(s[k:] > 0.0))
     return FactoredMatrix(u=u[:, :k], s=s[:k], v=vt[:k].T, truncated=truncated)
@@ -227,7 +226,6 @@ def low_rank_approx(
     r: int,
     p: float,
     seed: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
     xi: str = "gaussian",
     eta: float = 0.1,
     c1: float = 1.0,
@@ -239,12 +237,12 @@ def low_rank_approx(
     r is required to stay within the detected rank k; pass
     allow_wide=True to sketch with r > k anyway (the output rank stays
     at most k, the extra columns only average down the variance).
-    fact, when given, must be thin_svd(x, rank_tol), so that many
+    fact, when given, must be thin_svd(x), so that many
     sketches of one X share a single SVD.
     """
     m = np.asarray(x, dtype=float)
     if fact is None:
-        fact = thin_svd(m, rank_tol=rank_tol)
+        fact = thin_svd(m)
     k = fact.rank
     if k == 0:
         raise ValueError("X is zero; nothing to sketch")

@@ -19,8 +19,6 @@ from sparse_hw.bounds import (
     f_sparse_regimes,
     functionals,
     hw_sparse_regimes,
-    norm_concentration_bound,
-    norm_concentration_center,
     symmetrize,
 )
 from sparse_hw.streams import stream
@@ -221,20 +219,6 @@ def test_bernstein_validation():
         bernstein_regimes([1.0], [1.0], 1.5)  # alpha > 1
     with pytest.raises(ValueError):
         TailBound(bernstein_regimes(np.zeros(3), np.ones(3), 0.5))  # vacuous
-
-
-def test_norm_concentration_values():
-    m = random_sym(140, 4)
-    s = float(np.linalg.svd(m, compute_uv=False)[0])
-    assert math.isclose(norm_concentration_bound(s, m, 0.5, 1.0), 2 * math.exp(-1.0), rel_tol=1e-9)
-    assert norm_concentration_bound(0.0, m, 0.5, 1.0) == 2.0
-    assert math.isclose(
-        norm_concentration_center(m, 0.25), 0.5 * float(np.linalg.norm(m, "fro"))
-    )
-    with pytest.raises(ValueError):
-        norm_concentration_bound(1.0, np.zeros((2, 2)), 0.5, 1.0)
-    with pytest.raises(ValueError):
-        norm_concentration_center(m, 0.0)
 
 
 def test_comparison_bounds_reductions():

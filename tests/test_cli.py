@@ -20,7 +20,7 @@ from sparse_hw import cli
 from sparse_hw import covest as cv
 from sparse_hw import quadform_mc as qf
 from sparse_hw import sketchlr as sk
-from sparse_hw.cli import THREADS_ENV_VAR, main
+from sparse_hw.cli import main
 from sparse_hw.streams import stream
 
 HW_CONFIG = {
@@ -971,18 +971,99 @@ def test_bound_table_matches_library(tmp_path):
     assert lines[0].startswith("t,") and len(lines) == 5
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, {"base": {"kind": "weibull", "alpha": 1.0}, "n": 50, "seed": 3})
-    out = tmp_path / "out"
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
-    assert read_report(out)["threads"] == 3
-    monkeypatch.setenv(THREADS_ENV_VAR, "x")
-    assert main(["sample", "--config", cfg]) == 2
-
-
-def test_threads_flag_beats_config(tmp_path):
+def test_config_threads_field_exits_2(tmp_path, capsys):
+    # --threads is the one thread-count setting; the config field is gone
     cfg = dict(HW_CONFIG, threads=2, n_samples=1000)
+    assert main(["hw-verify", "--config", write_config(tmp_path, cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "config error: config rejected: Additional properties are not allowed"
+        " ('threads' was unexpected)"
+    ]
+
+
+@pytest.mark.parametrize("threads", [5, qf.THREAD_BUDGET, qf.THREAD_BUDGET + 1, 100_000])
+def test_threads_flag_sets_the_thread_count_up_to_the_budget(tmp_path, capsys, threads):
+    # n_samples below MC_CHUNK is one chunk, which runs without a pool at any --threads
+    cfg = dict(HW_CONFIG, n_samples=1000)
+    assert cfg["n_samples"] <= qf.MC_CHUNK
     out = tmp_path / "out"
-    main(["hw-verify", "--config", write_config(tmp_path, cfg), "--out", str(out), "--threads", "5"])
-    assert read_report(out)["threads"] == 5
+    argv = ["hw-verify", "--config", write_config(tmp_path, cfg), "--threads", str(threads)]
+    code = main([*argv, "--out", str(out)])
+    if threads <= qf.THREAD_BUDGET:
+        assert code in (0, 1) and read_report(out)["threads"] == threads
+    else:
+        assert code == 3 and not out.exists()
+        message = f"budget exceeded: threads = {threads} exceeds {qf.THREAD_BUDGET}"
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
+# (command, golden case, field) of a generated square matrix, rectangular matrix and vector
+SQUARE = ("bound-table", "bound-table-dense", "matrix")
+RECT = ("sketch", "sketch", "x")
+VECTOR = ("bernstein-verify", "bernstein-verify", "vector")
+
+
+@pytest.mark.parametrize(
+    "where, spec, missing",
+    [
+        pytest.param(SQUARE, {"kind": "exchange"}, "n", id="exchange"),
+        pytest.param(SQUARE, {"kind": "identity"}, "n", id="identity"),
+        pytest.param(SQUARE, {"kind": "random_dense"}, "n", id="random_dense"),
+        pytest.param(RECT, {"kind": "random_rect", "rows": 3}, "cols", id="random_rect"),
+        pytest.param(
+            RECT, {"kind": "random_lowrank", "rows": 3, "cols": 3}, "rank", id="random_lowrank"
+        ),
+        pytest.param(VECTOR, {"kind": "ones"}, "n", id="ones"),
+    ],
+)
+def test_generated_input_without_its_size_exits_2(tmp_path, capsys, where, spec, missing):
+    command, case, field = where
+    cfg = golden_config(case) | {field: spec}
+    assert main([command, "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    what = "vector" if field == "vector" else "matrix"
+    message = f"config error: {what} kind {spec['kind']!r} needs {missing!r}"
+    assert captured.err.splitlines() == [message]
+
+
+# numpy cannot allocate any of these (8e18 bytes or more), so a run that
+# skips the budget check fails at once instead of filling memory
+@pytest.mark.parametrize(
+    "where, spec, message",
+    [
+        pytest.param(SQUARE, {"kind": "identity", "n": 10**9}, "rows x cols", id="identity"),
+        pytest.param(
+            RECT,
+            {"kind": "random_rect", "rows": 10**9, "cols": 10**9},
+            "rows x cols",
+            id="random_rect",
+        ),
+        pytest.param(
+            RECT,
+            {"kind": "random_lowrank", "rows": 1, "cols": 1, "rank": 10**18},
+            "rank x (rows + cols)",
+            id="random_lowrank",
+        ),
+    ],
+)
+def test_oversized_generated_matrix_exits_3(tmp_path, where, spec, message):
+    command, case, field = where
+    cfg = golden_config(case) | {field: spec}
+    argv = [command, "--config", write_config(tmp_path, cfg), "--threads", "1"]
+    # a 2 GiB address-space limit, as `ulimit -v` sets it
+    run = (
+        "import resource, sys, sparse_hw.cli;"
+        " resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30));"
+        " sys.exit(sparse_hw.cli.main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", run, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: matrix {message} = "), lines

@@ -134,11 +134,12 @@ def test_simulate_tail_matches_exhaustive_enumeration():
         assert abs(tail.survival[k] - exact[k]) <= 3 * max(half, 1e-12)
 
 
-def test_simulate_tail_thread_count_is_invisible():
+def test_simulate_tail_thread_count_is_invisible(monkeypatch):
+    monkeypatch.setattr(quadform_mc, "MC_CHUNK", 1 << 12)
     inst = QuadFormInstance(EXCHANGE, rademacher_model(2, 0.7))
     grid = [0.5, 1.0, 2.0]
-    a = simulate_tail(inst, grid, 300_000, seed=5, threads=1, chunk_size=1 << 12)
-    b = simulate_tail(inst, grid, 300_000, seed=5, threads=5, chunk_size=1 << 12)
+    a = simulate_tail(inst, grid, 300_000, seed=5, threads=1)
+    b = simulate_tail(inst, grid, 300_000, seed=5, threads=5)
     assert np.array_equal(a.survival, b.survival)
     assert np.array_equal(a.ci_low, b.ci_low)
 
@@ -158,10 +159,11 @@ def test_blocked_statistics_equal_unblocked(monkeypatch, rows, threads):
     # past the chunk size; n is a multiple of neither the chunk nor the block
     d = BLOCK_MODEL.dim
     monkeypatch.setattr(quadform_mc, "MC_BLOCK_ENTRIES", rows * d + d - 1)
+    monkeypatch.setattr(quadform_mc, "MC_CHUNK", BLOCK_CHUNK)
     g = stream(40, 0).integers(-3, 4, size=(d, d)).astype(float)
     a = g + g.T
     grid = [0.0, 1.0, 2.5, 6.0, 12.0, 30.0]
-    kw = dict(seed=BLOCK_SEED, threads=threads, chunk_size=BLOCK_CHUNK)
+    kw = dict(seed=BLOCK_SEED, threads=threads)
     n, block = BLOCK_N, rows
 
     def survival(values, center):
@@ -191,7 +193,8 @@ PANEL_DIMS = [1, 7, 63, 64, 65, 95, 96, 97, 136, 200, 257]
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("n", PANEL_DIMS)
-def test_panelled_quadform_equals_unblocked_on_integers(n, threads):
+def test_panelled_quadform_equals_unblocked_on_integers(monkeypatch, n, threads):
+    monkeypatch.setattr(quadform_mc, "MC_CHUNK", 250)
     model = rademacher_model(n, 0.5)
     g = stream(n, 0).integers(-3, 4, size=(n, n)).astype(float)
     a = g + g.T
@@ -199,7 +202,7 @@ def test_panelled_quadform_equals_unblocked_on_integers(n, threads):
     x = oracles.blocked_draws(model, 600, 13, 250, max(1, quadform_mc.MC_BLOCK_ENTRIES // n))
     dev = np.abs(oracles.quadform_unblocked(x, a) - inst.mean())
     grid = np.sort(dev)[[0, 300, 540, 594, 599]]  # thresholds equal to deviations test >= ties
-    tail = simulate_tail(inst, grid, 600, seed=13, threads=threads, chunk_size=250)
+    tail = simulate_tail(inst, grid, 600, seed=13, threads=threads)
     assert np.array_equal(tail.survival, [np.count_nonzero(dev >= t) / 600 for t in grid])
 
 
@@ -224,12 +227,13 @@ def test_quadform_overflows_only_where_the_dense_product_does():
     grid = [1e300, 1e306]
     tail = simulate_tail(inst, grid, 2000, seed=7)
     block = quadform_mc.MC_BLOCK_ENTRIES // 2
-    x = oracles.blocked_draws(model, 2000, 7, quadform_mc.DEFAULT_CHUNK, block)
+    x = oracles.blocked_draws(model, 2000, 7, quadform_mc.MC_CHUNK, block)
     dev = np.abs(oracles.quadform_unblocked(x, inst.a) - inst.mean())
     assert tail.survival.tolist() == [np.count_nonzero(dev >= t) / 2000 for t in grid]
 
 
-def test_simulate_tail_rejects_non_finite_statistics():
+def test_simulate_tail_rejects_non_finite_statistics(monkeypatch):
+    monkeypatch.setattr(quadform_mc, "MC_CHUNK", 500)
     # products of two draws near 5e153 overflow to inf, and inf - inf is NaN
     huge = DistributionSpec(kind="weibull", alpha=1.0, scale=5e153)
     model = SparseModel(p=(1.0, 1.0), base=huge)
@@ -237,7 +241,7 @@ def test_simulate_tail_rejects_non_finite_statistics():
     messages = set()
     for threads in (1, 3):
         with pytest.raises(ValueError, match="of 2000 simulated statistics are inf or NaN") as exc:
-            simulate_tail(inst, [1e300], 2000, seed=7, threads=threads, chunk_size=500)
+            simulate_tail(inst, [1e300], 2000, seed=7, threads=threads)
         messages.add(str(exc.value))
     assert len(messages) == 1
 
@@ -293,17 +297,15 @@ def test_tail_slope_fit_synthetic_lines():
 
 
 def test_tail_slope_fit_needs_points():
-    grid = np.array([4.0, 5.0, 6.0, 7.0])
-    tail = synthetic_tail(grid, np.exp(-grid))
-    window = np.array([True, True, True, False])
+    grid = np.array([4.0, 5.0, 6.0])
     with pytest.raises(ValueError, match="4 usable"):
-        tail_slope_fit(tail, window=window)
+        tail_slope_fit(synthetic_tail(grid, np.exp(-grid)))
 
 
 def test_usable_window_bounds():
     grid = np.array([0.1, 1.0, 5.0, 9.0, 14.0])
     surv = np.array([0.5, 0.04, 1e-3, 1e-8, 0.0])
-    mask = usable_window(synthetic_tail(grid, surv, n_samples=10**6), floor_counts=10)
+    mask = usable_window(synthetic_tail(grid, surv, n_samples=10**6))
     # survival must sit in [10/N, 0.05]: drops the bulk point and the empty tail
     assert list(mask) == [False, True, True, False, False]
 

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from sparse_hw.quadform_mc import wilson_interval
 from sparse_hw.rv_models import (
+    PSI_REL_TOL,
     AlphaParam,
     DistributionSpec,
     SparseModel,
@@ -278,8 +279,8 @@ def test_psi_alpha_norm_matches_closed_form():
 def test_psi_alpha_norm_bisection_invariant():
     # the returned t must satisfy g(t) <= 2 < g(t / (1 + 2 tol)) on the same sample
     dist = DistributionSpec(kind="weibull", alpha=0.7)
-    alpha, seed, tol = 0.7, 8, 1e-3
-    t = psi_alpha_norm(dist, alpha, n_samples=50_000, seed=seed, rel_tol=tol)
+    alpha, seed, tol = 0.7, 8, PSI_REL_TOL
+    t = psi_alpha_norm(dist, alpha, n_samples=50_000, seed=seed)
     x = sample_base(dist, 50_000, stream(seed, 0))
     pow_a = np.abs(x) ** alpha
 
