@@ -420,6 +420,7 @@ def _build_vector(cfg: dict) -> np.ndarray:
     if kind not in ("ones", "e1", "random_unit"):
         raise ConfigError("vector spec needs values or kind")
     n = _size(cfg, "n", "vector")
+    qf.check_sample_budget(n, "vector n")
     if kind == "ones":
         return np.ones(n)
     if kind == "e1":

@@ -284,6 +284,25 @@ def golden_config(case: str) -> dict:
 @pytest.mark.parametrize(
     "command, cfg",
     [
+        pytest.param("bound-table", TABLE_CONFIG, id="bound-table"),
+        pytest.param("hw-verify", dict(HW_CONFIG, n_samples=20_000), id="hw-verify"),
+    ],
+)
+def test_quadrature_l_does_not_depend_on_the_seed(tmp_path, command, cfg):
+    # W_s(1.5) at alpha = 1 has no closed form, so L comes from the quadrature
+    cfg = dict(cfg, model={"alpha": 1.0, "p": 0.5, "base": {"kind": "weibull", "alpha": 1.5}})
+    path = write_config(tmp_path, cfg)
+    ls = []
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        assert main([command, "--config", path, "--out", str(out), "--seed", seed]) in (0, 1)
+        ls.append(read_report(out)["results"]["L"])
+    assert ls[0] == ls[1] == pytest.approx(1.5114760572454617, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
         pytest.param(
             "hw-verify", dict(HW_CONFIG, model={"alpha": 3.0, "p": 0.5}), id="alpha-above-2"
         ),
@@ -1046,6 +1065,7 @@ def test_generated_input_without_its_size_exits_2(tmp_path, capsys, where, spec,
             "rank x (rows + cols)",
             id="random_lowrank",
         ),
+        pytest.param(VECTOR, {"kind": "ones", "n": 10**18}, "n", id="vector-ones"),
     ],
 )
 def test_oversized_generated_matrix_exits_3(tmp_path, where, spec, message):
@@ -1066,4 +1086,5 @@ def test_oversized_generated_matrix_exits_3(tmp_path, where, spec, message):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: matrix {message} = "), lines
+    prefix = f"budget exceeded: {'vector' if field == 'vector' else 'matrix'} {message} = "
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from sparse_hw.quadform_mc import wilson_interval
 from sparse_hw.rv_models import (
-    PSI_REL_TOL,
     AlphaParam,
     DistributionSpec,
     SparseModel,
@@ -270,30 +269,38 @@ def test_psi_alpha_exact_unit_variance_rescaling():
 
 
 def test_psi_alpha_norm_matches_closed_form():
-    est = psi_alpha_norm(DistributionSpec(kind="weibull", alpha=1.0), 1.0, n_samples=200_000, seed=5)
-    assert abs(est - 2.0) <= 0.05 * 2.0
-    est2 = psi_alpha_norm(DistributionSpec(kind="gaussian"), 2.0, n_samples=200_000, seed=6)
-    assert abs(est2 - math.sqrt(8.0 / 3.0)) <= 0.05 * math.sqrt(8.0 / 3.0)
+    # the quadrature plus its margin bounds the exact norm from above
+    cases = [
+        *(
+            (DistributionSpec(kind="weibull", alpha=b, scale=1.7, unit_variance=uv), b)
+            for b in (0.2, 0.5, 0.7, 1.0, 1.5, 2.0)
+            for uv in (False, True)
+        ),
+        (DistributionSpec(kind="gaussian", scale=2.5), 2.0),
+        (DistributionSpec(kind="gaussian", unit_variance=True), 2.0),
+        (DistributionSpec(kind="rademacher"), 1.0),
+        (DistributionSpec(kind="rademacher"), 0.3),
+    ]
+    for spec, alpha in cases:
+        exact = psi_alpha_exact(spec, alpha)
+        assert exact <= psi_alpha_norm(spec, alpha) <= exact * (1 + 1e-9), (spec, alpha)
 
 
-def test_psi_alpha_norm_bisection_invariant():
-    # the returned t must satisfy g(t) <= 2 < g(t / (1 + 2 tol)) on the same sample
-    dist = DistributionSpec(kind="weibull", alpha=0.7)
-    alpha, seed, tol = 0.7, 8, PSI_REL_TOL
-    t = psi_alpha_norm(dist, alpha, n_samples=50_000, seed=seed)
-    x = sample_base(dist, 50_000, stream(seed, 0))
-    pow_a = np.abs(x) ** alpha
-
-    def g(u):
-        return float(np.mean(np.exp(np.minimum(pow_a / u**alpha, 700.0))))
-
-    assert g(t) <= 2.0
-    assert g(t / (1 + 2 * tol)) > 2.0
-
-
-def test_psi_alpha_norm_rejects_degenerate():
-    with pytest.raises(ValueError):
-        psi_alpha_norm(DistributionSpec(kind="gaussian"), 2.0, n_samples=0, seed=0)
+@pytest.mark.parametrize(
+    "kind, beta, alpha",
+    [
+        *(
+            ("weibull", beta, beta * share)
+            for beta in (0.2, 0.5, 0.7, 1.0, 1.5, 2.0)
+            for share in (0.1, 0.5, 0.9, 1.0)
+        ),
+        *(("gaussian", None, alpha) for alpha in (0.1, 0.5, 1.0, 1.5, 2.0)),
+    ],
+)
+def test_psi_alpha_norm_matches_legendre_oracle(kind, beta, alpha):
+    spec = DistributionSpec(kind=kind, alpha=beta)
+    expected = oracles.psi_alpha_legendre(kind, beta, alpha)
+    assert psi_alpha_norm(spec, alpha) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("beta, alpha", [(0.5, 1.0), (1.0, 2.0), (1.9, 2.0)])
@@ -302,7 +309,7 @@ def test_psi_alpha_norm_rejects_a_weibull_base_lighter_than_alpha(beta, alpha):
     spec = DistributionSpec(kind="weibull", alpha=beta)
     message = f"weibull base with alpha={beta:g} has an infinite psi_alpha norm at alpha={alpha:g}"
     with pytest.raises(ValueError, match=message):
-        psi_alpha_norm(spec, alpha, n_samples=10, seed=0)
+        psi_alpha_norm(spec, alpha)
     with pytest.raises(ValueError, match=message):
         model_psi_alpha(SparseModel(p=(1.0,), base=spec), alpha)
 
@@ -310,5 +317,13 @@ def test_psi_alpha_norm_rejects_a_weibull_base_lighter_than_alpha(beta, alpha):
 def test_psi_alpha_norm_is_finite_for_gaussian_and_weibull_below_its_alpha():
     gaussian = DistributionSpec(kind="gaussian")
     weibull = DistributionSpec(kind="weibull", alpha=1.5)
-    assert math.isfinite(psi_alpha_norm(gaussian, 0.5, n_samples=1000))
-    assert math.isfinite(psi_alpha_norm(weibull, 1.0, n_samples=1000))
+    assert math.isfinite(psi_alpha_norm(gaussian, 0.5))
+    assert math.isfinite(psi_alpha_norm(weibull, 1.0))
+
+
+def test_psi_alpha_norm_beyond_float_range_is_a_value_error():
+    # about 0.69^(-1/alpha): finite at alpha = 1e-3, past 1e308 at 1e-4
+    gaussian = DistributionSpec(kind="gaussian")
+    assert 1e150 < psi_alpha_norm(gaussian, 1e-3) < 1e170
+    with pytest.raises(ValueError, match="gaussian base has a psi_alpha norm at alpha=0.0001"):
+        psi_alpha_norm(gaussian, 1e-4)
