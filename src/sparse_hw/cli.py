@@ -7,11 +7,11 @@ bit-identical for any --threads value (1 to quadform_mc.THREAD_BUDGET,
 the CPU count by default, the only thread-count setting); only
 wall_clock_s varies.
 
-A config is checked against its schema in _SCHEMAS by _conforms, which
-decides exactly as jsonschema does; jsonschema itself is imported only
-to word the message of a rejected config, so a valid one never loads it.
-An `integer` field takes only a JSON integer (3.0 is rejected), and a
-number that is NaN or infinite, or an integer beyond the float range,
+A config is checked against its schema in _SCHEMAS by one walk,
+_violation, which decides as jsonschema does and words the message of a
+rejected config as jsonschema's best_match would; jsonschema is only the
+tests' reference.  An `integer` field takes only a JSON integer (3.0 is
+rejected), and a number that is NaN or infinite, or an integer beyond the float range,
 which Python's json reads and the schemas admit, is rejected (exit 2) by
 the builder that reads it.
 
@@ -52,6 +52,10 @@ from .rv_models import (
     sample_sparse_matrix,
 )
 from .streams import STREAM_LAYOUT, stream
+
+# The most float64 entries (2 GiB) of an array built from a config size: a generated
+# matrix or vector, random_lowrank factors, sample's draws (not chunked Monte Carlo).
+INPUT_ENTRY_BUDGET = 1 << 28
 
 # ---------------------------------------------------------------- schemas
 
@@ -253,60 +257,94 @@ _JSON_TYPES = {
 }
 
 # each bound keyword as the test under which it fails, as jsonschema
-# writes it, so NaN fails none of them
+# writes it (so NaN fails none of them), and the words of its message
 _BOUND_FAILS = {
-    "minimum": operator.lt,
-    "maximum": operator.gt,
-    "exclusiveMinimum": operator.le,
-    "exclusiveMaximum": operator.ge,
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
 }
 
 
-def _conforms(value, schema: dict) -> bool:
-    """Whether a value read by json is valid under schema, as _validator decides.
+def _violations(value, schema: dict):
+    """Each violation of schema by a value read by json, as jsonschema 4.26 lists it.
 
-    Covers the keywords _SCHEMAS uses.  As in JSON Schema, the number,
-    array and object keywords pass values of other types.
+    A violation is (path relative to value, keyword, message, whether the
+    value has the `type` of the schema that raised it, an anyOf's branch
+    violations).  Covers the keywords _SCHEMAS uses; as in JSON Schema, the
+    number, array and object keywords pass values of other types.
     """
-    if "type" in schema and not _JSON_TYPES[schema["type"]](value):
-        return False
-    if "enum" in schema and value not in schema["enum"]:
-        return False
-    if "anyOf" in schema and not any(_conforms(value, s) for s in schema["anyOf"]):
-        return False
-    if _JSON_TYPES["number"](value):
-        return not any(fails(value, schema[k]) for k, fails in _BOUND_FAILS.items() if k in schema)
-    if isinstance(value, list):
-        # no descent without `items`: a free array may nest as deep as json reads
-        items = schema.get("items")
-        if items is not None and not all(_conforms(v, items) for v in value):
-            return False
-        return len(value) >= schema.get("minItems", 0)
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        if not all(key in value for key in schema.get("required", ())):
-            return False
-        if schema.get("additionalProperties", True) is False and not value.keys() <= props.keys():
-            return False
-        return all(_conforms(v, props[k]) for k, v in value.items() if k in props)
-    return True
+    typed = "type" in schema and _JSON_TYPES[schema["type"]](value)
+
+    def here(message: str, context=()) -> tuple:
+        return (), keyword, message, typed, context
+
+    def under(key, sub: dict):
+        for path, *rest in _violations(value[key], sub):
+            yield (key, *path), *rest
+
+    for keyword, arg in schema.items():
+        if keyword == "type" and not typed:
+            yield here(f"{value!r} is not of type {arg!r}")
+        elif keyword == "enum" and value not in arg:
+            yield here(f"{value!r} is not one of {arg!r}")
+        elif keyword == "anyOf":
+            if all(branches := [list(_violations(value, branch)) for branch in arg]):
+                context = [error for errors in branches for error in errors]
+                yield here(f"{value!r} is not valid under any of the given schemas", context)
+        elif keyword in _BOUND_FAILS and _JSON_TYPES["number"](value):
+            fails, words = _BOUND_FAILS[keyword]
+            if fails(value, arg):
+                yield here(f"{value!r} is {words} of {arg!r}")
+        elif isinstance(value, list):
+            # no descent without `items`: a free array may nest as deep as json reads
+            if keyword == "items":
+                for i in range(len(value)):
+                    yield from under(i, arg)
+            elif keyword == "minItems" and len(value) < arg:
+                yield here(f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif not isinstance(value, dict):
+            continue
+        elif keyword == "properties":
+            for key, sub in arg.items():
+                if key in value:
+                    yield from under(key, sub)
+        elif keyword == "required":
+            for key in arg:
+                if key not in value:
+                    yield here(f"{key!r} is a required property")
+        elif keyword == "additionalProperties" and arg is False:
+            if extras := sorted(value.keys() - schema.get("properties", {}).keys()):
+                listed = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+                yield here(f"Additional properties are not allowed ({listed} unexpected)")
 
 
-@functools.cache
-def _validator(command: str):
-    """The jsonschema validator of a command, with `integer` as _conforms reads it.
+def _relevance(error) -> tuple:
+    """jsonschema's relevance key: the larger, the better the match at one level."""
+    path, keyword, _, typed, _ = error
+    return -len(path), path, keyword != "anyOf", not typed
 
-    It only words the rejections _conforms finds, so jsonschema is
-    imported here and not with this module.  jsonschema.validate would
-    check the schema against its metaschema on every call; test_cli
-    checks every entry of _SCHEMAS once instead.
+
+def _violation(value, schema: dict) -> str | None:
+    """The message of the violation jsonschema 4.26's best_match picks, or None.
+
+    best_match takes the most relevant violation: the shallowest; among
+    siblings, the one whose path sorts last; a non-anyOf one before an
+    anyOf one; then one from a schema whose `type` the value does not
+    have; remaining ties go to the first in walk order.  An anyOf
+    violation then descends into its context, to the violation that
+    sorts first under the same key (the deepest, and so on), unless the
+    two that sort first tie.
     """
-    import jsonschema
-
-    schema = _SCHEMAS[command]
-    base = jsonschema.validators.validator_for(schema)
-    types = base.TYPE_CHECKER.redefine("integer", lambda _, v: _JSON_TYPES["integer"](v))
-    return jsonschema.validators.extend(base, type_checker=types)(schema)
+    best = max(_violations(value, schema), key=_relevance, default=None)
+    if best is None:
+        return None
+    while context := best[4]:
+        first = sorted(context, key=_relevance)[:2]
+        if len(first) == 2 and _relevance(first[0]) == _relevance(first[1]):
+            break
+        best = first[0]
+    return best[2]
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -317,12 +355,9 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not _conforms(cfg, _SCHEMAS[command]):
-        import jsonschema
-
-        # the error jsonschema.validate would raise
-        error = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
-        raise ConfigError(f"config rejected: {error.message}")
+    message = _violation(cfg, _SCHEMAS[command])
+    if message is not None:
+        raise ConfigError(f"config rejected: {message}")
     return cfg
 
 
@@ -361,6 +396,14 @@ def _read_matrix(path, binary: bool, bin_hint: str) -> np.ndarray:
         raise ConfigError(f"matrix file {str(path)!r} is not UTF-8 text; {bin_hint}") from exc
 
 
+def _check_input_size(entries: int, what: str) -> None:
+    """Raise BudgetExceededError, before it is built, for an array over INPUT_ENTRY_BUDGET."""
+    if entries > INPUT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"{what} = {entries} exceeds the input budget of {INPUT_ENTRY_BUDGET} entries"
+        )
+
+
 def _size(cfg: dict, key: str, what: str) -> int:
     """Size field key of a generated matrix or vector; a missing one is a config error."""
     if key not in cfg:
@@ -383,7 +426,7 @@ def _build_matrix(cfg: dict) -> np.ndarray:
     else:
         rows, cols = _size(cfg, "rows", "matrix"), _size(cfg, "cols", "matrix")
     # sizes are checked before anything is allocated
-    qf.check_sample_budget(rows * cols, "matrix rows x cols")
+    _check_input_size(rows * cols, "matrix rows x cols")
     scale = _finite(cfg.get("scale", 1.0), "matrix scale")
     if kind == "exchange":
         if rows < 2:
@@ -405,7 +448,7 @@ def _build_matrix(cfg: dict) -> np.ndarray:
         return rng.standard_normal((rows, cols)) * scale
     if kind == "random_lowrank":
         rank = _size(cfg, "rank", "matrix")
-        qf.check_sample_budget(rank * (rows + cols), "matrix rank x (rows + cols)")
+        _check_input_size(rank * (rows + cols), "matrix rank x (rows + cols)")
         rng = stream(cfg.get("seed", 0), 1003)
         left = rng.standard_normal((rows, rank))
         right = rng.standard_normal((cols, rank))
@@ -420,7 +463,7 @@ def _build_vector(cfg: dict) -> np.ndarray:
     if kind not in ("ones", "e1", "random_unit"):
         raise ConfigError("vector spec needs values or kind")
     n = _size(cfg, "n", "vector")
-    qf.check_sample_budget(n, "vector n")
+    _check_input_size(n, "vector n")
     if kind == "ones":
         return np.ones(n)
     if kind == "e1":
@@ -917,7 +960,7 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
     p = cfg.get("p")
     # a list p fixes the width; a config dim that disagrees is refused below
     width = len(p) if isinstance(p, list) else cfg.get("dim", 1)
-    qf.check_sample_budget(width * n, "dim x n")
+    _check_input_size(width * n, "dim x n")
     dim = cfg.get("dim", width)
     if p is None:
         flat = sample_base(base, (n, dim), rng)

@@ -8,7 +8,7 @@ Three base laws are supported:
   -log P{|zeta| > x} = x^alpha exactly.  This is the canonical base: it
   has psi_alpha norm exactly 2^(1/alpha) and saturates the tail index.
 * centered Gaussian with standard deviation `scale`.
-* Rademacher (uniform on {-1, +1}).
+* Rademacher with magnitude `scale` (uniform on {-scale, +scale}).
 
 A `SparseModel` has one base law for all its coordinates.
 `sample_sparse_matrix` draws it only on retained coordinates: columns
@@ -115,9 +115,7 @@ class DistributionSpec:
         """Exact standard deviation before any unit-variance rescaling."""
         if self.kind == "weibull":
             return self.scale * math.sqrt(math.gamma(1.0 + 2.0 / self.alpha))
-        if self.kind == "gaussian":
-            return self.scale
-        return 1.0
+        return self.scale
 
     def variance(self) -> float:
         """E zeta^2 of the emitted samples (1.0 when unit_variance)."""
@@ -244,7 +242,7 @@ def sample_base(
         x *= spec.scale
     else:
         words = rng.bit_generator.random_raw(x.shape)
-        x.fill(1.0)
+        x.fill(spec.scale)
         _signed(x, words)
     if spec.unit_variance:
         x /= spec.std()
@@ -320,15 +318,20 @@ def psi_alpha_exact(spec: DistributionSpec, alpha: float) -> float | None:
     Known cases: W_s(beta) at alpha = beta gives scale * 2^(1/alpha)
     (|zeta|^alpha is Exp(1) up to scale, so E exp(|zeta|^alpha / t^alpha)
     = 1 / (1 - (scale/t)^alpha) = 2 at t = scale * 2^(1/alpha));
-    Rademacher at any alpha gives (log 2)^(-1/alpha); Gaussian at
-    alpha = 2 gives scale * sqrt(8/3).
+    Rademacher at any alpha gives scale * (log 2)^(-1/alpha), which
+    raises psi_alpha_norm's ValueError where it passes the float range;
+    Gaussian at alpha = 2 gives scale * sqrt(8/3).
     """
     a = AlphaParam(alpha).value
     norm = spec.std() if spec.unit_variance else 1.0
     if spec.kind == "weibull" and spec.alpha == a:
         return spec.scale * 2.0 ** (1.0 / a) / norm
     if spec.kind == "rademacher":
-        return math.log(2.0) ** (-1.0 / a)
+        try:
+            t = math.log(2.0) ** (-1.0 / a)
+        except OverflowError:  # alpha below about 1/1023
+            t = math.inf
+        return _finite_norm(spec.scale / norm * t, spec, a)
     if spec.kind == "gaussian" and a == 2.0:
         return spec.scale * math.sqrt(8.0 / 3.0) / norm
     return None
@@ -368,7 +371,7 @@ def psi_alpha_norm(dist: DistributionSpec, alpha: float) -> float:
     elif dist.kind == "gaussian":
         v_a, log_w = (2.0 * _PSI_U) ** (a / 2.0), _PSI_LOG_W_HALF
     else:
-        c, v_a, log_w = 1.0, np.ones(1), np.zeros(1)
+        v_a, log_w = np.ones(1), np.zeros(1)
 
     # Jensen: g(lam) >= g(0) exp(lam E V^alpha), so g(hi) is about 4
     lo, hi = 0.0, 2.0 * math.log(2.0) / float(np.exp(log_w) @ v_a)
@@ -376,6 +379,11 @@ def psi_alpha_norm(dist: DistributionSpec, alpha: float) -> float:
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             lo, hi = (mid, hi) if np.exp(mid * v_a + log_w).sum() <= 2.0 else (lo, mid)
         t = c * np.float64(lo) ** (-1.0 / a) * (1.0 + PSI_QUAD_MARGIN)
-    if not np.isfinite(t):
-        raise ValueError(f"{dist.kind} base has a psi_alpha norm at alpha={a:g} beyond float range")
-    return float(t)
+    return _finite_norm(float(t), dist, a)
+
+
+def _finite_norm(t: float, dist: DistributionSpec, alpha: float) -> float:
+    """t, a psi_alpha norm of dist; ValueError if it is beyond the float range."""
+    if math.isfinite(t):
+        return t
+    raise ValueError(f"{dist.kind} base has a psi_alpha norm at alpha={alpha:g} beyond float range")

@@ -300,38 +300,39 @@ def test_quadrature_l_does_not_depend_on_the_seed(tmp_path, command, cfg):
     assert ls[0] == ls[1] == pytest.approx(1.5114760572454617, rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "command, cfg",
-    [
-        pytest.param(
-            "hw-verify", dict(HW_CONFIG, model={"alpha": 3.0, "p": 0.5}), id="alpha-above-2"
-        ),
-        pytest.param(
-            "hw-verify", {k: v for k, v in HW_CONFIG.items() if k != "seed"}, id="missing-seed"
-        ),
-        pytest.param("hw-verify", dict(HW_CONFIG, extra=1), id="unknown-key"),
-        pytest.param("hw-verify", dict(HW_CONFIG, n_samples="many", seed=-1.5), id="two-errors"),
-        pytest.param(
-            "bernstein-verify",
-            golden_config("bernstein-verify") | {"vector": {"values": [1.0, "x"]}},
-            id="bernstein-verify-string-entry",
-        ),
-        pytest.param(
-            "covest", golden_config("covest") | {"p": [0.5, 1.5]}, id="covest-p-above-1"
-        ),
-        pytest.param(
-            "rip", golden_config("rip") | {"t_values": [0.0, 1.0]}, id="rip-zero-threshold"
-        ),
-        pytest.param("sketch", golden_config("sketch") | {"eta": 1}, id="sketch-eta-at-1"),
-        pytest.param(
-            "sample", golden_config("sample") | {"base": {"kind": "cauchy"}}, id="sample-bad-kind"
-        ),
-        pytest.param("bound-table", {"seed": 0}, id="bound-table-three-missing-keys"),
-        pytest.param(
-            "bound-table", TABLE_CONFIG | {"L": "manual"}, id="bound-table-L-in-no-branch"
-        ),
-    ],
-)
+# configs the schemas reject, with the message jsonschema's best_match gives
+REJECTIONS = [
+    pytest.param(
+        "hw-verify", dict(HW_CONFIG, model={"alpha": 3.0, "p": 0.5}), id="alpha-above-2"
+    ),
+    pytest.param(
+        "hw-verify", {k: v for k, v in HW_CONFIG.items() if k != "seed"}, id="missing-seed"
+    ),
+    pytest.param("hw-verify", dict(HW_CONFIG, extra=1), id="unknown-key"),
+    pytest.param("hw-verify", dict(HW_CONFIG, n_samples="many", seed=-1.5), id="two-errors"),
+    pytest.param(
+        "bernstein-verify",
+        golden_config("bernstein-verify") | {"vector": {"values": [1.0, "x"]}},
+        id="bernstein-verify-string-entry",
+    ),
+    pytest.param(
+        "covest", golden_config("covest") | {"p": [0.5, 1.5]}, id="covest-p-above-1"
+    ),
+    pytest.param(
+        "rip", golden_config("rip") | {"t_values": [0.0, 1.0]}, id="rip-zero-threshold"
+    ),
+    pytest.param("sketch", golden_config("sketch") | {"eta": 1}, id="sketch-eta-at-1"),
+    pytest.param(
+        "sample", golden_config("sample") | {"base": {"kind": "cauchy"}}, id="sample-bad-kind"
+    ),
+    pytest.param("bound-table", {"seed": 0}, id="bound-table-three-missing-keys"),
+    pytest.param(
+        "bound-table", TABLE_CONFIG | {"L": "manual"}, id="bound-table-L-in-no-branch"
+    ),
+]
+
+
+@pytest.mark.parametrize("command, cfg", REJECTIONS)
 def test_config_rejections_keep_the_jsonschema_message(tmp_path, capsys, command, cfg):
     with pytest.raises(jsonschema.ValidationError) as excinfo:
         jsonschema.validate(cfg, cli._SCHEMAS[command])
@@ -340,38 +341,76 @@ def test_config_rejections_keep_the_jsonschema_message(tmp_path, capsys, command
 
 
 # jsonschema's own `integer` accepts 3.0; these configs used to crash or mislead
-@pytest.mark.parametrize(
-    "command, cfg, value",
-    [
-        pytest.param(
-            "hw-verify", golden_config("hw-verify-refined") | {"n_samples": 1000.0}, 1000.0,
-            id="hw-verify-n_samples",
-        ),
-        pytest.param(
-            "bernstein-verify",
-            golden_config("bernstein-verify") | {"vector": {"kind": "ones", "n": 3.0}},
-            3.0,
-            id="bernstein-verify-vector-n",
-        ),
-        pytest.param("covest", golden_config("covest") | {"seed": 0.0}, 0.0, id="covest-seed"),
-        pytest.param("rip", golden_config("rip") | {"k": 2.0}, 2.0, id="rip-k"),
-        pytest.param(
-            "sketch", golden_config("sketch") | {"r_values": [2.0]}, 2.0, id="sketch-r_values"
-        ),
-        pytest.param("sample", golden_config("sample") | {"n": 10.0}, 10.0, id="sample-n"),
-        pytest.param(
-            "bound-table",
-            TABLE_CONFIG | {"t_grid": {"kind": "log", "start": 1.0, "stop": 9.0, "num": 3.0}},
-            3.0,
-            id="bound-table-t_grid-num",
-        ),
-    ],
-)
+INTEGER_FLOATS = [
+    pytest.param(
+        "hw-verify", golden_config("hw-verify-refined") | {"n_samples": 1000.0}, 1000.0,
+        id="hw-verify-n_samples",
+    ),
+    pytest.param(
+        "bernstein-verify",
+        golden_config("bernstein-verify") | {"vector": {"kind": "ones", "n": 3.0}},
+        3.0,
+        id="bernstein-verify-vector-n",
+    ),
+    pytest.param("covest", golden_config("covest") | {"seed": 0.0}, 0.0, id="covest-seed"),
+    pytest.param("rip", golden_config("rip") | {"k": 2.0}, 2.0, id="rip-k"),
+    pytest.param(
+        "sketch", golden_config("sketch") | {"r_values": [2.0]}, 2.0, id="sketch-r_values"
+    ),
+    pytest.param("sample", golden_config("sample") | {"n": 10.0}, 10.0, id="sample-n"),
+    pytest.param(
+        "bound-table",
+        TABLE_CONFIG | {"t_grid": {"kind": "log", "start": 1.0, "stop": 9.0, "num": 3.0}},
+        3.0,
+        id="bound-table-t_grid-num",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, cfg, value", INTEGER_FLOATS)
 def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, cfg, value):
     jsonschema.validate(cfg, cli._SCHEMAS[command])  # the stock checker lets it through
     assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     expected = f"config error: config rejected: {value} is not of type 'integer'\n"
     assert capsys.readouterr().err == expected
+
+
+BLOCKED_RUNS = """
+import contextlib, io, json, sys
+sys.modules["jsonschema"] = None  # import jsonschema now raises ImportError
+from sparse_hw.cli import main
+for command, path in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", path])
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def test_rejections_keep_their_message_without_jsonschema(tmp_path):
+    # jsonschema is a test dependency only; these once ended in exit 4
+    cases = [(*case.values, None) for case in REJECTIONS] + [c.values for c in INTEGER_FLOATS]
+    runs, expected = [], []
+    for i, (command, cfg, value) in enumerate(cases):
+        runs.append([command, write_config(tmp_path, cfg, f"{i}.json")])
+        if value is None:
+            with pytest.raises(jsonschema.ValidationError) as excinfo:
+                jsonschema.validate(cfg, cli._SCHEMAS[command])
+            message = excinfo.value.message
+        else:
+            message = f"{value} is not of type 'integer'"
+        expected.append([2, f"config error: config rejected: {message}\n"])
+    assert len(runs) == 18
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUNS, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == expected
 
 
 @pytest.mark.parametrize(
@@ -571,6 +610,13 @@ def test_integer_fields_reject_integer_valued_floats(tmp_path, capsys, command, 
             ),
             "weibull base with alpha=0.5 has an infinite psi_alpha norm at alpha=1",
             id="bound-table-weibull-base-lighter-than-alpha",
+        ),
+        # the closed form log(2)^(-1/alpha) once overflowed into exit 4
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, model={"alpha": 0.0001, "p": 0.5, "base": {"kind": "rademacher"}}),
+            "rademacher base has a psi_alpha norm at alpha=0.0001 beyond float range",
+            id="bound-table-rademacher-closed-form-overflows",
         ),
     ],
 )
@@ -951,6 +997,15 @@ def test_sample_sparse_model(tmp_path):
     assert len(rows) == 2001
 
 
+def test_sample_honours_a_rademacher_scale(tmp_path):
+    # the scale passed the schema and was then ignored (max_abs 1.0)
+    cfg = {"base": {"kind": "rademacher", "scale": 5.0}, "p": 1.0, "dim": 2, "n": 4, "seed": 3}
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    r = read_report(out)["results"]
+    assert r["max_abs"] == 5.0 and r["second_moment"] == 25.0
+
+
 def test_sample_without_p_draws_dim_columns(tmp_path):
     cfg = {"base": {"kind": "gaussian"}, "dim": 5, "n": 4, "seed": 0}
     out = tmp_path / "out"
@@ -1021,6 +1076,7 @@ def test_threads_flag_sets_the_thread_count_up_to_the_budget(tmp_path, capsys, t
 SQUARE = ("bound-table", "bound-table-dense", "matrix")
 RECT = ("sketch", "sketch", "x")
 VECTOR = ("bernstein-verify", "bernstein-verify", "vector")
+SAMPLE = ("sample", None, None)  # the spec is the whole config
 
 
 @pytest.mark.parametrize(
@@ -1047,30 +1103,40 @@ def test_generated_input_without_its_size_exits_2(tmp_path, capsys, where, spec,
     assert captured.err.splitlines() == [message]
 
 
-# numpy cannot allocate any of these (8e18 bytes or more), so a run that
-# skips the budget check fails at once instead of filling memory
+# none of these fits in the 2 GiB address space the run allows, so a run that
+# skips the budget check fails at once instead of filling memory; the last
+# two fit the Monte Carlo sample budget of 2^32 and once ended in exit 4
 @pytest.mark.parametrize(
-    "where, spec, message",
+    "where, spec, what",
     [
-        pytest.param(SQUARE, {"kind": "identity", "n": 10**9}, "rows x cols", id="identity"),
+        pytest.param(SQUARE, {"kind": "identity", "n": 10**9}, "matrix rows x cols", id="identity"),
         pytest.param(
             RECT,
             {"kind": "random_rect", "rows": 10**9, "cols": 10**9},
-            "rows x cols",
+            "matrix rows x cols",
             id="random_rect",
         ),
         pytest.param(
             RECT,
             {"kind": "random_lowrank", "rows": 1, "cols": 1, "rank": 10**18},
-            "rank x (rows + cols)",
+            "matrix rank x (rows + cols)",
             id="random_lowrank",
         ),
-        pytest.param(VECTOR, {"kind": "ones", "n": 10**18}, "n", id="vector-ones"),
+        pytest.param(VECTOR, {"kind": "ones", "n": 10**18}, "vector n", id="vector-ones"),
+        pytest.param(
+            SQUARE, {"kind": "identity", "n": 65536}, "matrix rows x cols", id="identity-2^32"
+        ),
+        pytest.param(
+            SAMPLE,
+            {"base": {"kind": "gaussian"}, "n": 1431655765, "dim": 3, "seed": 0},
+            "dim x n",
+            id="sample-2^32-1",
+        ),
     ],
 )
-def test_oversized_generated_matrix_exits_3(tmp_path, where, spec, message):
+def test_oversized_generated_matrix_exits_3(tmp_path, where, spec, what):
     command, case, field = where
-    cfg = golden_config(case) | {field: spec}
+    cfg = golden_config(case) | {field: spec} if field else spec
     argv = [command, "--config", write_config(tmp_path, cfg), "--threads", "1"]
     # a 2 GiB address-space limit, as `ulimit -v` sets it
     run = (
@@ -1086,5 +1152,5 @@ def test_oversized_generated_matrix_exits_3(tmp_path, where, spec, message):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    prefix = f"budget exceeded: {'vector' if field == 'vector' else 'matrix'} {message} = "
-    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: {what} = "), lines
+    assert lines[0].endswith(f" exceeds the input budget of {cli.INPUT_ENTRY_BUDGET} entries")

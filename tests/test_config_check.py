@@ -1,10 +1,10 @@
 """The in-package config check against jsonschema, its reference.
 
-cli._conforms decides whether a config is valid without loading
-jsonschema; jsonschema (with `integer` meaning a JSON integer) only
-words the message of a rejection.  These tests hold the two to the same
-answer on drawn configs and keep jsonschema off the import path of a
-valid run.
+cli._violation decides whether a config is valid and words the message
+of a rejection without loading jsonschema, which is only a test
+dependency.  These tests hold it to jsonschema (with `integer` meaning a
+JSON integer) and its best_match on drawn configs, and keep jsonschema
+off the import path of a valid run.
 """
 
 import contextlib
@@ -148,12 +148,12 @@ def change_one_field(data, cfg: dict, schema: dict) -> None:
 def test_fast_check_agrees_with_jsonschema(tmp_path_factory, command, data):
     schema = cli._SCHEMAS[command]
     cfg = data.draw(valid(schema))
-    assert cli._conforms(cfg, schema)
+    assert cli._violation(cfg, schema) is None
     assert REFERENCE[command].is_valid(cfg)
     change_one_field(data, cfg, schema)
 
     expected = jsonschema.exceptions.best_match(REFERENCE[command].iter_errors(cfg))
-    assert cli._conforms(cfg, schema) == (expected is None)
+    assert (cli._violation(cfg, schema) is None) == (expected is None)
     if expected is None:
         return
     # the message main prints is the reference's, read back from the file
@@ -169,7 +169,7 @@ def test_fast_check_agrees_with_jsonschema(tmp_path_factory, command, data):
 def test_golden_configs_pass_the_fast_check(case):
     command = CONFIG_CASES[case][0]
     cfg = json.loads((GOLDEN / case / "config.json").read_text())
-    assert cli._conforms(cfg, cli._SCHEMAS[command])
+    assert cli._violation(cfg, cli._SCHEMAS[command]) is None
     assert REFERENCE[command].is_valid(cfg)
 
 
@@ -177,7 +177,7 @@ def test_a_deeply_nested_free_array_is_checked_without_recursion():
     # `values` of a matrix has no `items`, so neither checker descends into it
     cfg = json.loads((GOLDEN / "hw-verify-refined" / "config.json").read_text())
     cfg["matrix"] = json.loads('{"values": ' + "[" * 900 + "]" * 900 + "}")
-    assert cli._conforms(cfg, cli._SCHEMAS["hw-verify"])
+    assert cli._violation(cfg, cli._SCHEMAS["hw-verify"]) is None
     assert REFERENCE["hw-verify"].is_valid(cfg)
 
 

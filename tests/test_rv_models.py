@@ -57,6 +57,7 @@ def test_exact_std_values():
     assert math.isclose(DistributionSpec(kind="weibull", alpha=2.0).std(), 1.0)
     assert DistributionSpec(kind="gaussian", scale=1.5).std() == 1.5
     assert DistributionSpec(kind="rademacher").std() == 1.0
+    assert DistributionSpec(kind="rademacher", scale=5.0).std() == 5.0
     unit = DistributionSpec(kind="weibull", alpha=0.5, unit_variance=True)
     assert unit.variance() == 1.0
 
@@ -143,6 +144,8 @@ def test_weibull_word_map():
     assert np.array_equal(w2, 3.0 * np.sign(x) * np.sqrt(np.abs(x)))
     signs = sample_base(DistributionSpec(kind="rademacher"), 4, _raw_words(words))
     assert signs.tolist() == [1.0, -1.0, -1.0, 1.0]
+    scaled = sample_base(DistributionSpec(kind="rademacher", scale=5.0), 4, _raw_words(words))
+    assert scaled.tolist() == [5.0, -5.0, -5.0, 5.0]
 
 
 def test_unit_variance_sampling():
@@ -280,6 +283,9 @@ def test_psi_alpha_norm_matches_closed_form():
         (DistributionSpec(kind="gaussian", unit_variance=True), 2.0),
         (DistributionSpec(kind="rademacher"), 1.0),
         (DistributionSpec(kind="rademacher"), 0.3),
+        (DistributionSpec(kind="rademacher", scale=5.0), 1.0),
+        (DistributionSpec(kind="rademacher", scale=5.0), 0.3),
+        (DistributionSpec(kind="rademacher", scale=5.0, unit_variance=True), 0.3),
     ]
     for spec, alpha in cases:
         exact = psi_alpha_exact(spec, alpha)
@@ -327,3 +333,12 @@ def test_psi_alpha_norm_beyond_float_range_is_a_value_error():
     assert 1e150 < psi_alpha_norm(gaussian, 1e-3) < 1e170
     with pytest.raises(ValueError, match="gaussian base has a psi_alpha norm at alpha=0.0001"):
         psi_alpha_norm(gaussian, 1e-4)
+    # the Rademacher closed form log(2)^(-1/alpha) once overflowed into OverflowError
+    rademacher = DistributionSpec(kind="rademacher")
+    assert 1e150 < psi_alpha_exact(rademacher, 1e-3) < 1e170
+    message = "rademacher base has a psi_alpha norm at alpha=0.0001 beyond float range"
+    for norm in (psi_alpha_exact, psi_alpha_norm):
+        with pytest.raises(ValueError, match=message):
+            norm(rademacher, 1e-4)
+    with pytest.raises(ValueError, match="alpha=0.001 beyond float range"):
+        psi_alpha_exact(DistributionSpec(kind="rademacher", scale=1e150), 1e-3)
