@@ -60,8 +60,8 @@ class TailBound:
     def __post_init__(self) -> None:
         regs = tuple((float(c), float(e)) for c, e in self.regimes)
         for c, e in regs:
-            if c < 0 or math.isnan(c):
-                raise ValueError("regime coefficients must be nonnegative")
+            if not 0.0 <= c < math.inf:  # NaN fails too
+                raise ValueError(f"regime coefficients must be finite and nonnegative, got {c}")
             if e <= 0 or math.isnan(e):
                 raise ValueError("regime exponents must be positive")
         active = tuple((c, e) for c, e in regs if c > 0)
@@ -83,6 +83,16 @@ class TailBound:
         """Bound value prefactor * exp(-c_alpha * E(t)), always in (0, prefactor]."""
         e = self.exponent(t)
         return self.constants.prefactor * np.exp(-self.constants.c_alpha * np.asarray(e))
+
+
+def check_l(L: float) -> None:
+    """ValueError unless L > 0 and L^2, the quadratic forms' threshold unit, is a positive float."""
+    if not L > 0:
+        raise ValueError("L must be positive")
+    if not math.isfinite(L * L):
+        raise ValueError(f"L = {L:g} overflows when squared")
+    if L * L == 0.0:
+        raise ValueError(f"L = {L:g} underflows to 0 when squared")
 
 
 def symmetrize(a) -> np.ndarray:
@@ -199,10 +209,7 @@ def comparison_bounds(
     Entries outside an inequality's stated alpha range are still
     evaluated but flagged applicable=False.
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
-    if not math.isfinite(L * L):
-        raise ValueError(f"L = {L:g} overflows when squared")
+    check_l(L)
     t = np.asarray(t, dtype=float)
     al = f.alpha
     tn = t / L**2  # threshold in L^2 units

@@ -13,7 +13,7 @@ rejected config as jsonschema's best_match would; jsonschema is only the
 tests' reference.  An `integer` field takes only a JSON integer (3.0 is
 rejected), and a number that is NaN or infinite, or an integer beyond the float range,
 which Python's json reads and the schemas admit, is rejected (exit 2) by
-the builder that reads it.
+the builder that reads it, or by _config_hash in a field no builder reads.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or
 config error, 3 a compute budget guard tripped, 4 internal error (an
@@ -380,7 +380,12 @@ def _finite(value, name: str):
 
 
 def _config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    # the builders reject NaN and Infinity (not RFC 8259 JSON) in each field they
+    # read, so one found here is in a field the command ignores, and the report echoes it
+    try:
+        canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError("an ignored config field holds a NaN or infinite number") from exc
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -568,17 +573,6 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _finish(outdir, report, tables, verdicts, started) -> int:
-    report["verdicts"] = verdicts
-    report["wall_clock_s"] = time.time() - started
-    _emit(outdir, report, tables)
-    failed = [v["name"] for v in verdicts if not v["passed"]]
-    if failed:
-        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run(command: str, body, args) -> int:
     """Load the config, resolve seed and threads, run body, write the report.
 
@@ -598,8 +592,15 @@ def _run(command: str, body, args) -> int:
         "version": __version__,
         "stream_layout": STREAM_LAYOUT,
         "results": results,
+        "verdicts": verdicts,
+        "wall_clock_s": time.time() - started,
     }
-    return _finish(args.out, report, tables, verdicts, started)
+    _emit(args.out, report, tables)
+    failed = [v["name"] for v in verdicts if not v["passed"]]
+    if failed:
+        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _bounds_table(t_grid, probs: dict) -> tuple[list[str], np.ndarray]:
@@ -651,19 +652,18 @@ def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
     rel_slack = _finite(cfg.get("rel_slack", 0.1), "rel_slack")
+    L = _resolve_l(cfg.get("L"), model, alpha)
+    bd.check_l(L)
     if not np.any(a):
         return _degenerate("matrix")
 
-    L = _resolve_l(cfg.get("L"), model, alpha)
-    if not math.isfinite(L * L):
-        raise ValueError(f"L = {L:g} overflows when squared")
-    inst = qf.QuadFormInstance(a, model)
-    tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
-    tn = tail.t_grid / L**2
     f = bd.functionals(a, model.p_array(), alpha)
     bounds = {"sparse_alpha": bd.TailBound(bd.hw_sparse_regimes(f), constants)}
     if alpha <= 1.0:
         bounds["sparse_alpha_refined"] = bd.TailBound(bd.f_sparse_regimes(f), constants)
+    inst = qf.QuadFormInstance(a, model)
+    tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
+    tn = tail.t_grid / L**2
     shape_name = "sparse_alpha_refined" if alpha <= 1.0 else "sparse_alpha"
     probs = {k: tb.prob(tn) for k, tb in bounds.items()}
     results = {
@@ -685,12 +685,12 @@ def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
     t_grid = _build_t_grid(cfg["t_grid"])
     constants = _build_constants(cfg.get("constants"))
     rel_slack = _finite(cfg.get("rel_slack", 0.1), "rel_slack")
+    L = _resolve_l(cfg.get("L"), model, alpha)
     if not np.any(a):
         return _degenerate("vector")
 
-    L = _resolve_l(cfg.get("L"), model, alpha)
-    tail = qf.simulate_linear_tail(a, model, t_grid, cfg["n_samples"], seed, threads=threads)
     tb = bd.TailBound(bd.bernstein_regimes(a, model.p_array(), alpha, L), constants)
+    tail = qf.simulate_linear_tail(a, model, t_grid, cfg["n_samples"], seed, threads=threads)
     probs = {"bound": tb.prob(tail.t_grid)}
     results = {
         "L": L,
@@ -788,6 +788,8 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     theta_budget = cfg.get("theta_budget", 128)
     qf.check_sample_budget(replicates * n, "replicates x n")
     cv.check_theta_budget(d, k, theta_budget)
+    if not np.any(b):
+        return _degenerate("B")
     # stacks of as many replicates as one rip_k block holds, run in turn in
     # this thread (a pool only waits on the GIL for these short numpy calls);
     # replicate i always draws from stream (seed, i)
@@ -796,16 +798,16 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     rips = np.empty(replicates)
     for start in range(0, replicates, per_stack):
         deviations = np.empty((min(per_stack, replicates - start), d, d))
-        with np.errstate(over="ignore", invalid="ignore"):  # rip_k rejects inf and NaN
-            for j in range(len(deviations)):
-                values, _ = cv.generate_samples(model, n, seed, stream_id=start + j)
-                deviations[j] = cv.ipw_estimator(values, q) - sigma
+        for j in range(len(deviations)):  # rip_k rejects inf and NaN
+            values, _ = cv.generate_samples(model, n, seed, stream_id=start + j)
+            deviations[j] = cv.ipw_estimator(values, q) - sigma
         rips[start : start + len(deviations)] = cv.rip_k(deviations, k)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        rhs = cv.rip_bound_rhs(t_values, k, model, n, theta_budget=theta_budget, seed=seed).value
+    rhs = cv.rip_bound_rhs(t_values, k, model, n, theta_budget=theta_budget, seed=seed).value
     if not np.all(np.isfinite(rhs)):
         raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
+    if rhs[-1] == 0.0:  # B is not zero, but its K1 and K2 terms underflow
+        raise ConfigError("bound_rhs underflows to 0: B is too small for its K1 and K2 terms")
     rhs = rhs.tolist()
     ordered = np.sort(rips)
     quantiles = [_sorted_quantile(ordered, max(0.0, 1.0 - 2.0 * math.exp(-t))) for t in t_values]
@@ -843,74 +845,45 @@ def _sketch(cfg: dict, seed: int, threads: int, outdir):
     allow_wide = cfg.get("allow_wide", False)
 
     fact = sk.thin_svd(x)  # shared by every sketch of x
-    rows = []
-    medians = []
-    last_result = None
+    rows, medians = [], []
     for r in r_values:
         errs = np.empty(n_seeds)
         for s in range(n_seeds):
-            res = sk.low_rank_approx(
-                x, r, p, seed + s, xi=xi, eta=eta, c1=c1, allow_wide=allow_wide, fact=fact
-            )
+            res = sk.low_rank_approx(x, r, p, seed + s, xi=xi, allow_wide=allow_wide, fact=fact)
             errs[s] = res.error_max
-            last_result = res
         errs.sort()
-        med = _sorted_median(errs)
-        medians.append(med)
-        rows.append([r, med, last_result.bound, float(last_result.admissible)])
+        medians.append(_sorted_median(errs))
+        eps, bound = sk.sketch_bound(fact, r, p, eta, c1)  # the same for every seed
+        rows.append([r, medians[-1], bound])
 
     results = {
         "r_values": r_values,
         "median_error": medians,
-        "detected_rank": last_result.detected_rank,
-        "truncated": last_result.truncated,
+        "detected_rank": fact.rank,
+        "truncated": fact.truncated,
     }
     verdicts = []
     if len(r_values) >= 2:
-        slope = float(
-            np.polyfit(np.log(np.asarray(r_values, dtype=float)), np.log(medians), 1)[0]
-        )
-        results["error_decay_slope"] = slope
+        log_r = np.log(np.asarray(r_values, dtype=float))
+        # a median error of exactly 0 has no logarithm, and then no slope
+        slope = np.polyfit(log_r, np.log(medians), 1)[0] if min(medians) > 0 else None
+        results["error_decay_slope"] = None if slope is None else float(slope)
         monotone = all(b <= a for a, b in zip(medians, medians[1:]))
-        verdicts.append(
-            _verdict(
-                "median_error_nonincreasing_in_r",
-                monotone,
-                f"medians {['%.3g' % m for m in medians]}",
-            )
-        )
-    verdicts.append(
-        _verdict(
-            "sketch_ran",
-            last_result.detected_rank >= 1,
-            f"detected rank {last_result.detected_rank}",
-        )
-    )
+        detail = f"medians {['%.3g' % m for m in medians]}"
+        verdicts.append(_verdict("median_error_nonincreasing_in_r", monotone, detail))
 
-    tables = {"errors": (["r", "median_error", "bound", "admissible"], rows)}
-    if outdir is not None and last_result is not None:
+    tables = {"errors": (["r", "median_error", "bound"], rows)}
+    if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out / "factor_left.csv", last_result.fu, delimiter=",")
-        np.savetxt(out / "factor_right.csv", last_result.fv, delimiter=",")
+        np.savetxt(out / "factor_left.csv", res.fu, delimiter=",")
+        np.savetxt(out / "factor_right.csv", res.fv, delimiter=",")
+        # the last sketch (the largest r at the last seed), with that r's eps and bound
+        meta = {key: getattr(res, key) for key in ("r", "p", "seed", "scale", "xi")}
+        meta |= {"eps": eps, "error_max": res.error_max, "bound": bound}
+        meta |= {"detected_rank": res.detected_rank, "truncated": res.truncated}
         with open(out / "sketch_meta.json", "w") as fh:
-            json.dump(
-                {
-                    "r": last_result.r,
-                    "p": last_result.p,
-                    "seed": last_result.seed,
-                    "scale": last_result.scale,
-                    "xi": last_result.xi,
-                    "eps": last_result.eps,
-                    "error_max": last_result.error_max,
-                    "bound": last_result.bound,
-                    "admissible": last_result.admissible,
-                    "detected_rank": last_result.detected_rank,
-                    "truncated": last_result.truncated,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump(meta, fh, indent=2)
     return results, tables, verdicts
 
 
@@ -934,7 +907,7 @@ def _cmd_norms(args) -> int:
         # below alpha = 1 the entry is the closed form ||A||_{1->inf}
         entries[key] = f.op_alpha_to_conj if al.value > 1.0 else f.op_1_to_inf
         if al.value > 1.0:
-            converged[key] = f.op(al.value, al.conjugate).converged
+            converged[key] = f.op(al.value, mn.conjugate(al.value)).converged
             entries[f"mixed_conj_l2(alpha={al.value})"] = f.mixed_conj_l2
     if p is not None:
         weighted = ["gamma1", "gamma2", "weighted_spectral"] if a.shape[0] == a.shape[1] else []
@@ -968,11 +941,14 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
         model = SparseModel(p=_p_vector(p, dim), base=base)
         flat = sample_sparse_matrix(model, n, rng)
         results["zero_fraction"] = float(np.mean(flat == 0.0))
+    second_moment = float((flat**2).mean())
+    if not math.isfinite(second_moment):  # the base law's is finite, a draw's square may not be
+        raise ValueError(f"the sample second moment is {second_moment}: the squares overflow")
     results.update(
         {
             "n": n,
             "mean": float(flat.mean()),
-            "second_moment": float((flat**2).mean()),
+            "second_moment": second_moment,
             "max_abs": float(np.abs(flat).max()),
         }
     )
@@ -1070,7 +1046,8 @@ def main(argv=None) -> int:
     named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(named).parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(all="ignore"):  # inf and NaN are checked where they matter
+            return args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

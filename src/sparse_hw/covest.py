@@ -147,7 +147,10 @@ def ipw_estimator(values, p) -> np.ndarray:
     if np.any(q <= 0.0) or np.any(q > 1.0):
         raise ValueError("IPW requires retention probabilities in (0, 1]")
     g = np.swapaxes(x, -1, -2) @ x / x.shape[-2]
-    est = g / np.outer(q, q)
+    # a p_i^2 that underflows to 0 puts NaN on the diagonal, which the next line
+    # overwrites; pool threads do not inherit the CLI's np.errstate, so set it here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = g / np.outer(q, q)
     ii = np.arange(q.size)
     est[..., ii, ii] = g[..., ii, ii] / q
     return est
@@ -199,17 +202,20 @@ def ipw_replicate_stats(
     def batch(c: int, take: int) -> tuple[np.ndarray, np.ndarray]:
         values, _ = generate_samples(model, take * n, seed, c)
         est = ipw_estimator(values.reshape(take, n, d), q)
-        return est.sum(axis=0), (est * est).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            return est.sum(axis=0), (est * est).sum(axis=0)
 
     s1 = np.zeros((d, d))
     s2 = np.zeros((d, d))
-    for sum1, sum2 in _run_chunks(batch, replicates, threads, IPW_BATCH):
-        s1 += sum1
-        s2 += sum2
-    mean = s1 / replicates
-    var = np.maximum(s2 / replicates - mean * mean, 0.0) * replicates / (replicates - 1)
-    se = np.sqrt(var / replicates)
-    return mean, se
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        for sum1, sum2 in _run_chunks(batch, replicates, threads, IPW_BATCH):
+            s1 += sum1
+            s2 += sum2
+        mean = s1 / replicates
+        var = np.maximum(s2 / replicates - mean * mean, 0.0) * replicates / (replicates - 1)
+    if not np.all(np.isfinite(var)):
+        raise ValueError("the IPW estimates or their squares overflow a float: B is too large")
+    return mean, np.sqrt(var / replicates)
 
 
 def rip_k(m, k: int) -> float | np.ndarray:

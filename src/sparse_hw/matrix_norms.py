@@ -123,7 +123,7 @@ def _row_norms(x: np.ndarray, r: float) -> np.ndarray:
     return scale * np.sum((ax / scale[:, None]) ** r, axis=1) ** (1.0 / r)
 
 
-def _conjugate(r: float) -> float:
+def conjugate(r: float) -> float:
     """The exponent r* in [1, inf] with 1/r + 1/r* = 1, for r in [1, inf]."""
     if r == 1.0:
         return math.inf
@@ -232,12 +232,12 @@ def opnorm_detail(
         cols = np.array([lp_norm(m[:, j], r2) for j in range(m.shape[1])])
         return OpnormResult(float(cols.max()), 0, True)
     if math.isinf(r2):
-        rows = np.array([lp_norm(m[i, :], _conjugate(r1)) for i in range(m.shape[0])])
+        rows = np.array([lp_norm(m[i, :], conjugate(r1)) for i in range(m.shape[0])])
         return OpnormResult(float(rows.max()), 0, True)
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
-    r2star = _conjugate(r2)
+    r2star = conjugate(r2)
     starts = stream(seed, 1).standard_normal((restarts - 1, m.shape[0]))
     y = np.vstack([np.ones(m.shape[0]), starts])
     ny = _row_norms(y, r2star)
@@ -335,11 +335,11 @@ class Functionals:
     op_2_to_inf = property(lambda self: self.op(2, math.inf).value)
     op_1_to_2 = property(lambda self: self.op(1, 2).value)
     op_1_to_inf = property(lambda self: self.op(1, math.inf).value)
-    op_2_to_conj = property(lambda self: self.op(2, _conjugate(self.alpha)).value)
-    op_alpha_to_conj = property(lambda self: self.op(self.alpha, _conjugate(self.alpha)).value)
+    op_2_to_conj = property(lambda self: self.op(2, conjugate(self.alpha)).value)
+    op_alpha_to_conj = property(lambda self: self.op(self.alpha, conjugate(self.alpha)).value)
     mixed_l4_l2 = cached_property(lambda self: mixed_norm(self.a, 4.0))
     mixed_linf_l2 = cached_property(lambda self: mixed_norm(self.a, math.inf))
-    mixed_conj_l2 = cached_property(lambda self: mixed_norm(self.a, _conjugate(self.alpha)))
+    mixed_conj_l2 = cached_property(lambda self: mixed_norm(self.a, conjugate(self.alpha)))
     gamma1 = cached_property(lambda self: gamma1(self.a, self.p))
     gamma2 = cached_property(lambda self: gamma2(self.a, self.p))
     weighted_spectral = cached_property(lambda self: weighted_spectral(self.a, self.p))

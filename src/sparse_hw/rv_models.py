@@ -69,15 +69,6 @@ class AlphaParam:
             raise ValueError(f"alpha must lie in (0, 2], got {self.value!r}")
         object.__setattr__(self, "value", v)
 
-    @property
-    def conjugate(self) -> float:
-        """Hoelder conjugate alpha / (alpha - 1); infinity at alpha = 1."""
-        if self.value < 1.0:
-            raise ValueError("conjugate exponent requires alpha >= 1")
-        if self.value == 1.0:
-            return math.inf
-        return self.value / (self.value - 1.0)
-
 
 @dataclass(frozen=True)
 class DistributionSpec:

@@ -15,6 +15,12 @@ least 1 - eta,
 
 whenever r >= C1 log(mn / eta) max{p / eps^2, 1 / eps}, where mu_col and
 mu_row are the column/row space coherences of X.
+
+Column j of Q is one row of rv_models.sample_sparse_matrix, the
+package's sparse sampler, drawn from stream (seed, j).  eps and the
+bound depend on X, r, p, eta and C1 but not on the seed, so
+`sketch_bound` gives them once per r, eps being the smallest that the
+condition on r admits; `low_rank_approx` draws one sketch.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
 from .streams import stream
 
 # thin_svd keeps the singular values s_i >= RANK_TOL * s_1.
@@ -118,41 +125,26 @@ def coherence(w) -> float:
     return rows / k * float(row_sq.max())
 
 
-@dataclass(frozen=True)
-class SketchSpec:
-    """Shape and law of the sparsified sketch matrix Q."""
-
-    k: int
-    r: int
-    p: float
-    seed: int
-    xi: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.r < 1:
-            raise ValueError("k and r must be positive")
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError("p must lie in (0, 1]")
-        if self.xi not in ("gaussian", "rademacher"):
-            raise ValueError("xi must be 'gaussian' or 'rademacher'")
-
-
-def sparsified_sketch(spec: SketchSpec) -> np.ndarray:
+def sparsified_sketch(k: int, r: int, p: float, seed: int, xi: str = "gaussian") -> np.ndarray:
     """k x r matrix with iid entries r^(-1/2) * delta * xi.
 
-    Column j draws from stream (seed, j), so columns can be produced in
-    parallel and the matrix is reproducible column by column.
+    Column j is one row of rv_models.sample_sparse_matrix, for k
+    coordinates kept with probability p and the unit base law xi, drawn
+    from stream (seed, j): columns can be produced in parallel, and
+    widening r only appends columns.
     """
-    q = np.empty((spec.k, spec.r))
-    for j in range(spec.r):
-        rng = stream(spec.seed, j)
-        delta = rng.random(spec.k) < spec.p
-        if spec.xi == "gaussian":
-            xi = rng.standard_normal(spec.k)
-        else:
-            xi = (rng.integers(0, 2, size=spec.k) * 2 - 1).astype(float)
-        q[:, j] = np.where(delta, xi, 0.0) / math.sqrt(spec.r)
-    return q
+    if k < 1 or r < 1:
+        raise ValueError("k and r must be positive")
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must lie in (0, 1]")
+    if xi not in ("gaussian", "rademacher"):
+        raise ValueError("xi must be 'gaussian' or 'rademacher'")
+    model = SparseModel((p,) * k, DistributionSpec(kind=xi))
+    q = np.empty((r, k))
+    for j in range(r):
+        sample_sparse_matrix(model, 1, stream(seed, j), out=q[j : j + 1])
+    q /= math.sqrt(r)
+    return q.T
 
 
 def theorem_bound_22(
@@ -173,27 +165,36 @@ def theorem_bound_22(
     mu_col, mu_row = max(mu_col, 1.0), max(mu_row, 1.0)
     if spec_norm < 0:
         raise ValueError("spec_norm must be nonnegative")
-    return k * eps / (p * math.sqrt(m * n)) * math.sqrt(mu_col * mu_row) * spec_norm
-
-
-def sketch_admissible(
-    r: int, eps: float, p: float, m: int, n: int, eta: float = 0.1, c1: float = 1.0
-) -> bool:
-    """Whether r >= c1 log(mn / eta) max{p / eps^2, 1 / eps}."""
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
-    if eps <= 0 or c1 <= 0:
-        raise ValueError("eps and c1 must be positive")
-    need = c1 * math.log(m * n / eta) * max(p / eps**2, 1.0 / eps)
-    return r + 1e-9 >= need
+    bound = k * eps / (p * math.sqrt(m * n)) * math.sqrt(mu_col * mu_row) * spec_norm
+    if not math.isfinite(bound):
+        raise ValueError(f"the entrywise error bound is {bound}: it overflows a float")
+    return bound
 
 
 def smallest_admissible_eps(
     r: int, p: float, m: int, n: int, eta: float = 0.1, c1: float = 1.0
 ) -> float:
-    """Tightest eps the admissibility condition certifies at this r."""
+    """Tightest eps with r >= c1 log(mn / eta) max{p / eps^2, 1 / eps}."""
+    if not (0.0 < eta < 1.0):
+        raise ValueError("eta must lie in (0, 1)")
+    if not c1 > 0:
+        raise ValueError("c1 must be positive")
     ell = c1 * math.log(m * n / eta)
     return max(math.sqrt(ell * p / r), ell / r)
+
+
+def sketch_bound(
+    fact: FactoredMatrix, r: int, p: float, eta: float = 0.1, c1: float = 1.0
+) -> tuple[float, float]:
+    """(eps, bound): smallest_admissible_eps at r and theorem_bound_22 at that eps.
+
+    Both depend on X = fact only through its shape, coherences and
+    spectral norm, so every seed of one (X, r, p) shares them.
+    """
+    m, n = fact.u.shape[0], fact.v.shape[0]
+    eps = smallest_admissible_eps(r, p, m, n, eta=eta, c1=c1)
+    mu_col, mu_row = coherence(fact.u), coherence(fact.v)
+    return eps, theorem_bound_22(fact.rank, eps, p, m, n, mu_col, mu_row, float(fact.s[0]))
 
 
 @dataclass(frozen=True)
@@ -208,11 +209,6 @@ class SketchResult:
     p: float
     seed: int
     xi: str
-    eps: float
-    eta: float
-    c1: float
-    bound: float
-    admissible: bool
     truncated: bool
     error_max: float
 
@@ -227,8 +223,6 @@ def low_rank_approx(
     p: float,
     seed: int,
     xi: str = "gaussian",
-    eta: float = 0.1,
-    c1: float = 1.0,
     allow_wide: bool = False,
     fact: FactoredMatrix | None = None,
 ) -> SketchResult:
@@ -250,19 +244,13 @@ def low_rank_approx(
         raise ValueError(
             f"target rank r={r} exceeds detected rank k={k}; pass allow_wide=True to proceed"
         )
-    spec = SketchSpec(k=k, r=r, p=p, seed=seed, xi=xi)
-    q = sparsified_sketch(spec)
+    q = sparsified_sketch(k, r, p, seed, xi)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on error_max below
         fu = fact.u_tilde() @ q
         fv = fact.v_tilde() @ q
         error_max = float(np.max(np.abs(m - (fu @ fv.T) / p)))
     if not math.isfinite(error_max):
         raise ValueError(f"the sketch error of X at r={r} is {error_max}")
-    eps = smallest_admissible_eps(r, p, m.shape[0], m.shape[1], eta=eta, c1=c1)
-    mu_col = coherence(fact.u)
-    mu_row = coherence(fact.v)
-    spec_norm = float(fact.s[0])
-    bound = theorem_bound_22(k, eps, p, m.shape[0], m.shape[1], mu_col, mu_row, spec_norm)
     return SketchResult(
         fu=fu,
         fv=fv,
@@ -272,11 +260,6 @@ def low_rank_approx(
         p=p,
         seed=seed,
         xi=xi,
-        eps=eps,
-        eta=eta,
-        c1=c1,
-        bound=bound,
-        admissible=sketch_admissible(r, eps, p, m.shape[0], m.shape[1], eta=eta, c1=c1),
         truncated=fact.truncated,
         error_max=error_max,
     )

@@ -36,13 +36,18 @@ report records it:
    `chunk_stream(seed, c)` (SFC64) instead of `stream(seed, c)`
    (Philox).  The word map, the geometric gaps and the blocks are as in
    layout 3, and every other consumer still draws from `stream`.
+5. layout 4, except that column j of a sketch matrix
+   (`sketchlr.sparsified_sketch`) is one row of `sample_sparse_matrix`
+   drawn from `stream(seed, j)`: kept positions by geometric gaps, then
+   the base law on those only.  Before, a column took k mask uniforms,
+   then k Gaussian draws or k Rademacher signs from `integers(0, 2)`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

@@ -176,6 +176,19 @@ def test_hw_sparse_requires_positive_l():
         comparison_bounds(1.0, functionals(np.eye(2), (1.0, 1.0), 2.0), L=0.0)
     with pytest.raises(ValueError, match="L must be positive"):
         bernstein_regimes(np.ones(2), (1.0, 1.0), 1.0, L=0.0)
+    # thresholds are in L^2 units, so L^2 must be a positive float
+    f = functionals(np.eye(2), (1.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="overflows when squared"):
+        comparison_bounds(1.0, f, L=1e200)
+    with pytest.raises(ValueError, match="underflows to 0 when squared"):
+        comparison_bounds(1.0, f, L=1e-200)
+
+
+def test_tail_bound_rejects_non_finite_coefficients():
+    # an overflowed functional once made every bound the prefactor 2.0
+    for c in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TailBound(((c, 2.0), (1.0, 1.0)))
 
 
 def test_two_regime_exponent_within_one_of_refined():

@@ -618,6 +618,80 @@ def test_rejections_keep_their_message_without_jsonschema(tmp_path):
             "rademacher base has a psi_alpha norm at alpha=0.0001 beyond float range",
             id="bound-table-rademacher-closed-form-overflows",
         ),
+        # an overflowed bound coefficient once gave every bound 2.0: exit 1 with
+        # "need at least 2 usable grid points", or exit 0 with "frobenius": Infinity
+        pytest.param(
+            "bernstein-verify",
+            golden_config("bernstein-verify")
+            | {"vector": {"values": [1e300, -0.5, 0.25]}, "seed": 7},
+            "regime coefficients must be finite and nonnegative, got inf",
+            id="bernstein-verify-overflowing-coefficient",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(
+                TABLE_CONFIG,
+                matrix={"values": [[0, 1e300], [1e300, 0]]},
+                t_grid={"values": [1.0, 1e300]},
+            ),
+            "regime coefficients must be finite and nonnegative, got inf",
+            id="bound-table-overflowing-coefficient",
+        ),
+        # the draws are finite but their squares are not; once exit 0 with Infinity
+        pytest.param(
+            "sample",
+            {"base": {"kind": "gaussian", "scale": 1e154}, "n": 1000, "seed": 0},
+            "the sample second moment is inf",
+            id="sample-overflowing-second-moment",
+        ),
+        # Sigma is finite, but the IPW estimates are not; once exit 1 with Infinity
+        pytest.param(
+            "covest",
+            golden_config("covest") | {"b": {"values": [[1e154, 0.0], [1.0, 1.0]]}},
+            "the IPW estimates or their squares overflow a float",
+            id="covest-overflowing-estimates",
+        ),
+        # B is not zero but its bound underflows; once exit 4 (ZeroDivisionError)
+        pytest.param(
+            "rip",
+            golden_config("rip") | {"b": {"values": [[1e-300, 0.0], [0.0, 1e-300]]}, "k": 1},
+            "bound_rhs underflows to 0",
+            id="rip-underflowing-bound-rhs",
+        ),
+        # L^2 underflows to 0, so every threshold was inf in L^2 units; once Infinity in the report
+        pytest.param(
+            "hw-verify",
+            golden_config("hw-verify-refined") | {"L": 1e-300, "n_samples": 2000},
+            "L = 1e-300 underflows to 0 when squared",
+            id="hw-verify-underflowing-L-squared",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, L=1e-300),
+            "L = 1e-300 underflows to 0 when squared",
+            id="bound-table-underflowing-L-squared",
+        ),
+        # X and the sketch errors are finite, but the bound is not; once Infinity in its meta file
+        pytest.param(
+            "sketch",
+            golden_config("sketch")
+            | {"x": golden_config("sketch")["x"] | {"scale": 1e300}, "c1": 1e154},
+            "the entrywise error bound is inf",
+            id="sketch-overflowing-bound",
+        ),
+        # a field the command ignores is echoed in the report, which once held NaN
+        pytest.param(
+            "hw-verify",
+            golden_config("hw-verify-degenerate") | {"L": math.inf},
+            "L must be finite",
+            id="hw-verify-degenerate-infinite-L",
+        ),
+        pytest.param(
+            "bound-table",
+            dict(TABLE_CONFIG, matrix={"values": [[0.0, 1.0], [1.0, 0.0]], "scale": math.nan}),
+            "an ignored config field holds a NaN or infinite number",
+            id="bound-table-ignored-nan-matrix-scale",
+        ),
     ],
 )
 def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message):
@@ -634,6 +708,65 @@ def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, threads, code",
+    [
+        # an infinite exponent gives a bound of 0.0, which is right
+        pytest.param(
+            "bound-table",
+            golden_config("bound-table-dense")
+            | {
+                "model": {"alpha": 2.0, "p": 0.4},
+                "t_grid": {"kind": "log", "start": 1e300, "stop": 50.0, "num": 4},
+            },
+            "1",
+            0,
+            id="bound-table-infinite-exponent",
+        ),
+        # q_i^2 underflows to 0, and the NaN it gives lands on the diagonal, which is overwritten
+        pytest.param(
+            "covest",
+            golden_config("covest")
+            | {"p": [0.6, 1e-300], "replicates": 2, "save_first_draw": False},
+            "1",
+            1,
+            id="covest-underflowing-weight",
+        ),
+        # pool threads do not inherit main's np.errstate
+        pytest.param(
+            "covest",
+            golden_config("covest")
+            | {"p": [0.6, 1e-300], "replicates": 1100, "save_first_draw": False},
+            "2",
+            1,
+            id="covest-underflowing-weight-on-the-pool",
+        ),
+    ],
+)
+def test_valid_runs_print_no_numpy_warnings(tmp_path, command, cfg, threads, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    argv = [command, "--config", write_config(tmp_path, cfg), "--threads", threads]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparse_hw.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stderr == ("" if code == 0 else "verification failed: ipw_estimator_unbiased\n")
+
+
+def test_rip_on_a_zero_b_is_degenerate(tmp_path):
+    # every deviation and the bound are 0; the constant fit once divided by it (exit 4)
+    cfg = golden_config("rip") | {"b": {"values": [[0.0, 0.0], [0.0, 0.0]]}, "k": 1}
+    out = tmp_path / "out"
+    assert main(["rip", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["results"] == {"degenerate": True}
+    assert [v["name"] for v in rep["verdicts"]] == ["degenerate_instance"]
 
 
 def test_enumeration_budget_exits_3(tmp_path):
@@ -922,6 +1055,35 @@ def test_sketch_factors_x_once(tmp_path, monkeypatch):
     argv = ["sketch", "--config", str(GOLDEN / "sketch" / "config.json")]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_sketch_computes_its_bound_once_per_r(tmp_path, monkeypatch):
+    # eps and the bound do not depend on the seed: two coherences for each of
+    # the golden config's 2 r values, not for each of its 2 x 3 sketches
+    calls = []
+
+    def counting(w):
+        calls.append(w.shape)
+        return coherence(w)
+
+    coherence = sk.coherence
+    monkeypatch.setattr(sk, "coherence", counting)
+    argv = ["sketch", "--config", str(GOLDEN / "sketch" / "config.json")]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert calls == [(12, 3), (10, 3)] * 2
+
+
+def test_sketch_slope_is_null_when_a_median_error_is_zero(tmp_path):
+    # a 1 x 1 X at p = 1 with Rademacher signs is reproduced exactly at r = 1;
+    # log(0) once put NaN in the report
+    cfg = {"x": {"values": [[1.0]]}, "p": 1, "r_values": [1, 2], "xi": "rademacher", "seed": 0}
+    out = tmp_path / "out"
+    argv = ["--config", write_config(tmp_path, cfg | {"allow_wide": True}), "--out", str(out)]
+    assert main(["sketch", *argv]) in (0, 1)  # rounding may raise the error at r = 2
+    assert "NaN" not in (out / "report.json").read_text()
+    results = read_report(out)["results"]
+    assert results["median_error"][0] == 0.0
+    assert results["error_decay_slope"] is None
 
 
 def _quantile_samples():

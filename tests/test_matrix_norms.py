@@ -15,6 +15,7 @@ from oracles import (
 )
 from sparse_hw.matrix_norms import (
     _dual_rows,
+    conjugate,
     frobenius,
     gamma1,
     gamma2,
@@ -375,6 +376,14 @@ def test_norm_chain_inequalities(seed):
     assert op2inf <= op22 + tol
     assert weighted_spectral(m, p) <= op22 + tol
     assert max_abs(m) <= op22 + tol
+
+
+def test_conjugate_exponent_rule():
+    # the one Hoelder conjugate rule; the norms command reads it too
+    assert conjugate(2.0) == 2.0
+    assert conjugate(1.5) == 3.0
+    assert conjugate(1.0) == math.inf
+    assert conjugate(math.inf) == 1.0
 
 
 def test_conjugate_exponent_chain():

@@ -28,14 +28,6 @@ def test_alpha_param_range():
             AlphaParam(bad)
 
 
-def test_alpha_conjugate():
-    assert AlphaParam(2.0).conjugate == 2.0
-    assert math.isclose(AlphaParam(1.5).conjugate, 3.0)
-    assert AlphaParam(1.0).conjugate == math.inf
-    with pytest.raises(ValueError):
-        AlphaParam(0.5).conjugate
-
-
 def test_distribution_spec_validation():
     with pytest.raises(ValueError):
         DistributionSpec(kind="cauchy")

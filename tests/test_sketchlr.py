@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import jacobi_svd
 from sparse_hw.quadform_mc import wilson_interval
+from sparse_hw.rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
 from sparse_hw.sketchlr import (
     FactoredMatrix,
-    SketchSpec,
     coherence,
     low_rank_approx,
-    sketch_admissible,
+    sketch_bound,
     smallest_admissible_eps,
     sparsified_sketch,
     theorem_bound_22,
@@ -135,21 +135,34 @@ def test_coherence_rejects_bad_frames():
 # --------------------------------------------------------- sketch matrices
 
 
-def test_sketch_spec_validation():
-    with pytest.raises(ValueError):
-        SketchSpec(k=0, r=3, p=0.5, seed=1)
-    with pytest.raises(ValueError):
-        SketchSpec(k=3, r=0, p=0.5, seed=1)
-    with pytest.raises(ValueError):
-        SketchSpec(k=3, r=3, p=0.0, seed=1)
-    with pytest.raises(ValueError):
-        SketchSpec(k=3, r=3, p=1.5, seed=1)
-    with pytest.raises(ValueError):
-        SketchSpec(k=3, r=3, p=0.5, seed=1, xi="uniform")
+def test_sparsified_sketch_validation():
+    with pytest.raises(ValueError, match="positive"):
+        sparsified_sketch(0, 3, 0.5, 1)
+    with pytest.raises(ValueError, match="positive"):
+        sparsified_sketch(3, 0, 0.5, 1)
+    with pytest.raises(ValueError, match="p must"):
+        sparsified_sketch(3, 3, 0.0, 1)
+    with pytest.raises(ValueError, match="p must"):
+        sparsified_sketch(3, 3, 1.5, 1)
+    with pytest.raises(ValueError, match="xi must"):
+        sparsified_sketch(3, 3, 0.5, 1, xi="uniform")
+
+
+@pytest.mark.parametrize("xi", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_sketch_column_is_a_row_of_the_sparse_sampler(xi, p):
+    # the sketch has no draws of its own: column j is sample_sparse_matrix's
+    # one-row draw of k coordinates from stream (seed, j), scaled by r^(-1/2)
+    k, r, seed = 7, 5, 31
+    q = sparsified_sketch(k, r, p, seed, xi)
+    model = SparseModel((p,) * k, DistributionSpec(kind=xi))
+    for j in range(r):
+        row = sample_sparse_matrix(model, 1, stream(seed, j))[0]
+        assert np.array_equal(q[:, j], row / math.sqrt(r))
 
 
 def test_sketch_full_retention_rademacher_entries():
-    q = sparsified_sketch(SketchSpec(k=4, r=3, p=1.0, seed=2, xi="rademacher"))
+    q = sparsified_sketch(4, 3, 1.0, 2, xi="rademacher")
     assert q.shape == (4, 3)
     assert np.all(np.isclose(np.abs(q) * math.sqrt(3), 1.0, rtol=1e-12))
 
@@ -157,8 +170,8 @@ def test_sketch_full_retention_rademacher_entries():
 def test_sketch_columns_shared_across_widths():
     # column j comes from stream (seed, j), so widening r only appends
     # columns; undo the 1 / sqrt(r) scale before comparing
-    q3 = sparsified_sketch(SketchSpec(k=4, r=3, p=0.5, seed=77))
-    q5 = sparsified_sketch(SketchSpec(k=4, r=5, p=0.5, seed=77))
+    q3 = sparsified_sketch(4, 3, 0.5, 77)
+    q5 = sparsified_sketch(4, 5, 0.5, 77)
     assert np.allclose(q3 * math.sqrt(3), q5[:, :3] * math.sqrt(5), rtol=1e-12, atol=0)
 
 
@@ -167,7 +180,7 @@ def test_sketch_second_moment_is_p_identity():
     n = 10_000
     acc = np.zeros((k, k))
     for s in range(n):
-        q = sparsified_sketch(SketchSpec(k=k, r=r, p=p, seed=5000 + s))
+        q = sparsified_sketch(k, r, p, 5000 + s)
         acc += q @ q.T
     mean = acc / n
     # diagonal entries average r iid delta * xi^2 terms; their variance
@@ -177,7 +190,7 @@ def test_sketch_second_moment_is_p_identity():
 
 
 def test_sketch_retention_rate():
-    q = sparsified_sketch(SketchSpec(k=40, r=50, p=0.5, seed=9))
+    q = sparsified_sketch(40, 50, 0.5, 9)
     lo, hi = wilson_interval(int(np.count_nonzero(q)), q.size)
     assert lo <= 0.5 <= hi
 
@@ -222,6 +235,11 @@ def test_theorem_bound_validation():
         theorem_bound_22(k=1, eps=0.1, p=0.5, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=-1.0)
 
 
+def test_theorem_bound_rejects_an_overflowing_bound():
+    with pytest.raises(ValueError, match="overflows"):
+        theorem_bound_22(k=3, eps=1.0, p=1e-300, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=1e10)
+
+
 def test_smallest_admissible_eps_value():
     eps = smallest_admissible_eps(r=100, p=1.0, m=10, n=10, eta=0.1, c1=1.0)
     ell = math.log(1000.0)
@@ -230,16 +248,33 @@ def test_smallest_admissible_eps_value():
 
 
 def test_admissibility_is_tight_at_smallest_eps():
-    eps = smallest_admissible_eps(r=100, p=1.0, m=10, n=10, eta=0.1, c1=1.0)
-    assert sketch_admissible(r=100, eps=eps, p=1.0, m=10, n=10, eta=0.1, c1=1.0)
-    assert not sketch_admissible(r=100, eps=0.9 * eps, p=1.0, m=10, n=10, eta=0.1, c1=1.0)
+    # r >= c1 log(mn / eta) max{p / eps^2, 1 / eps} holds at eps and fails below it
+    def need(eps, p):
+        return math.log(10 * 10 / 0.1) * max(p / eps**2, 1.0 / eps)
+
+    for p in (1.0, 0.01):
+        eps = smallest_admissible_eps(r=100, p=p, m=10, n=10, eta=0.1, c1=1.0)
+        assert math.isclose(need(eps, p), 100.0, rel_tol=1e-12)
+        assert need(0.9 * eps, p) > 100.0
 
 
 def test_admissibility_validation():
     with pytest.raises(ValueError, match="eta"):
-        sketch_admissible(r=10, eps=0.5, p=0.5, m=4, n=4, eta=1.5)
-    with pytest.raises(ValueError):
-        sketch_admissible(r=10, eps=-0.5, p=0.5, m=4, n=4)
+        smallest_admissible_eps(r=10, p=0.5, m=4, n=4, eta=1.5)
+    with pytest.raises(ValueError, match="eta"):
+        smallest_admissible_eps(r=10, p=0.5, m=4, n=4, eta=0.0)
+    for c1 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="c1"):
+            smallest_admissible_eps(r=10, p=0.5, m=4, n=4, c1=c1)
+
+
+def test_sketch_bound_is_the_theorem_bound_at_the_smallest_eps():
+    x = rank_k_matrix(12, 9, 7, 3)
+    fact = thin_svd(x)
+    eps, bound = sketch_bound(fact, 5, 0.4, eta=0.05, c1=2.0)
+    assert eps == smallest_admissible_eps(5, 0.4, 9, 7, eta=0.05, c1=2.0)
+    mu_col, mu_row = coherence(fact.u), coherence(fact.v)
+    assert bound == theorem_bound_22(3, eps, 0.4, 9, 7, mu_col, mu_row, float(fact.s[0]))
 
 
 # --------------------------------------------------------- low_rank_approx
@@ -296,7 +331,6 @@ def test_low_rank_approx_result_consistency():
     assert math.isclose(res.scale, 1.0 / 0.75, rel_tol=1e-15)
     assert np.array_equal(res.y, res.scale * (res.fu @ res.fv.T))
     assert math.isclose(res.error_max, float(np.max(np.abs(x - res.y))), rel_tol=1e-15)
-    assert res.admissible == sketch_admissible(2, res.eps, 0.75, 3, 3, eta=res.eta, c1=res.c1)
     assert not res.truncated
 
 
