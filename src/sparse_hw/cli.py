@@ -506,6 +506,13 @@ def _build_model(cfg: dict, dim: int) -> tuple[SparseModel, float]:
     return SparseModel(p=_p_vector(cfg["p"], dim), base=base), alpha
 
 
+def _build_multivariate(cfg: dict) -> cv.MultivariateModel:
+    """The model of covest and rip, whose replicate of n draws must fit the input budget."""
+    b = _build_matrix(cfg["b"])
+    _check_input_size(cfg["n"] * max(b.shape), "n x max(b rows, b cols)")
+    return cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
+
+
 def _build_t_grid(cfg: dict) -> np.ndarray:
     if "values" in cfg:
         grid = cfg["values"]
@@ -557,7 +564,7 @@ def _write_table(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _emit(outdir: str | None, report: dict, tables: dict[str, tuple[list[str], list]]) -> None:
+def _emit(outdir: str | None, report: dict, tables: dict[str, tuple[list[str], list]], side) -> None:
     if outdir is None:
         print(json.dumps(report, indent=2))
         return
@@ -567,6 +574,8 @@ def _emit(outdir: str | None, report: dict, tables: dict[str, tuple[list[str], l
         json.dump(report, fh, indent=2)
     for name, (header, rows) in tables.items():
         _write_table(out / f"{name}.csv", header, rows)
+    for write in side:
+        write(out)
 
 
 def _verdict(name: str, passed: bool, detail: str) -> dict:
@@ -576,13 +585,14 @@ def _verdict(name: str, passed: bool, detail: str) -> dict:
 def _run(command: str, body, args) -> int:
     """Load the config, resolve seed and threads, run body, write the report.
 
-    body(cfg, seed, threads, outdir) returns (results, tables, verdicts).
+    body(cfg, seed, threads) returns (results, tables, verdicts, *writers of
+    side files into --out); nothing is written before it and _config_hash pass.
     """
     started = time.time()
     cfg = _load_config(args.config, command)
     seed = args.seed if args.seed is not None else cfg["seed"]
     threads = _resolve_threads(args)
-    results, tables, verdicts = body(cfg, seed, threads, args.out)
+    results, tables, verdicts, *side = body(cfg, seed, threads)
     report = {
         "command": command,
         "config": cfg,
@@ -595,7 +605,7 @@ def _run(command: str, body, args) -> int:
         "verdicts": verdicts,
         "wall_clock_s": time.time() - started,
     }
-    _emit(args.out, report, tables)
+    _emit(args.out, report, tables, side)
     failed = [v["name"] for v in verdicts if not v["passed"]]
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -646,7 +656,7 @@ def _verify_tail(tail, exponent, probs: dict, rel_slack: float, results: dict, s
 # ---------------------------------------------------------------- commands
 
 
-def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
+def _hw_verify(cfg: dict, seed: int, threads: int):
     a = bd.symmetrize(_build_matrix(cfg["matrix"]))
     model, alpha = _build_model(cfg["model"], a.shape[0])
     t_grid = _build_t_grid(cfg["t_grid"])
@@ -677,7 +687,7 @@ def _hw_verify(cfg: dict, seed: int, threads: int, outdir):
     return _verify_tail(tail, exponent, probs, rel_slack, results, {"shape": shape_name})
 
 
-def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
+def _bernstein_verify(cfg: dict, seed: int, threads: int):
     a = _build_vector(cfg["vector"])
     model, alpha = _build_model(cfg["model"], a.size)
     if alpha > 1.0:
@@ -701,12 +711,12 @@ def _bernstein_verify(cfg: dict, seed: int, threads: int, outdir):
     return _verify_tail(tail, tb.exponent(tail.t_grid), probs, rel_slack, results, {})
 
 
-def _covest(cfg: dict, seed: int, threads: int, outdir):
-    b = _build_matrix(cfg["b"])
-    model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
+def _covest(cfg: dict, seed: int, threads: int):
+    model = _build_multivariate(cfg)
+    n, replicates = cfg["n"], cfg["replicates"]
     tol_se = _finite(cfg.get("tol_se", 4.0), "tol_se")
 
-    mean, se = cv.ipw_replicate_stats(model, cfg["n"], cfg["replicates"], seed, threads)
+    mean, se = cv.ipw_replicate_stats(model, n, replicates, seed, threads)
     sigma = model.sigma()
     dev = np.abs(mean - sigma)
     floor = 1e-12 * max(1.0, float(np.abs(sigma).max()))
@@ -729,20 +739,20 @@ def _covest(cfg: dict, seed: int, threads: int, outdir):
             f"max |mean - sigma| = {max_z:.3f} standard errors (allowed {tol_se})",
         )
     ]
-    d = b.shape[0]
-    idx = [(i, j) for i in range(d) for j in range(d)]
     tables = {
         "estimates": (
             ["row", "col", "sigma", "mean", "se"],
-            [[i, j, sigma[i, j], mean[i, j], se[i, j]] for i, j in idx],
+            [[i, j, sigma[i, j], mean[i, j], se[i, j]] for i, j in np.ndindex(sigma.shape)],
         )
     }
-    if cfg.get("save_first_draw", False) and outdir is not None:
-        # replicate 0: the first n rows of batch 0's draw
-        take = min(cv.IPW_BATCH, cfg["replicates"])
-        values, masks = cv.generate_samples(model, take * cfg["n"], seed, stream_id=0)
-        cv.save_samples(Path(outdir) / "draw", model, values[: cfg["n"]], masks[: cfg["n"]], seed)
-    return results, tables, verdicts
+    if not cfg.get("save_first_draw", False):
+        return results, tables, verdicts
+
+    def save_draw(out: Path) -> None:
+        values, masks = cv.first_replicate(model, n, replicates, seed)
+        cv.save_samples(out / "draw", model, values, masks, seed)
+
+    return results, tables, verdicts, save_draw
 
 
 def _sorted_quantile(s: np.ndarray, q: float) -> float:
@@ -773,37 +783,20 @@ def _sorted_median(s: np.ndarray) -> float:
     return float(s[h]) if len(s) % 2 else (float(s[h - 1]) + float(s[h])) / 2
 
 
-def _rip(cfg: dict, seed: int, threads: int, outdir):
-    b = _build_matrix(cfg["b"])
-    model = cv.MultivariateModel(b=b, alpha=cfg["alpha"], p=_p_vector(cfg["p"], b.shape[0]))
-    n = cfg["n"]
-    k = cfg["k"]
+def _rip(cfg: dict, seed: int, threads: int):
+    model = _build_multivariate(cfg)
+    n, k = cfg["n"], cfg["k"]
     t_values = sorted(float(t) for t in _build_t_grid({"values": cfg["t_values"]}))
-    replicates = cfg["replicates"]
     slack = _finite(cfg.get("rel_slack", 0.0), "rel_slack")
-    sigma = model.sigma()
-    d = model.dim
-    if not 1 <= k <= d:  # before comb(d, k), which is 0 for k > d, sizes the stacks
-        raise ValueError("need 1 <= k <= d")
-    theta_budget = cfg.get("theta_budget", 128)
-    qf.check_sample_budget(replicates * n, "replicates x n")
-    cv.check_theta_budget(d, k, theta_budget)
-    if not np.any(b):
+    # checks k and the theta budget before anything is drawn
+    rhs = cv.rip_bound_rhs(t_values, k, model, n, cfg.get("theta_budget", 128), seed).value
+    if not np.any(model.b):
         return _degenerate("B")
-    # stacks of as many replicates as one rip_k block holds, run in turn in
-    # this thread (a pool only waits on the GIL for these short numpy calls);
-    # replicate i always draws from stream (seed, i)
-    per_stack = max(1, cv.RIP_BLOCK_ENTRIES // math.comb(d, k))
-    q = model.p_array()
-    rips = np.empty(replicates)
-    for start in range(0, replicates, per_stack):
-        deviations = np.empty((min(per_stack, replicates - start), d, d))
-        for j in range(len(deviations)):  # rip_k rejects inf and NaN
-            values, _ = cv.generate_samples(model, n, seed, stream_id=start + j)
-            deviations[j] = cv.ipw_estimator(values, q) - sigma
-        rips[start : start + len(deviations)] = cv.rip_k(deviations, k)
-
-    rhs = cv.rip_bound_rhs(t_values, k, model, n, theta_budget=theta_budget, seed=seed).value
+    sigma = model.sigma()
+    # in this thread (a pool only waits on the GIL); rip_k rejects inf and NaN deviations
+    rips = np.concatenate(
+        cv.ipw_batches(model, n, cfg["replicates"], seed, lambda est: cv.rip_k(est - sigma, k))
+    )
     if not np.all(np.isfinite(rhs)):
         raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
     if rhs[-1] == 0.0:  # B is not zero, but its K1 and K2 terms underflow
@@ -832,7 +825,7 @@ def _rip(cfg: dict, seed: int, threads: int, outdir):
     return results, tables, verdicts
 
 
-def _sketch(cfg: dict, seed: int, threads: int, outdir):
+def _sketch(cfg: dict, seed: int, threads: int):
     n_seeds = cfg.get("n_seeds", 1)
     if n_seeds > qf.SKETCH_SEED_BUDGET:
         raise BudgetExceededError(f"n_seeds = {n_seeds} exceeds {qf.SKETCH_SEED_BUDGET}")
@@ -868,14 +861,16 @@ def _sketch(cfg: dict, seed: int, threads: int, outdir):
         # a median error of exactly 0 has no logarithm, and then no slope
         slope = np.polyfit(log_r, np.log(medians), 1)[0] if min(medians) > 0 else None
         results["error_decay_slope"] = None if slope is None else float(slope)
-        monotone = all(b <= a for a, b in zip(medians, medians[1:]))
+        # a median may rise by rounding alone (X = [[1]] gives 0.0, then 2.2e-16 at r = 2):
+        # only a rise above 64 eps max|X|, 64 ulps of X's largest entry, fails
+        slack = 64 * np.finfo(float).eps * float(np.abs(x).max())
+        monotone = all(b <= a + slack for a, b in zip(medians, medians[1:]))
         detail = f"medians {['%.3g' % m for m in medians]}"
         verdicts.append(_verdict("median_error_nonincreasing_in_r", monotone, detail))
 
     tables = {"errors": (["r", "median_error", "bound"], rows)}
-    if outdir is not None:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
+
+    def save_last_sketch(out: Path) -> None:
         np.savetxt(out / "factor_left.csv", res.fu, delimiter=",")
         np.savetxt(out / "factor_right.csv", res.fv, delimiter=",")
         # the last sketch (the largest r at the last seed), with that r's eps and bound
@@ -884,7 +879,8 @@ def _sketch(cfg: dict, seed: int, threads: int, outdir):
         meta |= {"detected_rank": res.detected_rank, "truncated": res.truncated}
         with open(out / "sketch_meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
-    return results, tables, verdicts
+
+    return results, tables, verdicts, save_last_sketch
 
 
 def _cmd_norms(args) -> int:
@@ -925,7 +921,7 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _sample(cfg: dict, seed: int, threads: int, outdir):
+def _sample(cfg: dict, seed: int, threads: int):
     base = _build_base(cfg["base"], cfg["base"].get("alpha"))
     n = cfg["n"]
     results = {}
@@ -956,7 +952,7 @@ def _sample(cfg: dict, seed: int, threads: int, outdir):
     return results, tables, []
 
 
-def _bound_table(cfg: dict, seed: int, threads: int, outdir):
+def _bound_table(cfg: dict, seed: int, threads: int):
     a = bd.symmetrize(_build_matrix(cfg["matrix"]))
     model, alpha = _build_model(cfg["model"], a.shape[0])
     t_grid = _build_t_grid(cfg["t_grid"])

@@ -20,10 +20,10 @@ hold the maximum, so it is never decomposed; every maximum is still one
 exact `eigvalsh` value, the same as full enumeration gives.  The
 RIP_TOP_FIRST largest-bound subsets of each matrix in a block are
 decomposed before the rest, so the running maximum is high by the time
-the bound is tested.  Subsets go in blocks of at most RIP_BLOCK_ENTRIES
-(matrices x subsets) cells, the size of each array a block allocates,
-so memory stays about 1 MiB an array however close comb(d, k) comes to
-RIP_ENUM_BUDGET.
+the bound is tested.  BLOCK_ENTRIES (2^17 entries, 1 MiB of float64)
+bounds the largest array of a `rip_k` block (matrices x subsets) and of
+an `ipw_batches` draw, however large the stack, the replicate count or
+comb(d, k) <= RIP_ENUM_BUDGET, unless one replicate alone is larger.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
 Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
@@ -56,10 +56,10 @@ from .rv_models import AlphaParam, DistributionSpec, sample_base
 from .streams import stream
 
 RIP_ENUM_BUDGET = 10**6
-RIP_BLOCK_ENTRIES = 1 << 17  # (matrices, subsets) cells in one block of subsets
+BLOCK_ENTRIES = 1 << 17  # entries of the largest array of a rip_k block or an IPW batch
 RIP_TOP_FIRST = 8  # largest-bound subsets a matrix decomposes first in each block
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
-IPW_BATCH = 512  # replicates that ipw_replicate_stats draws and estimates at once
+IPW_BATCH = 512  # the most replicates that ipw_batches draws and estimates at once
 _SAMPLES = "samples"  # file name stem of save_samples
 
 
@@ -175,44 +175,51 @@ def save_samples(directory, model: MultivariateModel, values, masks, seed: int):
         json.dump(manifest, fh, indent=2)
 
 
-def ipw_replicate_stats(
-    model: MultivariateModel,
-    n: int,
-    replicates: int,
-    seed: int,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the IPW estimate over many replicates.
+def _batch_size(model: MultivariateModel, n: int) -> int:
+    """Replicates in one IPW batch: IPW_BATCH, or fewer to keep its draw within BLOCK_ENTRIES."""
+    return max(1, min(IPW_BATCH, BLOCK_ENTRIES // (n * max(model.dim, model.n_factors))))
 
-    Replicates go in batches of IPW_BATCH on a pool of `threads` workers.
-    Batch c of `take` replicates is one generate_samples(model, take * n,
-    seed, c) draw read as a (take, n, d) stack, so its first n rows are
-    the batch's first replicate, and one stacked ipw_estimator call
-    estimates them all.  The batch sums accumulate in batch order, so
-    the result does not depend on the thread count.  More than
-    MC_SAMPLE_BUDGET samples in all (replicates x n) raise
-    BudgetExceededError before anything is drawn.
+
+def ipw_batches(model, n: int, replicates: int, seed: int, reduce, threads: int = 1) -> list:
+    """reduce(estimates) of each batch of IPW replicates, in batch order, on `threads` workers.
+
+    Batch c of `take` (_batch_size; the last is ragged) is one
+    generate_samples(model, take * n, seed, c) draw whose rows
+    [j n, (j+1) n) are replicate j, and reduce gets its one stacked
+    ipw_estimator call, (take, d, d).  More than MC_SAMPLE_BUDGET samples
+    (replicates x n) raise BudgetExceededError before anything is drawn.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     check_sample_budget(replicates * n, "replicates x n")
-    d = model.dim
-    q = model.p_array()
 
-    def batch(c: int, take: int) -> tuple[np.ndarray, np.ndarray]:
+    def batch(c: int, take: int):
         values, _ = generate_samples(model, take * n, seed, c)
-        est = ipw_estimator(values.reshape(take, n, d), q)
+        return reduce(ipw_estimator(values.reshape(take, n, model.dim), model.p_array()))
+
+    return _run_chunks(batch, replicates, threads, _batch_size(model, n))
+
+
+def first_replicate(model: MultivariateModel, n: int, replicates: int, seed: int):
+    """(values, masks) of replicate 0 of ipw_batches: the first n rows of batch 0's draw."""
+    values, masks = generate_samples(model, min(_batch_size(model, n), replicates) * n, seed, 0)
+    return values[:n], masks[:n]
+
+
+def ipw_replicate_stats(
+    model: MultivariateModel, n: int, replicates: int, seed: int, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the IPW estimates of ipw_batches, summed in batch order."""
+
+    def sums(est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
             return est.sum(axis=0), (est * est).sum(axis=0)
 
-    s1 = np.zeros((d, d))
-    s2 = np.zeros((d, d))
+    batches = ipw_batches(model, n, replicates, seed, sums, threads)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        for sum1, sum2 in _run_chunks(batch, replicates, threads, IPW_BATCH):
-            s1 += sum1
-            s2 += sum2
-        mean = s1 / replicates
-        var = np.maximum(s2 / replicates - mean * mean, 0.0) * replicates / (replicates - 1)
+        mean = sum(s1 for s1, _ in batches) / replicates
+        var = sum(s2 for _, s2 in batches) / replicates - mean * mean
+        var = np.maximum(var, 0.0) * replicates / (replicates - 1)
     if not np.all(np.isfinite(var)):
         raise ValueError("the IPW estimates or their squares overflow a float: B is too large")
     return mean, np.sqrt(var / replicates)
@@ -225,9 +232,10 @@ def rip_k(m, k: int) -> float | np.ndarray:
     an array of R values; a 2-D call is a stack of one.  The quadratic
     form only sees the symmetric part of each matrix.
 
-    Subsets are enumerated in blocks of at most RIP_BLOCK_ENTRIES // R,
-    so each (R, subsets) array of a block has at most RIP_BLOCK_ENTRIES
-    cells.  In each block every submatrix S gets the upper bound
+    A stack runs in sub-stacks of max(1, BLOCK_ENTRIES // comb(d, k))
+    matrices; a sub-stack of r takes its subsets in blocks of BLOCK_ENTRIES
+    // r, so an (r, subsets) array of a block has at most BLOCK_ENTRIES cells.
+    In each block every submatrix S gets the upper bound
     ub = ||S||_F (1 + margin) on ||S||_2; each matrix's RIP_TOP_FIRST
     largest-ub subsets are decomposed first, then every other subset
     whose ub reaches the largest spectral norm found so far for its
@@ -238,7 +246,7 @@ def rip_k(m, k: int) -> float | np.ndarray:
     underflow, and the smallest normal float, which covers subnormal
     rounding; a square that overflows makes ub inf, which only means the
     subset is decomposed.  Each maximum is the `eigvalsh` value of full
-    enumeration, whatever the blocking and the stack.
+    enumeration, so a matrix's value is `==` alone and in any stack.
 
     Raises ValueError on an empty stack, on inf or NaN entries (in any
     matrix of a stack), or on a symmetric part that overflows.  Raises
@@ -264,14 +272,21 @@ def rip_k(m, k: int) -> float | np.ndarray:
             "rip_k_lower_random gives a certified lower bound instead"
         )
     sym = sym.reshape(-1, d, d)
-    r = sym.shape[0]
+    size = max(1, BLOCK_ENTRIES // n_subsets)
+    best = [_sub_stack_maxima(sym[i : i + size], k, n_subsets) for i in range(0, len(sym), size)]
+    return float(best[0][0]) if a.ndim == 2 else np.concatenate(best)
+
+
+def _sub_stack_maxima(sym: np.ndarray, k: int, n_subsets: int) -> np.ndarray:
+    """rip_k of each matrix of the symmetric stack sym, in blocks of its comb(d, k) subsets."""
+    r, d, _ = sym.shape
     with np.errstate(over="ignore"):  # an infinite bound only means no pruning
         squares = np.square(sym).reshape(r, d * d)
     margin = 1e-12 + 4 * k * k * np.finfo(float).eps
     rows = np.arange(r)
     best = np.zeros(r)
     subsets = itertools.combinations(range(d), k)
-    block = max(1, RIP_BLOCK_ENTRIES // r)
+    block = max(1, BLOCK_ENTRIES // r)
     for start in range(0, n_subsets, block):
         size = min(block, n_subsets - start)
         flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
@@ -291,7 +306,7 @@ def rip_k(m, k: int) -> float | np.ndarray:
         todo[rows[:, None], top] = False
         who, which = np.nonzero(todo)
         np.maximum.at(best, who, _spectral_norms(sym, who, idx[which]))
-    return float(best[0]) if a.ndim == 2 else best
+    return best
 
 
 def _spectral_norms(sym: np.ndarray, who: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -442,20 +457,6 @@ class RipBound:
     thetas_evaluated: int
 
 
-def check_theta_budget(d: int, k: int, theta_budget: int) -> None:
-    """Raise BudgetExceededError if the d + theta_budget directions of
-    rip_bound_rhs may sum more than EXACT_FROB_BUDGET terms of K2.
-
-    The exact K2 of a direction with s nonzero entries sums s^2 d^2
-    weighted terms, and s <= k.
-    """
-    if (d + theta_budget) * k * k * d * d > EXACT_FROB_BUDGET:
-        raise BudgetExceededError(
-            f"theta_budget = {theta_budget}: {d} + theta_budget directions of up to "
-            f"k^2 d^2 = {k * k * d * d} terms exceed the K2 budget of {EXACT_FROB_BUDGET} terms"
-        )
-
-
 def rip_bound_rhs(
     t,
     k: int,
@@ -473,8 +474,9 @@ def rip_bound_rhs(
     directions plus theta_budget random k-sparse directions, one K2
     kernel call each (K1 is not needed per direction, so ||B||_{2->2} is
     computed once).  t may be a scalar or an array: both sups are
-    computed once for all of it.  check_theta_budget runs before any
-    direction is drawn.
+    computed once for all of it.  More than EXACT_FROB_BUDGET terms of K2
+    in the d + theta_budget directions (s^2 d^2 for s <= k nonzero
+    entries) raise BudgetExceededError before any direction is drawn.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # NaN fails >= too
@@ -484,7 +486,11 @@ def rip_bound_rhs(
     d = model.dim
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    check_theta_budget(d, k, theta_budget)
+    if (d + theta_budget) * k * k * d * d > EXACT_FROB_BUDGET:
+        raise BudgetExceededError(
+            f"theta_budget = {theta_budget}: {d} + theta_budget directions of up to "
+            f"k^2 d^2 = {k * k * d * d} terms exceed the K2 budget of {EXACT_FROB_BUDGET} terms"
+        )
     q = model.p_array()
     u = t + k * math.log(48.0 * math.e * d / k)
     sup_k1 = _k1_scale(model) / float(np.min(q)) ** 2

@@ -41,13 +41,18 @@ report records it:
    drawn from `stream(seed, j)`: kept positions by geometric gaps, then
    the base law on those only.  Before, a column took k mask uniforms,
    then k Gaussian draws or k Rademacher signs from `integers(0, 2)`.
+6. layout 5, except that `rip` draws its replicates as `covest` does
+   (`covest.ipw_batches`): replicate j of batch c is rows [j n, (j+1) n)
+   of one draw from `stream(seed, c)` (replicate i once drew alone from
+   `stream(seed, i)`), and a batch holds fewer than IPW_BATCH = 512
+   replicates when n max(d, m) > 256.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -734,7 +735,8 @@ def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message
             1,
             id="covest-underflowing-weight",
         ),
-        # pool threads do not inherit main's np.errstate
+        # pool threads do not inherit main's np.errstate; n d = 50 <= 256, so the
+        # 1100 replicates are 3 batches (512, 512 and 76), at least 2 for the pool
         pytest.param(
             "covest",
             golden_config("covest")
@@ -796,6 +798,10 @@ def test_enumeration_budget_exits_3(tmp_path):
         pytest.param("rip", "rip", "replicates", 10**400, id="rip-replicates"),
         pytest.param("rip", "rip", "theta_budget", 10**400, id="rip-theta_budget"),
         pytest.param("covest", "covest", "replicates", 10**400, id="covest-replicates"),
+        # replicates x n = 4e9 is within the sample budget, but one replicate of
+        # n = 4e8 rows (11.9 GiB for rip, 59.6 GiB for covest) is over the input budget
+        pytest.param("rip", ("rip", {"replicates": 10}), "n", 4 * 10**8, id="rip-n"),
+        pytest.param("covest", ("covest", {"replicates": 10}), "n", 4 * 10**8, id="covest-n"),
         pytest.param("sample", "sample", "dim", 10**400, id="sample-dim"),
         pytest.param(
             "bound-table", "bound-table-dense", "t_grid",
@@ -811,7 +817,8 @@ def test_enumeration_budget_exits_3(tmp_path):
     ],
 )
 def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, field, value):
-    cfg = golden_config(case) | {field: value}
+    case, fields = (case, {}) if isinstance(case, str) else case
+    cfg = golden_config(case) | fields | {field: value}
     started = time.perf_counter()
     assert main([command, "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 3
     assert time.perf_counter() - started < 1.0
@@ -819,7 +826,7 @@ def test_sample_budget_exits_3_before_drawing(tmp_path, capsys, command, case, f
     lines = captured.err.splitlines()
     assert captured.out == ""
     # the message names the field: "n_samples = ", "replicates x n = ", "theta_budget = ",
-    # "dim x n = ", "t_grid num = ", "n_seeds = "
+    # "dim x n = ", "t_grid num = ", "n_seeds = ", "n x max(b rows, b cols) = "
     assert len(lines) == 1 and lines[0].startswith(f"budget exceeded: {field} "), lines
 
 
@@ -876,7 +883,7 @@ def assert_internal_error(capsys, name: str) -> None:
 def test_unexpected_exceptions_exit_4_with_one_line(tmp_path, monkeypatch, capsys, error):
     # exit 1 means a failed verdict and exit 2 a bad config; a fault of the
     # program gets its own code, LinAlgError too although it is a ValueError
-    def body(cfg, seed, threads, outdir):
+    def body(cfg, seed, threads):
         raise error
 
     monkeypatch.setattr(cli, "_rip", body)
@@ -899,13 +906,13 @@ def test_linalg_error_in_rip_k_exits_4(tmp_path, monkeypatch, capsys):
 
 def test_rip_runs_its_replicates_without_the_pool(tmp_path, monkeypatch):
     # each replicate is a run of short numpy calls under the GIL: a pool of
-    # threads only waits on it, so rip runs one serial loop at any --threads
-    def no_pool(*args):
-        raise AssertionError("rip handed work to _run_chunks")
+    # threads only waits on it, so rip runs its batches in turn at any --threads
+    def no_pool(*args, **kwargs):
+        raise AssertionError("rip started a thread pool")
 
-    monkeypatch.setattr(qf, "_run_chunks", no_pool)
-    monkeypatch.setattr(cv, "_run_chunks", no_pool)
-    argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--threads", "3"]
+    monkeypatch.setattr(qf, "ThreadPoolExecutor", no_pool)
+    cfg = golden_config("rip") | {"replicates": 1000, "n": 200}  # 7 batches of up to 163
+    argv = ["rip", "--config", write_config(tmp_path, cfg), "--threads", "3"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert read_report(tmp_path)["threads"] == 3
 
@@ -981,6 +988,78 @@ def test_covest_saved_draw_is_replicate_0(tmp_path):
     assert values.shape == (25, 2)
     gap = np.abs(cv.ipw_estimator(values, cfg["p"]) - r["estimator_mean"])
     assert np.allclose(gap, r["estimator_se"], rtol=0, atol=1e-12)
+
+
+def test_covest_saved_draw_is_the_batches_replicate_0(tmp_path):
+    # n d = 400 > 256: a batch holds 131072 // 400 = 327 of the 400 replicates,
+    # and the saved draw is replicate 0 of that batch, as ipw_batches estimates it
+    cfg = golden_config("covest") | {"n": 200, "replicates": 400}
+    out = tmp_path / "out"
+    assert main(["covest", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    values = np.loadtxt(out / "draw" / "samples_values.csv", delimiter=",")
+    masks = np.loadtxt(out / "draw" / "samples_masks.csv", delimiter=",")
+    assert values.shape == masks.shape == (200, 2)
+    assert np.array_equal(values != 0.0, masks == 1)
+    model = cv.MultivariateModel(b=np.array(cfg["b"]["values"]), alpha=cfg["alpha"], p=cfg["p"])
+    first = cv.ipw_batches(model, 200, 400, cfg["seed"], lambda est: (len(est), est[0]))
+    assert [take for take, _ in first] == [327, 73]
+    assert np.array_equal(cv.ipw_estimator(values, cfg["p"]), first[0][1])
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        pytest.param(
+            "sketch",
+            golden_config("sketch")
+            | {"x": {"values": [[1, 2], [3, 4], [5, 6.5]], "scale": math.nan}, "r_values": [1, 2]},
+            id="sketch",
+        ),
+        pytest.param(
+            "covest",
+            golden_config("covest") | {"b": {"values": [[2.0, 0.0], [1.0, 1.0]], "scale": math.nan}},
+            id="covest-save_first_draw",
+        ),
+    ],
+)
+def test_nan_in_an_ignored_field_exits_2_and_writes_no_file(tmp_path, capsys, command, cfg):
+    # the body runs before _config_hash finds the NaN; its side files (the sketch
+    # factors and meta file, covest's draw) once stayed in --out
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    message = "config error: an ignored config field holds a NaN or infinite number\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists() or not any(out.iterdir())
+
+
+SKETCH_OF_ONE = {
+    "x": {"values": [[1.0]]},
+    "p": 1,
+    "r_values": [1, 2],
+    "xi": "rademacher",
+    "seed": 0,
+    "allow_wide": True,
+}
+
+
+def test_sketch_median_that_rises_by_rounding_alone_passes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sketch", "--config", write_config(tmp_path, SKETCH_OF_ONE), "--out", str(out)]) == 0
+    assert read_report(out)["results"]["median_error"] == [0.0, np.finfo(float).eps]
+
+
+def test_sketch_median_that_rises_beyond_rounding_fails(tmp_path, monkeypatch):
+    # the tolerance is 64 eps max|X| = 64 eps; the median at r = 2 rises to 65 eps
+    low_rank_approx = sk.low_rank_approx
+
+    def raised(x, r, *args, **kwargs):
+        res = low_rank_approx(x, r, *args, **kwargs)
+        return dataclasses.replace(res, error_max=res.error_max + 64 * np.finfo(float).eps * (r == 2))
+
+    monkeypatch.setattr(sk, "low_rank_approx", raised)
+    out = tmp_path / "out"
+    assert main(["sketch", "--config", write_config(tmp_path, SKETCH_OF_ONE), "--out", str(out)]) == 1
+    assert read_report(out)["results"]["median_error"] == [0.0, 65 * np.finfo(float).eps]
 
 
 def test_rip_cli(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_ipw_unbiased_over_replicates():
         ipw_replicate_stats(model, n=20, replicates=1, seed=0)
 
 
+def test_ipw_batches_stay_within_the_block_constant():
+    # 512 replicates of n = 20,000 were one batch, a draw of 10^7 rows held
+    # at once (over 500 MB); now a batch holds BLOCK_ENTRIES // (n d) = 3
+    model = MultivariateModel(b=np.array([[2.0, 0.0], [1.0, 1.0]]), alpha=1.5, p=(0.6, 1.0))
+    tracemalloc.start()
+    try:
+        ipw_replicate_stats(model, n=20_000, replicates=512, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_rip_k_diagonal_case():
     m = np.diag([1.0, -2.0, 3.0])
     assert rip_k(m, 2) == 3.0
@@ -192,15 +206,17 @@ def rip_cases() -> dict[str, np.ndarray]:
     return cases
 
 
-@pytest.mark.parametrize("entries", [1, 9 * 4, 9 * 35 - 1, 20 * 4 * 4, None])
+@pytest.mark.parametrize("entries", [1, 15, 9 * 4, 9 * 35 - 1, 20 * 4 * 4, None])
 def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
-    # a block holds entries // R subsets of a stack of R: blocks of 1 for
-    # every call at 1 (nothing pruned within a block, only the carried
-    # maximum), and for the stack of 20 cases at 36; comb(7, 3) = 35 subsets
-    # of m in one block at 36 and above; the stack's comb(6, 3) = 20 subsets
-    # at k = 3 in blocks of 15 and 5 at 314, of 16 and 4 at 320
+    # a sub-stack holds entries // comb(d, k) matrices and a block entries // R
+    # subsets of a sub-stack of R: at 1, sub-stacks and blocks of 1 for every
+    # call (nothing pruned within a block, only the carried maximum); at 15,
+    # ragged blocks of m's comb(7, 3) = 35 subsets (15, 15, 5) and of the
+    # stack's comb(6, 3) = 20 (15, 5); comb(7, 3) subsets of m in one block at
+    # 36 and above; the stack of 20 cases at k = 3 in sub-stacks of 15 and 5
+    # at 314, of 16 and 4 at 320
     if entries is not None:
-        monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(cv, "BLOCK_ENTRIES", entries)
     m = stream(315, 0).standard_normal((7, 7))
     assert rip_k(m, 3) == rip_k_loop(m, 3)
     cases = rip_cases()
@@ -211,6 +227,23 @@ def test_rip_k_blocks_do_not_change_the_result(monkeypatch, entries):
         for name, m, w in zip(cases, stack, want):
             one = rip_k(m, k)
             assert type(one) is float and one == w, (name, k)
+
+
+def test_rip_k_splits_a_large_stack_into_sub_stacks(monkeypatch):
+    # comb(10, 5) = 252 subsets: a sub-stack holds BLOCK_ENTRIES // 252 = 520
+    # matrices, so a stack of 521 runs as 520 and 1, each value that of its matrix alone
+    stack = stream(321, 0).standard_normal((521, 10, 10))
+    stacks = []
+    sub_stack_maxima = cv._sub_stack_maxima
+
+    def recording(sym, *args):
+        stacks.append(len(sym))
+        return sub_stack_maxima(sym, *args)
+
+    monkeypatch.setattr(cv, "_sub_stack_maxima", recording)
+    got = rip_k(stack, 5).tolist()
+    assert stacks == [520, 1]
+    assert got == [rip_k(m, 5) for m in stack]
 
 
 def test_rip_k_prunes_what_its_bound_rules_out(monkeypatch):

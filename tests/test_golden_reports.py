@@ -80,20 +80,26 @@ def test_golden_reports_do_not_depend_on_threads(case, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_golden_rip_report_does_not_depend_on_replicate_chunks(monkeypatch, tmp_path, threads):
-    # comb(4, 2) = 6 subsets: one rip_k block holds 7 replicates, so the 20
-    # replicates go in ragged stacks of 7, 7 and 6, run in turn at any --threads
-    monkeypatch.setattr(cv, "RIP_BLOCK_ENTRIES", 7 * 6 + 5)
-    stacks = []
-    rip_k = cv.rip_k
+    # the 20 replicates are one batch and one rip_k call; once the batch is
+    # drawn, a block constant of 7 comb(4, 2) + 5 makes rip_k itself split the
+    # stack into ragged sub-stacks of 7, 7 and 6, at any --threads
+    calls, stacks = [], []
+    rip_k, sub_stack_maxima = cv.rip_k, cv._sub_stack_maxima
 
     def recording(m, k):
-        stacks.append(len(m))
+        monkeypatch.setattr(cv, "BLOCK_ENTRIES", 7 * 6 + 5)
+        calls.append(len(m))
         return rip_k(m, k)
 
+    def sub_stack(sym, *args):
+        stacks.append(len(sym))
+        return sub_stack_maxima(sym, *args)
+
     monkeypatch.setattr(cv, "rip_k", recording)
+    monkeypatch.setattr(cv, "_sub_stack_maxima", sub_stack)
     out = tmp_path / "out"
     assert run_config_case("rip", out, threads=threads) == 0
-    assert stacks == [7, 7, 6]
+    assert (calls, stacks) == ([20], [7, 7, 6])
     report = json.loads((out / "report.json").read_text())
     report["threads"] = 1
     (out / "report.json").write_text(json.dumps(report, indent=2))
