@@ -233,9 +233,9 @@ def rip_k(m, k: int) -> float | np.ndarray:
     form only sees the symmetric part of each matrix.
 
     A stack runs in sub-stacks of max(1, BLOCK_ENTRIES // comb(d, k))
-    matrices; a sub-stack of r takes its subsets in blocks of BLOCK_ENTRIES
-    // r, so an (r, subsets) array of a block has at most BLOCK_ENTRIES cells.
-    In each block every submatrix S gets the upper bound
+    matrices, and a sub-stack of r matrices takes its subsets in blocks
+    of BLOCK_ENTRIES // r, so each (r, subsets) array has at most
+    BLOCK_ENTRIES cells.  In each block every submatrix S gets the upper bound
     ub = ||S||_F (1 + margin) on ||S||_2; each matrix's RIP_TOP_FIRST
     largest-ub subsets are decomposed first, then every other subset
     whose ub reaches the largest spectral norm found so far for its
