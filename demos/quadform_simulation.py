@@ -2,9 +2,8 @@
 """Monte Carlo verification of a quadratic-form tail.
 
 Simulates S = xi^T A xi for a sparse heavy-tailed vector, compares the
-empirical survival curve against the calibrated bound shape, fits the
-far-tail decay exponent, and runs the exhaustive decoupling check on a
-small instance.
+empirical survival curve against the calibrated bound shape, and fits
+the far-tail decay exponent.
 """
 
 import numpy as np
@@ -40,11 +39,3 @@ print(f"\ndominance: ok={dom.ok} c_hat={dom.c_hat:.3f} over {dom.n_points} point
 # survival ~ exp(-c sqrt(t)), so the fitted slope sits near 0.5.
 fit = qf.tail_slope_fit(tail)
 print(f"slope fit: beta={fit.slope:.3f} (r^2={fit.r_squared:.4f}) on {fit.n_points} points")
-
-# Decoupling on a tiny instance: the exact L_r ratio between the
-# quadratic and bilinear forms stays below the universal constant 8.
-small = np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 0.25], [-0.5, 0.25, 0.0]])
-print("\nexhaustive decoupling ratios (sparse Rademacher, p = 0.6):")
-for r in (2.0, 4.0, 8.0):
-    ratio = qf.decoupling_check_exhaustive(small, r, p=np.full(3, 0.6))
-    print(f"  r={r:>3}: {ratio:.4f}")

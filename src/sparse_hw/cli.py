@@ -3,7 +3,7 @@
 Every experiment subcommand reads a JSON config (schema-validated, seed
 mandatory), runs deterministically given (config, seed, threads), and
 emits a JSON report plus CSV sidecars.  Numeric results are
-bit-identical for any --threads value (1 to quadform_mc.THREAD_BUDGET,
+bit-identical for any --threads value (1 to THREAD_BUDGET,
 the CPU count by default, the only thread-count setting); only
 wall_clock_s varies.
 
@@ -56,6 +56,12 @@ from .streams import STREAM_LAYOUT, stream
 # The most float64 entries (2 GiB) of an array built from a config size: a generated
 # matrix or vector, random_lowrank factors, sample's draws (not chunked Monte Carlo).
 INPUT_ENTRY_BUDGET = 1 << 28
+# Limits on t_grid "num" and sketch "n_seeds", checked before anything is allocated.
+T_GRID_BUDGET = 1 << 20
+SKETCH_SEED_BUDGET = 1 << 16
+# The most worker threads --threads may ask for: the pool starts one OS
+# thread per submitted chunk, up to this many.
+THREAD_BUDGET = 256
 
 # ---------------------------------------------------------------- schemas
 
@@ -520,8 +526,8 @@ def _build_t_grid(cfg: dict) -> np.ndarray:
         for key in ("kind", "start", "stop", "num"):
             if key not in cfg:
                 raise ConfigError("t_grid needs values or kind/start/stop/num")
-        if cfg["num"] > qf.T_GRID_BUDGET:
-            raise BudgetExceededError(f"t_grid num = {cfg['num']} exceeds {qf.T_GRID_BUDGET}")
+        if cfg["num"] > T_GRID_BUDGET:
+            raise BudgetExceededError(f"t_grid num = {cfg['num']} exceeds {T_GRID_BUDGET}")
         ends = [_finite(cfg[key], f"t_grid {key}") for key in ("start", "stop")]
         space = np.linspace if cfg["kind"] == "linear" else np.geomspace
         grid = space(*ends, cfg["num"])
@@ -544,13 +550,13 @@ def _resolve_l(cfg_l, model: SparseModel, alpha: float) -> float:
 
 
 def _resolve_threads(args) -> int:
-    """--threads, by default the CPU count up to qf.THREAD_BUDGET."""
+    """--threads, by default the CPU count up to THREAD_BUDGET."""
     if args.threads is None:
-        return min(os.cpu_count() or 1, qf.THREAD_BUDGET)
+        return min(os.cpu_count() or 1, THREAD_BUDGET)
     if args.threads < 1:
         raise ConfigError("threads must be at least 1")
-    if args.threads > qf.THREAD_BUDGET:
-        raise BudgetExceededError(f"threads = {args.threads} exceeds {qf.THREAD_BUDGET}")
+    if args.threads > THREAD_BUDGET:
+        raise BudgetExceededError(f"threads = {args.threads} exceeds {THREAD_BUDGET}")
     return args.threads
 
 
@@ -827,8 +833,8 @@ def _rip(cfg: dict, seed: int, threads: int):
 
 def _sketch(cfg: dict, seed: int, threads: int):
     n_seeds = cfg.get("n_seeds", 1)
-    if n_seeds > qf.SKETCH_SEED_BUDGET:
-        raise BudgetExceededError(f"n_seeds = {n_seeds} exceeds {qf.SKETCH_SEED_BUDGET}")
+    if n_seeds > SKETCH_SEED_BUDGET:
+        raise BudgetExceededError(f"n_seeds = {n_seeds} exceeds {SKETCH_SEED_BUDGET}")
     x = _build_matrix(cfg["x"])
     p = cfg["p"]
     r_values = sorted(set(cfg["r_values"]))

@@ -26,7 +26,8 @@ an `ipw_batches` draw, however large the stack, the replicate count or
 comb(d, k) <= RIP_ENUM_BUDGET, unless one replicate alone is larger.
 
 `expected_frob_sq_exact` evaluates E || B^T Diag(delta) A_{theta,p}
-Diag(delta) B ||_F^2 in closed form.  Writing G = B B^T, the expectation
+Diag(delta) B ||_F^2 in closed form, where A_{theta,p} has diagonal
+theta_j^2 / p_j and off-diagonal theta_j theta_k / (p_j p_k).  Writing G = B B^T, the expectation
 expands over index quadruples (l, k, p, q) with weight
 
     W = (prod of p_u over distinct indices u) / (denom(l,k) denom(p,q)),
@@ -250,8 +251,7 @@ def rip_k(m, k: int) -> float | np.ndarray:
 
     Raises ValueError on an empty stack, on inf or NaN entries (in any
     matrix of a stack), or on a symmetric part that overflows.  Raises
-    BudgetExceededError when comb(d, k) exceeds RIP_ENUM_BUDGET; use
-    rip_k_lower_random for a lower bound in that regime.
+    BudgetExceededError when comb(d, k) exceeds RIP_ENUM_BUDGET.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -268,8 +268,7 @@ def rip_k(m, k: int) -> float | np.ndarray:
     n_subsets = math.comb(d, k)
     if n_subsets > RIP_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {RIP_ENUM_BUDGET}; "
-            "rip_k_lower_random gives a certified lower bound instead"
+            f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {RIP_ENUM_BUDGET}"
         )
     sym = sym.reshape(-1, d, d)
     size = max(1, BLOCK_ENTRIES // n_subsets)
@@ -316,48 +315,6 @@ def _spectral_norms(sym: np.ndarray, who: np.ndarray, idx: np.ndarray) -> np.nda
     return np.abs(ev[:, [0, -1]]).max(axis=1)
 
 
-def rip_k_lower_random(m, k: int, n_draws: int = 10**4, seed: int = 0) -> float:
-    """Certified lower bound on rip_k from random k-sparse directions."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("M must be square")
-    d = a.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
-    rng = stream(seed, 0)
-    best = 0.0
-    chunk = max(1, min(n_draws, (1 << 22) // (k * k)))
-    left = n_draws
-    while left > 0:
-        block = min(chunk, left)
-        left -= block
-        supports = np.argsort(rng.random((block, d)), axis=1)[:, :k]
-        v = rng.standard_normal((block, k))
-        norms = np.linalg.norm(v, axis=1)
-        good = norms > 0.0
-        v[good] /= norms[good, None]
-        sub = a[supports[:, :, None], supports[:, None, :]]
-        vals = np.abs(np.einsum("bi,bij,bj->b", v[good], sub[good], v[good]))
-        if vals.size:
-            best = max(best, float(vals.max()))
-    return best
-
-
-def a_theta_p(theta, p) -> np.ndarray:
-    """Weight matrix with diagonal theta_j^2 / p_j and off-diagonal
-    theta_j theta_k / (p_j p_k)."""
-    t = np.asarray(theta, dtype=float)
-    q = np.asarray(p, dtype=float)
-    if t.ndim != 1 or t.shape != q.shape:
-        raise ValueError("theta and p must be vectors of equal length")
-    if np.any(q <= 0.0) or np.any(q > 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    u = t / q
-    out = np.outer(u, u)
-    np.fill_diagonal(out, t * t / q)
-    return out
-
-
 def expected_frob_sq_exact(b, theta, p) -> float:
     """E || B^T Diag(delta) A_{theta,p} Diag(delta) B ||_F^2, exact.
 
@@ -398,30 +355,6 @@ def expected_frob_sq_exact(b, theta, p) -> float:
             w = e_lk * extra_p * extra_q / (denom_lk * denom_pq)
             total += t[l] * t[k] * np.sum(w * outer_theta * np.outer(g[l], g[k]))
     return float(total)
-
-
-def expected_frob_sq_mc(
-    b, theta, p, n_samples: int = 10**5, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the masked-conjugation second moment.
-
-    Returns (mean, standard error); the masks are the only randomness.
-    """
-    bm = np.asarray(b, dtype=float)
-    a = a_theta_p(theta, p)
-    q = np.asarray(p, dtype=float)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = stream(seed, 0)
-    d = bm.shape[0]
-    delta = (rng.random((n_samples, d)) < q).astype(float)
-    bd = delta[:, :, None] * bm[None, :, :]
-    inner = np.einsum("de,nej->ndj", a, bd)
-    m_all = np.einsum("ndm,ndj->nmj", bd, inner)
-    vals = np.sum(m_all * m_all, axis=(1, 2))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return mean, se
 
 
 def k1_k2_terms(model: MultivariateModel, theta) -> tuple[float, float]:

@@ -22,14 +22,16 @@ Sparsity-weighted functionals take a retention-probability vector p:
 * weighted_spectral(A, p) = || (a_ij sqrt(p_i p_j))_ij ||_{2->2}
 * row_weighted_max(A, p)  = max_i (sum_j a_ij^2 p_j)^(1/2)
 
-File format: matrices persist as CSV (one row per line) or as a binary
-blob with a little-endian header (u64 rows, u64 cols) followed by
-row-major f64 entries.
+File format: matrices are read from CSV (one row per line) or from a
+binary blob with a little-endian header (u64 rows, u64 cols) followed by
+row-major f64 entries.  A file with no entries is a ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -346,30 +348,27 @@ class Functionals:
     row_weighted_max = cached_property(lambda self: row_weighted_max(self.a, self.p))
 
 
-def save_matrix_csv(path, a) -> None:
-    np.savetxt(path, _as_matrix(a), delimiter=",")
-
-
 def load_matrix_csv(path) -> np.ndarray:
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():  # a file with no entries is rejected below instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        m = np.loadtxt(path, delimiter=",", ndmin=2)
+    if m.size == 0:
+        raise ValueError(f"matrix file {str(path)!r} holds no entries")
     return _as_matrix(m)
 
 
-def save_matrix_bin(path, a) -> None:
-    """Header u64 rows, u64 cols (little-endian), then row-major f64."""
-    m = _as_matrix(a)
-    with open(path, "wb") as fh:
-        np.array(m.shape, dtype="<u8").tofile(fh)
-        np.ascontiguousarray(m, dtype="<f8").tofile(fh)
-
-
 def load_matrix_bin(path) -> np.ndarray:
+    """The header's rows x cols is checked against the file size before
+    anything is allocated, so a header larger than its file is a
+    truncated payload, not an allocation."""
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype="<u8", count=2)
         if header.size != 2:
             raise ValueError("truncated matrix header")
         rows, cols = int(header[0]), int(header[1])
+        if rows * cols == 0:
+            raise ValueError(f"matrix file {str(path)!r} holds no entries")
+        if rows * cols * 8 > os.fstat(fh.fileno()).st_size - 16:
+            raise ValueError("truncated matrix payload")
         data = np.fromfile(fh, dtype="<f8", count=rows * cols)
-    if data.size != rows * cols:
-        raise ValueError("truncated matrix payload")
     return _as_matrix(data.reshape(rows, cols))

@@ -18,7 +18,6 @@ sample mean, so tail estimates are not contaminated by centering noise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -37,16 +36,9 @@ MC_CHUNK = 1 << 16
 # A chunk is drawn and evaluated in blocks of about this many sample entries
 # (1 MiB of float64), so a block and its statistic stay in cache.
 MC_BLOCK_ENTRIES = 1 << 17
-EXHAUSTIVE_ATOM_BUDGET = 1 << 24
 # The most samples one Monte Carlo run may draw (4.3e9); a larger n_samples
 # raises BudgetExceededError before anything is drawn.
 MC_SAMPLE_BUDGET = 1 << 32
-# Limits on t_grid "num" and sketch "n_seeds", checked before anything is allocated.
-T_GRID_BUDGET = 1 << 20
-SKETCH_SEED_BUDGET = 1 << 16
-# The most worker threads --threads may ask for: the pool starts one OS
-# thread per submitted chunk, up to this many.
-THREAD_BUDGET = 256
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -225,56 +217,6 @@ def simulate_tail(
     """Empirical survival of |S - E S| over t_grid with Wilson intervals."""
     stat = _quadform(inst.a, inst.model)
     return _simulate(stat, inst.mean(), t_grid, n_samples, seed, threads)
-
-
-def _atom_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All outcomes of a sparse Rademacher vector with their probabilities."""
-    supports = []
-    probs = []
-    for pi in p:
-        if pi == 1.0:
-            supports.append((-1.0, 1.0))
-            probs.append((0.5, 0.5))
-        else:
-            supports.append((-1.0, 0.0, 1.0))
-            probs.append((pi / 2, 1.0 - pi, pi / 2))
-    values = np.array(list(itertools.product(*supports)))
-    weight = np.array([math.prod(w) for w in itertools.product(*probs)])
-    return values, weight
-
-
-def decoupling_check_exhaustive(a, r: float, p=None) -> float:
-    """Exact L_r ratio ||xi^T A xi||_r / ||xi^T A xi~||_r by enumeration.
-
-    Coordinates are sparse Rademacher: xi_i takes -1, 0, +1 with
-    probabilities p_i/2, 1-p_i, p_i/2 (p omitted means p = 1).  The
-    decoupling inequality promises the ratio is at most 8 for
-    diagonal-free symmetric A; callers assert that.
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("A must be square")
-    if np.any(np.diag(m) != 0.0):
-        raise ValueError("exhaustive decoupling requires a diagonal-free matrix")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    n = m.shape[0]
-    q = np.full(n, 1.0) if p is None else np.asarray(p, dtype=float)
-    if q.shape != (n,) or np.any(q <= 0.0) or np.any(q > 1.0):
-        raise ValueError("p must be a vector in (0, 1]^n")
-    atoms = math.prod(3 if pi < 1.0 else 2 for pi in q)
-    if atoms * atoms > EXHAUSTIVE_ATOM_BUDGET:
-        raise BudgetExceededError(
-            f"joint enumeration needs {atoms * atoms} atoms, budget is {EXHAUSTIVE_ATOM_BUDGET}"
-        )
-    values, weight = _atom_table(q)
-    s_quad = (values @ m * values).sum(axis=1)
-    moment_quad = float(weight @ np.abs(s_quad) ** r)
-    cross = values @ m @ values.T
-    moment_bil = float(weight @ np.abs(cross) ** r @ weight)
-    if moment_bil == 0.0:
-        return 1.0  # zero off-diagonal mass: both sides vanish
-    return (moment_quad / moment_bil) ** (1.0 / r)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@
 
 Everything here is deliberately written with different algorithms from
 the library (cyclic Jacobi instead of power iteration, literal
-pattern-by-pattern sums instead of a classifier, itertools enumeration
-instead of vectorized atom tables) so agreement is evidence, not
-tautology.
+pattern-by-pattern sums instead of a classifier) so agreement is
+evidence, not tautology.
 
 The exception is the `*_loop`, `*_unblocked`, `*_two_pass` and
 `*_reference` oracles at the end: they are the plain loops,
@@ -21,6 +20,14 @@ compared within 1e-12 relative and its convergence flag exactly.  The
 `*_unblocked` statistics run on the rows of `blocked_draws` stacked
 into one sample, and are compared with == on integer-valued draws,
 where BLAS gives the same bits for any number of rows per product.
+
+The last section holds former package code that no command runs:
+`rip_k_lower_random`, `a_theta_p`, `expected_frob_sq_mc`,
+`save_matrix_csv` and `save_matrix_bin`, moved here with their bodies
+unchanged.  They are not independent algorithms.  They are the random
+lower bound of acceptance 08, the Monte Carlo mask moment that
+acceptance 09 and the covest tests compare `expected_frob_sq_exact`
+with, and the writers of the matrix files the loading tests read.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import math
 
 import numpy as np
 
-from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, lp_norm
+from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, _as_matrix, lp_norm
 from sparse_hw.rv_models import _retained, sample_base, sample_sparse_matrix
 from sparse_hw.streams import chunk_sizes, chunk_stream, stream
 
@@ -496,3 +503,84 @@ def sparse_matrix_divmod(model, n_samples: int, rng) -> np.ndarray:
             rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
             x[rows, cols[j]] = sample_base(model.base, rows.size, rng)
     return x
+
+
+# ---------------------------------------------------------------- former package code
+
+
+def rip_k_lower_random(m, k: int, n_draws: int = 10**4, seed: int = 0) -> float:
+    """Certified lower bound on rip_k from random k-sparse directions."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("M must be square")
+    d = a.shape[0]
+    if not 1 <= k <= d:
+        raise ValueError("need 1 <= k <= d")
+    rng = stream(seed, 0)
+    best = 0.0
+    chunk = max(1, min(n_draws, (1 << 22) // (k * k)))
+    left = n_draws
+    while left > 0:
+        block = min(chunk, left)
+        left -= block
+        supports = np.argsort(rng.random((block, d)), axis=1)[:, :k]
+        v = rng.standard_normal((block, k))
+        norms = np.linalg.norm(v, axis=1)
+        good = norms > 0.0
+        v[good] /= norms[good, None]
+        sub = a[supports[:, :, None], supports[:, None, :]]
+        vals = np.abs(np.einsum("bi,bij,bj->b", v[good], sub[good], v[good]))
+        if vals.size:
+            best = max(best, float(vals.max()))
+    return best
+
+
+def a_theta_p(theta, p) -> np.ndarray:
+    """Weight matrix with diagonal theta_j^2 / p_j and off-diagonal
+    theta_j theta_k / (p_j p_k)."""
+    t = np.asarray(theta, dtype=float)
+    q = np.asarray(p, dtype=float)
+    if t.ndim != 1 or t.shape != q.shape:
+        raise ValueError("theta and p must be vectors of equal length")
+    if np.any(q <= 0.0) or np.any(q > 1.0):
+        raise ValueError("p must lie in (0, 1]")
+    u = t / q
+    out = np.outer(u, u)
+    np.fill_diagonal(out, t * t / q)
+    return out
+
+
+def expected_frob_sq_mc(
+    b, theta, p, n_samples: int = 10**5, seed: int = 0
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the masked-conjugation second moment.
+
+    Returns (mean, standard error); the masks are the only randomness.
+    """
+    bm = np.asarray(b, dtype=float)
+    a = a_theta_p(theta, p)
+    q = np.asarray(p, dtype=float)
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    rng = stream(seed, 0)
+    d = bm.shape[0]
+    delta = (rng.random((n_samples, d)) < q).astype(float)
+    bd = delta[:, :, None] * bm[None, :, :]
+    inner = np.einsum("de,nej->ndj", a, bd)
+    m_all = np.einsum("ndm,ndj->nmj", bd, inner)
+    vals = np.sum(m_all * m_all, axis=(1, 2))
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
+    return mean, se
+
+
+def save_matrix_csv(path, a) -> None:
+    np.savetxt(path, _as_matrix(a), delimiter=",")
+
+
+def save_matrix_bin(path, a) -> None:
+    """Header u64 rows, u64 cols (little-endian), then row-major f64."""
+    m = _as_matrix(a)
+    with open(path, "wb") as fh:
+        np.array(m.shape, dtype="<u8").tofile(fh)
+        np.ascontiguousarray(m, dtype="<f8").tofile(fh)

@@ -868,6 +868,41 @@ def test_norms_unreadable_file_exits_2_with_one_line(tmp_path, capsys, case):
     assert line.startswith("config error: ") and path in line, line
 
 
+def matrix_without_entries(tmp_path, case: str) -> tuple[Path, str]:
+    """A matrix file that holds no matrix, and the one stderr line it must give."""
+    payload = np.zeros(4, dtype="<f8").tobytes()  # a 48-byte file with either big header
+    path, shape, data = {
+        "header-2^20x2^20": ("big.bin", (1 << 20, 1 << 20), payload),
+        "header-2^63x2": ("huge.bin", (1 << 63, 2), payload),
+        "header-0x3": ("none.bin", (0, 3), b""),
+        "empty-csv": ("empty.csv", None, b""),
+    }[case]
+    path = tmp_path / path
+    header = b"" if shape is None else np.array(shape, dtype="<u8").tobytes()
+    path.write_bytes(header + data)
+    if case.startswith("header-2^"):
+        return path, "config error: truncated matrix payload"
+    return path, f"config error: matrix file {str(path)!r} holds no entries"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("case", ["header-2^20x2^20", "header-2^63x2", "header-0x3", "empty-csv"])
+@pytest.mark.parametrize("command", ["norms", "bound-table"])
+def test_matrix_file_without_a_matrix_exits_2_with_one_line(tmp_path, capsys, command, case):
+    # a header is checked against the file size before anything is allocated (it was
+    # an 8 TiB MemoryError or an OverflowError, exit 4), and a file with no entries
+    # is rejected (an empty CSV printed numpy's warning, and norms of it exited 0)
+    path, message = matrix_without_entries(tmp_path, case)
+    if command == "norms":
+        argv = ["norms", str(path)]
+    else:
+        spec = {path.suffix[1:]: str(path)}
+        argv = [command, "--config", write_config(tmp_path, dict(golden_config("bound-table-dense"), matrix=spec))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
 def assert_internal_error(capsys, name: str) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1297,7 +1332,7 @@ def test_config_threads_field_exits_2(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("threads", [5, qf.THREAD_BUDGET, qf.THREAD_BUDGET + 1, 100_000])
+@pytest.mark.parametrize("threads", [5, cli.THREAD_BUDGET, cli.THREAD_BUDGET + 1, 100_000])
 def test_threads_flag_sets_the_thread_count_up_to_the_budget(tmp_path, capsys, threads):
     # n_samples below MC_CHUNK is one chunk, which runs without a pool at any --threads
     cfg = dict(HW_CONFIG, n_samples=1000)
@@ -1305,11 +1340,11 @@ def test_threads_flag_sets_the_thread_count_up_to_the_budget(tmp_path, capsys, t
     out = tmp_path / "out"
     argv = ["hw-verify", "--config", write_config(tmp_path, cfg), "--threads", str(threads)]
     code = main([*argv, "--out", str(out)])
-    if threads <= qf.THREAD_BUDGET:
+    if threads <= cli.THREAD_BUDGET:
         assert code in (0, 1) and read_report(out)["threads"] == threads
     else:
         assert code == 3 and not out.exists()
-        message = f"budget exceeded: threads = {threads} exceeds {qf.THREAD_BUDGET}"
+        message = f"budget exceeded: threads = {threads} exceeds {cli.THREAD_BUDGET}"
         assert capsys.readouterr().err.splitlines() == [message]
 
 

@@ -30,6 +30,7 @@ CONFIG_CASES = {
     "sample": ("sample", 0),
     "bound-table-dense": ("bound-table", 0),
     "bound-table-heavy": ("bound-table", 0),
+    "bound-table-quadrature": ("bound-table", 0),
 }
 
 

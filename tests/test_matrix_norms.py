@@ -12,6 +12,8 @@ from oracles import (
     opnorm_block_reference,
     opnorm_grid,
     opnorm_loop,
+    save_matrix_bin,
+    save_matrix_csv,
 )
 from sparse_hw.matrix_norms import (
     _dual_rows,
@@ -27,8 +29,6 @@ from sparse_hw.matrix_norms import (
     opnorm,
     opnorm_detail,
     row_weighted_max,
-    save_matrix_bin,
-    save_matrix_csv,
     weighted_spectral,
 )
 from sparse_hw.streams import stream

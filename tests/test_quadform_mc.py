@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import exact_bilinear_moment, exact_quadform_moment, exact_survival
+from oracles import exact_survival
 from sparse_hw import quadform_mc
 from sparse_hw.errors import BudgetExceededError
 from sparse_hw.quadform_mc import (
     EmpiricalTail,
     QuadFormInstance,
-    decoupling_check_exhaustive,
     dominance_check,
     lower_bound_check,
     simulate_linear_tail,
@@ -255,34 +254,6 @@ def test_decoupled_distribution_is_symmetric():
     vals = (x @ EXCHANGE * xt).sum(axis=1)
     se = float(np.std(vals)) / math.sqrt(vals.size)
     assert abs(float(np.mean(vals))) <= 4 * se
-
-
-def test_decoupling_exhaustive_exchange():
-    # quad L4 = 2; bilinear L4 = (8)^(1/4); ratio 2^(1/4)
-    assert math.isclose(decoupling_check_exhaustive(EXCHANGE, 4.0), 2 ** 0.25, rel_tol=1e-12)
-    assert decoupling_check_exhaustive(np.zeros((3, 3)), 2.0) == 1.0
-
-
-def test_decoupling_exhaustive_vs_independent_enumeration():
-    rng = stream(201, 0)
-    a = rng.standard_normal((3, 3))
-    a = 0.5 * (a + a.T)
-    np.fill_diagonal(a, 0.0)
-    for p, r in ((1.0, 2.0), (0.5, 4.0)):
-        ours = decoupling_check_exhaustive(a, r, p=np.full(3, p))
-        ref = exact_quadform_moment(a, p, r) / exact_bilinear_moment(a, p, r)
-        assert math.isclose(ours, ref, rel_tol=1e-10)
-        assert ours <= 8.0
-
-
-def test_decoupling_budget_guard():
-    big = np.ones((13, 13)) - np.eye(13)
-    with pytest.raises(BudgetExceededError):
-        decoupling_check_exhaustive(big, 2.0)
-    with pytest.raises(ValueError):
-        decoupling_check_exhaustive(EXCHANGE, 0.5)
-    with pytest.raises(ValueError):
-        decoupling_check_exhaustive(np.eye(2), 2.0)
 
 
 def test_tail_slope_fit_synthetic_lines():
