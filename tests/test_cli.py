@@ -889,9 +889,8 @@ def matrix_without_entries(tmp_path, case: str) -> tuple[Path, str]:
 @pytest.mark.parametrize("case", ["header-2^20x2^20", "header-2^63x2", "header-0x3", "empty-csv"])
 @pytest.mark.parametrize("command", ["norms", "bound-table"])
 def test_matrix_file_without_a_matrix_exits_2_with_one_line(tmp_path, capsys, command, case):
-    # a header is checked against the file size before anything is allocated (it was
-    # an 8 TiB MemoryError or an OverflowError, exit 4), and a file with no entries
-    # is rejected (an empty CSV printed numpy's warning, and norms of it exited 0)
+    # a header must fit its file before anything is allocated (a 2^20 x 2^20 header
+    # asks for 8 TiB), and a file with no entries is a config error for every command
     path, message = matrix_without_entries(tmp_path, case)
     if command == "norms":
         argv = ["norms", str(path)]
