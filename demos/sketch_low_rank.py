@@ -25,7 +25,7 @@ for r in (8, 16, 32, 64, 128):
     row = []
     for p in (1.0, 0.5, 0.25):
         errs = [
-            sk.low_rank_approx(x, r, p, seed=40 + s, allow_wide=True, fact=fact).error_max
+            sk.low_rank_approx(x, r, p, seed=40 + s, allow_wide=True, fact=fact)[2]
             for s in range(30)
         ]
         row.append(float(np.median(errs)))
@@ -34,10 +34,10 @@ for r in (8, 16, 32, 64, 128):
 # eps is the tightest that the condition on r certifies at this r, and the
 # entrywise bound at that eps depends on X, r and p but not on the seed.
 eps, bound = sk.sketch_bound(fact, 64, 0.5)
-res = sk.low_rank_approx(x, 64, 0.5, seed=1, allow_wide=True, fact=fact)
+fu, fv, error_max = sk.low_rank_approx(x, 64, 0.5, seed=1, allow_wide=True, fact=fact)
 print(f"\nr=64, p=0.5: eps={eps:.3f}")
-print(f"entrywise bound {bound:.3f} vs realized error {res.error_max:.3f}")
+print(f"entrywise bound {bound:.3f} vs realized error {error_max:.3f}")
 
-# Output rank never exceeds min(detected rank, r).
-sv = np.linalg.svd(res.y, compute_uv=False)
+# Output rank never exceeds min(detected rank, r); Y = fu fv^T / p.
+sv = np.linalg.svd(fu @ fv.T / 0.5, compute_uv=False)
 print(f"output singular values beyond rank 8 are numerically zero: {sv[8] <= 1e-9 * sv[0]}")

@@ -186,12 +186,10 @@ def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, .
 
 @dataclass(frozen=True)
 class BoundEval:
-    """One comparison entry: bound value and exponent, each of the shape of
-    t, and whether the inequality's stated alpha range covers the
-    requested alpha."""
+    """One comparison entry: bound value, of the shape of t, and whether
+    the inequality's stated alpha range covers the requested alpha."""
 
     value: float | np.ndarray
-    exponent: float | np.ndarray
     applicable: bool
 
 
@@ -215,8 +213,7 @@ def comparison_bounds(
     tn = t / L**2  # threshold in L^2 units
 
     def entry(regimes, tt, applicable):
-        tb = TailBound(regimes, constants)
-        return BoundEval(tb.prob(tt), tb.exponent(tt), applicable)
+        return BoundEval(TailBound(regimes, constants).prob(tt), applicable)
 
     out: dict[str, BoundEval] = {}
     out["classical_hw"] = entry(

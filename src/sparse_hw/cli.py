@@ -798,15 +798,16 @@ def _rip(cfg: dict, seed: int, threads: int):
     rhs = cv.rip_bound_rhs(t_values, k, model, n, cfg.get("theta_budget", 128), seed).value
     if not np.any(model.b):
         return _degenerate("B")
+    # after the degenerate return (a zero B gives rhs 0), before anything is drawn
+    if not np.all(np.isfinite(rhs)):
+        raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
+    if rhs[-1] == 0.0:  # B is not zero, but its K1 and K2 terms underflow
+        raise ConfigError("bound_rhs underflows to 0: B is too small for its K1 and K2 terms")
     sigma = model.sigma()
     # in this thread (a pool only waits on the GIL); rip_k rejects inf and NaN deviations
     rips = np.concatenate(
         cv.ipw_batches(model, n, cfg["replicates"], seed, lambda est: cv.rip_k(est - sigma, k))
     )
-    if not np.all(np.isfinite(rhs)):
-        raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
-    if rhs[-1] == 0.0:  # B is not zero, but its K1 and K2 terms underflow
-        raise ConfigError("bound_rhs underflows to 0: B is too small for its K1 and K2 terms")
     rhs = rhs.tolist()
     ordered = np.sort(rips)
     quantiles = [_sorted_quantile(ordered, max(0.0, 1.0 - 2.0 * math.exp(-t))) for t in t_values]
@@ -848,8 +849,8 @@ def _sketch(cfg: dict, seed: int, threads: int):
     for r in r_values:
         errs = np.empty(n_seeds)
         for s in range(n_seeds):
-            res = sk.low_rank_approx(x, r, p, seed + s, xi=xi, allow_wide=allow_wide, fact=fact)
-            errs[s] = res.error_max
+            fu, fv, errs[s] = sk.low_rank_approx(x, r, p, seed + s, xi, allow_wide, fact)
+        error_max = float(errs[-1])  # the last sketch's; errs is sorted in place
         errs.sort()
         medians.append(_sorted_median(errs))
         eps, bound = sk.sketch_bound(fact, r, p, eta, c1)  # the same for every seed
@@ -877,12 +878,12 @@ def _sketch(cfg: dict, seed: int, threads: int):
     tables = {"errors": (["r", "median_error", "bound"], rows)}
 
     def save_last_sketch(out: Path) -> None:
-        np.savetxt(out / "factor_left.csv", res.fu, delimiter=",")
-        np.savetxt(out / "factor_right.csv", res.fv, delimiter=",")
+        np.savetxt(out / "factor_left.csv", fu, delimiter=",")
+        np.savetxt(out / "factor_right.csv", fv, delimiter=",")
         # the last sketch (the largest r at the last seed), with that r's eps and bound
-        meta = {key: getattr(res, key) for key in ("r", "p", "seed", "scale", "xi")}
-        meta |= {"eps": eps, "error_max": res.error_max, "bound": bound}
-        meta |= {"detected_rank": res.detected_rank, "truncated": res.truncated}
+        meta = {"r": r, "p": p, "seed": seed + n_seeds - 1, "scale": 1.0 / p, "xi": xi}
+        meta |= {"eps": eps, "error_max": error_max, "bound": bound}
+        meta |= {"detected_rank": fact.rank, "truncated": fact.truncated}
         with open(out / "sketch_meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
 
@@ -979,16 +980,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory for report and tables")
 
 
-# each subcommand's help, in the order `sparse-hw --help` lists them
+# each subcommand's help and config body, in the order `sparse-hw --help` lists
+# them; norms reads a matrix file and options instead of a config, so has no body
 _SUBCOMMANDS = {
-    "hw-verify": "simulate a quadratic-form tail and verify the sparse bounds",
-    "bernstein-verify": "simulate a linear-form tail and verify its bound",
-    "covest": "IPW covariance estimator unbiasedness experiment",
-    "rip": "k-sparse deviation concentration experiment",
-    "sketch": "sparsified-sketch low-rank approximation",
-    "sample": "draw samples from a base law or sparse model",
-    "bound-table": "tabulate comparison bounds over a threshold grid",
-    "norms": "print matrix functionals",
+    "hw-verify": ("simulate a quadratic-form tail and verify the sparse bounds", _hw_verify),
+    "bernstein-verify": ("simulate a linear-form tail and verify its bound", _bernstein_verify),
+    "covest": ("IPW covariance estimator unbiasedness experiment", _covest),
+    "rip": ("k-sparse deviation concentration experiment", _rip),
+    "sketch": ("sparsified-sketch low-rank approximation", _sketch),
+    "sample": ("draw samples from a base law or sparse model", _sample),
+    "bound-table": ("tabulate comparison bounds over a threshold grid", _bound_table),
+    "norms": ("print matrix functionals", None),
 }
 
 
@@ -1009,30 +1011,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    bodies = {
-        "hw-verify": _hw_verify,
-        "bernstein-verify": _bernstein_verify,
-        "covest": _covest,
-        "rip": _rip,
-        "sketch": _sketch,
-        "sample": _sample,
-        "bound-table": _bound_table,
-    }
-    for name, body in bodies.items():
-        if command in (None, name):
-            sub = subs.add_parser(name, help=_SUBCOMMANDS[name])
+    for name, (help_text, body) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        sub = subs.add_parser(name, help=help_text)
+        if body is not None:
             _add_common(sub)
             sub.set_defaults(handler=functools.partial(_run, name, body))
-
-    if command in (None, "norms"):
-        norms = subs.add_parser("norms", help=_SUBCOMMANDS["norms"])
-        norms.add_argument("matrix", help="matrix file (CSV, or binary with --format bin)")
-        norms.add_argument("--format", choices=["auto", "csv", "bin"], default="auto")
-        norms.add_argument("--p", default=None, help="retention probabilities (scalar or comma list)")
-        norms.add_argument("--alpha", type=float, default=None)
-        norms.add_argument("--out", default=None)
-        norms.set_defaults(handler=_cmd_norms)
-
+        else:  # norms
+            sub.add_argument("matrix", help="matrix file (CSV, or binary with --format bin)")
+            sub.add_argument("--format", choices=["auto", "csv", "bin"], default="auto")
+            sub.add_argument("--p", default=None, help="retention probabilities (scalar or comma list)")
+            sub.add_argument("--alpha", type=float, default=None)
+            sub.add_argument("--out", default=None)
+            sub.set_defaults(handler=_cmd_norms)
     return parser
 
 
@@ -1055,7 +1047,7 @@ def main(argv=None) -> int:
         return 3
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not an input error
         return _internal_error(exc)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is one
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

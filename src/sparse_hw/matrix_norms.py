@@ -358,9 +358,10 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def load_matrix_bin(path) -> np.ndarray:
-    """The header's rows x cols is checked against the file size before
-    anything is allocated, so a header larger than its file is a
-    truncated payload, not an allocation."""
+    """The payload must be exactly the header's rows x cols entries.  It is
+    checked against the file size before anything is allocated, so a
+    header larger than its file is a truncated payload, not an
+    allocation, and bytes past the last entry are rejected, not ignored."""
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype="<u8", count=2)
         if header.size != 2:
@@ -368,7 +369,12 @@ def load_matrix_bin(path) -> np.ndarray:
         rows, cols = int(header[0]), int(header[1])
         if rows * cols == 0:
             raise ValueError(f"matrix file {str(path)!r} holds no entries")
-        if rows * cols * 8 > os.fstat(fh.fileno()).st_size - 16:
+        extra = os.fstat(fh.fileno()).st_size - 16 - rows * cols * 8
+        if extra < 0:
             raise ValueError("truncated matrix payload")
+        if extra > 0:
+            raise ValueError(
+                f"matrix file {str(path)!r} holds {extra} bytes past its {rows} x {cols} entries"
+            )
         data = np.fromfile(fh, dtype="<f8", count=rows * cols)
     return _as_matrix(data.reshape(rows, cols))

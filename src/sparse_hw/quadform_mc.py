@@ -222,7 +222,6 @@ def simulate_tail(
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
     r_squared: float
     n_points: int
     t_window: tuple[float, float]
@@ -254,7 +253,6 @@ def tail_slope_fit(tail: EmpiricalTail) -> SlopeFit:
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return SlopeFit(
         slope=float(slope),
-        intercept=float(intercept),
         r_squared=r2,
         n_points=int(mask.sum()),
         t_window=(float(tail.t_grid[mask].min()), float(tail.t_grid[mask].max())),

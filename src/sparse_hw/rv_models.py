@@ -125,7 +125,8 @@ class SparseModel:
 
     p: tuple[float, ...]
     base: DistributionSpec
-    _groups: tuple = field(init=False, repr=False, compare=False)
+    # (p_i, columns) for each distinct p_i, in first-occurrence order
+    groups: tuple[tuple[float, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = tuple(float(v) for v in np.atleast_1d(np.asarray(self.p, dtype=float)))
@@ -134,21 +135,14 @@ class SparseModel:
         if any(math.isnan(v) or v < 0.0 or v > 1.0 for v in p):
             raise ValueError("retention probabilities must lie in [0, 1]")
         object.__setattr__(self, "p", p)
-        groups: dict[float, list[int]] = {}
+        by_p: dict[float, list[int]] = {}
         for i, q in enumerate(p):
-            groups.setdefault(q, []).append(i)
-        object.__setattr__(
-            self, "_groups", tuple((q, np.array(cols)) for q, cols in groups.items())
-        )
+            by_p.setdefault(q, []).append(i)
+        object.__setattr__(self, "groups", tuple((q, np.array(cols)) for q, cols in by_p.items()))
 
     @property
     def dim(self) -> int:
         return len(self.p)
-
-    @property
-    def groups(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """(p_i, columns) for each distinct p_i, in first-occurrence order."""
-        return self._groups
 
     def p_array(self) -> np.ndarray:
         return np.asarray(self.p, dtype=float)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +75,6 @@ class FactoredMatrix:
 
     def v_tilde(self) -> np.ndarray:
         return self.v * np.sqrt(self.s)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
 
 
 def thin_svd(x) -> FactoredMatrix:
@@ -197,26 +193,6 @@ def sketch_bound(
     return eps, theorem_bound_22(fact.rank, eps, p, m, n, mu_col, mu_row, float(fact.s[0]))
 
 
-@dataclass(frozen=True)
-class SketchResult:
-    """Sketch output in factored form: Y = scale * fu @ fv.T."""
-
-    fu: np.ndarray
-    fv: np.ndarray
-    scale: float
-    detected_rank: int
-    r: int
-    p: float
-    seed: int
-    xi: str
-    truncated: bool
-    error_max: float
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return self.scale * (self.fu @ self.fv.T)
-
-
 def low_rank_approx(
     x,
     r: int,
@@ -225,8 +201,11 @@ def low_rank_approx(
     xi: str = "gaussian",
     allow_wide: bool = False,
     fact: FactoredMatrix | None = None,
-) -> SketchResult:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Sparsified sketch approximation of X at target rank r.
+
+    Returns (fu, fv, error_max): Y = fu @ fv.T / p in factored form and
+    error_max = max |X - Y|.
 
     r is required to stay within the detected rank k; pass
     allow_wide=True to sketch with r > k anyway (the output rank stays
@@ -251,15 +230,4 @@ def low_rank_approx(
         error_max = float(np.max(np.abs(m - (fu @ fv.T) / p)))
     if not math.isfinite(error_max):
         raise ValueError(f"the sketch error of X at r={r} is {error_max}")
-    return SketchResult(
-        fu=fu,
-        fv=fv,
-        scale=1.0 / p,
-        detected_rank=k,
-        r=r,
-        p=p,
-        seed=seed,
-        xi=xi,
-        truncated=fact.truncated,
-        error_max=error_max,
-    )
+    return fu, fv, error_max

@@ -23,11 +23,13 @@ where BLAS gives the same bits for any number of rows per product.
 
 The last section holds former package code that no command runs:
 `rip_k_lower_random`, `a_theta_p`, `expected_frob_sq_mc`,
-`save_matrix_csv` and `save_matrix_bin`, moved here with their bodies
-unchanged.  They are not independent algorithms.  They are the random
-lower bound of acceptance 08, the Monte Carlo mask moment that
-acceptance 09 and the covest tests compare `expected_frob_sq_exact`
-with, and the writers of the matrix files the loading tests read.
+`save_matrix_csv`, `save_matrix_bin` and `reconstruct` (once the method
+FactoredMatrix.reconstruct), moved here with their bodies unchanged.
+They are not independent algorithms.  They are the random lower bound
+of acceptance 08, the Monte Carlo mask moment that acceptance 09 and
+the covest tests compare `expected_frob_sq_exact` with, the writers of
+the matrix files the loading tests read, and the product U diag(S) V^T
+that the thin_svd tests compare with X.
 """
 
 from __future__ import annotations
@@ -584,3 +586,8 @@ def save_matrix_bin(path, a) -> None:
     with open(path, "wb") as fh:
         np.array(m.shape, dtype="<u8").tofile(fh)
         np.ascontiguousarray(m, dtype="<f8").tofile(fh)
+
+
+def reconstruct(f) -> np.ndarray:
+    """U diag(S) V^T of a sketchlr.FactoredMatrix f."""
+    return (f.u * f.s) @ f.v.T

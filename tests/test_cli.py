@@ -1,6 +1,5 @@
 """End-to-end tests for the command line interface."""
 
-import dataclasses
 import json
 import math
 import os
@@ -553,12 +552,14 @@ def test_rejections_keep_their_message_without_jsonschema(tmp_path):
             "Sigma = B B^T overflows",
             id="rip-overflowing-sigma",
         ),
-        # Sigma is finite, but the IPW estimate of its largest entry is not
+        # Sigma is finite, but the IPW estimate of its largest entry is not; bound_rhs (whose
+        # K2 term holds B's entries to the fourth power) overflows first and is now rejected
+        # before a replicate is drawn, so rip_k's "M has inf or NaN entries" is not reached
         pytest.param(
             "rip",
             json.loads((GOLDEN_RIP / "config.json").read_text())
             | {"b": {"values": [[1.2e154, 0.0], [0.0, 1.0]]}},
-            "M has inf or NaN entries",
+            "bound_rhs overflows a float",
             id="rip-overflowing-estimate",
         ),
         # json reads an integer of any size and the schema bounds compare it
@@ -709,6 +710,31 @@ def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        ([[1e100, 0.0], [0.0, 1.0]], "bound_rhs overflows a float: B is too large for its K1 or K2 term"),
+        ([[1e-300, 0.0], [0.0, 1e-300]], "bound_rhs underflows to 0: B is too small for its K1 and K2 terms"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_rip_rejects_an_unusable_bound_before_it_draws(tmp_path, monkeypatch, capsys, b, message):
+    # bound_rhs does not depend on the draws: a run that cannot use it draws no replicate
+    calls = []
+    ipw_batches = cv.ipw_batches
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return ipw_batches(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "ipw_batches", spy)
+    cfg = golden_config("rip") | {"b": {"values": b}, "k": 1}
+    assert main(["rip", "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -869,28 +895,36 @@ def test_norms_unreadable_file_exits_2_with_one_line(tmp_path, capsys, case):
 
 
 def matrix_without_entries(tmp_path, case: str) -> tuple[Path, str]:
-    """A matrix file that holds no matrix, and the one stderr line it must give."""
+    """A matrix file that holds no matrix, or not the one its header names,
+    and the one stderr line it must give."""
     payload = np.zeros(4, dtype="<f8").tobytes()  # a 48-byte file with either big header
     path, shape, data = {
         "header-2^20x2^20": ("big.bin", (1 << 20, 1 << 20), payload),
         "header-2^63x2": ("huge.bin", (1 << 63, 2), payload),
         "header-0x3": ("none.bin", (0, 3), b""),
         "empty-csv": ("empty.csv", None, b""),
+        # once loaded as [[0, 1], [2, 3]] without a word
+        "header-2x2-5-entries": ("long.bin", (2, 2), np.arange(5, dtype="<f8").tobytes()),
     }[case]
     path = tmp_path / path
     header = b"" if shape is None else np.array(shape, dtype="<u8").tobytes()
     path.write_bytes(header + data)
     if case.startswith("header-2^"):
         return path, "config error: truncated matrix payload"
+    if case == "header-2x2-5-entries":
+        return path, f"config error: matrix file {str(path)!r} holds 8 bytes past its 2 x 2 entries"
     return path, f"config error: matrix file {str(path)!r} holds no entries"
 
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
-@pytest.mark.parametrize("case", ["header-2^20x2^20", "header-2^63x2", "header-0x3", "empty-csv"])
+@pytest.mark.parametrize(
+    "case", ["header-2^20x2^20", "header-2^63x2", "header-0x3", "empty-csv", "header-2x2-5-entries"]
+)
 @pytest.mark.parametrize("command", ["norms", "bound-table"])
 def test_matrix_file_without_a_matrix_exits_2_with_one_line(tmp_path, capsys, command, case):
     # a header must fit its file before anything is allocated (a 2^20 x 2^20 header
-    # asks for 8 TiB), and a file with no entries is a config error for every command
+    # asks for 8 TiB) and fill it exactly, and a file with no entries is a config
+    # error for every command
     path, message = matrix_without_entries(tmp_path, case)
     if command == "norms":
         argv = ["norms", str(path)]
@@ -920,7 +954,8 @@ def test_unexpected_exceptions_exit_4_with_one_line(tmp_path, monkeypatch, capsy
     def body(cfg, seed, threads):
         raise error
 
-    monkeypatch.setattr(cli, "_rip", body)
+    # bodies are bound into the registry when cli loads, so the entry is patched
+    monkeypatch.setitem(cli._SUBCOMMANDS, "rip", (cli._SUBCOMMANDS["rip"][0], body))
     argv = ["rip", "--config", str(GOLDEN_RIP / "config.json"), "--out", str(tmp_path)]
     assert main(argv) == 4
     assert_internal_error(capsys, type(error).__name__)
@@ -1087,8 +1122,8 @@ def test_sketch_median_that_rises_beyond_rounding_fails(tmp_path, monkeypatch):
     low_rank_approx = sk.low_rank_approx
 
     def raised(x, r, *args, **kwargs):
-        res = low_rank_approx(x, r, *args, **kwargs)
-        return dataclasses.replace(res, error_max=res.error_max + 64 * np.finfo(float).eps * (r == 2))
+        fu, fv, error_max = low_rank_approx(x, r, *args, **kwargs)
+        return fu, fv, error_max + 64 * np.finfo(float).eps * (r == 2)
 
     monkeypatch.setattr(sk, "low_rank_approx", raised)
     out = tmp_path / "out"

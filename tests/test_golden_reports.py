@@ -24,6 +24,7 @@ CONFIG_CASES = {
     "hw-verify-degenerate": ("hw-verify", 0),
     "bernstein-verify": ("bernstein-verify", 0),
     "bernstein-verify-unresolved": ("bernstein-verify", 1),
+    "bernstein-verify-degenerate": ("bernstein-verify", 0),
     "covest": ("covest", 0),
     "rip": ("rip", 0),
     "sketch": ("sketch", 0),

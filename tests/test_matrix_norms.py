@@ -441,3 +441,13 @@ def test_bin_truncation_errors(tmp_path):
     short_payload.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="payload"):
         load_matrix_bin(short_payload)
+
+
+@pytest.mark.parametrize("extra", [b"\0" * 8, b"\0" * 3], ids=["one-entry", "three-bytes"])
+def test_bin_longer_than_its_header_is_rejected(tmp_path, extra):
+    # the payload is exactly rows x cols entries; trailing bytes were once ignored
+    path = tmp_path / "m.bin"
+    save_matrix_bin(path, np.arange(4.0).reshape(2, 2))
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(ValueError, match=f"holds {len(extra)} bytes past its 2 x 2 entries"):
+        load_matrix_bin(path)

@@ -2,13 +2,15 @@
 
 The golden cases run under sys.setprofile, with `norms` also run on the
 golden norms matrix written as a binary file.  A public module-level
-function of sparse_hw that none of these runs calls fails the test,
+function of sparse_hw, or a public method, property or cached_property
+of a class defined there, that none of these runs calls fails the test,
 unless KEPT names it with the reason it stays.  Code that only the tests
 call belongs in tests/oracles.py.  A KEPT entry that a run now calls,
 or that no longer exists, fails too, so the list stays short.
 """
 
 import contextlib
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -29,13 +31,25 @@ KEPT = {
 
 
 def public_functions() -> dict:
-    """'module.name' -> code object of every public function defined at module level."""
+    """'module.name' -> code object of every public function defined at module
+    level, and 'module.Class.attr' -> that of every public method, property
+    (its getter) and cached_property of a public class defined there."""
     found = {}
     for info in pkgutil.iter_modules(sparse_hw.__path__):
         module = importlib.import_module(f"sparse_hw.{info.name}")
         for name, obj in vars(module).items():
-            if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
                 found[f"{info.name}.{name}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, functools.cached_property):
+                        member = member.func
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        found[f"{info.name}.{name}.{attr}"] = member.__code__
     return found
 
 
