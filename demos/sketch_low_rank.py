@@ -16,7 +16,8 @@ rng = stream(6, 0)
 x = rng.standard_normal((48, 8)) @ rng.standard_normal((8, 32))
 fact = sk.thin_svd(x)
 print(f"target: {x.shape[0]}x{x.shape[1]}, detected rank {fact.rank}")
-print(f"column coherence {sk.coherence(fact.u):.3f}, row coherence {sk.coherence(fact.v):.3f}")
+mu_col, mu_row = fact.coherences
+print(f"column coherence {mu_col:.3f}, row coherence {mu_row:.3f}")
 print(f"spectral norm {fact.s[0]:.3f}, frobenius {np.linalg.norm(x, 'fro'):.3f}")
 
 print("\nmedian entrywise error over 30 sketch seeds")

@@ -795,7 +795,7 @@ def _rip(cfg: dict, seed: int, threads: int):
     t_values = sorted(float(t) for t in _build_t_grid({"values": cfg["t_values"]}))
     slack = _finite(cfg.get("rel_slack", 0.0), "rel_slack")
     # checks k and the theta budget before anything is drawn
-    rhs = cv.rip_bound_rhs(t_values, k, model, n, cfg.get("theta_budget", 128), seed).value
+    rhs = cv.rip_bound_rhs(t_values, k, model, n, cfg.get("theta_budget", 128)).value
     if not np.any(model.b):
         return _degenerate("B")
     # after the degenerate return (a zero B gives rhs 0), before anything is drawn
@@ -839,6 +839,8 @@ def _sketch(cfg: dict, seed: int, threads: int):
     x = _build_matrix(cfg["x"])
     p = cfg["p"]
     r_values = sorted(set(cfg["r_values"]))
+    # the last sketch's factors are (rows, r) and (cols, r)
+    _check_input_size(r_values[-1] * sum(x.shape), "max(r_values) x (rows + cols)")
     xi = cfg.get("xi", "gaussian")
     eta = cfg.get("eta", 0.1)
     c1 = _finite(cfg.get("c1", 1.0), "c1")

@@ -42,6 +42,7 @@ the uniform weight form above is the one that matches Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -61,6 +62,7 @@ BLOCK_ENTRIES = 1 << 17  # entries of the largest array of a rip_k block or an I
 RIP_TOP_FIRST = 8  # largest-bound subsets a matrix decomposes first in each block
 EXACT_FROB_BUDGET = 10**9  # number of weighted quadruple terms
 IPW_BATCH = 512  # the most replicates that ipw_batches draws and estimates at once
+RIP_DIRECTION_KEY = (0, 2**64 - 1)  # of rip_bound_rhs's directions; no seeded stream reaches it
 _SAMPLES = "samples"  # file name stem of save_samples
 
 
@@ -110,6 +112,13 @@ class MultivariateModel:
 
     def sigma(self) -> np.ndarray:
         return self.b @ self.b.T
+
+    @functools.cached_property
+    def k1_scale(self) -> float:
+        """||B||_{2->2} (||Diag(sqrt(p)) B||_F + ||B||_{2->2}), the theta-free factor of K1."""
+        spec_b = mn.opnorm(self.b, 2, 2)
+        weighted_fro = float(np.linalg.norm(np.sqrt(self.p_array())[:, None] * self.b, "fro"))
+        return spec_b * (weighted_fro + spec_b)
 
 
 def generate_samples(
@@ -367,15 +376,8 @@ def k1_k2_terms(model: MultivariateModel, theta) -> tuple[float, float]:
     q = model.p_array()
     if t.shape != (model.dim,):
         raise ValueError("theta must have one entry per row of B")
-    k1 = _k1_scale(model) * float(np.sum((t / q) ** 2))
+    k1 = model.k1_scale * float(np.sum((t / q) ** 2))
     return k1, math.sqrt(expected_frob_sq_exact(model.b, t, q))
-
-
-def _k1_scale(model: MultivariateModel) -> float:
-    """||B||_{2->2} (||Diag(sqrt(p)) B||_F + ||B||_{2->2}), the theta-free factor of K1."""
-    spec_b = mn.opnorm(model.b, 2, 2)
-    weighted_fro = float(np.linalg.norm(np.sqrt(model.p_array())[:, None] * model.b, "fro"))
-    return spec_b * (weighted_fro + spec_b)
 
 
 @dataclass(frozen=True)
@@ -391,25 +393,20 @@ class RipBound:
 
 
 def rip_bound_rhs(
-    t,
-    k: int,
-    model: MultivariateModel,
-    n: int,
-    theta_budget: int = 128,
-    seed: int = 0,
+    t, k: int, model: MultivariateModel, n: int, theta_budget: int = 128
 ) -> RipBound:
     """High-probability bound on rip_k(Sigma_hat - Sigma) from n samples.
 
     With u = t + k log(48 e d / k) the bound is
     sqrt(u / n) sup K2 + (u^{3/4} / n^{3/4} + u^{2/alpha} / n) sup K1,
     both sups over k-sparse unit directions.  sup K1 is closed form
-    (all mass on the smallest p); sup K2 is maximized over the axis
-    directions plus theta_budget random k-sparse directions, one K2
-    kernel call each (K1 is not needed per direction, so ||B||_{2->2} is
-    computed once).  t may be a scalar or an array: both sups are
-    computed once for all of it.  More than EXACT_FROB_BUDGET terms of K2
-    in the d + theta_budget directions (s^2 d^2 for s <= k nonzero
-    entries) raise BudgetExceededError before any direction is drawn.
+    (all mass on the smallest p); sup K2 is the largest k1_k2_terms K2
+    over the axis directions plus theta_budget random k-sparse directions
+    from stream RIP_DIRECTION_KEY, the same at every run seed.  t may be
+    a scalar or an array: both sups are computed once for all of it.
+    More than EXACT_FROB_BUDGET terms of K2 in the d + theta_budget
+    directions (s^2 d^2 for s <= k nonzero entries) raise
+    BudgetExceededError before any direction is drawn.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # NaN fails >= too
@@ -424,11 +421,10 @@ def rip_bound_rhs(
             f"theta_budget = {theta_budget}: {d} + theta_budget directions of up to "
             f"k^2 d^2 = {k * k * d * d} terms exceed the K2 budget of {EXACT_FROB_BUDGET} terms"
         )
-    q = model.p_array()
     u = t + k * math.log(48.0 * math.e * d / k)
-    sup_k1 = _k1_scale(model) / float(np.min(q)) ** 2
+    sup_k1 = model.k1_scale / float(np.min(model.p_array())) ** 2
 
-    rng = stream(seed, 0)
+    rng = stream(*RIP_DIRECTION_KEY)
     thetas = [np.eye(d)[i] for i in range(d)]
     for _ in range(theta_budget):
         support = rng.choice(d, size=k, replace=False)
@@ -439,7 +435,7 @@ def rip_bound_rhs(
         th = np.zeros(d)
         th[support] = v / nv
         thetas.append(th)
-    sup_k2 = max(math.sqrt(expected_frob_sq_exact(model.b, th, q)) for th in thetas)
+    sup_k2 = max(k1_k2_terms(model, th)[1] for th in thetas)
 
     term_k2 = np.sqrt(u / n) * sup_k2
     term_k1_34 = np.power(u / n, 0.75) * sup_k1

@@ -19,12 +19,13 @@ mu_row are the column/row space coherences of X.
 Column j of Q is one row of rv_models.sample_sparse_matrix, the
 package's sparse sampler, drawn from stream (seed, j).  eps and the
 bound depend on X, r, p, eta and C1 but not on the seed, so
-`sketch_bound` gives them once per r, eps being the smallest that the
-condition on r admits; `low_rank_approx` draws one sketch.
+`sketch_bound` computes both once per r, eps being the smallest that
+the condition on r admits; `low_rank_approx` draws one sketch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,9 +37,6 @@ from .streams import stream
 # thin_svd keeps the singular values s_i >= RANK_TOL * s_1.
 RANK_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-8
-# A coherence is at least 1 in exact arithmetic, but coherence() of a square
-# orthonormal factor comes out up to 5 eps below 1 in random trials.
-COHERENCE_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,13 @@ class FactoredMatrix:
     @property
     def rank(self) -> int:
         return self.s.size
+
+    @functools.cached_property
+    def coherences(self) -> tuple[float, float]:
+        """(mu_col, mu_row): (rows / k) max_i ||W^T e_i||_2^2 of W = U and of W = V."""
+        if not (k := self.rank):
+            raise ValueError("X is zero; its factors have no coherence")
+        return tuple(w.shape[0] / k * float((w * w).sum(axis=1).max()) for w in (self.u, self.v))
 
     def u_tilde(self) -> np.ndarray:
         return self.u * np.sqrt(self.s)
@@ -101,26 +106,6 @@ def thin_svd(x) -> FactoredMatrix:
     return FactoredMatrix(u=u[:, :k], s=s[:k], v=vt[:k].T, truncated=truncated)
 
 
-def coherence(w) -> float:
-    """Coherence (m / k) max_i ||W^T e_i||_2^2 of an orthonormal frame.
-
-    Validates orthonormality and cross-checks the trace identity
-    (row norms sum to k) before trusting the row maximum.
-    """
-    m = np.asarray(w, dtype=float)
-    if m.ndim != 2 or m.shape[1] == 0:
-        raise ValueError("W must be 2-D with at least one column")
-    rows, k = m.shape
-    if rows < k:
-        raise ValueError("W must be a tall frame")
-    if not np.allclose(m.T @ m, np.eye(k), atol=ORTHONORMALITY_TOL):
-        raise ValueError("W columns are not orthonormal")
-    row_sq = (m * m).sum(axis=1)
-    if abs(float(row_sq.sum()) - k) > 1e-10 * max(1.0, k):
-        raise ValueError("trace identity violated; frame is not orthonormal")
-    return rows / k * float(row_sq.max())
-
-
 def sparsified_sketch(k: int, r: int, p: float, seed: int, xi: str = "gaussian") -> np.ndarray:
     """k x r matrix with iid entries r^(-1/2) * delta * xi.
 
@@ -143,54 +128,29 @@ def sparsified_sketch(k: int, r: int, p: float, seed: int, xi: str = "gaussian")
     return q.T
 
 
-def theorem_bound_22(
-    k: int, eps: float, p: float, m: int, n: int, mu_col: float, mu_row: float, spec_norm: float
-) -> float:
-    """Entrywise error bound (k eps / (p sqrt(mn))) sqrt(mu_col mu_row) ||X||.
+def sketch_bound(
+    fact: FactoredMatrix, r: int, p: float, eta: float = 0.1, c1: float = 1.0
+) -> tuple[float, float]:
+    """(eps, bound) of the module's theorem at r for X = fact, shared by every seed.
 
-    A coherence up to COHERENCE_ROUNDING below 1 is rounding and counts as 1.
+    eps is the smallest with r >= c1 log(mn / eta) max{p / eps^2, 1 / eps}.
+    A coherence is at least 1 in exact arithmetic; one that computes below 1
+    (a square orthonormal factor can give 1 - 2^-53) counts as 1.
     """
-    if k < 1 or m < 1 or n < 1:
-        raise ValueError("k, m, n must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    if not min(mu_col, mu_row) >= 1.0 - COHERENCE_ROUNDING:
-        raise ValueError("coherences are at least 1")
-    mu_col, mu_row = max(mu_col, 1.0), max(mu_row, 1.0)
-    if spec_norm < 0:
-        raise ValueError("spec_norm must be nonnegative")
-    bound = k * eps / (p * math.sqrt(m * n)) * math.sqrt(mu_col * mu_row) * spec_norm
-    if not math.isfinite(bound):
-        raise ValueError(f"the entrywise error bound is {bound}: it overflows a float")
-    return bound
-
-
-def smallest_admissible_eps(
-    r: int, p: float, m: int, n: int, eta: float = 0.1, c1: float = 1.0
-) -> float:
-    """Tightest eps with r >= c1 log(mn / eta) max{p / eps^2, 1 / eps}."""
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
     if not c1 > 0:
         raise ValueError("c1 must be positive")
-    ell = c1 * math.log(m * n / eta)
-    return max(math.sqrt(ell * p / r), ell / r)
-
-
-def sketch_bound(
-    fact: FactoredMatrix, r: int, p: float, eta: float = 0.1, c1: float = 1.0
-) -> tuple[float, float]:
-    """(eps, bound): smallest_admissible_eps at r and theorem_bound_22 at that eps.
-
-    Both depend on X = fact only through its shape, coherences and
-    spectral norm, so every seed of one (X, r, p) shares them.
-    """
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must lie in (0, 1]")
     m, n = fact.u.shape[0], fact.v.shape[0]
-    eps = smallest_admissible_eps(r, p, m, n, eta=eta, c1=c1)
-    mu_col, mu_row = coherence(fact.u), coherence(fact.v)
-    return eps, theorem_bound_22(fact.rank, eps, p, m, n, mu_col, mu_row, float(fact.s[0]))
+    ell = c1 * math.log(m * n / eta)
+    eps = max(math.sqrt(ell * p / r), ell / r)
+    mu_col, mu_row = (max(mu, 1.0) for mu in fact.coherences)
+    bound = fact.rank * eps / (p * math.sqrt(m * n)) * math.sqrt(mu_col * mu_row) * float(fact.s[0])
+    if not math.isfinite(bound):
+        raise ValueError(f"the entrywise error bound is {bound}: it overflows a float")
+    return eps, bound
 
 
 def low_rank_approx(

@@ -46,13 +46,20 @@ report records it:
    of one draw from `stream(seed, c)` (replicate i once drew alone from
    `stream(seed, i)`), and a batch holds fewer than IPW_BATCH = 512
    replicates when n max(d, m) > 256.
+7. layout 6, except that the random directions of `rip`'s bound
+   (`covest.rip_bound_rhs`) draw from the fixed key
+   `covest.RIP_DIRECTION_KEY` = (0, 2^64 - 1), the same at every run
+   seed.  No seeded consumer reaches stream id 2^64 - 1: batch and chunk
+   ids stay below 2^32, sketch column ids below r, and the CLI's input
+   builders use 1001-1004.  The directions drew from `stream(seed, 0)`,
+   the key of replicate batch 0, so `bound_rhs` changed with `--seed`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

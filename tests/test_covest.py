@@ -411,28 +411,28 @@ def test_masked_moment_bound_rank_one_pointwise():
 
 def test_rip_bound_rhs_structure():
     model = small_model(330)
-    r = rip_bound_rhs(0.0, 1, model, 100, theta_budget=8, seed=3)
+    r = rip_bound_rhs(0.0, 1, model, 100, theta_budget=8)
     assert math.isclose(r.log_term, math.log(48 * math.e * 3))
     assert r.value == r.term_k2 + r.term_k1_34 + r.term_k1_alpha
     assert r.thetas_evaluated >= 3
-    big_n = rip_bound_rhs(1.0, 2, model, 10**12, theta_budget=8, seed=3)
-    small_n = rip_bound_rhs(1.0, 2, model, 100, theta_budget=8, seed=3)
+    big_n = rip_bound_rhs(1.0, 2, model, 10**12, theta_budget=8)
+    small_n = rip_bound_rhs(1.0, 2, model, 100, theta_budget=8)
     assert big_n.value < small_n.value
     assert big_n.value < 1e-3
     # a grid gives exactly the values of one call per threshold
     grid = np.array([0.0, 0.5, 1.0, 6.0])
-    whole = rip_bound_rhs(grid, 2, model, 100, theta_budget=8, seed=3)
+    whole = rip_bound_rhs(grid, 2, model, 100, theta_budget=8)
     for i, t in enumerate(grid):
-        single = rip_bound_rhs(t, 2, model, 100, theta_budget=8, seed=3)
+        single = rip_bound_rhs(t, 2, model, 100, theta_budget=8)
         for name in ("value", "term_k2", "term_k1_34", "term_k1_alpha", "log_term"):
             assert getattr(whole, name).shape == grid.shape
             assert getattr(whole, name)[i] == getattr(single, name)
         assert (whole.sup_k1, whole.sup_k2) == (single.sup_k1, single.sup_k2)
         assert whole.thetas_evaluated == single.thetas_evaluated
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        rip_bound_rhs([1.0, -0.5], 2, model, 100, theta_budget=8, seed=3)
+        rip_bound_rhs([1.0, -0.5], 2, model, 100, theta_budget=8)
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        rip_bound_rhs([1.0, np.nan], 2, model, 100, theta_budget=8, seed=3)
+        rip_bound_rhs([1.0, np.nan], 2, model, 100, theta_budget=8)
 
 
 def test_rip_bound_rhs_work_does_not_grow_with_t(monkeypatch):
@@ -445,9 +445,9 @@ def test_rip_bound_rhs_work_does_not_grow_with_t(monkeypatch):
 
     monkeypatch.setattr(cv, "expected_frob_sq_exact", counting)
     model = small_model(333)
-    rip_bound_rhs(1.0, 2, model, 100, theta_budget=8, seed=3)
+    rip_bound_rhs(1.0, 2, model, 100, theta_budget=8)
     one = len(calls)
-    rip_bound_rhs([0.5, 1.0, 2.0, 4.0], 2, model, 100, theta_budget=8, seed=3)
+    rip_bound_rhs([0.5, 1.0, 2.0, 4.0], 2, model, 100, theta_budget=8)
     assert one > 0 and len(calls) == 2 * one
 
 
@@ -461,7 +461,7 @@ def test_rip_bound_rhs_takes_sup_k2_from_the_kernel(monkeypatch):
 
     monkeypatch.setattr(mn, "opnorm_detail", counting)
     model = small_model(334, d=4, m=3)
-    r = rip_bound_rhs(1.0, 2, model, 100, theta_budget=0, seed=3)
+    r = rip_bound_rhs(1.0, 2, model, 100, theta_budget=0)
     assert len(calls) == 1  # ||B||_{2->2} once, not once per direction
     axes = np.eye(model.dim)
     assert r.sup_k2 == max(k1_k2_terms(model, th)[1] for th in axes)
@@ -472,8 +472,8 @@ def test_rip_bound_rhs_takes_sup_k2_from_the_kernel(monkeypatch):
 def test_rip_bound_rhs_scales_quadratically_in_b():
     model = small_model(331)
     scaled = MultivariateModel(b=2.0 * model.b, alpha=model.alpha, p=model.p)
-    r1 = rip_bound_rhs(1.0, 2, model, 500, theta_budget=16, seed=3)
-    r2 = rip_bound_rhs(1.0, 2, scaled, 500, theta_budget=16, seed=3)
+    r1 = rip_bound_rhs(1.0, 2, model, 500, theta_budget=16)
+    r2 = rip_bound_rhs(1.0, 2, scaled, 500, theta_budget=16)
     assert math.isclose(r2.term_k2 / r1.term_k2, 4.0, rel_tol=1e-9)
     with pytest.raises(ValueError):
         rip_bound_rhs(-1.0, 2, model, 500)
@@ -495,7 +495,7 @@ def test_rip_quantile_dominated_by_bound():
         values, _ = generate_samples(model, n, 99, stream_id=i)
         rips[i] = rip_k(ipw_estimator(values, model.p_array()) - sigma, k)
     ts = (1.0, 2.0, 4.0)
-    rhs = {t: rip_bound_rhs(t, k, model, n, seed=5).value for t in ts}
+    rhs = {t: rip_bound_rhs(t, k, model, n).value for t in ts}
     qs = {t: float(np.quantile(rips, max(0.0, 1 - 2 * math.exp(-t)))) for t in ts}
     c_hat = qs[4.0] / rhs[4.0]
     for t in ts:

@@ -12,12 +12,9 @@ from sparse_hw.quadform_mc import wilson_interval
 from sparse_hw.rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
 from sparse_hw.sketchlr import (
     FactoredMatrix,
-    coherence,
     low_rank_approx,
     sketch_bound,
-    smallest_admissible_eps,
     sparsified_sketch,
-    theorem_bound_22,
     thin_svd,
 )
 from sparse_hw.streams import stream
@@ -106,30 +103,44 @@ def test_factored_matrix_tilde_splits_singular_values():
 # --------------------------------------------------------------- coherence
 
 
+def frame_coherence(w) -> float:
+    """Coherence of the orthonormal frame w, read from FactoredMatrix(w, 1, w)."""
+    return FactoredMatrix(w, np.ones(w.shape[1]), w).coherences[0]
+
+
 def test_coherence_identity_columns_is_maximal():
     # mass sits on k rows out of m, so coherence hits m / k
-    assert math.isclose(coherence(np.eye(6)[:, :2]), 3.0, rel_tol=1e-12)
+    assert math.isclose(frame_coherence(np.eye(6)[:, :2]), 3.0, rel_tol=1e-12)
 
 
 def test_coherence_hadamard_columns_is_minimal():
     h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
     h4 = np.kron(h2, h2)
-    assert math.isclose(coherence(h4[:, :2]), 1.0, rel_tol=1e-12)
+    assert math.isclose(frame_coherence(h4[:, :2]), 1.0, rel_tol=1e-12)
 
 
 def test_coherence_range_on_random_frames():
     for seed in (30, 31, 32):
         m, k = 12, 4
         q, _ = np.linalg.qr(stream(seed, 0).standard_normal((m, k)))
-        c = coherence(q)
+        c = frame_coherence(q)
         assert 1.0 - 1e-12 <= c <= m / k + 1e-12
 
 
+def test_coherences_are_those_of_u_and_of_v():
+    fact = thin_svd(rank_k_matrix(12, 9, 7, 3))
+    assert fact.coherences == (frame_coherence(fact.u), frame_coherence(fact.v))
+    with pytest.raises(ValueError, match="no coherence"):
+        thin_svd(np.zeros((3, 2))).coherences
+
+
 def test_coherence_rejects_bad_frames():
+    # FactoredMatrix checks the frames whose coherences it gives
     with pytest.raises(ValueError, match="orthonormal"):
-        coherence(np.ones((4, 2)))
-    with pytest.raises(ValueError, match="tall"):
-        coherence(np.eye(2, 3))
+        FactoredMatrix(np.ones((4, 2)), np.ones(2), np.ones((4, 2)))
+    # a wide frame cannot be orthonormal
+    with pytest.raises(ValueError, match="orthonormal"):
+        FactoredMatrix(np.eye(2, 3), np.ones(3), np.eye(2, 3))
 
 
 # --------------------------------------------------------- sketch matrices
@@ -199,49 +210,50 @@ def test_sketch_retention_rate():
 
 
 def test_theorem_bound_value():
-    # k = m = n = 3, unit coherences: bound = k eps |X| / (p sqrt(mn)) = eps |X| / p
-    b = theorem_bound_22(k=3, eps=0.25, p=0.5, m=3, n=3, mu_col=1.0, mu_row=1.0, spec_norm=2.0)
-    assert math.isclose(b, 1.0, rel_tol=1e-12)
+    # X = 2 I_3: k = m = n = 3 and unit coherences, so bound = k eps ||X|| / (p sqrt(mn)) = 4 eps
+    eps, bound = sketch_bound(thin_svd(2.0 * np.eye(3)), r=50, p=0.5)
+    assert math.isclose(bound, 4.0 * eps, rel_tol=1e-12)
 
 
 def test_theorem_bound_linear_in_eps():
-    kw = dict(k=2, p=0.4, m=5, n=7, mu_col=1.2, mu_row=2.0, spec_norm=3.0)
-    assert math.isclose(
-        theorem_bound_22(eps=0.6, **kw), 3.0 * theorem_bound_22(eps=0.2, **kw), rel_tol=1e-12
-    )
+    # r moves eps; the bound stays eps times one constant of (X, p)
+    fact = thin_svd(rank_k_matrix(13, 5, 7, 2))
+    ratios = [bound / eps for eps, bound in (sketch_bound(fact, r, 0.4) for r in (3, 30, 3000))]
+    assert all(math.isclose(q, ratios[0], rel_tol=1e-12) for q in ratios)
 
 
 def test_theorem_bound_counts_a_coherence_rounded_below_1_as_1():
-    kw = dict(k=1, eps=0.1, p=0.5, m=2, n=2, spec_norm=1.0)
-    exact = theorem_bound_22(mu_col=1.0, mu_row=1.0, **kw)
-    below = 1.0 - 2.0**-53  # coherence() of a square orthonormal factor
-    assert theorem_bound_22(mu_col=below, mu_row=1.0 - 4e-16, **kw) == exact
-    with pytest.raises(ValueError, match="coherences"):
-        theorem_bound_22(mu_col=1.0 - 1e-9, mu_row=1.0, **kw)
-    with pytest.raises(ValueError, match="coherences"):
-        theorem_bound_22(mu_col=math.nan, mu_row=1.0, **kw)
+    # U of this 2 x 3 X is a square orthonormal 2 x 2 whose coherence
+    # computes one ulp below 1
+    assert thin_svd([[1, -1, 0.5], [1, 1, -0.5]]).coherences[0] == 1.0 - 2.0**-53
+    # a frame inside the orthonormality tolerance gives coherence 1 - 1e-9,
+    # which was once rejected with "coherences are at least 1"
+    w = math.sqrt(1.0 - 1e-9) * np.eye(2)
+    near = FactoredMatrix(w, np.ones(2), w)
+    assert all(math.isclose(mu, 1.0 - 1e-9, rel_tol=1e-15) for mu in near.coherences)
+    exact = FactoredMatrix(np.eye(2), np.ones(2), np.eye(2))
+    assert sketch_bound(near, 3, 0.5) == sketch_bound(exact, 3, 0.5)
 
 
 def test_theorem_bound_validation():
-    with pytest.raises(ValueError):
-        theorem_bound_22(k=0, eps=0.1, p=0.5, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=1.0)
-    with pytest.raises(ValueError):
-        theorem_bound_22(k=1, eps=0.0, p=0.5, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=1.0)
-    with pytest.raises(ValueError):
-        theorem_bound_22(k=1, eps=0.1, p=1.5, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=1.0)
-    with pytest.raises(ValueError, match="coherences"):
-        theorem_bound_22(k=1, eps=0.1, p=0.5, m=2, n=2, mu_col=0.5, mu_row=1.0, spec_norm=1.0)
-    with pytest.raises(ValueError):
-        theorem_bound_22(k=1, eps=0.1, p=0.5, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=-1.0)
+    fact = thin_svd(np.eye(4))
+    for p in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="p must"):
+            sketch_bound(fact, 10, p)
+    # eta is checked before c1, and c1 before p
+    with pytest.raises(ValueError, match="eta"):
+        sketch_bound(fact, 10, 1.5, eta=0.0, c1=0.0)
+    with pytest.raises(ValueError, match="c1"):
+        sketch_bound(fact, 10, 1.5, c1=0.0)
 
 
 def test_theorem_bound_rejects_an_overflowing_bound():
     with pytest.raises(ValueError, match="overflows"):
-        theorem_bound_22(k=3, eps=1.0, p=1e-300, m=2, n=2, mu_col=1.0, mu_row=1.0, spec_norm=1e10)
+        sketch_bound(thin_svd(np.diag([1e10, 1.0])), 1, 1e-300)
 
 
 def test_smallest_admissible_eps_value():
-    eps = smallest_admissible_eps(r=100, p=1.0, m=10, n=10, eta=0.1, c1=1.0)
+    eps, _ = sketch_bound(thin_svd(np.eye(10)), r=100, p=1.0, eta=0.1, c1=1.0)
     ell = math.log(1000.0)
     assert math.isclose(eps, max(math.sqrt(ell / 100), ell / 100), rel_tol=1e-12)
     assert math.isclose(eps, 0.26282608848784655, rel_tol=1e-12)
@@ -252,29 +264,33 @@ def test_admissibility_is_tight_at_smallest_eps():
     def need(eps, p):
         return math.log(10 * 10 / 0.1) * max(p / eps**2, 1.0 / eps)
 
+    fact = thin_svd(np.eye(10))
     for p in (1.0, 0.01):
-        eps = smallest_admissible_eps(r=100, p=p, m=10, n=10, eta=0.1, c1=1.0)
+        eps, _ = sketch_bound(fact, r=100, p=p, eta=0.1, c1=1.0)
         assert math.isclose(need(eps, p), 100.0, rel_tol=1e-12)
         assert need(0.9 * eps, p) > 100.0
 
 
 def test_admissibility_validation():
-    with pytest.raises(ValueError, match="eta"):
-        smallest_admissible_eps(r=10, p=0.5, m=4, n=4, eta=1.5)
-    with pytest.raises(ValueError, match="eta"):
-        smallest_admissible_eps(r=10, p=0.5, m=4, n=4, eta=0.0)
+    fact = thin_svd(np.eye(4))
+    for eta in (1.5, 0.0):
+        with pytest.raises(ValueError, match="eta"):
+            sketch_bound(fact, 10, 0.5, eta=eta)
     for c1 in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="c1"):
-            smallest_admissible_eps(r=10, p=0.5, m=4, n=4, c1=c1)
+            sketch_bound(fact, 10, 0.5, c1=c1)
 
 
 def test_sketch_bound_is_the_theorem_bound_at_the_smallest_eps():
     x = rank_k_matrix(12, 9, 7, 3)
     fact = thin_svd(x)
     eps, bound = sketch_bound(fact, 5, 0.4, eta=0.05, c1=2.0)
-    assert eps == smallest_admissible_eps(5, 0.4, 9, 7, eta=0.05, c1=2.0)
-    mu_col, mu_row = coherence(fact.u), coherence(fact.v)
-    assert bound == theorem_bound_22(3, eps, 0.4, 9, 7, mu_col, mu_row, float(fact.s[0]))
+    ell = 2.0 * math.log(9 * 7 / 0.05)
+    assert eps == max(math.sqrt(ell * 0.4 / 5), ell / 5)
+    mu_col, mu_row = fact.coherences
+    assert min(mu_col, mu_row) >= 1.0
+    expected = 3 * eps / (0.4 * math.sqrt(9 * 7)) * math.sqrt(mu_col * mu_row) * fact.s[0]
+    assert math.isclose(bound, expected, rel_tol=1e-12)
 
 
 # --------------------------------------------------------- low_rank_approx
