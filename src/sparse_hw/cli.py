@@ -804,9 +804,11 @@ def _rip(cfg: dict, seed: int, threads: int):
     if rhs[-1] == 0.0:  # B is not zero, but its K1 and K2 terms underflow
         raise ConfigError("bound_rhs underflows to 0: B is too small for its K1 and K2 terms")
     sigma = model.sigma()
-    # in this thread (a pool only waits on the GIL); rip_k rejects inf and NaN deviations
+    # rip_k rejects inf and NaN deviations
     rips = np.concatenate(
-        cv.ipw_batches(model, n, cfg["replicates"], seed, lambda est: cv.rip_k(est - sigma, k))
+        cv.ipw_batches(
+            model, n, cfg["replicates"], seed, lambda est: cv.rip_k(est - sigma, k), threads
+        )
     )
     rhs = rhs.tolist()
     ordered = np.sort(rips)

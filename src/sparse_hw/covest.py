@@ -134,7 +134,11 @@ def generate_samples(
     rng = stream(seed, stream_id)
     masks = rng.random((n, model.dim)) < model.p_array()
     xi = sample_base(model.base, (n, model.n_factors), rng)
-    values = np.where(masks, xi @ model.b.T, 0.0)
+    values = xi @ model.b.T
+    # np.where(masks, values, 0.0) in place: a float's bit pattern times 0 is
+    # +0.0's (a float multiply by the mask would leave -0.0 and NaN there)
+    bits = values.view(np.uint64)
+    np.multiply(bits, masks, out=bits)
     return values, masks.astype(np.uint8)
 
 
@@ -157,8 +161,7 @@ def ipw_estimator(values, p) -> np.ndarray:
     if np.any(q <= 0.0) or np.any(q > 1.0):
         raise ValueError("IPW requires retention probabilities in (0, 1]")
     g = np.swapaxes(x, -1, -2) @ x / x.shape[-2]
-    # a p_i^2 that underflows to 0 puts NaN on the diagonal, which the next line
-    # overwrites; pool threads do not inherit the CLI's np.errstate, so set it here
+    # a p_i^2 that underflows to 0 puts NaN on the diagonal, which the next line overwrites
     with np.errstate(divide="ignore", invalid="ignore"):
         est = g / np.outer(q, q)
     ii = np.arange(q.size)
@@ -304,8 +307,11 @@ def _sub_stack_maxima(sym: np.ndarray, k: int, n_subsets: int) -> np.ndarray:
             frob2 = np.zeros((r, size))
             for i, j in itertools.product(range(k), repeat=2):
                 frob2 += squares[:, idx[:, i] * d + idx[:, j]]
-            frob = np.sqrt(frob2)
-            ub = (frob + k * 2.0**-537) * (1.0 + margin) + np.finfo(float).tiny
+            # ub = (sqrt(frob2) + k 2^-537) (1 + margin) + tiny, in frob2's memory
+            ub = np.sqrt(frob2, out=frob2)
+            ub += k * 2.0**-537
+            ub *= 1.0 + margin
+            ub += np.finfo(float).tiny
         first = min(RIP_TOP_FIRST, size)
         top = np.argpartition(ub, size - first, axis=1)[:, size - first :]
         top_norms = _spectral_norms(sym, rows.repeat(first), idx[top.ravel()])

@@ -100,15 +100,23 @@ def check_sample_budget(samples: int, what: str = "n_samples") -> None:
 def _run_chunks(worker, n_samples: int, threads: int, chunk_size: int) -> list:
     """Evaluate worker(chunk_index, chunk_len) for every chunk.
 
-    Returns results ordered by chunk index regardless of thread count.
+    Returns results ordered by chunk index regardless of thread count;
+    an exception comes from the lowest chunk that raised.  Each pool task
+    runs under the caller's np.errstate, which numpy keeps per thread.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     sizes = chunk_sizes(n_samples, chunk_size)
     if threads <= 1 or len(sizes) <= 1:
         return [worker(c, sz) for c, sz in enumerate(sizes)]
+    err = np.geterr()
+
+    def task(c: int, sz: int):
+        with np.errstate(**err):
+            return worker(c, sz)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, c, sz) for c, sz in enumerate(sizes)]
+        futures = [pool.submit(task, c, sz) for c, sz in enumerate(sizes)]
         return [f.result() for f in futures]
 
 

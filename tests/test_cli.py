@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -762,8 +763,8 @@ def test_rip_rejects_an_unusable_bound_before_it_draws(tmp_path, monkeypatch, ca
             1,
             id="covest-underflowing-weight",
         ),
-        # pool threads do not inherit main's np.errstate; n d = 50 <= 256, so the
-        # 1100 replicates are 3 batches (512, 512 and 76), at least 2 for the pool
+        # the same on the pool: n d = 50 <= 256, so the 1100 replicates are
+        # 3 batches (512, 512 and 76), at least 2 for the pool
         pytest.param(
             "covest",
             golden_config("covest")
@@ -974,17 +975,93 @@ def test_linalg_error_in_rip_k_exits_4(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_rip_runs_its_replicates_without_the_pool(tmp_path, monkeypatch):
-    # each replicate is a run of short numpy calls under the GIL: a pool of
-    # threads only waits on it, so rip runs its batches in turn at any --threads
-    def no_pool(*args, **kwargs):
-        raise AssertionError("rip started a thread pool")
+def rip_pool_config() -> dict:
+    """Golden rip at n = 200 and 1000 replicates: 7 batches of up to 163, enough for a pool."""
+    return golden_config("rip") | {"replicates": 1000, "n": 200}
 
-    monkeypatch.setattr(qf, "ThreadPoolExecutor", no_pool)
-    cfg = golden_config("rip") | {"replicates": 1000, "n": 200}  # 7 batches of up to 163
-    argv = ["rip", "--config", write_config(tmp_path, cfg), "--threads", "3"]
+
+@pytest.mark.parametrize("threads, pools", [("1", []), ("3", [3])], ids=["one-thread", "three-threads"])
+def test_rip_runs_its_replicate_batches_on_the_pool(tmp_path, monkeypatch, threads, pools):
+    started = []
+    pool = qf.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(qf, "ThreadPoolExecutor", spy)
+    argv = ["rip", "--config", write_config(tmp_path, rip_pool_config()), "--threads", threads]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert read_report(tmp_path)["threads"] == 3
+    assert started == pools
+
+
+def test_rip_outputs_do_not_depend_on_threads_on_the_pool(tmp_path):
+    # the golden rip case is one batch and never starts a pool; this one does
+    cfg = write_config(tmp_path, rip_pool_config())
+    reports, tables = [], []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        assert main(["rip", "--config", cfg, "--threads", threads, "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report.pop("threads") == int(threads)
+        report.pop("wall_clock_s")
+        reports.append(report)
+        tables.append((out / "rip.csv").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_rip_on_the_pool_exits_with_the_lowest_failing_batch(tmp_path, monkeypatch, capsys):
+    # batch 1 raises only after batch 5 has, yet the run reports batch 1
+    batch = threading.local()
+    late = threading.Event()
+    generate_samples, rip_k = cv.generate_samples, cv.rip_k
+
+    def generate(model, n, seed, stream_id=0):
+        batch.index = stream_id
+        return generate_samples(model, n, seed, stream_id)
+
+    def failing(m, k):
+        if batch.index == 5:
+            late.set()
+            raise ValueError("batch 5 failed")
+        if batch.index == 1:
+            assert late.wait(timeout=60)
+            raise ValueError("batch 1 failed")
+        return rip_k(m, k)
+
+    monkeypatch.setattr(cv, "generate_samples", generate)
+    monkeypatch.setattr(cv, "rip_k", failing)
+    argv = ["rip", "--config", write_config(tmp_path, rip_pool_config()), "--threads", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["config error: batch 1 failed"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_covest_overflow_prints_one_line_at_any_thread_count(tmp_path, threads):
+    # numpy's errstate is per thread: pool tasks once ran under numpy's default
+    # and printed "RuntimeWarning: overflow encountered in matmul" at --threads 2
+    cfg = golden_config("covest") | {
+        "b": {"values": [[1e154, 0.0], [0.0, 1.0]]},
+        "p": 0.5,
+        "n": 200,
+        "replicates": 1000,  # 4 batches
+        "save_first_draw": False,
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    argv = ["covest", "--config", write_config(tmp_path, cfg), "--threads", threads]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparse_hw.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    message = "config error: the IPW estimates or their squares overflow a float: B is too large"
+    assert proc.stderr == message + "\n"
 
 
 def test_bernstein_verify_bound_matches_formula(tmp_path):

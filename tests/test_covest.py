@@ -27,7 +27,7 @@ from sparse_hw.covest import (
 )
 from sparse_hw.errors import BudgetExceededError
 from sparse_hw.quadform_mc import wilson_interval
-from sparse_hw.rv_models import DistributionSpec
+from sparse_hw.rv_models import DistributionSpec, sample_base
 from sparse_hw.streams import stream
 
 
@@ -76,6 +76,18 @@ def test_generate_samples_deterministic():
     a = generate_samples(model, 100, seed=3, stream_id=4)
     b = generate_samples(model, 100, seed=3, stream_id=4)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_generate_samples_masks_bit_for_bit_as_np_where():
+    # a masked negative product is +0.0, where a multiply by the mask gives -0.0
+    model = small_model()
+    values, masks = generate_samples(model, 400, seed=5, stream_id=2)
+    rng = stream(5, 2)
+    observed = rng.random((400, model.dim)) < model.p_array()
+    products = sample_base(model.base, (400, model.n_factors), rng) @ model.b.T
+    assert values.tobytes() == np.where(observed, products, 0.0).tobytes()
+    assert np.array_equal(masks, observed.astype(np.uint8))
+    assert np.any(~observed & (products < 0))
 
 
 def test_ipw_single_observation():

@@ -245,6 +245,16 @@ def test_simulate_tail_rejects_non_finite_statistics(monkeypatch):
     assert len(messages) == 1
 
 
+def test_pool_tasks_run_under_the_callers_errstate():
+    # numpy keeps errstate per thread, and pool threads start under its default ("warn")
+    def overflow(c, size):
+        return np.float64(1e300) * 1e300
+
+    for threads in (1, 3):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            quadform_mc._run_chunks(overflow, 4, threads, 1)
+
+
 def test_decoupled_distribution_is_symmetric():
     # the decoupled form pairs two consecutive draws from one stream
     model = rademacher_model(2, 0.8)
