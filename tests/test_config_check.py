@@ -173,6 +173,14 @@ def test_golden_configs_pass_the_fast_check(case):
     assert REFERENCE[command].is_valid(cfg)
 
 
+def test_schemas_match_their_snapshot():
+    # the fast check draws its configs from whatever _SCHEMAS holds, so a
+    # changed bound, required list or key order shows only here; the key
+    # order fixes _violation's walk order and so every rejection message
+    snapshot = (GOLDEN / "schemas.json").read_text()
+    assert json.dumps(cli._SCHEMAS, indent=2) == snapshot
+
+
 def test_a_deeply_nested_free_array_is_checked_without_recursion():
     # `values` of a matrix has no `items`, so neither checker descends into it
     cfg = json.loads((GOLDEN / "hw-verify-refined" / "config.json").read_text())
