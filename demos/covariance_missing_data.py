@@ -48,6 +48,6 @@ for i in range(reps):
 print(f"\nempirical rip_2 over {reps} replicates at n={n}:")
 ts = np.array([1.0, 2.0, 4.0])
 levels = np.maximum(0.0, 1.0 - 2.0 * np.exp(-ts))
-rhs = cv.rip_bound_rhs(ts, k, model, n).value
+rhs = cv.rip_bound_rhs(ts, k, model, n, theta_budget=128).value
 for t, level, q, r in zip(ts, levels, np.quantile(rips, levels), rhs):
     print(f"  t={t}: quantile({level:.3f}) = {q:.4f}, bound rhs = {r:.4f}")

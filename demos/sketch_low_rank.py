@@ -34,7 +34,7 @@ for r in (8, 16, 32, 64, 128):
 
 # eps is the tightest that the condition on r certifies at this r, and the
 # entrywise bound at that eps depends on X, r and p but not on the seed.
-eps, bound = sk.sketch_bound(fact, 64, 0.5)
+eps, bound = sk.sketch_bound(fact, 64, 0.5, eta=0.1, c1=1.0)
 fu, fv, error_max = sk.low_rank_approx(x, 64, 0.5, seed=1, allow_wide=True, fact=fact)
 print(f"\nr=64, p=0.5: eps={eps:.3f}")
 print(f"entrywise bound {bound:.3f} vs realized error {error_max:.3f}")

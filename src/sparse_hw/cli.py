@@ -7,6 +7,8 @@ bit-identical for any --threads value (1 to THREAD_BUDGET,
 the CPU count by default, the only thread-count setting); only
 wall_clock_s varies.
 
+The object schemas in _SCHEMAS are built by _object from field schemas
+(_ALPHA, _COUNT, _SEED, ...) and blocks (_FACTOR_MODEL) that configs share.
 A config is checked against its schema in _SCHEMAS by one walk,
 _violation, which decides as jsonschema does and words the message of a
 rejected config as jsonschema's best_match would; jsonschema is only the
@@ -65,188 +67,148 @@ THREAD_BUDGET = 256
 
 # ---------------------------------------------------------------- schemas
 
-_BASE_SCHEMA = {
-    "type": "object",
-    "properties": {
+
+def _object(properties: dict, *required: str) -> dict:
+    """The schema of an object with only these properties, the required ones among them."""
+    schema = {"type": "object", "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    schema["additionalProperties"] = False
+    return schema
+
+
+def _nonempty(items: dict) -> dict:
+    return {"type": "array", "items": items, "minItems": 1}
+
+
+_ALPHA = {"type": "number", "exclusiveMinimum": 0, "maximum": 2}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_SEED = {"type": "integer"}
+_SLACK = {"type": "number", "minimum": 0, "exclusiveMaximum": 1}
+_PROB = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+
+_BASE_SCHEMA = _object(
+    {
         "kind": {"enum": ["weibull", "gaussian", "rademacher"]},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 2},
-        "scale": {"type": "number", "exclusiveMinimum": 0},
+        "alpha": _ALPHA,
+        "scale": _POSITIVE,
         "unit_variance": {"type": "boolean"},
     },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+    "kind",
+)
 
-_MATRIX_SCHEMA = {
-    "type": "object",
-    "properties": {
+_MATRIX_SCHEMA = _object(
+    {
         "csv": {"type": "string"},
         "bin": {"type": "string"},
         "values": {"type": "array"},
         "kind": {"enum": ["exchange", "identity", "random_dense", "random_rect", "random_lowrank"]},
-        "n": {"type": "integer", "minimum": 1},
-        "rows": {"type": "integer", "minimum": 1},
-        "cols": {"type": "integer", "minimum": 1},
-        "rank": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "n": _COUNT,
+        "rows": _COUNT,
+        "cols": _COUNT,
+        "rank": _COUNT,
+        "seed": _SEED,
         "diagonal_free": {"type": "boolean"},
         "scale": {"type": "number"},
-    },
-    "additionalProperties": False,
-}
+    }
+)
 
-_VECTOR_SCHEMA = {
-    "type": "object",
-    "properties": {
+_VECTOR_SCHEMA = _object(
+    {
         "values": {"type": "array", "items": {"type": "number"}},
         "kind": {"enum": ["ones", "e1", "random_unit"]},
-        "n": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
+        "n": _COUNT,
+        "seed": _SEED,
+    }
+)
 
-_PROBS_SCHEMA = {
-    "anyOf": [
-        {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}, "minItems": 1},
-    ]
-}
+_PROBS_SCHEMA = {"anyOf": [_PROB, _nonempty({"type": "number", "minimum": 0, "maximum": 1})]}
 
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 2},
-        "p": _PROBS_SCHEMA,
-        "base": _BASE_SCHEMA,
-    },
-    "required": ["alpha", "p"],
-    "additionalProperties": False,
-}
+_MODEL_SCHEMA = _object({"alpha": _ALPHA, "p": _PROBS_SCHEMA, "base": _BASE_SCHEMA}, "alpha", "p")
 
-_TGRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "values": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
+_TGRID_SCHEMA = _object(
+    {
+        "values": _nonempty({"type": "number", "minimum": 0}),
         "kind": {"enum": ["linear", "log"]},
-        "start": {"type": "number", "exclusiveMinimum": 0},
-        "stop": {"type": "number", "exclusiveMinimum": 0},
+        "start": _POSITIVE,
+        "stop": _POSITIVE,
         "num": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
-}
+    }
+)
 
-_CONSTANTS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "c_alpha": {"type": "number", "exclusiveMinimum": 0},
-        "prefactor": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
+_CONSTANTS_SCHEMA = _object({"c_alpha": _POSITIVE, "prefactor": _POSITIVE})
 
-_L_SCHEMA = {"anyOf": [{"enum": ["auto"]}, {"type": "number", "exclusiveMinimum": 0}]}
+_L_SCHEMA = {"anyOf": [{"enum": ["auto"]}, _POSITIVE]}
 
 
 def _verify_schema(subject: str, subject_schema: dict) -> dict:
     """Schema of a verify command whose instance is given under `subject`."""
-    return {
-        "type": "object",
-        "properties": {
-            subject: subject_schema,
-            "model": _MODEL_SCHEMA,
-            "t_grid": _TGRID_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "constants": _CONSTANTS_SCHEMA,
-            "L": _L_SCHEMA,
-            "rel_slack": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        },
-        "required": [subject, "model", "t_grid", "n_samples", "seed"],
-        "additionalProperties": False,
+    properties = {
+        subject: subject_schema,
+        "model": _MODEL_SCHEMA,
+        "t_grid": _TGRID_SCHEMA,
+        "n_samples": _COUNT,
+        "seed": _SEED,
+        "constants": _CONSTANTS_SCHEMA,
+        "L": _L_SCHEMA,
+        "rel_slack": _SLACK,
     }
+    return _object(properties, subject, "model", "t_grid", "n_samples", "seed")
 
+
+# the factor model of covest and rip, and the n draws of a replicate
+_FACTOR_MODEL = {"b": _MATRIX_SCHEMA, "alpha": _ALPHA, "p": _PROBS_SCHEMA, "n": _COUNT}
+
+_COVEST_FIELDS = {
+    **_FACTOR_MODEL,
+    "replicates": {"type": "integer", "minimum": 2},
+    "seed": _SEED,
+    "tol_se": _POSITIVE,
+    "save_first_draw": {"type": "boolean"},
+}
+
+_RIP_FIELDS = {
+    **_FACTOR_MODEL,
+    "k": _COUNT,
+    "t_values": _nonempty(_POSITIVE),
+    "replicates": {"type": "integer", "minimum": 10},
+    "theta_budget": {"type": "integer", "minimum": 0},
+    "seed": _SEED,
+    "rel_slack": _SLACK,
+}
+
+_SKETCH_FIELDS = {
+    "x": _MATRIX_SCHEMA,
+    "p": _PROB,
+    "r_values": _nonempty(_COUNT),
+    "n_seeds": _COUNT,
+    "seed": _SEED,
+    "xi": {"enum": ["gaussian", "rademacher"]},
+    "eta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "c1": _POSITIVE,
+    "allow_wide": {"type": "boolean"},
+}
+
+_SAMPLE_FIELDS = {"base": _BASE_SCHEMA, "p": _PROBS_SCHEMA, "dim": _COUNT, "n": _COUNT, "seed": _SEED}
+
+_BOUND_TABLE_FIELDS = {
+    "matrix": _MATRIX_SCHEMA,
+    "model": _MODEL_SCHEMA,
+    "t_grid": _TGRID_SCHEMA,
+    "constants": _CONSTANTS_SCHEMA,
+    "L": _L_SCHEMA,
+    "seed": _SEED,
+}
 
 _SCHEMAS = {
     "hw-verify": _verify_schema("matrix", _MATRIX_SCHEMA),
     "bernstein-verify": _verify_schema("vector", _VECTOR_SCHEMA),
-    "covest": {
-        "type": "object",
-        "properties": {
-            "b": _MATRIX_SCHEMA,
-            "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 2},
-            "p": _PROBS_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "replicates": {"type": "integer", "minimum": 2},
-            "seed": {"type": "integer"},
-            "tol_se": {"type": "number", "exclusiveMinimum": 0},
-            "save_first_draw": {"type": "boolean"},
-        },
-        "required": ["b", "alpha", "p", "n", "replicates", "seed"],
-        "additionalProperties": False,
-    },
-    "rip": {
-        "type": "object",
-        "properties": {
-            "b": _MATRIX_SCHEMA,
-            "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 2},
-            "p": _PROBS_SCHEMA,
-            "n": {"type": "integer", "minimum": 1},
-            "k": {"type": "integer", "minimum": 1},
-            "t_values": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-            "replicates": {"type": "integer", "minimum": 10},
-            "theta_budget": {"type": "integer", "minimum": 0},
-            "seed": {"type": "integer"},
-            "rel_slack": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        },
-        "required": ["b", "alpha", "p", "n", "k", "t_values", "replicates", "seed"],
-        "additionalProperties": False,
-    },
-    "sketch": {
-        "type": "object",
-        "properties": {
-            "x": _MATRIX_SCHEMA,
-            "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "r_values": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            "n_seeds": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "xi": {"enum": ["gaussian", "rademacher"]},
-            "eta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "c1": {"type": "number", "exclusiveMinimum": 0},
-            "allow_wide": {"type": "boolean"},
-        },
-        "required": ["x", "p", "r_values", "seed"],
-        "additionalProperties": False,
-    },
-    "sample": {
-        "type": "object",
-        "properties": {
-            "base": _BASE_SCHEMA,
-            "p": _PROBS_SCHEMA,
-            "dim": {"type": "integer", "minimum": 1},
-            "n": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-        },
-        "required": ["base", "n", "seed"],
-        "additionalProperties": False,
-    },
-    "bound-table": {
-        "type": "object",
-        "properties": {
-            "matrix": _MATRIX_SCHEMA,
-            "model": _MODEL_SCHEMA,
-            "t_grid": _TGRID_SCHEMA,
-            "constants": _CONSTANTS_SCHEMA,
-            "L": _L_SCHEMA,
-            "seed": {"type": "integer"},
-        },
-        "required": ["matrix", "model", "t_grid", "seed"],
-        "additionalProperties": False,
-    },
+    "covest": _object(_COVEST_FIELDS, *_FACTOR_MODEL, "replicates", "seed"),
+    "rip": _object(_RIP_FIELDS, *_FACTOR_MODEL, "k", "t_values", "replicates", "seed"),
+    "sketch": _object(_SKETCH_FIELDS, "x", "p", "r_values", "seed"),
+    "sample": _object(_SAMPLE_FIELDS, "base", "n", "seed"),
+    "bound-table": _object(_BOUND_TABLE_FIELDS, "matrix", "model", "t_grid", "seed"),
 }
 
 # ---------------------------------------------------------------- validation
@@ -535,12 +497,10 @@ def _build_t_grid(cfg: dict) -> np.ndarray:
 
 
 def _build_constants(cfg: dict | None) -> bd.BoundConstants:
-    if cfg is None:
-        return bd.DEFAULT_CONSTANTS
-    return bd.BoundConstants(
-        c_alpha=_finite(cfg.get("c_alpha", 1.0), "constants c_alpha"),
-        prefactor=_finite(cfg.get("prefactor", 2.0), "constants prefactor"),
-    )
+    """bd.DEFAULT_CONSTANTS with each constant cfg gives, c_alpha checked before prefactor."""
+    given = [key for key in ("c_alpha", "prefactor") if cfg and key in cfg]
+    finite = {key: _finite(cfg[key], f"constants {key}") for key in given}
+    return dataclasses.replace(bd.DEFAULT_CONSTANTS, **finite)
 
 
 def _resolve_l(cfg_l, model: SparseModel, alpha: float) -> float:
@@ -640,13 +600,7 @@ def _verify_tail(tail, exponent, probs: dict, rel_slack: float, results: dict, s
         detail = f"c_hat={dom.c_hat:.4g} over {dom.n_points} grid points"
         verdicts = [_verdict(name, dom.ok, detail)]
     try:
-        fit = qf.tail_slope_fit(tail)
-        results["slope_fit"] = {
-            "slope": fit.slope,
-            "r_squared": fit.r_squared,
-            "n_points": fit.n_points,
-            "t_window": list(fit.t_window),
-        }
+        results["slope_fit"] = dataclasses.asdict(qf.tail_slope_fit(tail))
     except ValueError as exc:
         results["slope_fit"] = {"error": str(exc)}
     tables = {
@@ -799,8 +753,12 @@ def _rip(cfg: dict, seed: int, threads: int):
     if not np.any(model.b):
         return _degenerate("B")
     # after the degenerate return (a zero B gives rhs 0), before anything is drawn
-    if not np.all(np.isfinite(rhs)):
+    finite = np.isfinite(rhs)
+    if not finite[0]:
         raise ConfigError("bound_rhs overflows a float: B is too large for its K1 or K2 term")
+    if not finite.all():  # finite at the smallest t, so a larger t is the cause
+        t = t_values[int(np.argmin(finite))]
+        raise ConfigError(f"bound_rhs overflows a float at t = {t!r}: t is too large")
     if rhs[-1] == 0.0:  # B is not zero, but its K1 and K2 terms underflow
         raise ConfigError("bound_rhs underflows to 0: B is too small for its K1 and K2 terms")
     sigma = model.sigma()

@@ -129,7 +129,7 @@ def sparsified_sketch(k: int, r: int, p: float, seed: int, xi: str = "gaussian")
 
 
 def sketch_bound(
-    fact: FactoredMatrix, r: int, p: float, eta: float = 0.1, c1: float = 1.0
+    fact: FactoredMatrix, r: int, p: float, eta: float, c1: float
 ) -> tuple[float, float]:
     """(eps, bound) of the module's theorem at r for X = fact, shared by every seed.
 

@@ -715,14 +715,28 @@ def test_overflowing_models_exit_2_with_one_line(tmp_path, command, cfg, message
 
 
 @pytest.mark.parametrize(
-    "b, message",
+    "change, message",
     [
-        ([[1e100, 0.0], [0.0, 1.0]], "bound_rhs overflows a float: B is too large for its K1 or K2 term"),
-        ([[1e-300, 0.0], [0.0, 1e-300]], "bound_rhs underflows to 0: B is too small for its K1 and K2 terms"),
+        (
+            {"b": {"values": [[1e100, 0.0], [0.0, 1.0]]}, "k": 1},
+            "bound_rhs overflows a float: B is too large for its K1 or K2 term",
+        ),
+        (
+            {"b": {"values": [[1e-300, 0.0], [0.0, 1e-300]]}, "k": 1},
+            "bound_rhs underflows to 0: B is too small for its K1 and K2 terms",
+        ),
+        # at alpha = 0.5 the K1 term grows as u^4, u = t + k log(48 e d / k): the bound
+        # is finite at t = 1 and 1e50 and overflows from 1e80, so t is the cause, not B
+        (
+            {"alpha": 0.5, "t_values": [1.0, 1e300, 1e80, 1e50]},
+            "bound_rhs overflows a float at t = 1e+80: t is too large",
+        ),
     ],
-    ids=["overflow", "underflow"],
+    ids=["overflow", "underflow", "overflow-at-t"],
 )
-def test_rip_rejects_an_unusable_bound_before_it_draws(tmp_path, monkeypatch, capsys, b, message):
+def test_rip_rejects_an_unusable_bound_before_it_draws(
+    tmp_path, monkeypatch, capsys, change, message
+):
     # bound_rhs does not depend on the draws: a run that cannot use it draws no replicate
     calls = []
     ipw_batches = cv.ipw_batches
@@ -732,7 +746,7 @@ def test_rip_rejects_an_unusable_bound_before_it_draws(tmp_path, monkeypatch, ca
         return ipw_batches(*args, **kwargs)
 
     monkeypatch.setattr(cv, "ipw_batches", spy)
-    cfg = golden_config("rip") | {"b": {"values": b}, "k": 1}
+    cfg = golden_config("rip") | change
     assert main(["rip", "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
@@ -993,6 +1007,25 @@ def test_rip_runs_its_replicate_batches_on_the_pool(tmp_path, monkeypatch, threa
     argv = ["rip", "--config", write_config(tmp_path, rip_pool_config()), "--threads", threads]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert started == pools
+
+
+def test_rip_hands_its_batches_to_the_module_pool_function(tmp_path, monkeypatch):
+    # covest looks _run_chunks up in quadform_mc at each call, so a wrapper
+    # put there (perfbench's tracer wraps this name) sees every rip batch
+    batches = []
+    run_chunks = qf._run_chunks
+
+    def spy(worker, total, threads, size):
+        def counted(c, take):
+            batches.append((c, take))
+            return worker(c, take)
+
+        return run_chunks(counted, total, threads, size)
+
+    monkeypatch.setattr(qf, "_run_chunks", spy)
+    argv = ["rip", "--config", write_config(tmp_path, rip_pool_config()), "--threads", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert sorted(batches) == [(c, 163) for c in range(6)] + [(6, 22)]
 
 
 def test_rip_outputs_do_not_depend_on_threads_on_the_pool(tmp_path):

@@ -488,9 +488,9 @@ def test_rip_bound_rhs_scales_quadratically_in_b():
     r2 = rip_bound_rhs(1.0, 2, scaled, 500, theta_budget=16)
     assert math.isclose(r2.term_k2 / r1.term_k2, 4.0, rel_tol=1e-9)
     with pytest.raises(ValueError):
-        rip_bound_rhs(-1.0, 2, model, 500)
+        rip_bound_rhs(-1.0, 2, model, 500, theta_budget=128)
     with pytest.raises(ValueError):
-        rip_bound_rhs(1.0, 9, model, 500)
+        rip_bound_rhs(1.0, 9, model, 500, theta_budget=128)
 
 
 def test_rip_quantile_dominated_by_bound():
@@ -507,7 +507,7 @@ def test_rip_quantile_dominated_by_bound():
         values, _ = generate_samples(model, n, 99, stream_id=i)
         rips[i] = rip_k(ipw_estimator(values, model.p_array()) - sigma, k)
     ts = (1.0, 2.0, 4.0)
-    rhs = {t: rip_bound_rhs(t, k, model, n).value for t in ts}
+    rhs = {t: rip_bound_rhs(t, k, model, n, theta_budget=128).value for t in ts}
     qs = {t: float(np.quantile(rips, max(0.0, 1 - 2 * math.exp(-t)))) for t in ts}
     c_hat = qs[4.0] / rhs[4.0]
     for t in ts:

@@ -211,14 +211,15 @@ def test_sketch_retention_rate():
 
 def test_theorem_bound_value():
     # X = 2 I_3: k = m = n = 3 and unit coherences, so bound = k eps ||X|| / (p sqrt(mn)) = 4 eps
-    eps, bound = sketch_bound(thin_svd(2.0 * np.eye(3)), r=50, p=0.5)
+    eps, bound = sketch_bound(thin_svd(2.0 * np.eye(3)), r=50, p=0.5, eta=0.1, c1=1.0)
     assert math.isclose(bound, 4.0 * eps, rel_tol=1e-12)
 
 
 def test_theorem_bound_linear_in_eps():
     # r moves eps; the bound stays eps times one constant of (X, p)
     fact = thin_svd(rank_k_matrix(13, 5, 7, 2))
-    ratios = [bound / eps for eps, bound in (sketch_bound(fact, r, 0.4) for r in (3, 30, 3000))]
+    pairs = (sketch_bound(fact, r, 0.4, 0.1, 1.0) for r in (3, 30, 3000))
+    ratios = [bound / eps for eps, bound in pairs]
     assert all(math.isclose(q, ratios[0], rel_tol=1e-12) for q in ratios)
 
 
@@ -232,24 +233,24 @@ def test_theorem_bound_counts_a_coherence_rounded_below_1_as_1():
     near = FactoredMatrix(w, np.ones(2), w)
     assert all(math.isclose(mu, 1.0 - 1e-9, rel_tol=1e-15) for mu in near.coherences)
     exact = FactoredMatrix(np.eye(2), np.ones(2), np.eye(2))
-    assert sketch_bound(near, 3, 0.5) == sketch_bound(exact, 3, 0.5)
+    assert sketch_bound(near, 3, 0.5, 0.1, 1.0) == sketch_bound(exact, 3, 0.5, 0.1, 1.0)
 
 
 def test_theorem_bound_validation():
     fact = thin_svd(np.eye(4))
     for p in (0.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="p must"):
-            sketch_bound(fact, 10, p)
+            sketch_bound(fact, 10, p, 0.1, 1.0)
     # eta is checked before c1, and c1 before p
     with pytest.raises(ValueError, match="eta"):
         sketch_bound(fact, 10, 1.5, eta=0.0, c1=0.0)
     with pytest.raises(ValueError, match="c1"):
-        sketch_bound(fact, 10, 1.5, c1=0.0)
+        sketch_bound(fact, 10, 1.5, eta=0.1, c1=0.0)
 
 
 def test_theorem_bound_rejects_an_overflowing_bound():
     with pytest.raises(ValueError, match="overflows"):
-        sketch_bound(thin_svd(np.diag([1e10, 1.0])), 1, 1e-300)
+        sketch_bound(thin_svd(np.diag([1e10, 1.0])), 1, 1e-300, 0.1, 1.0)
 
 
 def test_smallest_admissible_eps_value():
@@ -275,10 +276,10 @@ def test_admissibility_validation():
     fact = thin_svd(np.eye(4))
     for eta in (1.5, 0.0):
         with pytest.raises(ValueError, match="eta"):
-            sketch_bound(fact, 10, 0.5, eta=eta)
+            sketch_bound(fact, 10, 0.5, eta=eta, c1=1.0)
     for c1 in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="c1"):
-            sketch_bound(fact, 10, 0.5, c1=c1)
+            sketch_bound(fact, 10, 0.5, eta=0.1, c1=c1)
 
 
 def test_sketch_bound_is_the_theorem_bound_at_the_smallest_eps():
