@@ -7,6 +7,7 @@ LAPACK's singular values) and a multi-restart alternating maximization
 elsewhere (Boyd 1974, "The power method for l^p norms"; Higham 1992,
 "Estimating the matrix p-norm"); only the alternating result is a
 certified lower bound (every iterate is a feasible pair).  Its restarts
+start from fixed sign patterns, so nothing is drawn at random, and they
 iterate together as the rows of one block, two matrix-matrix products
 per iteration, so every restart follows the iterates it would follow
 alone, up to the rounding of the products.  Each row stops on its own
@@ -37,6 +38,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+# nothing here calls it; the benchmark tracer wraps matrix_norms.stream
 from .streams import stream
 
 _ALTMAX_TOL = 1e-12
@@ -184,6 +186,29 @@ def _dual_rows(
     return x, val
 
 
+def _primes(count: int) -> np.ndarray:
+    """The first `count` primes, sieved up to p_k < k (ln k + ln ln k) (Rosser, k >= 6)."""
+    limit = 13 if count < 6 else int(count * (math.log(count) + math.log(math.log(count))))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve)[:count]
+
+
+def _sign_starts(restarts: int, n: int) -> np.ndarray:
+    """The alternating maximization's start block: `restarts` rows of length n.
+
+    Row 0 is all ones.  Row k >= 1 is the sign pattern -1 where
+    frac(i sqrt(q_k)) < 1/2 and +1 elsewhere, i = 1..n, with q_k the k-th
+    prime.  sqrt(q_k) is irrational, so i sqrt(q_k) is equidistributed
+    mod 1 (Weyl), and each row takes either sign about half the time.
+    """
+    x = np.sqrt(_primes(restarts - 1))[:, None] * np.arange(1, n + 1)
+    return np.vstack([np.ones(n), np.where(x - np.floor(x) < 0.5, -1.0, 1.0)])
+
+
 @dataclass(frozen=True)
 class OpnormResult:
     value: float
@@ -191,20 +216,16 @@ class OpnormResult:
     converged: bool
 
 
-def opnorm_detail(
-    a,
-    r1: float,
-    r2: float,
-    restarts: int = 64,
-    seed: int = 0,
-) -> OpnormResult:
+def opnorm_detail(a, r1: float, r2: float, restarts: int = 64) -> OpnormResult:
     """||A||_{r1 -> r2} with convergence metadata.
 
     Closed forms: (2,2) spectral; r1 = 1 gives max column l_{r2} norm;
     r2 = inf gives max row l_{r1*} norm (covers (1,inf) and (2,inf)).
     Otherwise alternating maximization over feasible (x, y) pairs from
-    `restarts` starting points (restarts >= 1): the all-ones vector, then
-    `restarts - 1` Gaussian vectors drawn as one block from stream(seed, 1).
+    `restarts` starting points (restarts >= 1), the rows of
+    _sign_starts: the all-ones vector, then `restarts - 1` fixed sign
+    patterns, so the value is the same at every call and no random
+    generator is built.
     All restarts iterate together as the rows of one block.  An iteration
     multiplies the block by A twice: the x-step takes only the maximizers
     x of y A (their values are not needed), the y-step the maximizers y
@@ -219,9 +240,8 @@ def opnorm_detail(
     the one every restart would reach if run to convergence or the cap.
     The converged flags and the live rows are re-indexed only in an
     iteration where some row converged or stopped.
-    A start of l_{r2*} norm 0 is skipped.  The value, the max over rows,
-    is a certified lower bound either way; `converged` says whether the
-    first restart that attains it converged.
+    The value, the max over rows, is a certified lower bound either way;
+    `converged` says whether the first restart that attains it converged.
     """
     m = _as_matrix(a)
     r1 = _check_exponent(r1)
@@ -240,11 +260,9 @@ def opnorm_detail(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
     r2star = conjugate(r2)
-    starts = stream(seed, 1).standard_normal((restarts - 1, m.shape[0]))
-    y = np.vstack([np.ones(m.shape[0]), starts])
-    ny = _row_norms(y, r2star)
-    live = np.flatnonzero(ny)  # restarts still iterating, by index
-    y = y[live] / ny[live, None]
+    y = _sign_starts(restarts, m.shape[0])
+    y /= _row_norms(y, r2star)[:, None]
+    live = np.arange(restarts)  # restarts still iterating, by index
     value = np.zeros(restarts)
     converged = np.zeros(restarts, dtype=bool)
     for it in range(_ALTMAX_MAX_ITER):
@@ -268,8 +286,8 @@ def opnorm_detail(
     return OpnormResult(float(value[top]), restarts, bool(converged[top]))
 
 
-def opnorm(a, r1: float, r2: float, restarts: int = 64, seed: int = 0) -> float:
-    return opnorm_detail(a, r1, r2, restarts=restarts, seed=seed).value
+def opnorm(a, r1: float, r2: float, restarts: int = 64) -> float:
+    return opnorm_detail(a, r1, r2, restarts=restarts).value
 
 
 def gamma1(a, p) -> float:
@@ -319,8 +337,10 @@ class Functionals:
 
     p (a scalar or one entry per column) is read only by the weighted
     fields, alpha only by the `conj` ones (alpha* = alpha / (alpha - 1), so
-    alpha >= 1).  op(r1, r2) is opnorm_detail at its default restarts and
-    seed, cached by the pair: at alpha = 1, op_2_to_conj is op_2_to_inf.
+    alpha >= 1).  op(r1, r2) is opnorm_detail at its default restarts,
+    which start from fixed sign patterns, so a field is the same at every
+    run.  It is cached by the pair: at alpha = 1, op_2_to_conj is
+    op_2_to_inf.
     Fields call the module-level functions through the module globals, so
     a wrapper installed on one of them sees every call.
     """

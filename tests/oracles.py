@@ -16,7 +16,11 @@ restart count and flag must equal opnorm_detail's.  `opnorm_loop` runs
 its restarts one at a time through matrix-vector products, each to its
 own convergence or the iteration cap, where the library multiplies
 blocks and drops restarts that cannot catch up; so its value is
-compared within 1e-12 relative and its convergence flag exactly.  The
+compared within 1e-12 relative and its convergence flag exactly.  Both
+build their start block with `sign_starts`, a loop over primes and
+entries that the tests compare with the package's block by ==;
+`gaussian_starts` is the random block the package drew before, kept as
+the reference for the search-quality test.  The
 `*_unblocked` statistics run on the rows of `blocked_draws` stacked
 into one sample, and are compared with == on integer-valued draws,
 where BLAS gives the same bits for any number of rows per product.
@@ -341,7 +345,35 @@ def _dual_maximizer(z: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     return x / nx, val
 
 
-def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int = 0) -> OpnormResult:
+def sign_starts(restarts: int, n: int) -> np.ndarray:
+    """opnorm_detail's start block, one entry at a time.
+
+    Row 0 is all ones; row k >= 1 is -1 where frac(i sqrt(q)) < 1/2 and +1
+    elsewhere, i = 1..n, for the k-th prime q, found by trial division.
+    """
+    primes: list[int] = []
+    q = 2
+    while len(primes) < restarts - 1:
+        if all(q % p for p in primes if p * p <= q):
+            primes.append(q)
+        q += 1
+    rows = [[1.0] * n]
+    for q in primes:
+        row = []
+        for i in range(1, n + 1):
+            v = math.sqrt(q) * i
+            row.append(-1.0 if v - math.floor(v) < 0.5 else 1.0)
+        rows.append(row)
+    return np.array(rows)
+
+
+def gaussian_starts(restarts: int, n: int, seed: int) -> np.ndarray:
+    """The start block opnorm_detail drew before its sign patterns: all
+    ones, then `restarts - 1` Gaussian rows from stream(seed, 1)."""
+    return np.vstack([np.ones(n), stream(seed, 1).standard_normal((restarts - 1, n))])
+
+
+def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64) -> OpnormResult:
     """The alternating branch of opnorm_detail with one restart at a time.
 
     Every restart runs until it converges or reaches the iteration cap;
@@ -351,17 +383,9 @@ def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: i
     """
     m = np.asarray(a, dtype=float)
     r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
-    rng = stream(seed, 1)
     best, best_converged = -math.inf, False
-    for k in range(restarts):
-        if k == 0:
-            y = np.ones(m.shape[0])
-        else:
-            y = rng.standard_normal(m.shape[0])
-        ny = lp_norm(y, r2star)
-        if ny == 0.0:
-            continue
-        y = y / ny
+    for start in sign_starts(restarts, m.shape[0]):
+        y = start / lp_norm(start, r2star)
         value = 0.0
         converged = False
         for _ in range(_ALTMAX_MAX_ITER):
@@ -415,7 +439,7 @@ def dual_rows_two_pass(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def opnorm_block_reference(
-    a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int = 0
+    a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int | None = None
 ) -> OpnormResult:
     """The alternating branch of opnorm_detail as it was before each step
     did only the work its result needs.
@@ -423,16 +447,19 @@ def opnorm_block_reference(
     The same block of restarts, starts, drop rule and flag, but both
     steps of every iteration compute the row values and every guard,
     through dual_rows_two_pass, and the bookkeeping indexes every array
-    whether or not a row converged or dropped.  Only for pairs without a
-    closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
+    whether or not a row converged or dropped.  An integer seed starts
+    from gaussian_starts(restarts, rows, seed) instead of sign_starts:
+    at seed 0 that is opnorm_detail as it was before its sign patterns.
+    Only for pairs without a closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
     """
     m = np.asarray(a, dtype=float)
     r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
-    starts = stream(seed, 1).standard_normal((restarts - 1, m.shape[0]))
-    y = np.vstack([np.ones(m.shape[0]), starts])
-    ny = _row_norms_two_pass(y, r2star)
-    live = np.flatnonzero(ny)
-    y = y[live] / ny[live, None]
+    if seed is None:
+        y = sign_starts(restarts, m.shape[0])
+    else:
+        y = gaussian_starts(restarts, m.shape[0], seed)
+    y = y / _row_norms_two_pass(y, r2star)[:, None]
+    live = np.arange(restarts)
     value = np.zeros(restarts)
     converged = np.zeros(restarts, dtype=bool)
     for it in range(_ALTMAX_MAX_ITER):

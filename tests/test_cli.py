@@ -1426,6 +1426,57 @@ def test_config_commands_never_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+RANDOM_GUARD = """
+import json, sys
+from sparse_hw.cli import main
+for argv, code in json.loads(sys.argv[1]):
+    assert main(argv) == code, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def loads_numpy_random(runs: list) -> bool:
+    """Whether main, run on each (argv, exit code) in one fresh interpreter, loaded numpy.random."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sparse_hw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RANDOM_GUARD, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # norms prints its table first
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+def test_bound_table_and_norms_never_import_numpy_random(tmp_path):
+    # importing numpy.random takes 10-15 ms; the operator norms start from
+    # fixed sign patterns, so commands that sample nothing never load it.
+    # The matrix is read from a file, because a generated one is drawn.
+    matrix = str(GOLDEN / "norms" / "matrix.csv")
+    cfg = {
+        "matrix": {"csv": matrix},
+        "model": {"alpha": 1.5, "p": 0.3},
+        "t_grid": {"kind": "log", "start": 1.0, "stop": 50.0, "num": 4},
+        "seed": 0,
+    }
+    config = write_config(tmp_path, cfg)
+    norms = ["norms", matrix, "--alpha", "1.5", "--p", "0.5,0.3,0.8,0.6"]
+    runs = [
+        [["bound-table", "--config", config, "--out", str(tmp_path / "table")], 0],
+        [[*norms, "--out", str(tmp_path / "norms")], 0],
+    ]
+    assert not loads_numpy_random(runs)
+
+
+def test_hw_verify_loads_numpy_random(tmp_path):
+    # the control for the test above: a command that samples does load it
+    config = str(GOLDEN / "hw-verify-refined" / "config.json")
+    code = CONFIG_CASES["hw-verify-refined"][1]
+    assert loads_numpy_random([[["hw-verify", "--config", config, "--out", str(tmp_path)], code]])
+
+
 def test_sample_sparse_model(tmp_path):
     cfg = {"base": {"kind": "weibull", "alpha": 1.0}, "p": 0.5, "dim": 4, "n": 2000, "seed": 3}
     out = tmp_path / "out"
