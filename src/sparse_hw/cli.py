@@ -877,6 +877,9 @@ def _cmd_norms(args) -> int:
     if p is not None:
         weighted = ["gamma1", "gamma2", "weighted_spectral"] if a.shape[0] == a.shape[1] else []
         entries.update((name, getattr(f, name)) for name in weighted + ["row_weighted_max"])
+    for name, value in entries.items():  # JSON has no Infinity or NaN
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} is {value}: the matrix entries are too large")
 
     width = max(len(k) for k in entries)
     for name, value in entries.items():

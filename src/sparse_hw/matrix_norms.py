@@ -10,10 +10,12 @@ certified lower bound (every iterate is a feasible pair).  Its restarts
 start from fixed sign patterns, so nothing is drawn at random, and they
 iterate together as the rows of one block, two matrix-matrix products
 per iteration, so every restart follows the iterates it would follow
-alone, up to the rounding of the products.  Each row stops on its own
-convergence test, or as soon as it cannot reach the block's best value
-within the iteration cap; the reported convergence flag is that of the
-restart giving the value, not of every restart.
+alone, up to the rounding of the products.  Each half-step takes one
+power and one row sum (see _dual_rows).  Each row stops on its own
+convergence test, relative to its value, or as soon as it cannot reach
+the block's best value within the iteration cap; the reported
+convergence flag is that of the restart giving the value, not of every
+restart.  A power-of-two scaling of A scales the value exactly.
 
 Sparsity-weighted functionals take a retention-probability vector p:
 
@@ -108,25 +110,6 @@ def mixed_norm(a, r: float) -> float:
     return lp_norm(rows, r)
 
 
-def _row_norms(x: np.ndarray, r: float) -> np.ndarray:
-    """l_r norm of each row of a 2-D array, r in [1, inf], scaled like lp_norm.
-
-    lp_norm does not call this: numpy's array pow and its scalar pow differ
-    in the last bit on some inputs, and the golden reports hold those bits.
-    """
-    ax = np.abs(x)
-    if math.isinf(r):
-        return ax.max(axis=1)
-    if r == 1.0:
-        return ax.sum(axis=1)
-    if r == 2.0:
-        return np.sqrt((ax * ax).sum(axis=1))
-    m = ax.max(axis=1)
-    # factor out each row's max so large exponents cannot overflow
-    scale = np.where(m == 0.0, 1.0, m)
-    return scale * np.sum((ax / scale[:, None]) ** r, axis=1) ** (1.0 / r)
-
-
 def conjugate(r: float) -> float:
     """The exponent r* in [1, inf] with 1/r + 1/r* = 1, for r in [1, inf]."""
     if r == 1.0:
@@ -139,47 +122,45 @@ def conjugate(r: float) -> float:
 def _dual_rows(
     z: np.ndarray, r: float, values: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Row-wise unit-||.||_r maximizers x_i of <z_i, x_i>, and the values ||z_i||_{r*}.
+    """Row-wise maximizers x_i of <z_i, x_i> over ||x_i||_r <= 1, and the values ||z_i||_{r*}.
 
-    r lies in (1, inf]; r = inf takes signs.  A zero row gets e_1 and value 0.
-    The arithmetic is that of _row_norms(z, r*) and _row_norms(x, r), bit
-    for bit, but |z| and each row's max are taken once, and x's l_r norm
-    comes from t = (|z| / max)^(r* - 1), whose row max is exactly 1.
-    For r < inf a row's value is 0 exactly when its max is 0 (at r = 2,
-    when its max squared is), so zero rows are found from the maxima, and
-    the guards against dividing by 0 run only when there are some.  |z| is
-    scaled into t, and t turned into x, in place.  values=False returns
-    None for the values and, for r < inf, skips their pass: t^(r*), its
-    row sums and their 1/r* powers (the sums of squares at r = 2).
+    r lies in (1, inf]; r = inf takes signs.  A row is zero exactly when
+    its largest |z_ij| is 0; it gets e_1 and value 0.  For r < inf, with
+    t = |z| / max per row, the maximizer is sign(z) p / ||p||_r for
+    p = t^(r* - 1) (p = t at r = 2).  As (r* - 1) r = r*, the one power p
+    and the one row sum S = sum p t give the value max S^(1/r*) and
+    ||p||_r = S^(1/r), whatever the scale of z.  values=True returns the
+    values and sign(z) p, whose largest entry in each row is +-1, without
+    the division by ||p||_r; values=False returns the unit maximizers and
+    None.  |z| is scaled into t in place.
     """
-    val = None
     if math.isinf(r):
         sums = np.abs(z).sum(axis=1)
-        if values:
-            val = sums
         zero = sums == 0.0
         some_zero = zero.any()
         x = np.sign(np.where(z == 0.0, 1.0, z))
+        val = sums if values else None
     else:
         rstar = r / (r - 1.0)
         az = np.abs(z)
         zmax = az.max(axis=1)
-        zero = (zmax * zmax if r == 2.0 else zmax) == 0.0
+        zero = zmax == 0.0
         some_zero = zero.any()
         scale = np.where(zero, 1.0, zmax) if some_zero else zmax
+        t = np.divide(az, scale[:, None], out=az)
         if r == 2.0:
-            if values:
-                val = np.sqrt((az * az).sum(axis=1))
-            t = np.divide(az, scale[:, None], out=az)
-            nx = np.sqrt((t * t).sum(axis=1))
+            p = t
+            s = (t * t).sum(axis=1)
         else:
-            t = np.divide(az, scale[:, None], out=az)
-            if values:
-                val = scale * np.sum(t**rstar, axis=1) ** (1.0 / rstar)
-            t **= rstar - 1.0
-            nx = np.sum(t**r, axis=1) ** (1.0 / r)
-        x = np.copysign(t, z, out=t)
-        x /= (np.where(zero, 1.0, nx) if some_zero else nx)[:, None]
+            p = t ** (rstar - 1.0)
+            s = np.multiply(p, t, out=t).sum(axis=1)
+        x = np.copysign(p, z, out=p)
+        if values:
+            val = scale * s ** (1.0 / rstar)
+        else:
+            val = None
+            nx = s ** (1.0 / r)
+            x /= (np.where(zero, 1.0, nx) if some_zero else nx)[:, None]
     if some_zero:
         x[zero] = 0.0
         x[zero, 0] = 1.0
@@ -227,19 +208,22 @@ def opnorm_detail(a, r1: float, r2: float, restarts: int = 64) -> OpnormResult:
     patterns, so the value is the same at every call and no random
     generator is built.
     All restarts iterate together as the rows of one block.  An iteration
-    multiplies the block by A twice: the x-step takes only the maximizers
-    x of y A (their values are not needed), the y-step the maximizers y
-    of x A^T and their values, which are the rows' new values.  A row
-    stops, converged, once its own value moves by at most _ALTMAX_TOL
-    relative.
+    multiplies the block by A twice: the x-step takes only the unit
+    maximizers x of y A (their values are not needed), the y-step the
+    maximizers y of x A^T, unnormalised, and their values, which are the
+    rows' new values.  The x-step's maximizer does not change when a row
+    of y is multiplied by a positive number, so neither y nor the start
+    block is normalised.  A row stops, converged, once its own value
+    moves by at most _ALTMAX_TOL times that value.
     It also stops, unconverged, once it looks unable to catch up: its
     latest step, repeated for every iteration left before
     _ALTMAX_MAX_ITER, would still leave it more than _ALTMAX_TOL relative
     below the best value so far.  That drop rule is a heuristic: a
     restart that speeds up later is lost, so the value may stop below
     the one every restart would reach if run to convergence or the cap.
-    The converged flags and the live rows are re-indexed only in an
-    iteration where some row converged or stopped.
+    The live rows' latest values are kept apart from the stopped rows',
+    which are written, with the converged flags, only in an iteration
+    where some row converged or stopped.
     The value, the max over rows, is a certified lower bound either way;
     `converged` says whether the first restart that attains it converged.
     """
@@ -261,27 +245,32 @@ def opnorm_detail(a, r1: float, r2: float, restarts: int = 64) -> OpnormResult:
 
     r2star = conjugate(r2)
     y = _sign_starts(restarts, m.shape[0])
-    y /= _row_norms(y, r2star)[:, None]
     live = np.arange(restarts)  # restarts still iterating, by index
-    value = np.zeros(restarts)
+    prev = np.zeros(restarts)  # the live rows' latest values
+    value = np.zeros(restarts)  # the stopped rows' final values
     converged = np.zeros(restarts, dtype=bool)
+    stopped_best = 0.0
     for it in range(_ALTMAX_MAX_ITER):
         if live.size == 0:
             break
         x, _ = _dual_rows(y @ m, r1, values=False)
         y, new = _dual_rows(x @ m.T, r2star)
-        step = new - value[live]
-        done = np.abs(step) <= _ALTMAX_TOL * np.maximum(1.0, new)
-        value[live] = new
-        if done.any():
-            converged[live[done]] = True
+        step = new - prev
+        done = np.abs(step) <= _ALTMAX_TOL * new
         # a row that would stay below the best value even if its latest
         # step repeated until the cap cannot catch up: it stops, unconverged
-        best = value.max()
+        best = max(stopped_best, new.max())
         reach = new + np.maximum(step, 0.0) * (_ALTMAX_MAX_ITER - it - 1)
-        keep = ~done & (reach >= best - _ALTMAX_TOL * max(1.0, best))
-        if not keep.all():
-            live, y = live[keep], y[keep]
+        keep = ~done & (reach >= best - _ALTMAX_TOL * best)
+        if keep.all():
+            prev = new
+            continue
+        stop = ~keep
+        value[live[stop]] = new[stop]
+        converged[live[done]] = True
+        stopped_best = max(stopped_best, new[stop].max())
+        live, y, prev = live[keep], y[keep], new[keep]
+    value[live] = prev
     top = int(value.argmax())
     return OpnormResult(float(value[top]), restarts, bool(converged[top]))
 

@@ -5,22 +5,24 @@ the library (cyclic Jacobi instead of power iteration, literal
 pattern-by-pattern sums instead of a classifier) so agreement is
 evidence, not tautology.
 
-The exception is the `*_loop`, `*_unblocked`, `*_two_pass` and
-`*_reference` oracles at the end: they are the plain loops,
-whole-sample statistics and earlier kernels that the library's batched
-and blocked kernels replace.  The tests demand bit-equal (==) results
-from `rip_k_loop`, `expected_frob_sq_loop` and `dual_rows_two_pass`,
-and from `opnorm_block_reference`: the block of restarts as it ran
-before each step did only the work its result needs, so its value,
-restart count and flag must equal opnorm_detail's.  `opnorm_loop` runs
-its restarts one at a time through matrix-vector products, each to its
-own convergence or the iteration cap, where the library multiplies
-blocks and drops restarts that cannot catch up; so its value is
-compared within 1e-12 relative and its convergence flag exactly.  Both
-build their start block with `sign_starts`, a loop over primes and
-entries that the tests compare with the package's block by ==;
-`gaussian_starts` is the random block the package drew before, kept as
-the reference for the search-quality test.  The
+The exception is the `*_loop`, `*_unblocked`, `*_one_power`,
+`*_two_pass`, `*_block` and `*_reference` oracles at the end: they are
+the plain loops, whole-sample statistics and earlier kernels that the
+library's batched and blocked kernels replace.  The tests demand
+bit-equal (==) results from `rip_k_loop`, `expected_frob_sq_loop` and
+`dual_rows_one_power`, and from `opnorm_block_reference`: the block of
+restarts with its bookkeeping on every row, so its value, restart count
+and flag must equal opnorm_detail's.  `dual_rows_two_pass` and
+`opnorm_two_pass_block` are the arithmetic from before each half-step
+took one power, held within a derived ulp count and 1e-12 relative.
+`opnorm_loop` runs its restarts one at a time through matrix-vector
+products, each to its own convergence or the iteration cap, where the
+library multiplies blocks and drops restarts that cannot catch up; so
+its value is compared within 1e-12 relative and its convergence flag
+exactly.  All three build their start block with `sign_starts`, a loop
+over primes and entries that the tests compare with the package's
+block by ==; `gaussian_starts` is the random block the package drew
+before, kept as the reference for the search-quality test.  The
 `*_unblocked` statistics run on the rows of `blocked_draws` stacked
 into one sample, and are compared with == on integer-valued draws,
 where BLAS gives the same bits for any number of rows per product.
@@ -392,7 +394,7 @@ def opnorm_loop(a: np.ndarray, r1: float, r2: float, restarts: int = 64) -> Opno
             x, _ = _dual_maximizer(m.T @ y, r1)
             w = m @ x
             y, new = _dual_maximizer(w, r2star)
-            if abs(new - value) <= _ALTMAX_TOL * max(1.0, new):
+            if abs(new - value) <= _ALTMAX_TOL * new:
                 value = new
                 converged = True
                 break
@@ -438,18 +440,45 @@ def dual_rows_two_pass(z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
     return x, val
 
 
+def dual_rows_one_power(z: np.ndarray, r: float, values: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """matrix_norms._dual_rows one operation at a time, on fresh arrays.
+
+    A row is zero when its max |z_ij| is 0.  With t = |z| / max and
+    p = t^(r* - 1) (p = t at r = 2), S = sum p t is summed as the library
+    sums it; the value is max S^(1/r*), and the maximizer sign(z) p, which
+    values=False divides by S^(1/r).  Every guard runs.
+    """
+    zero = np.abs(z).max(axis=1) == 0.0
+    if math.isinf(r):
+        x = np.sign(np.where(z == 0.0, 1.0, z))
+        val = np.abs(z).sum(axis=1)
+    else:
+        rstar = r / (r - 1.0)
+        zmax = np.where(zero, 1.0, np.abs(z).max(axis=1))
+        t = np.abs(z) / zmax[:, None]
+        p = t if r == 2.0 else t ** (rstar - 1.0)
+        s = (p * t).sum(axis=1)
+        val = zmax * s ** (1.0 / rstar)
+        x = np.copysign(p, z)
+        if not values:
+            x = x / np.where(zero, 1.0, s ** (1.0 / r))[:, None]
+    x[zero] = 0.0
+    x[zero, 0] = 1.0
+    return x, val if values else None
+
+
 def opnorm_block_reference(
     a: np.ndarray, r1: float, r2: float, restarts: int = 64, seed: int | None = None
 ) -> OpnormResult:
-    """The alternating branch of opnorm_detail as it was before each step
-    did only the work its result needs.
+    """The alternating branch of opnorm_detail with its bookkeeping on every row.
 
-    The same block of restarts, starts, drop rule and flag, but both
-    steps of every iteration compute the row values and every guard,
-    through dual_rows_two_pass, and the bookkeeping indexes every array
-    whether or not a row converged or dropped.  An integer seed starts
-    from gaussian_starts(restarts, rows, seed) instead of sign_starts:
-    at seed 0 that is opnorm_detail as it was before its sign patterns.
+    The same block of restarts, starts, steps (dual_rows_one_power), drop
+    rule and flag, but every iteration scatters the live rows' values
+    into the full value array, takes its max, and indexes the converged
+    flags and the live rows whether or not a row converged or dropped.
+    An integer seed starts from gaussian_starts(restarts, rows, seed)
+    instead of sign_starts: that is the start block opnorm_detail drew
+    before its sign patterns.
     Only for pairs without a closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
     """
     m = np.asarray(a, dtype=float)
@@ -458,6 +487,36 @@ def opnorm_block_reference(
         y = sign_starts(restarts, m.shape[0])
     else:
         y = gaussian_starts(restarts, m.shape[0], seed)
+    live = np.arange(restarts)
+    value = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    for it in range(_ALTMAX_MAX_ITER):
+        if live.size == 0:
+            break
+        x, _ = dual_rows_one_power(y @ m, r1, values=False)
+        y, new = dual_rows_one_power(x @ m.T, r2star)
+        step = new - value[live]
+        done = np.abs(step) <= _ALTMAX_TOL * new
+        value[live] = new
+        converged[live[done]] = True
+        best = value.max()
+        reach = new + np.maximum(step, 0.0) * (_ALTMAX_MAX_ITER - it - 1)
+        keep = ~done & (reach >= best - _ALTMAX_TOL * best)
+        live, y = live[keep], y[keep]
+    top = int(value.argmax())
+    return OpnormResult(float(value[top]), restarts, bool(converged[top]))
+
+
+def opnorm_two_pass_block(a: np.ndarray, r1: float, r2: float, restarts: int = 64) -> OpnormResult:
+    """The alternating branch of opnorm_detail before each half-step took
+    one power: every step through dual_rows_two_pass, the start block and
+    every y normalised to unit l_{r2*} rows, and the tolerances taken
+    relative to max(1, value).
+    Only for pairs without a closed form: 1 < r1, r2 < inf, (r1, r2) != (2, 2).
+    """
+    m = np.asarray(a, dtype=float)
+    r2star = math.inf if r2 == 1.0 else r2 / (r2 - 1.0)
+    y = sign_starts(restarts, m.shape[0])
     y = y / _row_norms_two_pass(y, r2star)[:, None]
     live = np.arange(restarts)
     value = np.zeros(restarts)

@@ -163,6 +163,20 @@ def test_norms_alpha_zero_exits_2(tmp_path, capsys):
     assert captured.err.splitlines() == ["config error: alpha must lie in (0, 2], got 0.0"]
 
 
+def test_norms_overflowing_functional_exits_2_with_one_line(tmp_path, capsys):
+    # the golden matrix times 1e200: frobenius, op_2_to_inf and op_1_to_2
+    # overflow, and norms exited 0 with Infinity and NaN in norms.json
+    m = np.loadtxt(GOLDEN / "norms" / "matrix.csv", delimiter=",") * 1e200
+    path = tmp_path / "big.csv"
+    np.savetxt(path, m, delimiter=",", fmt="%.17g")
+    out = tmp_path / "out"
+    assert main(["norms", str(path), "--alpha", "1.5", "--p", "0.5,0.3,0.8,0.6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: frobenius is inf: the matrix entries are too large"]
+    assert not out.exists()
+
+
 def test_norms_and_bound_table_share_functionals(tmp_path):
     # both read one Functionals record of the same symmetric matrix and p
     g = np.random.default_rng(17).standard_normal((6, 6))

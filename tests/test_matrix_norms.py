@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     bound_table_workload_matrix,
+    dual_rows_one_power,
     dual_rows_two_pass,
     jacobi_eigen_spectral,
     opnorm_block_reference,
     opnorm_grid,
     opnorm_loop,
+    opnorm_two_pass_block,
     save_matrix_bin,
     save_matrix_csv,
     sign_starts,
@@ -262,35 +264,83 @@ def test_opnorm_workload_value_converged():
     assert math.isclose(res.value, 4.448872813848508, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("r", (1.2, 1.5, 2.0, 3.0, 4.0, math.inf))
-def test_dual_rows_matches_two_pass(r):
+def _dual_rows_inputs() -> list:
+    """20 random blocks of 1-39 rows and columns, scaled by 10^-6 to 10^6,
+    with about a quarter of the rows and a tenth of the entries zero."""
     rng = stream(93, 0)
-    for trial in range(20):
+    blocks = []
+    for _ in range(20):
         z = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 40))))
         z *= 10.0 ** float(rng.integers(-6, 7))
         z[rng.random(z.shape[0]) < 0.25] = 0.0  # zero rows
         z[rng.random(z.shape) < 0.1] = 0.0
+        blocks.append(z)
+    return blocks
+
+
+DUAL_ROWS_EXPONENTS = (1.2, 1.5, 2.0, 3.0, 4.0, math.inf)
+
+
+@pytest.mark.parametrize("r", DUAL_ROWS_EXPONENTS)
+def test_dual_rows_matches_one_power(r):
+    for trial, z in enumerate(_dual_rows_inputs()):
+        for values in (True, False):
+            ref_x, ref_val = dual_rows_one_power(z, r, values=values)
+            x, val = _dual_rows(z, r, values=values)
+            assert np.array_equal(x, ref_x), (r, trial, values)
+            assert np.array_equal(val, ref_val) if values else val is None, (r, trial)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest |a - b| in units in the last place of b."""
+    return float(np.max(np.abs(a - b) / np.spacing(np.abs(b)), initial=0.0))
+
+
+@pytest.mark.parametrize("r", DUAL_ROWS_EXPONENTS)
+def test_dual_rows_within_derived_ulps_of_two_pass(r):
+    # The two differ only in how the l_r sums are formed, with u = 2^-53
+    # and n columns.  A pow is within 2u relative, a product or quotient
+    # within u, and a sum of n nonnegative terms in any order within
+    # (n - 1) u.  Values: each term t^(r*) is one pow (2u) against
+    # pow(t, r* - 1) times t (3u), so the terms differ by 5u and the sums
+    # by 5u + 2 (n - 1) u; the root (1/r* < 1) adds 2u a side and the
+    # scaling u a side (at r = 2 the former unscaled root of the sum of
+    # squares stays within the same count).  Maximizers share p =
+    # t^(r* - 1): the norms' terms pow(p, r) against p t differ by
+    # (r - 1) 2u from p's own rounding, 2u and u, the sums by a further
+    # 2 (n - 1) u, the roots (1/r < 1) 2u a side and the divisions u a
+    # side.  With 1 ulp >= u relative, neither differs by more than
+    # 2 n + 2 r + 9 ulps (signs at r = inf are equal).
+    for trial, z in enumerate(_dual_rows_inputs()):
+        bound = 2 * z.shape[1] + (0 if math.isinf(r) else 2 * r) + 9
         ref_x, ref_val = dual_rows_two_pass(z, r)
-        x, val = _dual_rows(z, r)
-        assert np.array_equal(x, ref_x) and np.array_equal(val, ref_val), (r, trial)
-        x, val = _dual_rows(z, r, values=False)
-        assert np.array_equal(x, ref_x) and val is None, (r, trial)
+        x, _ = _dual_rows(z, r, values=False)
+        _, val = _dual_rows(z, r)
+        assert _ulps(x, ref_x) <= bound and _ulps(val, ref_val) <= bound, (r, trial)
 
 
 @pytest.mark.parametrize("r", (1.5, 2.0, 3.0, math.inf))
 def test_dual_rows_zero_rows_found_without_values(r):
-    # at 1e-170 every square underflows, so at r = 2 the sum of squares, and
-    # with it the value, is 0 for rows whose max is not: they too get e_1
+    # a row is zero exactly when its max is: rows of +0 and -0 get e_1 and
+    # value 0.  A row scaled by 2^-565 (about 1e-170) is not zero, although
+    # its squares underflow: it keeps the unscaled row's maximizer and
+    # 2^-565 times its value.  Until the r = 2 branch scaled by the row max
+    # it summed the squares unscaled, and gave that row e_1 and value 0.
     z = stream(95, 0).standard_normal((6, 5))
     z[1] = 0.0
     z[2] = -0.0
-    z[4] *= 1e-170
-    ref_x, ref_val = dual_rows_two_pass(z, r)
-    assert ref_val[1] == ref_val[2] == 0.0 and (ref_val[4] == 0.0) == (r == 2.0)
+    tiny = z.copy()
+    tiny[4] *= 2.0**-565
+    scale = np.where(np.arange(6) == 4, 2.0**-565, 1.0)
     for values in (True, False):
-        x, val = _dual_rows(z, r, values=values)
+        x, val = _dual_rows(tiny, r, values=values)
+        ref_x, ref_val = _dual_rows(z, r, values=values)
+        assert np.array_equal(x[1:3], [[1.0, 0.0, 0.0, 0.0, 0.0]] * 2)
         assert np.array_equal(x, ref_x)
-        assert np.array_equal(val, ref_val) if values else val is None
+        if values:
+            assert val[1] == val[2] == 0.0 and np.array_equal(val, scale * ref_val)
+        else:
+            assert val is None
 
 
 # (3, 2) adds the y-step at r2* = 2
@@ -325,6 +375,48 @@ def test_opnorm_matches_block_reference_exactly(case):
     m, r1, r2, restarts = BLOCK_REFERENCE_CASES[case]
     for n in sorted({1, 2, 64, restarts}):
         assert opnorm_detail(m, r1, r2, restarts=n) == opnorm_block_reference(m, r1, r2, restarts=n), n
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_REFERENCE_CASES))
+def test_opnorm_within_1e12_of_two_pass_block(case):
+    # one power per half-step, unnormalised y and the relative tolerance
+    # move the value only by rounding: within 1e-12 relative of the block
+    # as it ran before, with the same flag
+    m, r1, r2, restarts = BLOCK_REFERENCE_CASES[case]
+    ours = opnorm_detail(m, r1, r2, restarts=restarts)
+    ref = opnorm_two_pass_block(m, r1, r2, restarts=restarts)
+    assert math.isclose(ours.value, ref.value, rel_tol=1e-12, abs_tol=0.0), (ours, ref)
+    assert ours.converged == ref.converged, (ours, ref)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4, 5, 6))
+def test_opnorm_workload_within_1e12_of_two_pass_block(seed):
+    m = bound_table_workload_matrix(seed)
+    for r1 in (2.0, 1.5):
+        ours = opnorm_detail(m, r1, 3.0)
+        ref = opnorm_two_pass_block(m, r1, 3.0)
+        assert math.isclose(ours.value, ref.value, rel_tol=1e-12, abs_tol=0.0), (seed, r1, ours, ref)
+        assert ours.converged == ref.converged, (seed, r1)
+
+
+HOMOGENEITY_PAIRS = BLOCK_REFERENCE_PAIRS + ((2.0, 1.5),)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", (300, -300, 660, -660))
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_opnorm_scales_exactly_by_powers_of_two(case, k):
+    # every step is relative to each row's largest entry and every test to
+    # each row's value, so 2^k A gives exactly 2^k times the value and the
+    # same flag, with no overflow or underflow warning.  With tolerances
+    # absolute below 1, and squares summed unscaled at r = 2, "square" at
+    # k = -660 read 72% low at (2, 3) and 0 at (3, 2), and inf at k = 660
+    m = BLOCK_CASES[case]
+    for r1, r2 in HOMOGENEITY_PAIRS:
+        base = opnorm_detail(m, r1, r2)
+        scaled = opnorm_detail(2.0**k * m, r1, r2)
+        assert scaled.value == 2.0**k * base.value, (r1, r2)
+        assert scaled.converged == base.converged, (r1, r2)
 
 
 @pytest.mark.parametrize("restarts", (1, 2, 64, 100))
