@@ -79,9 +79,9 @@ class TailBound:
         out = np.minimum.reduce(vals)
         return float(out) if out.ndim == 0 else out
 
-    def prob(self, t):
-        """Bound value prefactor * exp(-c_alpha * E(t)), always in (0, prefactor]."""
-        e = self.exponent(t)
+    def prob(self, t, exponent=None):
+        """prefactor * exp(-c_alpha * E(t)), in (0, prefactor]; `exponent`, if given, is E(t)."""
+        e = self.exponent(t) if exponent is None else exponent
         return self.constants.prefactor * np.exp(-self.constants.c_alpha * np.asarray(e))
 
 

@@ -635,7 +635,8 @@ def _hw_verify(cfg: dict, seed: int, threads: int):
     tail = qf.simulate_tail(inst, t_grid, cfg["n_samples"], seed, threads=threads)
     tn = tail.t_grid / L**2
     shape_name = "sparse_alpha_refined" if alpha <= 1.0 else "sparse_alpha"
-    probs = {k: tb.prob(tn) for k, tb in bounds.items()}
+    exponent = bounds[shape_name].exponent(tn)
+    probs = {k: tb.prob(tn, exponent if k == shape_name else None) for k, tb in bounds.items()}
     results = {
         "L": L,
         "center": inst.mean(),
@@ -643,7 +644,6 @@ def _hw_verify(cfg: dict, seed: int, threads: int):
         "t_grid": tail.t_grid.tolist(),
         "bounds": {k: np.asarray(v).tolist() for k, v in probs.items()},
     }
-    exponent = bounds[shape_name].exponent(tn)
     return _verify_tail(tail, exponent, probs, rel_slack, results, {"shape": shape_name})
 
 
@@ -661,14 +661,15 @@ def _bernstein_verify(cfg: dict, seed: int, threads: int):
 
     tb = bd.TailBound(bd.bernstein_regimes(a, model.p_array(), alpha, L), constants)
     tail = qf.simulate_linear_tail(a, model, t_grid, cfg["n_samples"], seed, threads=threads)
-    probs = {"bound": tb.prob(tail.t_grid)}
+    exponent = tb.exponent(tail.t_grid)
+    probs = {"bound": tb.prob(tail.t_grid, exponent)}
     results = {
         "L": L,
         "survival": tail.survival.tolist(),
         "t_grid": tail.t_grid.tolist(),
         "bound": np.asarray(probs["bound"]).tolist(),
     }
-    return _verify_tail(tail, tb.exponent(tail.t_grid), probs, rel_slack, results, {})
+    return _verify_tail(tail, exponent, probs, rel_slack, results, {})
 
 
 def _covest(cfg: dict, seed: int, threads: int):

@@ -117,8 +117,7 @@ class MultivariateModel:
     def k1_scale(self) -> float:
         """||B||_{2->2} (||Diag(sqrt(p)) B||_F + ||B||_{2->2}), the theta-free factor of K1."""
         spec_b = mn.opnorm(self.b, 2, 2)
-        weighted_fro = float(np.linalg.norm(np.sqrt(self.p_array())[:, None] * self.b, "fro"))
-        return spec_b * (weighted_fro + spec_b)
+        return spec_b * (mn.frobenius(np.sqrt(self.p_array())[:, None] * self.b) + spec_b)
 
 
 def generate_samples(

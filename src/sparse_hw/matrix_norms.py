@@ -15,7 +15,11 @@ power and one row sum (see _dual_rows).  Each row stops on its own
 convergence test, relative to its value, or as soon as it cannot reach
 the block's best value within the iteration cap; the reported
 convergence flag is that of the restart giving the value, not of every
-restart.  A power-of-two scaling of A scales the value exactly.
+restart.  The closed-form l_r norms (lp_norm, frobenius, max_abs,
+mixed_norm, the r1 = 1 and r2 = inf operator norms, row_weighted_max)
+share one kernel, _row_norms, which scales each row by its largest
+entry, so 2^k A scales them, like the alternating value, exactly by 2^k;
+gamma1, a sum of squares, may still overflow or underflow.
 
 Sparsity-weighted functionals take a retention-probability vector p:
 
@@ -74,40 +78,36 @@ def _check_exponent(r: float) -> float:
     return r
 
 
+def _row_norms(m: np.ndarray, r: float) -> np.ndarray:
+    """The l_r norm of each row of the 2-D array m, r in [1, inf], as
+    top (sum_j (|m_ij| / top)^r)^(1/r) with top the row's largest |m_ij|
+    (Blue 1978; a zero row gives 0): no power overflows or underflows to 0
+    unless the norm does, and 2^k m gives exactly 2^k times the norms."""
+    a = np.abs(m)
+    top = a.max(axis=1, initial=0.0)
+    if math.isinf(r):
+        return top
+    t = np.divide(a, np.where(top == 0.0, 1.0, top)[:, None], out=a)
+    return top * np.power(t, r, out=t).sum(axis=1) ** (1.0 / r)
+
+
 def frobenius(a) -> float:
-    return float(np.linalg.norm(_as_matrix(a), "fro"))
+    return lp_norm(_as_matrix(a), 2.0)
 
 
 def max_abs(a) -> float:
     """Entrywise max |a_ij|, which equals ||A||_{1 -> inf}."""
-    m = _as_matrix(a)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return lp_norm(_as_matrix(a), math.inf)
 
 
 def lp_norm(x: np.ndarray, r: float) -> float:
-    """Vector l_r norm with r in [1, inf]."""
-    r = _check_exponent(r)
-    x = np.abs(np.asarray(x, dtype=float))
-    if x.size == 0:
-        return 0.0
-    if math.isinf(r):
-        return float(x.max())
-    if r == 1.0:
-        return float(x.sum())
-    if r == 2.0:
-        return float(np.sqrt((x * x).sum()))
-    m = x.max()
-    if m == 0.0:
-        return 0.0
-    # factor out the max so large exponents cannot overflow
-    return float(m * (np.sum((x / m) ** r)) ** (1.0 / r))
+    """l_r norm, r in [1, inf], of the entries of x taken as one vector."""
+    return float(_row_norms(np.asarray(x, dtype=float).reshape(1, -1), _check_exponent(r))[0])
 
 
 def mixed_norm(a, r: float) -> float:
     """l_r norm of the vector of row l_2 norms; r = inf gives the max row norm."""
-    m = _as_matrix(a)
-    rows = np.sqrt((m * m).sum(axis=1))
-    return lp_norm(rows, r)
+    return lp_norm(_row_norms(_as_matrix(a), 2.0), r)
 
 
 def conjugate(r: float) -> float:
@@ -235,11 +235,9 @@ def opnorm_detail(a, r1: float, r2: float, restarts: int = 64) -> OpnormResult:
     if r1 == 2.0 and r2 == 2.0:
         return OpnormResult(float(np.linalg.norm(m, 2)), 0, True)
     if r1 == 1.0:
-        cols = np.array([lp_norm(m[:, j], r2) for j in range(m.shape[1])])
-        return OpnormResult(float(cols.max()), 0, True)
+        return OpnormResult(float(_row_norms(m.T, r2).max()), 0, True)
     if math.isinf(r2):
-        rows = np.array([lp_norm(m[i, :], conjugate(r1)) for i in range(m.shape[0])])
-        return OpnormResult(float(rows.max()), 0, True)
+        return OpnormResult(float(_row_norms(m, conjugate(r1)).max()), 0, True)
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
@@ -285,10 +283,11 @@ def gamma1(a, p) -> float:
     if m.shape[0] != m.shape[1]:
         raise ValueError("gamma1 requires a square matrix")
     q = _as_probs(p, m.shape[0])
-    sq = m * m
-    diag = np.diag(sq)
-    off = float(q @ sq @ q) - float(diag @ (q * q))
-    return float(diag @ q) + off
+    # the terms a_ij (a_ij p_i p_j), a_kk (a_kk p_k) on the diagonal, summed directly:
+    # an overflow gives inf, never inf - inf or inf * 0 (a_ij p_i p_j is finite)
+    w = m * np.outer(q, q)
+    np.fill_diagonal(w, np.diag(m) * q)
+    return float((m * w).sum())
 
 
 def gamma2(a, p) -> float:
@@ -318,7 +317,7 @@ def row_weighted_max(a, p) -> float:
     """max_i (sum_j a_ij^2 p_j)^(1/2)."""
     m = _as_matrix(a)
     q = _as_probs(p, m.shape[1])
-    return float(np.sqrt(np.max((m * m) @ q))) if m.size else 0.0
+    return float(_row_norms(m * np.sqrt(q), 2.0).max(initial=0.0))
 
 
 class Functionals:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matrix_norms as mn
 from .errors import BudgetExceededError
 from .rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
 from .streams import chunk_sizes
@@ -408,7 +409,7 @@ def simulate_norm_tail(
         raise ValueError("norm concentration needs a uniform positive p")
     if model.base.variance() != 1.0:
         raise ValueError("norm concentration needs a unit-variance base")
-    center = math.sqrt(p[0]) * float(np.linalg.norm(m, "fro"))
+    center = math.sqrt(p[0]) * mn.frobenius(m)
 
     def norm(out, y, x):
         # the arithmetic of np.linalg.norm(x @ m.T, axis=1)

@@ -266,6 +266,27 @@ def test_comparison_bounds_reductions():
         comparison_bounds(grid, functionals(m, q, 1.0), L=1e200)
 
 
+DENSE_ENTRIES = ("classical_hw", "dense_five_regime", "dense_four_regime", "two_regime_simplified")
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5, 2.0))
+def test_dense_bounds_invariant_under_power_of_two_scaling(alpha):
+    # every coefficient of a dense bound is of degree 1 in A, so A and t
+    # scaled by 2^-660 give the same values.  While the closed forms summed
+    # unscaled squares, frobenius and the mixed norms read 0 there and
+    # their regimes dropped out.  Only LAPACK's spectral norm, a few ulps
+    # off at that scale, moves the values, by rounding
+    m = random_sym(153, 6)
+    grid = np.geomspace(0.1, 10.0, 9) * mn.frobenius(m)
+    s = 2.0**-660
+    base = comparison_bounds(grid, functionals(m, 0.5, alpha))
+    scaled = comparison_bounds(s * grid, functionals(s * m, 0.5, alpha))
+    names = [name for name in DENSE_ENTRIES if name in base]
+    assert len(names) == (4 if alpha == 1.0 else 3)
+    for name in names:
+        np.testing.assert_allclose(scaled[name].value, base[name].value, rtol=1e-14, atol=0.0, err_msg=name)
+
+
 def test_bound_report_work_does_not_grow_with_the_grid(monkeypatch):
     # one record per report: every bound and the norms block read each
     # functional once, whatever the grid; the names are the matrix

@@ -163,18 +163,59 @@ def test_norms_alpha_zero_exits_2(tmp_path, capsys):
     assert captured.err.splitlines() == ["config error: alpha must lie in (0, 2], got 0.0"]
 
 
-def test_norms_overflowing_functional_exits_2_with_one_line(tmp_path, capsys):
-    # the golden matrix times 1e200: frobenius, op_2_to_inf and op_1_to_2
-    # overflow, and norms exited 0 with Infinity and NaN in norms.json
-    m = np.loadtxt(GOLDEN / "norms" / "matrix.csv", delimiter=",") * 1e200
-    path = tmp_path / "big.csv"
+def run_scaled_golden_norms(tmp_path, scale: float) -> tuple[int, Path]:
+    """norms on the golden norms matrix times scale, with that case's
+    options; the exit code and the --out directory."""
+    path = tmp_path / "scaled.csv"
+    m = np.loadtxt(GOLDEN / "norms" / "matrix.csv", delimiter=",") * scale
     np.savetxt(path, m, delimiter=",", fmt="%.17g")
     out = tmp_path / "out"
-    assert main(["norms", str(path), "--alpha", "1.5", "--p", "0.5,0.3,0.8,0.6", "--out", str(out)]) == 2
+    return main(["norms", str(path), "--alpha", "1.5", "--p", "0.5,0.3,0.8,0.6", "--out", str(out)]), out
+
+
+def assert_norms_overflow(tmp_path, capsys, scale: float, name: str):
+    rc, out = run_scaled_golden_norms(tmp_path, scale)
+    assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["config error: frobenius is inf: the matrix entries are too large"]
+    assert captured.err.splitlines() == [f"config error: {name} is inf: the matrix entries are too large"]
     assert not out.exists()
+
+
+def test_norms_overflowing_functional_exits_2_with_one_line(tmp_path, capsys):
+    # the golden matrix times 8e307: every entry is finite, but ||A||_F is
+    # about 3.4e308, past the float range; norms exited 0 with Infinity and
+    # NaN in norms.json before it checked its entries
+    assert_norms_overflow(tmp_path, capsys, 8e307, "frobenius")
+
+
+def test_norms_overflowing_gamma1_exits_2_with_one_line(tmp_path, capsys):
+    # times 1e200 every l_r field is finite, but gamma1 is a sum of squares
+    # near 1e400; it read NaN (inf - inf) while it subtracted the diagonal
+    assert_norms_overflow(tmp_path, capsys, 1e200, "gamma1")
+
+
+def test_norms_scale_exactly_by_two_to_the_minus_700(tmp_path, capsys):
+    # every field but gamma1 (whose value 2^-1400 gamma1 underflows) is
+    # 2^-700 times its golden value; frobenius, op_2_to_inf, op_1_to_2, the
+    # mixed norms and row_weighted_max read 0 while they summed unscaled
+    # squares.  LAPACK scales a matrix this small by a factor that is not a
+    # power of two, so spectral and weighted_spectral may move a few ulps
+    rc, out = run_scaled_golden_norms(tmp_path, 2.0**-700)
+    assert rc == 0
+    printed = parse_norms_stdout(capsys)
+    saved = json.loads((out / "norms.json").read_text())["norms"]
+    golden = json.loads((GOLDEN / "norms" / "expected" / "norms.json").read_text())["norms"]
+    assert printed.keys() == saved.keys() == golden.keys()
+    for name, value in golden.items():
+        if name == "gamma1":
+            continue
+        expected = 2.0**-700 * value
+        if name in ("spectral", "weighted_spectral"):
+            assert abs(saved[name] - expected) <= 4 * np.spacing(expected), name
+        else:
+            assert saved[name] == expected, name
+        assert printed[name] == float(f"{saved[name]:.12g}"), name
 
 
 def test_norms_and_bound_table_share_functionals(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     sign_starts,
 )
 from sparse_hw.matrix_norms import (
+    Functionals,
     _dual_rows,
     _sign_starts,
     conjugate,
@@ -419,6 +421,43 @@ def test_opnorm_scales_exactly_by_powers_of_two(case, k):
         assert scaled.converged == base.converged, (r1, r2)
 
 
+FUNCTIONAL_SCALE_CASES = dict(
+    BLOCK_CASES, golden=load_matrix_csv(Path(__file__).parent / "golden" / "norms" / "matrix.csv")
+)
+DEGREE_ONE_FIELDS = (
+    "frobenius", "max_abs", "spectral", "op_2_to_inf", "op_1_to_2", "op_1_to_inf", "op_2_to_conj",
+    "op_alpha_to_conj", "mixed_l4_l2", "mixed_linf_l2", "mixed_conj_l2", "row_weighted_max",
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", (300, -300, 660, -660))
+@pytest.mark.parametrize("case", sorted(FUNCTIONAL_SCALE_CASES))
+def test_functionals_scale_exactly_by_powers_of_two(case, k):
+    # every field but gamma1, a square, is of degree 1 in A: 2^k A gives
+    # exactly 2^k times it, with no overflow or underflow warning.  While
+    # the closed forms summed unscaled squares, frobenius, op_2_to_inf,
+    # op_1_to_2, the l_2-type mixed norms and row_weighted_max read 0 at
+    # k = -660 and overflowed at k = 660.  LAPACK scales a matrix with
+    # entries beyond about 1e+-139 by a factor that is not a power of two,
+    # so at |k| = 660 spectral and weighted_spectral take another rounding
+    # path; they move by at most 3 ulps on these cases, and 4 are allowed
+    m = FUNCTIONAL_SCALE_CASES[case]
+    p = np.linspace(0.2, 0.9, m.shape[1])
+    square = m.shape[0] == m.shape[1]
+    names = DEGREE_ONE_FIELDS + (("gamma2", "weighted_spectral") if square else ())
+    for alpha in (1.0, 1.5):  # at alpha = 1 the conj fields are closed forms
+        base = Functionals(m, p, alpha)
+        scaled = Functionals(2.0**k * m, p, alpha)
+        for name in names:
+            value = getattr(scaled, name) / 2.0**k
+            want = getattr(base, name)
+            if abs(k) == 660 and name in ("spectral", "weighted_spectral"):
+                assert _ulps(np.array(value), np.array(want)) <= 4, (alpha, name)
+            else:
+                assert value == want, (alpha, name)
+
+
 @pytest.mark.parametrize("restarts", (1, 2, 64, 100))
 @pytest.mark.parametrize("n", (1, 2, 5, 60, 200))
 def test_sign_starts_match_the_oracle(n, restarts):
@@ -495,6 +534,17 @@ def test_gamma1_values():
         gamma1(np.ones((2, 3)), (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         gamma1(SYM22, (0.5, 1.5))
+
+
+def test_gamma1_overflow_reads_inf_and_zero_p_adds_nothing():
+    # each term is summed directly: squares past the float range make
+    # gamma1 inf, not inf - inf, and an entry in a row or column with
+    # p = 0 adds 0, not inf * 0; each case read NaN while the diagonal
+    # terms were subtracted from q^T (A o A) q
+    assert gamma1([[1e200, 1.0], [1.0, 1.0]], (0.0, 1.0)) == 1.0
+    assert gamma1([[1.0, 1e200], [1e200, 1.0]], (0.0, 1.0)) == 1.0
+    with np.errstate(over="ignore"):
+        assert gamma1(1e200 * SYM22, (0.5, 0.25)) == math.inf
 
 
 def test_gamma2_values():
