@@ -860,7 +860,8 @@ def _cmd_norms(args) -> int:
     p = None
     if args.p is not None:
         parts = [float(v) for v in args.p.split(",")]
-        p = parts[0] if len(parts) == 1 else parts  # a scalar weights every column
+        # a scalar weights every column
+        p = _p_vector(parts[0] if len(parts) == 1 else parts, a.shape[1])
     al = None if args.alpha is None else AlphaParam(args.alpha)
     f = mn.Functionals(a, p, None if al is None else al.value)
 

@@ -1,14 +1,11 @@
 """Monte Carlo verification engine for quadratic-form tails.
 
 Sampling is chunked: chunk c draws from the SFC64 stream
-streams.chunk_stream(seed, c), a pure function of (seed, c), and integer
-exceedance counts and per-chunk moment sums are merged in chunk order,
-so results are bit-identical for any number of worker threads (the
-thread pool only changes who computes a chunk, not what it contains or
-the order of the reduction).  A run splits into chunks of MC_CHUNK
-samples (the last one ragged).  Within a chunk, rows are drawn and
-evaluated in blocks of MC_BLOCK_ENTRIES // dim rows that reuse the
-chunk's buffers, so memory does not grow with the chunk size.  The
+streams.chunk_stream(seed, c), a pure function of (seed, c), and the
+integer exceedance counts are summed in chunk order, so results are
+bit-identical for any number of worker threads (the thread pool only
+changes who computes a chunk, not what it contains or the order of the
+reduction).  _simulate states the chunk and block rules.  The
 quadratic statistic is evaluated from the upper triangle of A in column
 panels (_quadform); it equals (x @ A * x).sum(1) up to rounding.
 
@@ -27,7 +24,7 @@ import numpy as np
 
 from . import matrix_norms as mn
 from .errors import BudgetExceededError
-from .rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
+from .rv_models import SparseModel, sample_sparse_matrix
 from .streams import chunk_sizes
 # bound as `stream`, the name under which the benchmark tracer counts chunk generators
 from .streams import chunk_stream as stream
@@ -155,19 +152,24 @@ def _quadform(a: np.ndarray, model: SparseModel) -> _Blockwise:
     return _Blockwise(model, evaluate, a.shape[1])
 
 
-def _deviations(
-    reduce, stat: _Blockwise, center: float, n_samples: int, seed: int, threads: int
-) -> list:
-    """reduce(|statistic - center|) for every chunk of MC_CHUNK samples, in chunk order.
+def _simulate(
+    stat: _Blockwise, center: float, t_grid, n_samples: int, seed: int, threads: int
+) -> EmpiricalTail:
+    """Empirical survival of |statistic - center| over t_grid with Wilson
+    intervals.
 
-    A chunk draws from stream (seed, c) in consecutive blocks of
-    max(1, MC_BLOCK_ENTRIES // dim) rows (the last one ragged), and each
-    block's statistic is evaluated into the chunk's deviations before
-    the next block is drawn into the same buffers.  Any inf or NaN
-    deviation raises ValueError with their number, because a reduction
-    would otherwise count or sum it silently.  More than MC_SAMPLE_BUDGET
-    samples raise BudgetExceededError first.
+    Chunk c of MC_CHUNK samples draws from stream (seed, c) in consecutive
+    blocks of max(1, MC_BLOCK_ENTRIES // dim) rows (the last one ragged),
+    and each block's statistic is evaluated into the chunk's deviations
+    before the next block is drawn into the same buffers.  A chunk counts
+    the exceedances of every threshold, and the counts are summed in
+    chunk order.  Any inf or NaN deviation raises ValueError with their
+    number, because the counts would otherwise include it silently.  More
+    than MC_SAMPLE_BUDGET samples raise BudgetExceededError first.
     """
+    ts = np.sort(np.asarray(t_grid, dtype=float))
+    if ts.ndim != 1 or ts.size == 0 or not np.all(ts >= 0):  # NaN fails >= too
+        raise ValueError("t_grid must be a nonempty nonnegative vector")
     check_sample_budget(n_samples)
     dim = stat.model.dim
     block = max(1, MC_BLOCK_ENTRIES // dim)
@@ -185,31 +187,16 @@ def _deviations(
                 stat.evaluate(dev[start : start + k], y[:k], x[:k])
             dev -= center
             np.abs(dev, out=dev)
-            return reduce(dev), dev.size - int(np.count_nonzero(np.isfinite(dev)))
+            # searchsorted over the sorted deviations counts all thresholds at once
+            dev.sort()
+            counts = dev.size - np.searchsorted(dev, ts, side="left")
+            return counts, dev.size - int(np.count_nonzero(np.isfinite(dev)))
 
     chunks = _run_chunks(worker, n_samples, threads, MC_CHUNK)
     nonfinite = sum(bad for _, bad in chunks)
     if nonfinite:
         raise ValueError(f"{nonfinite} of {n_samples} simulated statistics are inf or NaN")
-    return [value for value, _ in chunks]
-
-
-def _simulate(
-    stat: _Blockwise, center: float, t_grid, n_samples: int, seed: int, threads: int
-) -> EmpiricalTail:
-    """Empirical survival of |statistic - center| over t_grid with Wilson
-    intervals."""
-    ts = np.sort(np.asarray(t_grid, dtype=float))
-    if ts.ndim != 1 or ts.size == 0 or not np.all(ts >= 0):  # NaN fails >= too
-        raise ValueError("t_grid must be a nonempty nonnegative vector")
-
-    def exceedances(dev: np.ndarray) -> np.ndarray:
-        # searchsorted over the sorted deviations counts all thresholds at once
-        dev.sort()
-        return dev.size - np.searchsorted(dev, ts, side="left")
-
-    chunks = _deviations(exceedances, stat, center, n_samples, seed, threads)
-    counts = np.sum(chunks, axis=0)
+    counts = np.sum([k for k, _ in chunks], axis=0)
     lows, highs = np.array([wilson_interval(int(k), n_samples) for k in counts]).T
     return EmpiricalTail(
         t_grid=ts,
@@ -313,65 +300,6 @@ def dominance_check(
         n_points=int(idx.size),
         min_margin=float(rest.min()),
         t_calibration=float(tail.t_grid[idx[0]]),
-    )
-
-
-# The moment orders r of lower_bound_check's fit.
-LOWER_BOUND_ORDERS = (2.0, 4.0, 6.0, 8.0)
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    """Anti-concentration summary over a grid of moment orders."""
-
-    degenerate: bool
-    r_grid: tuple[float, ...]
-    moments: tuple[float, ...]
-    exceed_probs: tuple[float, ...]
-    kappa: float
-    c1: float
-    pz_ok: bool
-
-
-def lower_bound_check(a, alpha: float, n_samples: int = 200_000, seed: int = 0) -> LowerBoundReport:
-    """Check that |S| exceeds half its L_r norm with probability e^{-O(r)}.
-
-    Base is the symmetric Weibull with the given alpha, fully retained
-    (p = 1).  Fits log P{|S| >= L_r / 2} = log kappa - c1 * r over r in
-    LOWER_BOUND_ORDERS and also checks the second-moment
-    anti-concentration inequality P{|S| >= L_2 / 2} >= (L_2^2 / L_4^2)^2 / 4.
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("A must be square")
-    if not np.array_equal(m, m.T):
-        raise ValueError("A must be symmetric")
-    if np.any(np.diag(m) != 0.0):
-        raise ValueError("lower-bound check requires a diagonal-free matrix")
-    if np.all(m == 0.0):
-        return LowerBoundReport(True, LOWER_BOUND_ORDERS, (), (), math.nan, math.nan, False)
-    model = SparseModel(
-        p=(1.0,) * m.shape[0], base=DistributionSpec(kind="weibull", alpha=alpha)
-    )
-    stat = _quadform(m, model)
-    dev = np.concatenate(_deviations(lambda d: d, stat, 0.0, n_samples, seed, 1))
-    moments = tuple(float(np.mean(dev**r) ** (1.0 / r)) for r in LOWER_BOUND_ORDERS)
-    probs = tuple(float(np.mean(dev >= mom / 2)) for mom in moments)
-    if any(q == 0.0 for q in probs):
-        raise ValueError("no exceedances at some order; increase n_samples")
-    coeff = np.polyfit(np.asarray(LOWER_BOUND_ORDERS), np.log(np.asarray(probs)), 1)
-    l2 = float(np.mean(dev**2)) ** 0.5
-    l4 = float(np.mean(dev**4)) ** 0.25
-    pz_floor = (l2**2 / l4**2) ** 2 / 4.0
-    pz_ok = float(np.mean(dev >= l2 / 2)) >= pz_floor
-    return LowerBoundReport(
-        degenerate=False,
-        r_grid=LOWER_BOUND_ORDERS,
-        moments=moments,
-        exceed_probs=probs,
-        kappa=float(np.exp(coeff[1])),
-        c1=float(-coeff[0]),
-        pz_ok=pz_ok,
     )
 
 

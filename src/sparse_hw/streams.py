@@ -31,7 +31,7 @@ report records it:
    (1 is negative); a Gaussian coordinate still takes one
    `standard_normal` draw.  And a Monte Carlo chunk is drawn as
    consecutive blocks of max(1, MC_BLOCK_ENTRIES // dim) rows, one
-   `sample_sparse_matrix` call per block (`quadform_mc._deviations`).
+   `sample_sparse_matrix` call per block (`quadform_mc._simulate`).
 4. layout 3, except that Monte Carlo chunk c draws from
    `chunk_stream(seed, c)` (SFC64) instead of `stream(seed, c)`
    (Philox).  The word map, the geometric gaps and the blocks are as in

@@ -26,6 +26,8 @@ before, kept as the reference for the search-quality test.  The
 `*_unblocked` statistics run on the rows of `blocked_draws` stacked
 into one sample, and are compared with == on integer-valued draws,
 where BLAS gives the same bits for any number of rows per product.
+`anticoncentration` evaluates `quadform_unblocked` on such draws for the
+Paley-Zygmund floor of acceptance 06.
 
 The last section holds former package code that no command runs:
 `rip_k_lower_random`, `a_theta_p`, `expected_frob_sq_mc`,
@@ -47,7 +49,8 @@ import math
 import numpy as np
 
 from sparse_hw.matrix_norms import _ALTMAX_MAX_ITER, _ALTMAX_TOL, OpnormResult, _as_matrix, lp_norm
-from sparse_hw.rv_models import _retained, sample_base, sample_sparse_matrix
+from sparse_hw.quadform_mc import MC_BLOCK_ENTRIES, MC_CHUNK
+from sparse_hw.rv_models import DistributionSpec, SparseModel, _retained, sample_base, sample_sparse_matrix
 from sparse_hw.streams import chunk_sizes, chunk_stream, stream
 
 
@@ -591,6 +594,20 @@ def sparse_matrix_divmod(model, n_samples: int, rng) -> np.ndarray:
             rows, j = np.divmod(_retained(p, n_samples * g, rng), g)
             x[rows, cols[j]] = sample_base(model.base, rows.size, rng)
     return x
+
+
+def anticoncentration(a: np.ndarray, alpha: float, n_samples: int, seed: int) -> tuple[float, float]:
+    """P{|S| >= L_2 / 2} and its Paley-Zygmund floor (L_2^2 / L_4^2)^2 / 4.
+
+    S = xi^T a xi with xi fully retained symmetric Weibull(alpha), over the
+    samples a Monte Carlo run of the package draws at seed.
+    """
+    model = SparseModel(p=(1.0,) * a.shape[0], base=DistributionSpec(kind="weibull", alpha=alpha))
+    rows = max(1, MC_BLOCK_ENTRIES // model.dim)
+    dev = np.abs(quadform_unblocked(blocked_draws(model, n_samples, seed, MC_CHUNK, rows), a))
+    l2 = float(np.mean(dev**2)) ** 0.5
+    l4 = float(np.mean(dev**4)) ** 0.25
+    return float(np.mean(dev >= l2 / 2)), (l2**2 / l4**2) ** 2 / 4.0
 
 
 # ---------------------------------------------------------------- former package code

@@ -163,6 +163,15 @@ def test_norms_alpha_zero_exits_2(tmp_path, capsys):
     assert captured.err.splitlines() == ["config error: alpha must lie in (0, 2], got 0.0"]
 
 
+def test_norms_p_of_wrong_length_exits_2_with_the_config_message(capsys):
+    # the message of every config command, not Functionals' shape message
+    matrix = str(GOLDEN / "norms" / "matrix.csv")
+    assert main(["norms", matrix, "--p", "0.5,0.3,0.8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: p has 3 entries, instance needs 4"]
+
+
 def run_scaled_golden_norms(tmp_path, scale: float) -> tuple[int, Path]:
     """norms on the golden norms matrix times scale, with that case's
     options; the exit code and the --out directory."""

@@ -11,7 +11,6 @@ from sparse_hw.quadform_mc import (
     EmpiricalTail,
     QuadFormInstance,
     dominance_check,
-    lower_bound_check,
     simulate_linear_tail,
     simulate_norm_tail,
     simulate_tail,
@@ -318,24 +317,6 @@ def test_dominance_check_needs_two_points():
         dominance_check(tail, grid)
     with pytest.raises(ValueError):
         dominance_check(synthetic_tail(grid, np.array([1e-3, 1e-4])), np.ones(3))
-
-
-def test_lower_bound_check_exchange():
-    rep = lower_bound_check(EXCHANGE, 1.0, n_samples=100_000, seed=10)
-    assert not rep.degenerate
-    assert rep.pz_ok
-    assert rep.c1 > 0 and math.isfinite(rep.c1)
-    assert rep.exceed_probs[0] >= 1 / 16
-    assert all(a >= b for a, b in zip(rep.exceed_probs, rep.exceed_probs[1:]))
-
-
-def test_lower_bound_check_degenerate_and_validation():
-    rep = lower_bound_check(np.zeros((2, 2)), 1.0, n_samples=100)
-    assert rep.degenerate
-    with pytest.raises(ValueError):
-        lower_bound_check(np.eye(2), 1.0, n_samples=100)  # nonzero diagonal
-    with pytest.raises(ValueError):
-        lower_bound_check(np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0, n_samples=100)
 
 
 def test_simulate_linear_tail_step():

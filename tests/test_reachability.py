@@ -24,7 +24,6 @@ from sparse_hw.cli import main
 from test_golden_reports import CONFIG_CASES, GOLDEN, run_config_case, run_norms_case
 
 KEPT = {
-    "quadform_mc.lower_bound_check": "the anti-concentration floor that hw-verify is to report",
     "quadform_mc.simulate_norm_tail": "the paper's norm application, for a norm-verify command to run",
 }
 
