@@ -112,6 +112,19 @@ def test_sample_budget_is_inclusive(monkeypatch):
         simulate_linear_tail(np.ones(2), rademacher_model(2), [1.0], 101, seed=0)
 
 
+def test_simulate_tail_checks_grid_then_budget_then_sample_count(monkeypatch):
+    monkeypatch.setattr(quadform_mc, "MC_SAMPLE_BUDGET", 100)
+    inst = QuadFormInstance(EXCHANGE, rademacher_model(2))
+    with pytest.raises(ValueError, match="t_grid must be a nonempty nonnegative vector"):
+        simulate_tail(inst, [-1.0], 101, seed=0)
+    with pytest.raises(ValueError, match="t_grid must be a nonempty nonnegative vector"):
+        simulate_tail(inst, [math.nan], 0, seed=0)
+    with pytest.raises(BudgetExceededError, match="n_samples = 101 exceeds"):
+        simulate_tail(inst, [1.0], 101, seed=0, threads=3)
+    with pytest.raises(ValueError, match="n_samples must be positive"):
+        simulate_tail(inst, [1.0], 0, seed=0, threads=3)
+
+
 def test_simulate_tail_matches_exhaustive_enumeration():
     rng = stream(200, 0)
     a = rng.standard_normal((3, 3))
