@@ -9,16 +9,16 @@ Regimes whose coefficient is zero are vacuous (the matrix carries no
 mass in that functional) and are dropped from the minimum; a bound whose
 regimes are all vacuous is degenerate and raises.
 
-Normalization convention.  The quadratic-form regimes (`f1_regimes`,
-`f2_regimes`, `f_sparse_regimes`, `hw_sparse_regimes`), `comparison_bounds`
-and `bound_report` take one `matrix_norms.Functionals` record, built by
+Threshold unit.  Every regime is evaluated at a threshold in its own
+unit, and no coefficient carries L, the bound on the psi_alpha norms of
+the base variables: a quadratic-form regime at t / L^2, the linear-form
+regimes of `bernstein_regimes` at t / L, for a raw threshold t.
+`comparison_bounds` and `bound_report` take the raw t and divide it by
+L^2 once.  The quadratic-form regimes (`f1_regimes`, `f2_regimes`,
+`f_sparse_regimes`, `hw_sparse_regimes`), `comparison_bounds` and
+`bound_report` take one `matrix_norms.Functionals` record, built by
 `functionals(A, p, alpha)`, so each matrix functional is computed once.
-The regimes take t in L^2 units: the certified threshold is L^2 * t
-where L bounds the psi_alpha norms of the base variables.
-`bernstein_regimes` and `comparison_bounds` take the raw
-threshold and keep L inside the formula, so different inequalities can
-be compared at one threshold.  Everywhere t may be a scalar or an array;
-results take the shape of t.
+Everywhere t may be a scalar or an array; results take the shape of t.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def f_sparse_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
     if al > 1.0:
         raise ValueError("refined sparse exponent needs alpha in (0, 1]")
     return (
-        (math.sqrt(f.gamma1), 2.0),
+        (f.gamma1_root, 2.0),
         (f.weighted_spectral, 1.0),
         (f.row_weighted_max, 2 * al / (2 + al)),
         (f.max_abs, al / 2),
@@ -154,22 +154,17 @@ def f_sparse_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
 
 def hw_sparse_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
     """Two-regime sparse exponent, 0 < alpha <= 2."""
-    return (
-        (math.sqrt(f.gamma1), 2.0),
-        (f.spectral, f.alpha / 2),
-    )
+    return ((f.gamma1_root, 2.0), (f.spectral, f.alpha / 2))
 
 
-def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, ...]:
-    """Linear-form regimes at raw threshold t, for 0 < alpha <= 1.
+def bernstein_regimes(a_vec, p, alpha: float) -> tuple[Regime, ...]:
+    """Linear-form regimes at threshold t in L units, for 0 < alpha <= 1.
 
-    Exponent min{ t^2 / (L^2 sum a_i^2 p_i), (t / (L ||a||_inf))^alpha }.
+    Exponent min{ t^2 / sum a_i^2 p_i, (t / ||a||_inf)^alpha }.
     """
     al = AlphaParam(alpha)
     if al.value > 1.0:
         raise ValueError("linear-form bound needs alpha in (0, 1]")
-    if not L > 0:
-        raise ValueError("L must be positive")
     a = np.asarray(a_vec, dtype=float)
     if a.ndim != 1:
         raise ValueError("a must be a vector")
@@ -178,10 +173,7 @@ def bernstein_regimes(a_vec, p, alpha: float, L: float = 1.0) -> tuple[Regime, .
         q = np.full(a.shape, float(q))
     if q.shape != a.shape or np.any(q < 0) or np.any(q > 1):
         raise ValueError("p must match a and lie in [0, 1]")
-    return (
-        (L * math.sqrt(float(a * a @ q)), 2.0),
-        (L * float(np.max(np.abs(a))) if a.size else 0.0, al.value),
-    )
+    return ((mn.lp_norm(a * np.sqrt(q), 2.0), 2.0), (mn.lp_norm(a, math.inf), al.value))
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,7 @@ def comparison_bounds(
     L: float = 1.0,
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> dict[str, BoundEval]:
-    """Evaluate the competing tail bounds at a raw threshold t.
+    """Evaluate the competing tail bounds at a raw threshold t, each at t / L^2.
 
     t may be a scalar or an array; each matrix functional is read once
     from f for all of it.  All entries bound P{|S_A(xi) - E S_A(xi)| >= t}
@@ -208,39 +200,26 @@ def comparison_bounds(
     evaluated but flagged applicable=False.
     """
     check_l(L)
-    t = np.asarray(t, dtype=float)
+    tn = np.asarray(t, dtype=float) / L**2
     al = f.alpha
-    tn = t / L**2  # threshold in L^2 units
 
-    def entry(regimes, tt, applicable):
-        return BoundEval(TailBound(regimes, constants).prob(tt), applicable)
+    def entry(regimes, applicable):
+        return BoundEval(TailBound(regimes, constants).prob(tn), applicable)
 
     out: dict[str, BoundEval] = {}
-    out["classical_hw"] = entry(
-        ((L**2 * f.frobenius, 2.0), (L**2 * f.spectral, 1.0)), t, al == 2.0
-    )
+    out["classical_hw"] = entry(((f.frobenius, 2.0), (f.spectral, 1.0)), al == 2.0)
     if al >= 1.0:
-        out["dense_five_regime"] = entry(f1_regimes(f), tn, True)
+        out["dense_five_regime"] = entry(f1_regimes(f), True)
     if al <= 1.0:
-        out["dense_four_regime"] = entry(f2_regimes(f), tn, True)
-    out["two_regime_simplified"] = entry(
-        ((L**2 * f.frobenius, 2.0), (L**2 * f.spectral, al / 2)), t, True
-    )
-    out["sparse_subgaussian"] = entry(
-        ((L**2 * math.sqrt(f.gamma1), 2.0), (L**2 * f.spectral, 1.0)), t, al == 2.0
-    )
+        out["dense_four_regime"] = entry(f2_regimes(f), True)
+    out["two_regime_simplified"] = entry(((f.frobenius, 2.0), (f.spectral, al / 2)), True)
+    out["sparse_subgaussian"] = entry(((f.gamma1_root, 2.0), (f.spectral, 1.0)), al == 2.0)
     out["sparse_gamma2"] = entry(
-        (
-            (L**2 * math.sqrt(f.gamma1), 2.0),
-            (L**2 * f.gamma2, 1.0),
-            (L**2 * f.max_abs, min(al / 2, 0.5)),
-        ),
-        t,
-        True,
+        ((f.gamma1_root, 2.0), (f.gamma2, 1.0), (f.max_abs, min(al / 2, 0.5))), True
     )
-    out["sparse_alpha"] = entry(hw_sparse_regimes(f), tn, True)
+    out["sparse_alpha"] = entry(hw_sparse_regimes(f), True)
     if al <= 1.0:
-        out["sparse_alpha_refined"] = entry(f_sparse_regimes(f), tn, True)
+        out["sparse_alpha_refined"] = entry(f_sparse_regimes(f), True)
     return out
 
 

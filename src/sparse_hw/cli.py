@@ -509,6 +509,13 @@ def _resolve_l(cfg_l, model: SparseModel, alpha: float) -> float:
     return float(_finite(cfg_l, "L"))
 
 
+def _check_functionals(entries: dict) -> None:
+    """ConfigError naming the first reported functional that is inf or NaN: JSON has neither."""
+    for name, value in entries.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} is {value}: the matrix entries are too large")
+
+
 def _resolve_threads(args) -> int:
     """--threads, by default the CPU count up to THREAD_BUDGET."""
     if args.threads is None:
@@ -659,10 +666,11 @@ def _bernstein_verify(cfg: dict, seed: int, threads: int):
     if not np.any(a):
         return _degenerate("vector")
 
-    tb = bd.TailBound(bd.bernstein_regimes(a, model.p_array(), alpha, L), constants)
+    tb = bd.TailBound(bd.bernstein_regimes(a, model.p_array(), alpha), constants)
     tail = qf.simulate_linear_tail(a, model, t_grid, cfg["n_samples"], seed, threads=threads)
-    exponent = tb.exponent(tail.t_grid)
-    probs = {"bound": tb.prob(tail.t_grid, exponent)}
+    tn = tail.t_grid / L
+    exponent = tb.exponent(tn)
+    probs = {"bound": tb.prob(tn, exponent)}
     results = {
         "L": L,
         "survival": tail.survival.tolist(),
@@ -879,9 +887,7 @@ def _cmd_norms(args) -> int:
     if p is not None:
         weighted = ["gamma1", "gamma2", "weighted_spectral"] if a.shape[0] == a.shape[1] else []
         entries.update((name, getattr(f, name)) for name in weighted + ["row_weighted_max"])
-    for name, value in entries.items():  # JSON has no Infinity or NaN
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} is {value}: the matrix entries are too large")
+    _check_functionals(entries)
 
     width = max(len(k) for k in entries)
     for name, value in entries.items():
@@ -934,6 +940,7 @@ def _bound_table(cfg: dict, seed: int, threads: int):
     L = _resolve_l(cfg.get("L"), model, alpha)
     f = bd.functionals(a, model.p_array(), alpha)
     table = bd.bound_report(f, t_grid, L=L, constants=constants)
+    _check_functionals(table["norms"])
     return table, {"bounds": _bounds_table(np.asarray(table["t_grid"]), table["bounds"])}, []
 
 

@@ -18,8 +18,9 @@ convergence flag is that of the restart giving the value, not of every
 restart.  The closed-form l_r norms (lp_norm, frobenius, max_abs,
 mixed_norm, the r1 = 1 and r2 = inf operator norms, row_weighted_max)
 share one kernel, _row_norms, which scales each row by its largest
-entry, so 2^k A scales them, like the alternating value, exactly by 2^k;
-gamma1, a sum of squares, may still overflow or underflow.
+entry, so 2^k A scales them, like the alternating value, exactly by 2^k.
+So does gamma1_root, the bounds' sqrt(gamma1); gamma1, its square, is of
+degree 2 in A and may still overflow or underflow.
 
 Sparsity-weighted functionals take a retention-probability vector p:
 
@@ -277,17 +278,20 @@ def opnorm(a, r1: float, r2: float, restarts: int = 64) -> float:
     return opnorm_detail(a, r1, r2, restarts=restarts).value
 
 
-def gamma1(a, p) -> float:
-    """Sparse second-moment functional sum a_kk^2 p_k + sum_{i!=j} a_ij^2 p_i p_j."""
+def gamma1(a, p, root: bool = False) -> float:
+    """Sparse second-moment functional sum a_kk^2 p_k + sum_{i!=j} a_ij^2 p_i p_j,
+    or with root=True its square root: the l_2 norm of the entries a_ij sqrt(p_i p_j)
+    (i != j) and a_kk sqrt(p_k), which scales exactly by 2^k under 2^k A.
+    gamma1 is that norm squared, so it overflows to inf, never to NaN."""
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("gamma1 requires a square matrix")
     q = _as_probs(p, m.shape[0])
-    # the terms a_ij (a_ij p_i p_j), a_kk (a_kk p_k) on the diagonal, summed directly:
-    # an overflow gives inf, never inf - inf or inf * 0 (a_ij p_i p_j is finite)
-    w = m * np.outer(q, q)
-    np.fill_diagonal(w, np.diag(m) * q)
-    return float((m * w).sum())
+    s = np.sqrt(q)
+    w = m * np.outer(s, s)
+    np.fill_diagonal(w, np.diag(m) * s)
+    norm = lp_norm(w, 2.0)
+    return norm if root else norm * norm
 
 
 def gamma2(a, p) -> float:
@@ -350,7 +354,8 @@ class Functionals:
     mixed_l4_l2 = cached_property(lambda self: mixed_norm(self.a, 4.0))
     mixed_linf_l2 = cached_property(lambda self: mixed_norm(self.a, math.inf))
     mixed_conj_l2 = cached_property(lambda self: mixed_norm(self.a, conjugate(self.alpha)))
-    gamma1 = cached_property(lambda self: gamma1(self.a, self.p))
+    gamma1_root = cached_property(lambda self: gamma1(self.a, self.p, root=True))
+    gamma1 = cached_property(lambda self: self.gamma1_root * self.gamma1_root)
     gamma2 = cached_property(lambda self: gamma2(self.a, self.p))
     weighted_spectral = cached_property(lambda self: weighted_spectral(self.a, self.p))
     row_weighted_max = cached_property(lambda self: row_weighted_max(self.a, self.p))

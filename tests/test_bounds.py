@@ -174,8 +174,6 @@ def test_hw_sparse_monotone_in_t():
 def test_hw_sparse_requires_positive_l():
     with pytest.raises(ValueError, match="L must be positive"):
         comparison_bounds(1.0, functionals(np.eye(2), (1.0, 1.0), 2.0), L=0.0)
-    with pytest.raises(ValueError, match="L must be positive"):
-        bernstein_regimes(np.ones(2), (1.0, 1.0), 1.0, L=0.0)
     # thresholds are in L^2 units, so L^2 must be a positive float
     f = functionals(np.eye(2), (1.0, 1.0), 2.0)
     with pytest.raises(ValueError, match="overflows when squared"):
@@ -206,14 +204,15 @@ def test_two_regime_exponent_within_one_of_refined():
 
 
 def test_bernstein_e1_formula():
+    # the regimes take t in L units
     a = np.array([1.0, 0.0, 0.0])
     p = np.full(3, 0.3)
     t, L, alpha = 2.0, 1.5, 0.8
     expected = 2 * math.exp(
         -min(t * t / (L * L * 0.3), (t / L) ** alpha)
     )
-    tb = TailBound(bernstein_regimes(a, p, alpha, L=L))
-    assert math.isclose(tb.prob(t), expected, rel_tol=1e-12)
+    tb = TailBound(bernstein_regimes(a, p, alpha))
+    assert math.isclose(tb.prob(t / L), expected, rel_tol=1e-12)
 
 
 def test_bernstein_full_retention_reduction():
@@ -266,25 +265,38 @@ def test_comparison_bounds_reductions():
         comparison_bounds(grid, functionals(m, q, 1.0), L=1e200)
 
 
-DENSE_ENTRIES = ("classical_hw", "dense_five_regime", "dense_four_regime", "two_regime_simplified")
-
-
+@pytest.mark.parametrize("k", (660, -660))
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5, 2.0))
-def test_dense_bounds_invariant_under_power_of_two_scaling(alpha):
-    # every coefficient of a dense bound is of degree 1 in A, so A and t
-    # scaled by 2^-660 give the same values.  While the closed forms summed
-    # unscaled squares, frobenius and the mixed norms read 0 there and
-    # their regimes dropped out.  Only LAPACK's spectral norm, a few ulps
-    # off at that scale, moves the values, by rounding
+def test_bounds_invariant_under_power_of_two_scaling(alpha, k):
+    # every coefficient of every bound is of degree 1 in A, so A and t
+    # scaled by 2^k give the same values.  While the closed forms summed
+    # unscaled squares, frobenius and the mixed norms read 0 at k = -660
+    # and their regimes dropped out; while the sparse bounds took
+    # sqrt(gamma1) of a sum of squares, gamma1 read 0 at k = -660 and inf
+    # at k = 660.  Only LAPACK's spectral norms, a few ulps off at that
+    # scale, move the values, by rounding
     m = random_sym(153, 6)
+    p = np.linspace(0.2, 0.9, 6)
     grid = np.geomspace(0.1, 10.0, 9) * mn.frobenius(m)
-    s = 2.0**-660
-    base = comparison_bounds(grid, functionals(m, 0.5, alpha))
-    scaled = comparison_bounds(s * grid, functionals(s * m, 0.5, alpha))
-    names = [name for name in DENSE_ENTRIES if name in base]
-    assert len(names) == (4 if alpha == 1.0 else 3)
-    for name in names:
-        np.testing.assert_allclose(scaled[name].value, base[name].value, rtol=1e-14, atol=0.0, err_msg=name)
+    s = 2.0**k
+    base = comparison_bounds(grid, functionals(m, p, alpha), L=1.5)
+    scaled = comparison_bounds(s * grid, functionals(s * m, p, alpha), L=1.5)
+    assert list(scaled) == list(base) and len(base) == {0.5: 7, 1.0: 8}.get(alpha, 6)
+    for name, e in base.items():
+        np.testing.assert_allclose(scaled[name].value, e.value, rtol=1e-14, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("k", (660, -660))
+@pytest.mark.parametrize("alpha", (0.5, 1.0))
+def test_bernstein_bound_invariant_under_power_of_two_scaling(alpha, k):
+    # both coefficients are l_r norms of degree 1 in a; sqrt(sum a_i^2 p_i)
+    # of unscaled squares read 0 at k = -660 and inf at k = 660
+    a = stream(154, 0).standard_normal(7)
+    p = np.linspace(0.1, 1.0, 7)
+    grid = np.geomspace(0.1, 10.0, 9) * mn.lp_norm(a, 2.0)
+    base = TailBound(bernstein_regimes(a, p, alpha)).prob(grid)
+    scaled = TailBound(bernstein_regimes(2.0**k * a, p, alpha)).prob(2.0**k * grid)
+    assert np.array_equal(scaled, base)
 
 
 def test_bound_report_work_does_not_grow_with_the_grid(monkeypatch):

@@ -135,7 +135,8 @@ def test_norms_weighted_entries(tmp_path, capsys):
     assert math.isclose(entries["gamma1"], 1.75, rel_tol=1e-12)
     assert "op_alpha_to_conj(alpha=1.5)" in entries
     saved = json.loads((out / "norms.json").read_text())
-    assert saved["norms"]["gamma1"] == entries["gamma1"]
+    # stdout prints 12 digits of the value norms.json holds
+    assert float(f"{saved['norms']['gamma1']:.12g}") == entries["gamma1"]
     assert saved["altmax_converged"] == {"op_alpha_to_conj(alpha=1.5)": True}
 
 
@@ -202,6 +203,39 @@ def test_norms_overflowing_gamma1_exits_2_with_one_line(tmp_path, capsys):
     # times 1e200 every l_r field is finite, but gamma1 is a sum of squares
     # near 1e400; it read NaN (inf - inf) while it subtracted the diagonal
     assert_norms_overflow(tmp_path, capsys, 1e200, "gamma1")
+
+
+def test_bound_table_overflowing_gamma1_exits_2_and_writes_no_report(tmp_path, capsys):
+    # times 2^660 every bound is finite, as the bounds read sqrt(gamma1),
+    # but the reported gamma1 overflows; norms words it the same way
+    cfg = golden_config("bound-table-dense")
+    cfg["matrix"]["scale"] = 2.0**660
+    out = tmp_path / "out"
+    assert main(["bound-table", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: gamma1 is inf: the matrix entries are too large"]
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("k", (-600, 600))
+def test_hw_verify_scales_exactly_by_powers_of_two(tmp_path, k):
+    # the matrix and the thresholds times 2^k compare every statistic with
+    # every threshold as at k = 0, and every bound coefficient is of degree
+    # 1 in A.  While the sparse bounds took sqrt(gamma1) of a sum of squares,
+    # gamma1 read 0 at k = -600 (sparse_alpha 1.272 for 1.889 at the first
+    # threshold) and inf at k = 600, which exited 2
+    want = read_report(GOLDEN / "hw-verify-refined" / "expected")["results"]
+    cfg = golden_config("hw-verify-refined")
+    cfg["matrix"]["scale"] = 2.0**k
+    cfg["t_grid"] = {"values": [2.0**k * t for t in want["t_grid"]]}
+    out = tmp_path / "out"
+    assert main(["hw-verify", "--config", write_config(tmp_path, cfg), "--threads", "1", "--out", str(out)]) == 0
+    got = read_report(out)["results"]
+    assert got["survival"] == want["survival"]
+    assert got["bounds"].keys() == want["bounds"].keys()
+    for name, values in want["bounds"].items():
+        np.testing.assert_allclose(got["bounds"][name], values, rtol=1e-14, atol=0.0, err_msg=name)
 
 
 def test_norms_scale_exactly_by_two_to_the_minus_700(tmp_path, capsys):
@@ -687,11 +721,14 @@ def test_rejections_keep_their_message_without_jsonschema(tmp_path):
             id="bound-table-rademacher-closed-form-overflows",
         ),
         # an overflowed bound coefficient once gave every bound 2.0: exit 1 with
-        # "need at least 2 usable grid points", or exit 0 with "frobenius": Infinity
+        # "need at least 2 usable grid points", or exit 0 with "frobenius": Infinity.
+        # Every coefficient is of degree 1 in the entries, so these l_2 norms
+        # overflow themselves: sqrt(2) 1.5e308 and 3 x 8e307 (9 entries of
+        # 8e307, the largest that symmetrize does not double past the range)
         pytest.param(
             "bernstein-verify",
             golden_config("bernstein-verify")
-            | {"vector": {"values": [1e300, -0.5, 0.25]}, "seed": 7},
+            | {"vector": {"values": [1.5e308, -1.5e308, 0.25]}, "model": {"alpha": 0.7, "p": 1.0}},
             "regime coefficients must be finite and nonnegative, got inf",
             id="bernstein-verify-overflowing-coefficient",
         ),
@@ -699,12 +736,14 @@ def test_rejections_keep_their_message_without_jsonschema(tmp_path):
             "bound-table",
             dict(
                 TABLE_CONFIG,
-                matrix={"values": [[0, 1e300], [1e300, 0]]},
+                matrix={"values": [[8e307] * 3] * 3},
+                model={"alpha": 1.0, "p": 1.0},
                 t_grid={"values": [1.0, 1e300]},
             ),
             "regime coefficients must be finite and nonnegative, got inf",
             id="bound-table-overflowing-coefficient",
         ),
+
         # the draws are finite but their squares are not; once exit 0 with Infinity
         pytest.param(
             "sample",

@@ -437,15 +437,16 @@ def test_functionals_scale_exactly_by_powers_of_two(case, k):
     # every field but gamma1, a square, is of degree 1 in A: 2^k A gives
     # exactly 2^k times it, with no overflow or underflow warning.  While
     # the closed forms summed unscaled squares, frobenius, op_2_to_inf,
-    # op_1_to_2, the l_2-type mixed norms and row_weighted_max read 0 at
-    # k = -660 and overflowed at k = 660.  LAPACK scales a matrix with
+    # op_1_to_2, the l_2-type mixed norms, row_weighted_max and the
+    # bounds' sqrt(gamma1), now gamma1_root, read 0 at k = -660 and
+    # overflowed at k = 660.  LAPACK scales a matrix with
     # entries beyond about 1e+-139 by a factor that is not a power of two,
     # so at |k| = 660 spectral and weighted_spectral take another rounding
     # path; they move by at most 3 ulps on these cases, and 4 are allowed
     m = FUNCTIONAL_SCALE_CASES[case]
     p = np.linspace(0.2, 0.9, m.shape[1])
     square = m.shape[0] == m.shape[1]
-    names = DEGREE_ONE_FIELDS + (("gamma2", "weighted_spectral") if square else ())
+    names = DEGREE_ONE_FIELDS + (("gamma1_root", "gamma2", "weighted_spectral") if square else ())
     for alpha in (1.0, 1.5):  # at alpha = 1 the conj fields are closed forms
         base = Functionals(m, p, alpha)
         scaled = Functionals(2.0**k * m, p, alpha)
@@ -537,14 +538,16 @@ def test_gamma1_values():
 
 
 def test_gamma1_overflow_reads_inf_and_zero_p_adds_nothing():
-    # each term is summed directly: squares past the float range make
-    # gamma1 inf, not inf - inf, and an entry in a row or column with
+    # gamma1 squares the l_2 norm of the weighted entries: past the float
+    # range it is inf, not inf - inf, and an entry in a row or column with
     # p = 0 adds 0, not inf * 0; each case read NaN while the diagonal
     # terms were subtracted from q^T (A o A) q
     assert gamma1([[1e200, 1.0], [1.0, 1.0]], (0.0, 1.0)) == 1.0
     assert gamma1([[1.0, 1e200], [1e200, 1.0]], (0.0, 1.0)) == 1.0
     with np.errstate(over="ignore"):
         assert gamma1(1e200 * SYM22, (0.5, 0.25)) == math.inf
+    # its root, the l_2 norm of the weighted entries, is finite there
+    assert math.isclose(gamma1(1e200 * SYM22, (0.5, 0.25), root=True), 1e200 * math.sqrt(1.75))
 
 
 def test_gamma2_values():
