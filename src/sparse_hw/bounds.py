@@ -47,6 +47,10 @@ class BoundConstants:
 
 
 DEFAULT_CONSTANTS = BoundConstants()
+# the Functionals fields bound_report lists under "norms", in order
+REPORTED_NORMS = (
+    "frobenius", "spectral", "max_abs", "gamma1", "gamma2", "weighted_spectral", "row_weighted_max"
+)
 
 
 @dataclass(frozen=True)
@@ -241,15 +245,7 @@ def bound_report(
         "t_grid": ts.tolist(),
         "bounds": {k: e.value.tolist() for k, e in evals.items()},
         "applicable": {k: e.applicable for k, e in evals.items()},
-        "norms": {
-            "frobenius": f.frobenius,
-            "spectral": f.spectral,
-            "max_abs": f.max_abs,
-            "gamma1": f.gamma1,
-            "gamma2": f.gamma2,
-            "weighted_spectral": f.weighted_spectral,
-            "row_weighted_max": f.row_weighted_max,
-        },
+        "norms": {name: getattr(f, name) for name in REPORTED_NORMS},
         "alpha": f.alpha,
         "L": float(L),
         "constants": {"c_alpha": constants.c_alpha, "prefactor": constants.prefactor},

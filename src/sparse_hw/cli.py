@@ -939,8 +939,9 @@ def _bound_table(cfg: dict, seed: int, threads: int):
     constants = _build_constants(cfg.get("constants"))
     L = _resolve_l(cfg.get("L"), model, alpha)
     f = bd.functionals(a, model.p_array(), alpha)
+    # before the bounds, so that an overflowing functional is named, not a bound coefficient
+    _check_functionals({name: getattr(f, name) for name in bd.REPORTED_NORMS})
     table = bd.bound_report(f, t_grid, L=L, constants=constants)
-    _check_functionals(table["norms"])
     return table, {"bounds": _bounds_table(np.asarray(table["t_grid"]), table["bounds"])}, []
 
 

@@ -19,8 +19,9 @@ restart.  The closed-form l_r norms (lp_norm, frobenius, max_abs,
 mixed_norm, the r1 = 1 and r2 = inf operator norms, row_weighted_max)
 share one kernel, _row_norms, which scales each row by its largest
 entry, so 2^k A scales them, like the alternating value, exactly by 2^k.
-So does gamma1_root, the bounds' sqrt(gamma1); gamma1, its square, is of
-degree 2 in A and may still overflow or underflow.
+So does gamma1(A, p), which returns sqrt(gamma1), the root the bounds
+read; Functionals.gamma1, its square, is of degree 2 in A and may still
+overflow or underflow.
 
 Sparsity-weighted functionals take a retention-probability vector p:
 
@@ -278,11 +279,10 @@ def opnorm(a, r1: float, r2: float, restarts: int = 64) -> float:
     return opnorm_detail(a, r1, r2, restarts=restarts).value
 
 
-def gamma1(a, p, root: bool = False) -> float:
-    """Sparse second-moment functional sum a_kk^2 p_k + sum_{i!=j} a_ij^2 p_i p_j,
-    or with root=True its square root: the l_2 norm of the entries a_ij sqrt(p_i p_j)
-    (i != j) and a_kk sqrt(p_k), which scales exactly by 2^k under 2^k A.
-    gamma1 is that norm squared, so it overflows to inf, never to NaN."""
+def gamma1(a, p) -> float:
+    """sqrt(gamma1): the l_2 norm of the entries a_ij sqrt(p_i p_j) (i != j) and
+    a_kk sqrt(p_k), which scales exactly by 2^k under 2^k A.  Functionals.gamma1
+    is its square, so it overflows to inf, never to NaN."""
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("gamma1 requires a square matrix")
@@ -290,8 +290,7 @@ def gamma1(a, p, root: bool = False) -> float:
     s = np.sqrt(q)
     w = m * np.outer(s, s)
     np.fill_diagonal(w, np.diag(m) * s)
-    norm = lp_norm(w, 2.0)
-    return norm if root else norm * norm
+    return lp_norm(w, 2.0)
 
 
 def gamma2(a, p) -> float:
@@ -354,7 +353,7 @@ class Functionals:
     mixed_l4_l2 = cached_property(lambda self: mixed_norm(self.a, 4.0))
     mixed_linf_l2 = cached_property(lambda self: mixed_norm(self.a, math.inf))
     mixed_conj_l2 = cached_property(lambda self: mixed_norm(self.a, conjugate(self.alpha)))
-    gamma1_root = cached_property(lambda self: gamma1(self.a, self.p, root=True))
+    gamma1_root = cached_property(lambda self: gamma1(self.a, self.p))
     gamma1 = cached_property(lambda self: self.gamma1_root * self.gamma1_root)
     gamma2 = cached_property(lambda self: gamma2(self.a, self.p))
     weighted_spectral = cached_property(lambda self: weighted_spectral(self.a, self.p))

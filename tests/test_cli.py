@@ -724,7 +724,9 @@ def test_rejections_keep_their_message_without_jsonschema(tmp_path):
         # "need at least 2 usable grid points", or exit 0 with "frobenius": Infinity.
         # Every coefficient is of degree 1 in the entries, so these l_2 norms
         # overflow themselves: sqrt(2) 1.5e308 and 3 x 8e307 (9 entries of
-        # 8e307, the largest that symmetrize does not double past the range)
+        # 8e307, the largest that symmetrize does not double past the range).
+        # bound-table checks the functionals it reports before it builds a
+        # bound, so it names frobenius, as norms does
         pytest.param(
             "bernstein-verify",
             golden_config("bernstein-verify")
@@ -740,10 +742,9 @@ def test_rejections_keep_their_message_without_jsonschema(tmp_path):
                 model={"alpha": 1.0, "p": 1.0},
                 t_grid={"values": [1.0, 1e300]},
             ),
-            "regime coefficients must be finite and nonnegative, got inf",
+            "frobenius is inf: the matrix entries are too large",
             id="bound-table-overflowing-coefficient",
         ),
-
         # the draws are finite but their squares are not; once exit 0 with Infinity
         pytest.param(
             "sample",

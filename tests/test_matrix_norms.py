@@ -527,9 +527,11 @@ def test_opnorm_rejects_no_restarts():
 
 def test_gamma1_values():
     p = (0.5, 0.25)
-    assert math.isclose(gamma1(SYM22, p), 1.75)
+    # gamma1 returns sqrt(gamma1), Functionals.gamma1 its square
+    assert math.isclose(gamma1(SYM22, p), math.sqrt(1.75))
+    assert math.isclose(Functionals(SYM22, p).gamma1, 1.75)
     m = random_sym(50, 4)
-    assert math.isclose(gamma1(m, np.ones(4)), frobenius(m) ** 2, rel_tol=1e-12)
+    assert math.isclose(gamma1(m, np.ones(4)), frobenius(m), rel_tol=1e-12)
     assert gamma1(m, np.zeros(4)) == 0.0
     with pytest.raises(ValueError):
         gamma1(np.ones((2, 3)), (0.5, 0.5, 0.5))
@@ -538,16 +540,15 @@ def test_gamma1_values():
 
 
 def test_gamma1_overflow_reads_inf_and_zero_p_adds_nothing():
-    # gamma1 squares the l_2 norm of the weighted entries: past the float
-    # range it is inf, not inf - inf, and an entry in a row or column with
-    # p = 0 adds 0, not inf * 0; each case read NaN while the diagonal
-    # terms were subtracted from q^T (A o A) q
-    assert gamma1([[1e200, 1.0], [1.0, 1.0]], (0.0, 1.0)) == 1.0
-    assert gamma1([[1.0, 1e200], [1e200, 1.0]], (0.0, 1.0)) == 1.0
-    with np.errstate(over="ignore"):
-        assert gamma1(1e200 * SYM22, (0.5, 0.25)) == math.inf
+    # Functionals.gamma1 squares the l_2 norm of the weighted entries: past
+    # the float range it is inf, not inf - inf, and an entry in a row or
+    # column with p = 0 adds 0, not inf * 0; each case read NaN while the
+    # diagonal terms were subtracted from q^T (A o A) q
+    assert Functionals([[1e200, 1.0], [1.0, 1.0]], (0.0, 1.0)).gamma1 == 1.0
+    assert Functionals([[1.0, 1e200], [1e200, 1.0]], (0.0, 1.0)).gamma1 == 1.0
+    assert Functionals(1e200 * SYM22, (0.5, 0.25)).gamma1 == math.inf
     # its root, the l_2 norm of the weighted entries, is finite there
-    assert math.isclose(gamma1(1e200 * SYM22, (0.5, 0.25), root=True), 1e200 * math.sqrt(1.75))
+    assert math.isclose(gamma1(1e200 * SYM22, (0.5, 0.25)), 1e200 * math.sqrt(1.75))
 
 
 def test_gamma2_values():
