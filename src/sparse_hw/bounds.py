@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrix_norms as mn
+from .errors import ConfigError
 from .rv_models import AlphaParam
 
 Regime = tuple[float, float]  # (coefficient, exponent)
@@ -36,7 +37,7 @@ Regime = tuple[float, float]  # (coefficient, exponent)
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Calibration constants: bound = prefactor * exp(-c_alpha * E(t))."""
+    """Calibration constants, both positive: bound = prefactor * exp(-c_alpha * E(t))."""
 
     c_alpha: float = 1.0
     prefactor: float = 2.0
@@ -55,7 +56,12 @@ REPORTED_NORMS = (
 
 @dataclass(frozen=True)
 class TailBound:
-    """Minimum of power regimes together with calibration constants."""
+    """Minimum of power regimes together with calibration constants.
+
+    Each exponent is positive, as the regime builders below make them from
+    an alpha in (0, 2]; a coefficient that is negative, inf or NaN, or
+    regimes that are all vacuous, raise ConfigError.
+    """
 
     regimes: tuple[Regime, ...]
     constants: BoundConstants = DEFAULT_CONSTANTS
@@ -65,17 +71,15 @@ class TailBound:
         regs = tuple((float(c), float(e)) for c, e in self.regimes)
         for c, e in regs:
             if not 0.0 <= c < math.inf:  # NaN fails too
-                raise ValueError(f"regime coefficients must be finite and nonnegative, got {c}")
-            if e <= 0 or math.isnan(e):
-                raise ValueError("regime exponents must be positive")
+                raise ConfigError(f"regime coefficients must be finite and nonnegative, got {c}")
         active = tuple((c, e) for c, e in regs if c > 0)
         if not active:
-            raise ValueError("all regimes vacuous: zero statistic on support")
+            raise ConfigError("all regimes vacuous: zero statistic on support")
         object.__setattr__(self, "regimes", regs)
         object.__setattr__(self, "_active", active)
 
     def exponent(self, t):
-        """E(t) = min over active regimes of (t / coeff)^expo."""
+        """E(t) = min over active regimes of (t / coeff)^expo, for t >= 0."""
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0):  # NaN fails >= too
             raise ValueError("t must be nonnegative")
@@ -90,20 +94,20 @@ class TailBound:
 
 
 def check_l(L: float) -> None:
-    """ValueError unless L > 0 and L^2, the quadratic forms' threshold unit, is a positive float."""
+    """ConfigError unless L > 0 and L^2, the quadratic forms' threshold unit, is a positive float."""
     if not L > 0:
-        raise ValueError("L must be positive")
+        raise ConfigError("L must be positive")
     if not math.isfinite(L * L):
-        raise ValueError(f"L = {L:g} overflows when squared")
+        raise ConfigError(f"L = {L:g} overflows when squared")
     if L * L == 0.0:
-        raise ValueError(f"L = {L:g} underflows to 0 when squared")
+        raise ConfigError(f"L = {L:g} underflows to 0 when squared")
 
 
 def symmetrize(a) -> np.ndarray:
     """(A + A^T) / 2; quadratic forms are invariant under this map."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise ConfigError("expected a square matrix")
     return 0.5 * (m + m.T)
 
 
@@ -162,22 +166,14 @@ def hw_sparse_regimes(f: mn.Functionals) -> tuple[Regime, ...]:
 
 
 def bernstein_regimes(a_vec, p, alpha: float) -> tuple[Regime, ...]:
-    """Linear-form regimes at threshold t in L units, for 0 < alpha <= 1.
+    """Linear-form regimes at threshold t in L units.
 
-    Exponent min{ t^2 / sum a_i^2 p_i, (t / ||a||_inf)^alpha }.
+    Exponent min{ t^2 / sum a_i^2 p_i, (t / ||a||_inf)^alpha }.  The caller
+    checks the inputs: a vector a, p in [0, 1] (a scalar or one entry per
+    entry of a) and alpha in (0, 1].
     """
-    al = AlphaParam(alpha)
-    if al.value > 1.0:
-        raise ValueError("linear-form bound needs alpha in (0, 1]")
     a = np.asarray(a_vec, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("a must be a vector")
-    q = np.asarray(p, dtype=float)
-    if q.ndim == 0:
-        q = np.full(a.shape, float(q))
-    if q.shape != a.shape or np.any(q < 0) or np.any(q > 1):
-        raise ValueError("p must match a and lie in [0, 1]")
-    return ((mn.lp_norm(a * np.sqrt(q), 2.0), 2.0), (mn.lp_norm(a, math.inf), al.value))
+    return ((mn.lp_norm(a * np.sqrt(p), 2.0), 2.0), (mn.lp_norm(a, math.inf), alpha))
 
 
 @dataclass(frozen=True)
@@ -233,13 +229,11 @@ def bound_report(
     L: float = 1.0,
     constants: BoundConstants = DEFAULT_CONSTANTS,
 ) -> dict:
-    """Comparison table over a threshold grid, serializable as JSON.
+    """Comparison table over a threshold grid, a nonempty vector, serializable as JSON.
 
     Shape: {"t_grid": [...], "bounds": {name: [...]}, "norms": {...}}.
     """
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("t_grid must be a nonempty vector")
     evals = comparison_bounds(ts, f, L=L, constants=constants)
     return {
         "t_grid": ts.tolist(),

@@ -18,8 +18,10 @@ which Python's json reads and the schemas admit, is rejected (exit 2) by
 the builder that reads it, or by _config_hash in a field no builder reads.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or
-config error, 3 a compute budget guard tripped, 4 internal error (an
-unexpected exception, reported on one stderr line without a traceback).
+config error (only a ConfigError, raised where a config, a matrix file or
+an option is rejected, or an argparse usage error), 3 a compute budget
+guard tripped, 4 internal error (any other exception, ValueError
+included, reported on one stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -323,6 +325,8 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ConfigError(str(exc)) from exc
     message = _violation(cfg, _SCHEMAS[command])
     if message is not None:
         raise ConfigError(f"config rejected: {message}")
@@ -337,11 +341,14 @@ def _finite(value, name: str):
 
     json reads the NaN and Infinity literals and integers of any size, and
     the schemas admit them; an integer beyond the float range is not finite.
+    A matrix's free array may also hold ragged rows, strings or objects.
     """
     try:
         floats = np.asarray(value, dtype=float)
     except OverflowError:
         floats = np.array(math.inf)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if not np.all(np.isfinite(floats)):
         raise ConfigError(f"{name} must be finite")
     return floats if floats.ndim else value
@@ -867,7 +874,10 @@ def _cmd_norms(args) -> int:
     a = _read_matrix(path, binary, "read a binary matrix with --format bin")
     p = None
     if args.p is not None:
-        parts = [float(v) for v in args.p.split(",")]
+        try:
+            parts = [float(v) for v in args.p.split(",")]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # a scalar weights every column
         p = _p_vector(parts[0] if len(parts) == 1 else parts, a.shape[1])
     al = None if args.alpha is None else AlphaParam(args.alpha)
@@ -919,7 +929,7 @@ def _sample(cfg: dict, seed: int, threads: int):
         results["zero_fraction"] = float(np.mean(flat == 0.0))
     second_moment = float((flat**2).mean())
     if not math.isfinite(second_moment):  # the base law's is finite, a draw's square may not be
-        raise ValueError(f"the sample second moment is {second_moment}: the squares overflow")
+        raise ConfigError(f"the sample second moment is {second_moment}: the squares overflow")
     results.update(
         {
             "n": n,
@@ -1017,14 +1027,12 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # inf and NaN are checked where they matter
             return args.handler(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not an input error
-        return _internal_error(exc)
-    except ValueError as exc:  # ConfigError is one
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         return _internal_error(exc)
 

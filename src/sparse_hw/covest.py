@@ -53,7 +53,7 @@ import numpy as np
 
 from . import matrix_norms as mn
 from . import quadform_mc as qf
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 from .rv_models import AlphaParam, DistributionSpec, sample_base
 from .streams import stream
 
@@ -68,7 +68,11 @@ _SAMPLES = "samples"  # file name stem of save_samples
 
 @dataclass(frozen=True)
 class MultivariateModel:
-    """Masked linear factor model X = delta o (B xi), xi_i iid unit-variance W_s(alpha)."""
+    """Masked linear factor model X = delta o (B xi), xi_i iid unit-variance W_s(alpha).
+
+    B is a finite 2-D array whose B B^T is finite, and p has one entry per
+    row of B, each in (0, 1].
+    """
 
     b: np.ndarray
     alpha: float
@@ -77,18 +81,18 @@ class MultivariateModel:
     def __post_init__(self) -> None:
         m = np.asarray(self.b, dtype=float)
         if m.ndim != 2:
-            raise ValueError("B must be a 2-D array")
+            raise ConfigError("B must be a 2-D array")
         if not np.all(np.isfinite(m)):
-            raise ValueError("B entries must be finite")
+            raise ConfigError("B entries must be finite")
         with np.errstate(over="ignore"):  # raised below
             if not np.all(np.isfinite(m @ m.T)):
-                raise ValueError("Sigma = B B^T overflows a float")
+                raise ConfigError("Sigma = B B^T overflows a float")
         AlphaParam(self.alpha)
         p = tuple(float(v) for v in np.atleast_1d(np.asarray(self.p, dtype=float)))
         if len(p) != m.shape[0]:
             raise ValueError("p must have one entry per row of B")
         if not all(0.0 < v <= 1.0 for v in p):  # NaN too
-            raise ValueError("retention probabilities must lie in (0, 1]")
+            raise ConfigError("retention probabilities must lie in (0, 1]")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "b", m)
@@ -123,7 +127,7 @@ class MultivariateModel:
 def generate_samples(
     model: MultivariateModel, n: int, seed: int, stream_id: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (values, masks), both (n, d); values are already masked.
+    """Draw (values, masks), both (n, d) for n >= 1; values are already masked.
 
     A masked coordinate is 0 in values and 0 in masks, so an observed
     exact zero stays distinguishable via the mask array.
@@ -149,16 +153,12 @@ def ipw_estimator(values, p) -> np.ndarray:
     x^T x / n weighted entrywise.  Masked entries must be zero-filled (as
     generate_samples emits them): the estimator only uses products of
     observed values because every product with a masked coordinate
-    vanishes.
+    vanishes.  p, one entry per column in (0, 1], is a MultivariateModel's.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim < 2 or x.shape[-2] < 1:
         raise ValueError("values must be a nonempty (n, d) array or a stack of them")
     q = np.asarray(p, dtype=float)
-    if q.shape != (x.shape[-1],):
-        raise ValueError("p must have one entry per column")
-    if np.any(q <= 0.0) or np.any(q > 1.0):
-        raise ValueError("IPW requires retention probabilities in (0, 1]")
     g = np.swapaxes(x, -1, -2) @ x / x.shape[-2]
     # a p_i^2 that underflows to 0 puts NaN on the diagonal, which the next line overwrites
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,7 +195,8 @@ def _batch_size(model: MultivariateModel, n: int) -> int:
 def ipw_batches(model, n: int, replicates: int, seed: int, reduce, threads: int = 1) -> list:
     """reduce(estimates) of each batch of IPW replicates, in batch order, on `threads` workers.
 
-    Batch c of `take` (_batch_size; the last is ragged) is one
+    The replicates, at least 2, come in batches: batch c of `take`
+    (_batch_size; the last is ragged) is one
     generate_samples(model, take * n, seed, c) draw whose rows
     [j n, (j+1) n) are replicate j, and reduce gets its one stacked
     ipw_estimator call, (take, d, d).  More than MC_SAMPLE_BUDGET samples
@@ -235,7 +236,7 @@ def ipw_replicate_stats(
         var = sum(s2 for _, s2 in batches) / replicates - mean * mean
         var = np.maximum(var, 0.0) * replicates / (replicates - 1)
     if not np.all(np.isfinite(var)):
-        raise ValueError("the IPW estimates or their squares overflow a float: B is too large")
+        raise ConfigError("the IPW estimates or their squares overflow a float: B is too large")
     return mean, np.sqrt(var / replicates)
 
 
@@ -262,9 +263,11 @@ def rip_k(m, k: int) -> float | np.ndarray:
     subset is decomposed.  Each maximum is the `eigvalsh` value of full
     enumeration, so a matrix's value is `==` alone and in any stack.
 
-    Raises ValueError on an empty stack, on inf or NaN entries (in any
-    matrix of a stack), or on a symmetric part that overflows.  Raises
-    BudgetExceededError when comb(d, k) exceeds RIP_ENUM_BUDGET.
+    k lies in [1, d], as rip_bound_rhs checks.  Raises ValueError on an
+    empty stack, ConfigError on inf or NaN entries (in any matrix of a
+    stack, such as an overflowing IPW estimate) or on a symmetric part that
+    overflows, and BudgetExceededError when comb(d, k) exceeds
+    RIP_ENUM_BUDGET.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -272,12 +275,10 @@ def rip_k(m, k: int) -> float | np.ndarray:
     if a.ndim == 3 and len(a) == 0:
         raise ValueError("M is an empty stack")
     d = a.shape[-1]
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         sym = 0.5 * (a + np.swapaxes(a, -1, -2))
     if not np.all(np.isfinite(sym)):
-        raise ValueError("M has inf or NaN entries, or its symmetric part overflows")
+        raise ConfigError("M has inf or NaN entries, or its symmetric part overflows")
     n_subsets = math.comb(d, k)
     if n_subsets > RIP_ENUM_BUDGET:
         raise BudgetExceededError(
@@ -341,18 +342,14 @@ def expected_frob_sq_exact(b, theta, p) -> float:
     term carries the factor theta_l theta_k = 0 and adds exactly 0.0, so
     skipping it leaves every bit of the sum unchanged.  Cost is
     O(s^2 d^2) for a theta with s nonzero entries (O(d^4) when dense),
-    independent of m; the budget guard still counts d^4.
+    independent of m; the budget guard still counts d^4.  B, theta and p
+    are a MultivariateModel's b, a direction with one entry per row of B,
+    and the model's p, as k1_k2_terms passes them.
     """
     bm = np.asarray(b, dtype=float)
     t = np.asarray(theta, dtype=float)
     q = np.asarray(p, dtype=float)
-    if bm.ndim != 2:
-        raise ValueError("B must be 2-D")
     d = bm.shape[0]
-    if t.shape != (d,) or q.shape != (d,):
-        raise ValueError("theta and p must have one entry per row of B")
-    if np.any(q <= 0.0) or np.any(q > 1.0):
-        raise ValueError("p must lie in (0, 1]")
     if d**4 > EXACT_FROB_BUDGET:
         raise BudgetExceededError(f"d^4 = {d**4} exceeds budget {EXACT_FROB_BUDGET}")
     g = bm @ bm.T
@@ -378,11 +375,11 @@ def k1_k2_terms(model: MultivariateModel, theta) -> tuple[float, float]:
 
     K1 = ||B||_{2->2} (||Diag(sqrt(p)) B||_F + ||B||_{2->2}) ||theta o 1/p||_2^2
     K2 = sqrt(E || B^T Diag(delta) A_{theta,p} Diag(delta) B ||_F^2)
+
+    theta has one entry per row of B, as rip_bound_rhs builds it.
     """
     t = np.asarray(theta, dtype=float)
     q = model.p_array()
-    if t.shape != (model.dim,):
-        raise ValueError("theta must have one entry per row of B")
     k1 = model.k1_scale * float(np.sum((t / q) ** 2))
     return k1, math.sqrt(expected_frob_sq_exact(model.b, t, q))
 
@@ -400,7 +397,7 @@ class RipBound:
 
 
 def rip_bound_rhs(t, k: int, model: MultivariateModel, n: int, theta_budget: int) -> RipBound:
-    """High-probability bound on rip_k(Sigma_hat - Sigma) from n samples.
+    """High-probability bound on rip_k(Sigma_hat - Sigma) from n >= 1 samples, at t >= 0.
 
     With u = t + k log(48 e d / k) the bound is
     sqrt(u / n) sup K2 + (u^{3/4} / n^{3/4} + u^{2/alpha} / n) sup K1,
@@ -420,14 +417,17 @@ def rip_bound_rhs(t, k: int, model: MultivariateModel, n: int, theta_budget: int
         raise ValueError("n must be positive")
     d = model.dim
     if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
+        raise ConfigError("need 1 <= k <= d")
     if (d + theta_budget) * k * k * d * d > EXACT_FROB_BUDGET:
         raise BudgetExceededError(
             f"theta_budget = {theta_budget}: {d} + theta_budget directions of up to "
             f"k^2 d^2 = {k * k * d * d} terms exceed the K2 budget of {EXACT_FROB_BUDGET} terms"
         )
+    p_min = float(np.min(model.p_array()))
+    if p_min**2 == 0.0:  # sup K1 divides by it
+        raise ConfigError(f"p = {p_min:g} underflows to 0 when squared")
     u = t + k * math.log(48.0 * math.e * d / k)
-    sup_k1 = model.k1_scale / float(np.min(model.p_array())) ** 2
+    sup_k1 = model.k1_scale / p_min**2
 
     rng = stream(*RIP_DIRECTION_KEY)
     thetas = [np.eye(d)[i] for i in range(d)]

@@ -33,7 +33,8 @@ Sparsity-weighted functionals take a retention-probability vector p:
 
 File format: matrices are read from CSV (one row per line) or from a
 binary blob with a little-endian header (u64 rows, u64 cols) followed by
-row-major f64 entries.  A file with no entries is a ValueError.
+row-major f64 entries.  A file that holds no entries, or an entry that is
+not a finite number, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+
+from .errors import ConfigError
 
 # nothing here calls it; the benchmark tracer wraps matrix_norms.stream
 from .streams import stream
@@ -58,7 +61,7 @@ def _as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise ConfigError("matrix entries must be finite")
     return m
 
 
@@ -69,7 +72,7 @@ def _as_probs(p, n: int) -> np.ndarray:
     if q.shape != (n,):
         raise ValueError(f"p must have shape ({n},), got {q.shape}")
     if np.any(q < 0.0) or np.any(q > 1.0) or not np.all(np.isfinite(q)):
-        raise ValueError("retention probabilities must lie in [0, 1]")
+        raise ConfigError("retention probabilities must lie in [0, 1]")
     return q
 
 
@@ -279,48 +282,37 @@ def opnorm(a, r1: float, r2: float, restarts: int = 64) -> float:
     return opnorm_detail(a, r1, r2, restarts=restarts).value
 
 
-def gamma1(a, p) -> float:
+# The weighted functionals take A as a 2-D float array and p as one entry per
+# column in [0, 1], as Functionals holds them; gamma1, gamma2 and
+# weighted_spectral also need A square.
+
+
+def gamma1(a: np.ndarray, p) -> float:
     """sqrt(gamma1): the l_2 norm of the entries a_ij sqrt(p_i p_j) (i != j) and
     a_kk sqrt(p_k), which scales exactly by 2^k under 2^k A.  Functionals.gamma1
     is its square, so it overflows to inf, never to NaN."""
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("gamma1 requires a square matrix")
-    q = _as_probs(p, m.shape[0])
-    s = np.sqrt(q)
-    w = m * np.outer(s, s)
-    np.fill_diagonal(w, np.diag(m) * s)
+    s = np.sqrt(p)
+    w = a * np.outer(s, s)
+    np.fill_diagonal(w, np.diag(a) * s)
     return lp_norm(w, 2.0)
 
 
-def gamma2(a, p) -> float:
+def gamma2(a: np.ndarray, p) -> float:
     """Sparse row/column l_1 functional; see module docstring."""
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("gamma2 requires a square matrix")
-    q = _as_probs(p, m.shape[0])
-    ab = np.abs(m)
+    ab = np.abs(a)
     off_diag = ab - np.diag(np.diag(ab))
-    row = off_diag @ q
-    col = off_diag.T @ q
-    return float(np.max(np.stack([row, col, np.diag(ab)])))
+    return float(np.max(np.stack([off_diag @ p, off_diag.T @ p, np.diag(ab)])))
 
 
-def weighted_spectral(a, p) -> float:
+def weighted_spectral(a: np.ndarray, p) -> float:
     """Spectral norm of (a_ij sqrt(p_i p_j))."""
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("weighted_spectral requires a square matrix")
-    q = _as_probs(p, m.shape[0])
-    s = np.sqrt(q)
-    return float(np.linalg.norm(m * np.outer(s, s), 2))
+    s = np.sqrt(p)
+    return float(np.linalg.norm(a * np.outer(s, s), 2))
 
 
-def row_weighted_max(a, p) -> float:
+def row_weighted_max(a: np.ndarray, p) -> float:
     """max_i (sum_j a_ij^2 p_j)^(1/2)."""
-    m = _as_matrix(a)
-    q = _as_probs(p, m.shape[1])
-    return float(_row_norms(m * np.sqrt(q), 2.0).max(initial=0.0))
+    return float(_row_norms(a * np.sqrt(p), 2.0).max(initial=0.0))
 
 
 class Functionals:
@@ -361,11 +353,17 @@ class Functionals:
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """An entry that is not a number, or a row of another length, is a ConfigError."""
     with warnings.catch_warnings():  # a file with no entries is rejected below instead
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            m = np.loadtxt(path, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise  # the caller knows how else the file may be read
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if m.size == 0:
-        raise ValueError(f"matrix file {str(path)!r} holds no entries")
+        raise ConfigError(f"matrix file {str(path)!r} holds no entries")
     return _as_matrix(m)
 
 
@@ -377,15 +375,15 @@ def load_matrix_bin(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype="<u8", count=2)
         if header.size != 2:
-            raise ValueError("truncated matrix header")
+            raise ConfigError("truncated matrix header")
         rows, cols = int(header[0]), int(header[1])
         if rows * cols == 0:
-            raise ValueError(f"matrix file {str(path)!r} holds no entries")
+            raise ConfigError(f"matrix file {str(path)!r} holds no entries")
         extra = os.fstat(fh.fileno()).st_size - 16 - rows * cols * 8
         if extra < 0:
-            raise ValueError("truncated matrix payload")
+            raise ConfigError("truncated matrix payload")
         if extra > 0:
-            raise ValueError(
+            raise ConfigError(
                 f"matrix file {str(path)!r} holds {extra} bytes past its {rows} x {cols} entries"
             )
         data = np.fromfile(fh, dtype="<f8", count=rows * cols)

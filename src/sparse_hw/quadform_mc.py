@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_norms as mn
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 from .rv_models import SparseModel, sample_sparse_matrix
 from .streams import chunk_sizes
 # bound as `stream`, the name under which the benchmark tracer counts chunk generators
@@ -40,9 +40,7 @@ MC_SAMPLE_BUDGET = 1 << 32
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion k / n."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    """Wilson score interval for a binomial proportion k / n, 0 <= k <= n, n >= 1."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     phat = k / n
@@ -54,17 +52,17 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuadFormInstance:
-    """Quadratic form S = xi^T A xi under a sparse coordinate model."""
+    """Quadratic form S = xi^T A xi under a sparse coordinate model.
+
+    A must be symmetric, as bounds.functionals checks (the statistic reads
+    its upper triangle only), and of the model's dimension.
+    """
 
     a: np.ndarray
     model: SparseModel
 
     def __post_init__(self) -> None:
         m = np.asarray(self.a, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("A must be square")
-        if not np.array_equal(m, m.T):
-            raise ValueError("A must be symmetric; use bounds.symmetrize first")
         if m.shape[0] != self.model.dim:
             raise ValueError("matrix size and model dimension differ")
         m = m.copy()
@@ -96,7 +94,7 @@ def check_sample_budget(samples: int, what: str = "n_samples") -> None:
 
 
 def _run_chunks(worker, n_samples: int, threads: int, chunk_size: int) -> list:
-    """Evaluate worker(chunk_index, chunk_len) for every chunk.
+    """Evaluate worker(chunk_index, chunk_len) for every chunk of n_samples >= 1.
 
     Returns results ordered by chunk index regardless of thread count;
     an exception comes from the lowest chunk that raised.  Each pool task
@@ -155,15 +153,15 @@ def _quadform(a: np.ndarray, model: SparseModel) -> _Blockwise:
 def _simulate(
     stat: _Blockwise, center: float, t_grid, n_samples: int, seed: int, threads: int
 ) -> EmpiricalTail:
-    """Empirical survival of |statistic - center| over t_grid with Wilson
-    intervals.
+    """Empirical survival of |statistic - center| over t_grid, a nonempty
+    vector of nonnegative thresholds, with Wilson intervals.
 
     Chunk c of MC_CHUNK samples draws from stream (seed, c) in consecutive
     blocks of max(1, MC_BLOCK_ENTRIES // dim) rows (the last one ragged),
     and each block's statistic is evaluated into the chunk's deviations
     before the next block is drawn into the same buffers.  A chunk counts
     the exceedances of every threshold, and the counts are summed in
-    chunk order.  Any inf or NaN deviation raises ValueError with their
+    chunk order.  Any inf or NaN deviation raises ConfigError with their
     number, because the counts would otherwise include it silently.  More
     than MC_SAMPLE_BUDGET samples raise BudgetExceededError first.
     """
@@ -195,7 +193,7 @@ def _simulate(
     chunks = _run_chunks(worker, n_samples, threads, MC_CHUNK)
     nonfinite = sum(bad for _, bad in chunks)
     if nonfinite:
-        raise ValueError(f"{nonfinite} of {n_samples} simulated statistics are inf or NaN")
+        raise ConfigError(f"{nonfinite} of {n_samples} simulated statistics are inf or NaN")
     counts = np.sum([k for k, _ in chunks], axis=0)
     lows, highs = np.array([wilson_interval(int(k), n_samples) for k in counts]).T
     return EmpiricalTail(
@@ -283,11 +281,9 @@ def dominance_check(
     fraction; sub-leading tail terms make the effective constant drift
     a few percent over a finite window even for correct shapes, while a
     wrong regime exponent loses a factor >= 2, so a slack around 0.1
-    separates the two cleanly.
+    separates the two cleanly.  exponent_values has the shape of tail.t_grid.
     """
     ev = np.asarray(exponent_values, dtype=float)
-    if ev.shape != tail.t_grid.shape:
-        raise ValueError("exponent grid and t grid differ in shape")
     idx = np.flatnonzero(usable_window(tail) & (ev > 0.0))
     if idx.size < 2:
         raise ValueError("need at least 2 usable grid points for calibration")
@@ -309,10 +305,9 @@ def simulate_linear_tail(
     """Empirical survival of |sum_i a_i xi_i| over t_grid.
 
     The base law is centered, so the linear form needs no centering term.
+    a_vec has one entry per coordinate of the model.
     """
     a = np.asarray(a_vec, dtype=float)
-    if a.ndim != 1 or a.size != model.dim:
-        raise ValueError("a must be a vector matching the model dimension")
 
     def linear(out, y, x):
         np.matmul(x, a, out=out)

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 # nothing here calls it; the benchmark tracer wraps rv_models.stream
 from .streams import stream
 
@@ -66,7 +68,7 @@ class AlphaParam:
     def __post_init__(self) -> None:
         v = float(self.value)
         if not (0.0 < v <= 2.0) or math.isnan(v):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.value!r}")
+            raise ConfigError(f"alpha must lie in (0, 2], got {self.value!r}")
         object.__setattr__(self, "value", v)
 
 
@@ -74,7 +76,8 @@ class AlphaParam:
 class DistributionSpec:
     """Base law of the centered factor zeta.
 
-    `alpha` is required for kind="weibull" and ignored otherwise.
+    `kind` is one of _KINDS and `scale` is positive.  `alpha` is required
+    for kind="weibull" and ignored otherwise.
     `unit_variance` divides samples by the exact standard deviation.
     """
 
@@ -88,7 +91,7 @@ class DistributionSpec:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == "weibull":
             if self.alpha is None:
-                raise ValueError("weibull base requires alpha")
+                raise ConfigError("weibull base requires alpha")
             AlphaParam(self.alpha)
         if not (self.scale > 0) or math.isnan(self.scale):
             raise ValueError("scale must be positive")
@@ -97,7 +100,7 @@ class DistributionSpec:
         except OverflowError:
             second_moment = math.inf
         if math.isinf(second_moment):
-            raise ValueError(
+            raise ConfigError(
                 f"{self.kind} base with alpha={self.alpha}, scale={self.scale} has a second"
                 " moment beyond the float range"
             )
@@ -131,9 +134,9 @@ class SparseModel:
     def __post_init__(self) -> None:
         p = tuple(float(v) for v in np.atleast_1d(np.asarray(self.p, dtype=float)))
         if len(p) == 0:
-            raise ValueError("p must be nonempty")
+            raise ConfigError("p must be nonempty")
         if any(math.isnan(v) or v < 0.0 or v > 1.0 for v in p):
-            raise ValueError("retention probabilities must lie in [0, 1]")
+            raise ConfigError("retention probabilities must lie in [0, 1]")
         object.__setattr__(self, "p", p)
         by_p: dict[float, list[int]] = {}
         for i, q in enumerate(p):
@@ -304,7 +307,7 @@ def psi_alpha_exact(spec: DistributionSpec, alpha: float) -> float | None:
     (|zeta|^alpha is Exp(1) up to scale, so E exp(|zeta|^alpha / t^alpha)
     = 1 / (1 - (scale/t)^alpha) = 2 at t = scale * 2^(1/alpha));
     Rademacher at any alpha gives scale * (log 2)^(-1/alpha), which
-    raises psi_alpha_norm's ValueError where it passes the float range;
+    raises psi_alpha_norm's ConfigError where it passes the float range;
     Gaussian at alpha = 2 gives scale * sqrt(8/3).
     """
     a = AlphaParam(alpha).value
@@ -342,11 +345,11 @@ def psi_alpha_norm(dist: DistributionSpec, alpha: float) -> float:
     g(lam) = E exp(lam V^alpha) <= 2; bisection keeps g(lo) <= 2 < g(hi),
     with g the trapezoid sum over _PSI_U, and the norm at lo is widened by
     PSI_QUAD_MARGIN.  A Weibull base W_s(beta) with beta < alpha raises
-    ValueError: E exp(|x|^alpha / t^alpha) is infinite for every t.
+    ConfigError: E exp(|x|^alpha / t^alpha) is infinite for every t.
     """
     a = AlphaParam(alpha).value
     if dist.kind == "weibull" and dist.alpha < a:
-        raise ValueError(
+        raise ConfigError(
             f"weibull base with alpha={dist.alpha:g} has an infinite psi_alpha norm at"
             f" alpha={a:g} (finite only for alpha <= {dist.alpha:g})"
         )
@@ -368,7 +371,7 @@ def psi_alpha_norm(dist: DistributionSpec, alpha: float) -> float:
 
 
 def _finite_norm(t: float, dist: DistributionSpec, alpha: float) -> float:
-    """t, a psi_alpha norm of dist; ValueError if it is beyond the float range."""
+    """t, a psi_alpha norm of dist; ConfigError if it is beyond the float range."""
     if math.isfinite(t):
         return t
-    raise ValueError(f"{dist.kind} base has a psi_alpha norm at alpha={alpha:g} beyond float range")
+    raise ConfigError(f"{dist.kind} base has a psi_alpha norm at alpha={alpha:g} beyond float range")

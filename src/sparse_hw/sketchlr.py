@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .rv_models import DistributionSpec, SparseModel, sample_sparse_matrix
 from .streams import stream
 
@@ -41,7 +42,8 @@ ORTHONORMALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FactoredMatrix:
-    """Thin SVD triple (U, S, V) with X = U diag(S) V^T."""
+    """Thin SVD triple (U, S, V) with X = U diag(S) V^T: U and V have orthonormal
+    columns, one per singular value in S, finite, nonnegative and descending."""
 
     u: np.ndarray
     s: np.ndarray
@@ -56,7 +58,7 @@ class FactoredMatrix:
         if u.ndim != 2 or v.ndim != 2 or u.shape[1] != k or v.shape[1] != k:
             raise ValueError("factor shapes do not agree")
         if not np.all(np.isfinite(s)) or np.any(s < 0) or np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be finite, nonnegative and descending")
+            raise ConfigError("singular values must be finite, nonnegative and descending")
         for w, name in ((u, "U"), (v, "V")):
             if k and not np.allclose(w.T @ w, np.eye(k), atol=ORTHONORMALITY_TOL):
                 raise ValueError(f"{name} columns are not orthonormal")
@@ -70,9 +72,9 @@ class FactoredMatrix:
 
     @functools.cached_property
     def coherences(self) -> tuple[float, float]:
-        """(mu_col, mu_row): (rows / k) max_i ||W^T e_i||_2^2 of W = U and of W = V."""
-        if not (k := self.rank):
-            raise ValueError("X is zero; its factors have no coherence")
+        """(mu_col, mu_row): (rows / k) max_i ||W^T e_i||_2^2 of W = U and of W = V,
+        for rank k >= 1 (low_rank_approx rejects a zero X)."""
+        k = self.rank
         return tuple(w.shape[0] / k * float((w * w).sum(axis=1).max()) for w in (self.u, self.v))
 
     def u_tilde(self) -> np.ndarray:
@@ -92,9 +94,9 @@ def thin_svd(x) -> FactoredMatrix:
     """
     m = np.asarray(x, dtype=float)
     if m.ndim != 2:
-        raise ValueError("X must be 2-D")
+        raise ConfigError("X must be 2-D")
     if not np.all(np.isfinite(m)):
-        raise ValueError("X entries must be finite")
+        raise ConfigError("X entries must be finite")
     if m.size == 0 or not np.any(m):
         return FactoredMatrix(
             u=np.zeros((m.shape[0], 0)), s=np.zeros(0), v=np.zeros((m.shape[1], 0))
@@ -107,17 +109,18 @@ def thin_svd(x) -> FactoredMatrix:
 
 
 def sparsified_sketch(k: int, r: int, p: float, seed: int, xi: str = "gaussian") -> np.ndarray:
-    """k x r matrix with iid entries r^(-1/2) * delta * xi.
+    """k x r matrix (k, r >= 1) with iid entries r^(-1/2) * delta * xi.
 
     Column j is one row of rv_models.sample_sparse_matrix, for k
-    coordinates kept with probability p and the unit base law xi, drawn
+    coordinates kept with probability p and the unit base law xi
+    ("gaussian" or "rademacher"), drawn
     from stream (seed, j): columns can be produced in parallel, and
     widening r only appends columns.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be positive")
     if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
+        raise ConfigError("p must lie in (0, 1]")
     if xi not in ("gaussian", "rademacher"):
         raise ValueError("xi must be 'gaussian' or 'rademacher'")
     model = SparseModel((p,) * k, DistributionSpec(kind=xi))
@@ -135,21 +138,20 @@ def sketch_bound(
 
     eps is the smallest with r >= c1 log(mn / eta) max{p / eps^2, 1 / eps}.
     A coherence is at least 1 in exact arithmetic; one that computes below 1
-    (a square orthonormal factor can give 1 - 2^-53) counts as 1.
+    (a square orthonormal factor can give 1 - 2^-53) counts as 1.  p lies in
+    (0, 1], as sparsified_sketch checks, eta in (0, 1), and c1 is positive.
     """
     if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
+        raise ConfigError("eta must lie in (0, 1)")
     if not c1 > 0:
         raise ValueError("c1 must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
     m, n = fact.u.shape[0], fact.v.shape[0]
     ell = c1 * math.log(m * n / eta)
     eps = max(math.sqrt(ell * p / r), ell / r)
     mu_col, mu_row = (max(mu, 1.0) for mu in fact.coherences)
     bound = fact.rank * eps / (p * math.sqrt(m * n)) * math.sqrt(mu_col * mu_row) * float(fact.s[0])
     if not math.isfinite(bound):
-        raise ValueError(f"the entrywise error bound is {bound}: it overflows a float")
+        raise ConfigError(f"the entrywise error bound is {bound}: it overflows a float")
     return eps, bound
 
 
@@ -178,9 +180,9 @@ def low_rank_approx(
         fact = thin_svd(m)
     k = fact.rank
     if k == 0:
-        raise ValueError("X is zero; nothing to sketch")
+        raise ConfigError("X is zero; nothing to sketch")
     if r > k and not allow_wide:
-        raise ValueError(
+        raise ConfigError(
             f"target rank r={r} exceeds detected rank k={k}; pass allow_wide=True to proceed"
         )
     q = sparsified_sketch(k, r, p, seed, xi)
@@ -189,5 +191,5 @@ def low_rank_approx(
         fv = fact.v_tilde() @ q
         error_max = float(np.max(np.abs(m - (fu @ fv.T) / p)))
     if not math.isfinite(error_max):
-        raise ValueError(f"the sketch error of X at r={r} is {error_max}")
+        raise ConfigError(f"the sketch error of X at r={r} is {error_max}")
     return fu, fv, error_max

@@ -90,9 +90,7 @@ def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
 
 
 def chunk_sizes(n_total: int, chunk_size: int) -> list[int]:
-    """Split n_total into fixed-size chunks (last one ragged)."""
-    if n_total < 0:
-        raise ValueError("n_total must be nonnegative")
+    """Split n_total >= 1 into chunks of chunk_size >= 1 (the last one ragged)."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     out = []

