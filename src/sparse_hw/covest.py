@@ -428,6 +428,8 @@ def rip_bound_rhs(t, k: int, model: MultivariateModel, n: int, theta_budget: int
         raise ConfigError(f"p = {p_min:g} underflows to 0 when squared")
     u = t + k * math.log(48.0 * math.e * d / k)
     sup_k1 = model.k1_scale / p_min**2
+    if math.isfinite(model.k1_scale) and not math.isfinite(sup_k1):
+        raise ConfigError(f"p = {p_min:g} is too small: sup K1 = k1_scale / p^2 overflows a float")
 
     rng = stream(*RIP_DIRECTION_KEY)
     thetas = [np.eye(d)[i] for i in range(d)]

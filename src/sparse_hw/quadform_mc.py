@@ -240,6 +240,8 @@ def tail_slope_fit(tail: EmpiricalTail) -> SlopeFit:
     if int(mask.sum()) < 4:
         raise ValueError("fewer than 4 usable grid points for the slope fit")
     x = np.log(tail.t_grid[mask])
+    if x.min() == x.max():  # np.polyfit would warn and fit a line through one point
+        raise ValueError("the usable grid points hold fewer than 2 distinct thresholds")
     y = np.log(-np.log(tail.survival[mask]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -10,14 +10,12 @@ is raised, and every JSON file written parses as RFC 8259 JSON (no
 Infinity or NaN).
 """
 
-import contextlib
-import io
 import json
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
+from exit_cases import run_main
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_config_check import sites
@@ -137,20 +135,13 @@ def test_edge_configs_end_in_a_documented_exit_code(run):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(cfg))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with (
-            warnings.catch_warnings(record=True) as caught,
-            contextlib.redirect_stdout(stdout),
-            contextlib.redirect_stderr(stderr),
-        ):
-            warnings.simplefilter("always")
-            argv = ["--config", str(path), "--threads", str(threads), "--out", str(out)]
-            code = cli.main([command, *argv])
+        argv = [command, "--config", str(path), "--threads", str(threads), "--out", str(out)]
+        code, stdout, stderr, caught = run_main(argv)
         reports = {p.name: p.read_text() for p in out.rglob("*.json")} if out.exists() else {}
 
-    assert not caught, [str(w.message) for w in caught]
-    assert stdout.getvalue() == ""
-    lines = stderr.getvalue().splitlines()
+    assert not caught, caught
+    assert stdout == ""
+    lines = stderr.splitlines()
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert lines == []

@@ -6,8 +6,10 @@ command's exit code or stderr differs from what the call expects.
 """
 
 import subprocess
+import sys
 from pathlib import Path
 
+import exit_cases as ec
 import pytest
 
 HELPER = Path(__file__).resolve().parents[1] / ".github" / "expect-exit.sh"
@@ -64,3 +66,57 @@ def test_vmem_2g_limits_only_its_own_subshell(tmp_path):
     limited, outer = proc.stdout.splitlines()[:2]
     assert limited == "2097152"
     assert outer != "2097152"
+
+
+def case_line(id: str, code: int, flag: str, message: str, script: str) -> str:
+    """A line as tests/exit_cases.py prints it, for a case whose argv is `-c script`."""
+    return "\t".join([id, str(code), flag, message, "-c", script])
+
+
+def run_cases(lines: list[str], tmp_path: Path) -> subprocess.CompletedProcess:
+    """expect_exit_cases on `sh`, reading lines, with a directory for each case."""
+    for line in lines:
+        (tmp_path / "cases" / line.split("\t")[0]).mkdir(parents=True)
+    (tmp_path / "cases.tsv").write_text("".join(line + "\n" for line in lines))
+    return run_step(f'expect_exit_cases sh "{tmp_path}/cases" < "{tmp_path}/cases.tsv"', tmp_path)
+
+
+# each run prints the name of the directory it runs in
+PASSES = case_line("a", 2, "-", "config error: a", 'echo "config error: ${PWD##*/}" >&2; exit 2')
+SILENT = case_line("c", 0, "-", "", "echo c-ran >&2")
+
+
+def test_expect_exit_cases_prints_each_commands_stderr(tmp_path):
+    proc = run_cases([PASSES, SILENT], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["case a", "config error: a", "case c", "c-ran", "step-finished"]
+
+
+def test_expect_exit_cases_fails_the_step_on_the_first_mismatch(tmp_path):
+    wrong_code = case_line("b", 3, "-", "config error: b", 'echo "config error: b" >&2; exit 2')
+    proc = run_cases([PASSES, wrong_code, SILENT], tmp_path)
+    assert proc.returncode != 0
+    assert proc.stdout.splitlines() == ["case a", "config error: a", "case b", "config error: b"]
+
+
+def test_expect_exit_cases_runs_flagged_cases_under_vmem_2g(tmp_path):
+    lines = [case_line("capped", 0, "vmem", "", "ulimit -v >&2"), case_line("free", 0, "-", "", "ulimit -v >&2")]
+    proc = run_cases(lines, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[:3] == ["case capped", "2097152", "case free"]
+    assert out[3] != "2097152"
+
+
+def test_exit_cases_script_prints_every_case_and_writes_its_files(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, ec.__file__, str(tmp_path)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [line[0] for line in lines] == [case.id for case in ec.CASES]
+    for case, (id, code, flag, message, *argv) in zip(ec.CASES, lines):
+        assert (int(code), flag == "vmem", message, tuple(argv)) == (case.code, case.vmem, case.stderr, case.argv)
+        for name, data in case.files.items():
+            path = tmp_path / id / name
+            assert path.is_dir() if data is None else path.read_bytes() == data, path

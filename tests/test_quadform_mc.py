@@ -289,6 +289,10 @@ def test_tail_slope_fit_needs_points():
     grid = np.array([4.0, 5.0, 6.0])
     with pytest.raises(ValueError, match="4 usable"):
         tail_slope_fit(synthetic_tail(grid, np.exp(-grid)))
+    # four usable points at one threshold hold no slope; np.polyfit once warned on them
+    grid = np.full(4, 5.0)
+    with pytest.raises(ValueError, match="fewer than 2 distinct thresholds"):
+        tail_slope_fit(synthetic_tail(grid, np.exp(-grid)))
 
 
 def test_usable_window_bounds():
