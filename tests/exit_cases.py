@@ -2,10 +2,11 @@
 
 A Case is one run of the program: its argv, the input files it reads and
 the outcome the README documents for it, an exit code and the one line
-it prints on stderr ("" for none: a run that exits 0 prints nothing, and
-argparse's usage error prints its usage first).  Every run reads its
-inputs from, and writes its --out directory `out` into, a directory of
-its own.  A run that exits 2, 3 or 4 writes no file there.
+it prints on stderr.  The line is "" where none is documented: a run
+that exits 0 prints nothing, and argparse's usage error prints its usage
+before its error line.  Every run reads its inputs from, and writes its
+--out directory `out` into, a directory of its own.  A run that exits
+2, 3 or 4 writes no file there.
 
 tests/test_cli.py runs every case through cli.main in this process, and
 a memory-capped case (`vmem`: a run that skipped its check would ask for
