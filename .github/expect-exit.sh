@@ -5,8 +5,7 @@
 # expect_exit CODE MESSAGE COMMAND...
 # Runs COMMAND with its stderr in $RUNNER_TEMP/expect.err, prints that stderr,
 # and fails unless COMMAND exits CODE.  A nonempty MESSAGE also requires stderr
-# to be one line: equal to MESSAGE, or matching it as a grep pattern when
-# MESSAGE starts with ^.
+# to be one line, equal to MESSAGE.
 expect_exit() {
   local want=$1 message=$2 code=0 err="$RUNNER_TEMP/expect.err"
   shift 2
@@ -15,11 +14,7 @@ expect_exit() {
   test "$code" -eq "$want"
   if [ -n "$message" ]; then
     test "$(wc -l < "$err")" -eq 1
-    if [ "${message#^}" != "$message" ]; then
-      grep -q "$message" "$err"
-    else
-      grep -qxF "$message" "$err"
-    fi
+    grep -qxF "$message" "$err"
   fi
 }
 

@@ -764,7 +764,7 @@ def _rip(cfg: dict, seed: int, threads: int):
     n, k = cfg["n"], cfg["k"]
     t_values = sorted(float(t) for t in _build_t_grid({"values": cfg["t_values"]}))
     slack = _finite(cfg.get("rel_slack", 0.0), "rel_slack")
-    # checks k and the theta budget before anything is drawn
+    # checks k and the theta and enumeration budgets before anything is drawn
     rhs = cv.rip_bound_rhs(t_values, k, model, n, cfg.get("theta_budget", 128)).value
     if not np.any(model.b):
         return _degenerate("B")

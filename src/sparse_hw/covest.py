@@ -240,6 +240,16 @@ def ipw_replicate_stats(
     return mean, np.sqrt(var / replicates)
 
 
+def _enumeration_size(d: int, k: int) -> int:
+    """comb(d, k), the subsets rip_k enumerates; BudgetExceededError above RIP_ENUM_BUDGET."""
+    n_subsets = math.comb(d, k)
+    if n_subsets > RIP_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {RIP_ENUM_BUDGET}"
+        )
+    return n_subsets
+
+
 def rip_k(m, k: int) -> float | np.ndarray:
     """Exact k-sparse operator norm by pruned principal-submatrix enumeration.
 
@@ -279,11 +289,7 @@ def rip_k(m, k: int) -> float | np.ndarray:
         sym = 0.5 * (a + np.swapaxes(a, -1, -2))
     if not np.all(np.isfinite(sym)):
         raise ConfigError("M has inf or NaN entries, or its symmetric part overflows")
-    n_subsets = math.comb(d, k)
-    if n_subsets > RIP_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"comb({d}, {k}) = {n_subsets} exceeds the enumeration budget {RIP_ENUM_BUDGET}"
-        )
+    n_subsets = _enumeration_size(d, k)
     sym = sym.reshape(-1, d, d)
     size = max(1, BLOCK_ENTRIES // n_subsets)
     best = [_sub_stack_maxima(sym[i : i + size], k, n_subsets) for i in range(0, len(sym), size)]
@@ -407,8 +413,9 @@ def rip_bound_rhs(t, k: int, model: MultivariateModel, n: int, theta_budget: int
     from stream RIP_DIRECTION_KEY, the same at every run seed.  t may be
     a scalar or an array: both sups are computed once for all of it.
     More than EXACT_FROB_BUDGET terms of K2 in the d + theta_budget
-    directions (s^2 d^2 for s <= k nonzero entries) raise
-    BudgetExceededError before any direction is drawn.
+    directions (s^2 d^2 for s <= k nonzero entries), or more than
+    RIP_ENUM_BUDGET subsets for rip_k, raise BudgetExceededError before
+    any direction is drawn.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # NaN fails >= too
@@ -430,6 +437,7 @@ def rip_bound_rhs(t, k: int, model: MultivariateModel, n: int, theta_budget: int
     sup_k1 = model.k1_scale / p_min**2
     if math.isfinite(model.k1_scale) and not math.isfinite(sup_k1):
         raise ConfigError(f"p = {p_min:g} is too small: sup K1 = k1_scale / p^2 overflows a float")
+    _enumeration_size(d, k)
 
     rng = stream(*RIP_DIRECTION_KEY)
     thetas = [np.eye(d)[i] for i in range(d)]

@@ -357,7 +357,8 @@ def load_matrix_csv(path) -> np.ndarray:
     with warnings.catch_warnings():  # a file with no entries is rejected below instead
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            m = np.loadtxt(path, delimiter=",", ndmin=2)
+            with open(path, encoding="utf-8") as fh:  # OSError words a missing file as bin does
+                m = np.loadtxt(fh, delimiter=",", ndmin=2)
         except UnicodeDecodeError:
             raise  # the caller knows how else the file may be read
         except ValueError as exc:

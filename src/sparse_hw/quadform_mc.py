@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrix_norms as mn
 from .errors import BudgetExceededError, ConfigError
 from .rv_models import SparseModel, sample_sparse_matrix
 from .streams import chunk_sizes
@@ -316,32 +315,3 @@ def simulate_linear_tail(
 
     stat = _Blockwise(model, linear)
     return _simulate(stat, 0.0, t_grid, n_samples, seed, threads)
-
-
-def simulate_norm_tail(
-    a, model: SparseModel, t_grid, n_samples: int, seed: int, threads: int = 1
-) -> EmpiricalTail:
-    """Empirical survival of | ||A xi||_2 - sqrt(p) ||A||_F | over t_grid.
-
-    Requires uniform retention probability and a unit-variance base, the
-    regime where sqrt(p) ||A||_F is the right centering.
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[1] != model.dim:
-        raise ValueError("A columns must match the model dimension")
-    p = model.p_array()
-    if np.any(p != p[0]) or p[0] <= 0.0:
-        raise ValueError("norm concentration needs a uniform positive p")
-    if model.base.variance() != 1.0:
-        raise ValueError("norm concentration needs a unit-variance base")
-    center = math.sqrt(p[0]) * mn.frobenius(m)
-
-    def norm(out, y, x):
-        # the arithmetic of np.linalg.norm(x @ m.T, axis=1)
-        np.matmul(x, m.T, out=y)
-        y *= y
-        y.sum(axis=1, out=out)
-        np.sqrt(out, out=out)
-
-    stat = _Blockwise(model, norm, m.shape[0])
-    return _simulate(stat, center, t_grid, n_samples, seed, threads)

@@ -135,7 +135,7 @@ for scale, name in ((8e307, "frobenius"), (1e200, "gamma1")):
 
 # --- matrix files that cannot be read, or hold no matrix
 UNREADABLE = {
-    "missing-csv": ("csv", "absent.csv", "cannot read matrix file: absent.csv not found."),
+    "missing-csv": ("csv", "absent.csv", "cannot read matrix file: [Errno 2] No such file or directory: 'absent.csv'"),
     "missing-bin": ("bin", "absent.bin", "cannot read matrix file: [Errno 2] No such file or directory: 'absent.bin'"),
     "directory": ("csv", "folder", "cannot read matrix file: [Errno 21] Is a directory: 'folder'"),
     "not-utf-8": ("csv", "latin1.csv", "matrix file 'latin1.csv' is not UTF-8 text; a binary matrix goes under \"bin\""),

@@ -578,10 +578,6 @@ def linear_unblocked(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return x @ a
 
 
-def norm_unblocked(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x @ m.T, axis=1)
-
-
 def sparse_matrix_divmod(model, n_samples: int, rng) -> np.ndarray:
     """sample_sparse_matrix's draws, each kept position split by divmod
     into (row, column of its group) and scattered by a 2-D assignment."""

@@ -360,6 +360,17 @@ def test_rip_rejects_an_unusable_bound_before_it_draws(tmp_path, monkeypatch, ca
     assert not calls
 
 
+def test_rip_checks_its_enumeration_budget_before_k2(tmp_path, monkeypatch):
+    # sup K2 takes about a second on the 158 directions of d = 30, which rip_k could not enumerate
+    def fail(*args):
+        raise AssertionError("expected_frob_sq_exact was called")
+
+    monkeypatch.setattr(cv, "expected_frob_sq_exact", fail)
+    case = ec.BY_ID["rip-enumeration"]
+    got = ec.run_case(case, tmp_path)
+    assert (got.code, got.stderr) == (3, case.stderr + "\n")
+
+
 @pytest.mark.parametrize(
     "case_id",
     [

@@ -31,13 +31,11 @@ FAILS_WITH_MSG = "sh -c 'echo \"config error: p is bad\" >&2; exit 2'"
 
 CASES = {
     "exact message": ("expect_exit 2 'config error: p is bad' " + FAILS_WITH_MSG, True),
-    "pattern message": ("expect_exit 2 '^config error: p is' " + FAILS_WITH_MSG, True),
     "empty message skips stderr": ("expect_exit 3 '' sh -c 'echo a >&2; echo b >&2; exit 3'", True),
     "success expected": ("expect_exit 0 '' true", True),
     "wrong code": ("expect_exit 3 'config error: p is bad' " + FAILS_WITH_MSG, False),
     "unexpected success": ("expect_exit 2 '' true", False),
     "inexact message": ("expect_exit 2 'config error: p is' " + FAILS_WITH_MSG, False),
-    "non-matching pattern": ("expect_exit 2 '^budget exceeded' " + FAILS_WITH_MSG, False),
     "second stderr line": (
         "expect_exit 2 'config error: p is bad' "
         "sh -c 'echo \"config error: p is bad\" >&2; echo more >&2; exit 2'",

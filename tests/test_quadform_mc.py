@@ -12,7 +12,6 @@ from sparse_hw.quadform_mc import (
     QuadFormInstance,
     dominance_check,
     simulate_linear_tail,
-    simulate_norm_tail,
     simulate_tail,
     tail_slope_fit,
     usable_window,
@@ -171,13 +170,13 @@ def test_blocked_statistics_equal_unblocked(monkeypatch, rows, threads):
     a = g + g.T
     grid = [0.0, 1.0, 2.5, 6.0, 12.0, 30.0]
     kw = dict(seed=BLOCK_SEED, threads=threads)
-    n, block = BLOCK_N, rows
+    n = BLOCK_N
 
     def survival(values, center):
         dev = np.abs(values - center)
         return np.array([np.count_nonzero(dev >= t) for t in grid]) / n
 
-    x = oracles.blocked_draws(BLOCK_MODEL, n, BLOCK_SEED, BLOCK_CHUNK, block)
+    x = oracles.blocked_draws(BLOCK_MODEL, n, BLOCK_SEED, BLOCK_CHUNK, rows)
     inst = QuadFormInstance(a, BLOCK_MODEL)
     quad = oracles.quadform_unblocked(x, a)
     assert np.array_equal(simulate_tail(inst, grid, n, **kw).survival, survival(quad, inst.mean()))
@@ -185,12 +184,6 @@ def test_blocked_statistics_equal_unblocked(monkeypatch, rows, threads):
     assert np.array_equal(
         simulate_linear_tail(a[0], BLOCK_MODEL, grid, n, **kw).survival, survival(linear, 0.0)
     )
-    uniform = rademacher_model(d, 0.4)
-    x = oracles.blocked_draws(uniform, n, BLOCK_SEED, BLOCK_CHUNK, block)
-    tail = simulate_norm_tail(a[:5], uniform, grid, n, **kw)
-    norms = oracles.norm_unblocked(x, a[:5])
-    center = math.sqrt(0.4) * float(np.linalg.norm(a[:5], "fro"))
-    assert np.array_equal(tail.survival, survival(norms, center))
 
 
 # one panel below n = 96 and about n / 64 past it, edges on either side of
@@ -334,19 +327,3 @@ def test_simulate_linear_tail_step():
     model = rademacher_model(2)
     tail = simulate_linear_tail([1.0, 0.0], model, [0.5, 1.0, 1.5], 3000, seed=12)
     assert np.array_equal(tail.survival, [1.0, 1.0, 0.0])
-
-
-def test_simulate_norm_tail_constant_norm():
-    model = rademacher_model(2)
-    # ||xi||_2 = sqrt(2) = the center exactly, so even t = 1e-12 is never reached
-    tail = simulate_norm_tail(np.eye(2), model, [1e-12, 0.25, 0.5], 3000, seed=13)
-    assert np.array_equal(tail.survival, [0.0, 0.0, 0.0])
-
-
-def test_simulate_norm_tail_validation():
-    mixed = SparseModel(p=(0.5, 1.0), base=RADEMACHER)
-    with pytest.raises(ValueError, match="uniform"):
-        simulate_norm_tail(np.eye(2), mixed, [1.0], 100, seed=0)
-    heavy = SparseModel(p=(1.0, 1.0), base=DistributionSpec(kind="weibull", alpha=1.0))
-    with pytest.raises(ValueError, match="unit-variance"):
-        simulate_norm_tail(np.eye(2), heavy, [1.0], 100, seed=0)

@@ -3,10 +3,8 @@
 The golden cases run under sys.setprofile, with `norms` also run on the
 golden norms matrix written as a binary file.  A public module-level
 function of sparse_hw, or a public method, property or cached_property
-of a class defined there, that none of these runs calls fails the test,
-unless KEPT names it with the reason it stays.  Code that only the tests
-call belongs in tests/oracles.py.  A KEPT entry that a run now calls,
-or that no longer exists, fails too, so the list stays short.
+of a class defined there, that none of these runs calls fails the test.
+Code that only the tests call belongs in tests/oracles.py.
 """
 
 import contextlib
@@ -22,11 +20,6 @@ import sparse_hw
 from oracles import save_matrix_bin
 from sparse_hw.cli import main
 from test_golden_reports import CONFIG_CASES, GOLDEN, run_config_case, run_norms_case
-
-KEPT = {
-    "quadform_mc.simulate_norm_tail": "the paper's norm application, for a norm-verify command to run",
-}
-
 
 def public_functions() -> dict:
     """'module.name' -> code object of every public function defined at module
@@ -75,8 +68,5 @@ def test_every_public_function_is_run_by_a_command(tmp_path):
         run_commands(tmp_path)
     finally:
         sys.setprofile(None)
-    unreached = {name for name, code in public_functions().items() if code not in called}
-    unused = sorted(unreached - KEPT.keys())
+    unused = sorted(name for name, code in public_functions().items() if code not in called)
     assert not unused, f"no command runs {unused}: delete them or move them to tests/oracles.py"
-    stale = sorted(KEPT.keys() - unreached)
-    assert not stale, f"KEPT names {stale}, which a command runs or which no longer exist"
