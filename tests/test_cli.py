@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -369,6 +370,15 @@ def test_rip_checks_its_enumeration_budget_before_k2(tmp_path, monkeypatch):
     case = ec.BY_ID["rip-enumeration"]
     got = ec.run_case(case, tmp_path)
     assert (got.code, got.stderr) == (3, case.stderr + "\n")
+
+
+def test_rip_enumeration_budget_precedes_the_degenerate_return(tmp_path):
+    # a zero B over the enumeration budget exits 3 before rip's degenerate verdict
+    case = ec.BY_ID["rip-enumeration"]
+    cfg = json.loads(case.files["config.json"]) | {"b": {"values": [[0.0] * 30] * 30}}
+    zero = dataclasses.replace(case, id="rip-enumeration-zero-b", files={"config.json": json.dumps(cfg).encode()})
+    got = ec.run_case(zero, tmp_path)
+    assert (got.code, got.stderr, got.written) == (3, case.stderr + "\n", [])
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,9 @@ CASES = {
     "wrong code": ("expect_exit 3 'config error: p is bad' " + FAILS_WITH_MSG, False),
     "unexpected success": ("expect_exit 2 '' true", False),
     "inexact message": ("expect_exit 2 'config error: p is' " + FAILS_WITH_MSG, False),
+    # a message is compared as it stands: a leading ^ is a character, not an anchor
+    "caret message is literal": ("expect_exit 2 '^p is bad' sh -c 'echo \"^p is bad\" >&2; exit 2'", True),
+    "caret message is no pattern": ("expect_exit 2 '^config error: p is bad' " + FAILS_WITH_MSG, False),
     "second stderr line": (
         "expect_exit 2 'config error: p is bad' "
         "sh -c 'echo \"config error: p is bad\" >&2; echo more >&2; exit 2'",

@@ -626,6 +626,15 @@ def test_csv_single_row_keeps_2d(tmp_path):
     assert load_matrix_csv(path).shape == (1, 3)
 
 
+@pytest.mark.parametrize("load", [load_matrix_csv, load_matrix_bin], ids=["csv", "bin"])
+def test_a_missing_matrix_file_is_a_file_not_found_error(tmp_path, load):
+    # both loaders open the file themselves, so both word a missing file as open() does
+    path = tmp_path / "absent"
+    with pytest.raises(FileNotFoundError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+
+
 def test_bin_round_trip_exact(tmp_path):
     m = stream(91, 0).standard_normal((4, 2))
     path = tmp_path / "m.bin"
